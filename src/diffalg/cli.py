@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 
@@ -131,20 +130,17 @@ def _cmd_reduce(args, started) -> dict:
         return _report("FAIL", ["input form does not differentiate to f"],
                        started)
     steps = reduce(t, f, form, max_steps=args.steps)
+    # reduce re-verifies every step before returning it and raises
+    # SelfCheckFailed otherwise, so each returned step is verified.
     residues = []
-    ok = True
     chunks = []
     for i, step in enumerate(steps, 1):
-        verified = verify_liouville(step.tower, step.tower.wrap(f.rf),
-                                    step.form)
-        ok = ok and verified
         top = step.tower.generators[-1].name if step.tower.generators else "Q"
-        residues.append(f"step {i}: top generator now {top}, "
-                        f"{'verified' if verified else 'FAILED'}")
+        residues.append(f"step {i}: top generator now {top}, verified")
         chunks.append(f"# step {i}\n{print_form(step.form)}")
     if not steps:
         residues.append("nothing above the integrand was reducible")
-    return _report("PASS" if ok else "FAIL", residues, started,
+    return _report("PASS", residues, started,
                    output="\n".join(chunks).rstrip("\n"))
 
 
@@ -175,7 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-degree", type=int, default=512, metavar="N",
                         help="abort any polynomial above this total degree")
     common.add_argument("--seed", type=int, default=None, metavar="K",
-                        help="seed the random generator")
+                        help="seed the gcd coprimality certificate "
+                             "(results do not depend on it)")
 
     p = argparse.ArgumentParser(
         prog="diffalg",
@@ -228,8 +225,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     poly.set_degree_limit(args.max_degree)
+    cert_seed = poly._cert_seed
     if args.seed is not None:
-        random.seed(args.seed)
+        poly._cert_seed = args.seed
     started = time.monotonic()
     try:
         rep = args.func(args, started)
@@ -248,6 +246,7 @@ def main(argv=None) -> int:
         return 2
     finally:
         poly.set_degree_limit(None)
+        poly._cert_seed = cert_seed
     return _emit(rep, args.json)
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from .errors import (DegenerateChord, DegenerateDenominator,
                      InvalidDefiningData, ZeroDenominator)
 from .poly import MultiPoly
-from .ratfunc import RatFunc, reduce_powers
-from .tower import FULL_D, Element, PartialD, Tower
+from .ratfunc import reduce_powers
+from .tower import Element, PartialD, Tower
 
 
 @dataclass(frozen=True)
@@ -254,19 +254,14 @@ def _sum_reduces_to_zero(parts, rels) -> bool:
         for f, k in missing.items():
             for _ in range(k):
                 piece = piece * f
-                piece, d = _reduce_pair(piece, rels)
+                piece, d = reduce_powers(piece, MultiPoly.one(), rels)
                 pden = pden * d
         # piece/pden joins total_num/total_den
         total_num = total_num * pden + piece * total_den
         total_den = total_den * pden
-        total_num, d = _reduce_pair(total_num, rels)
+        total_num, d = reduce_powers(total_num, MultiPoly.one(), rels)
         total_den = total_den * d
     return total_num.is_zero()
-
-
-def _reduce_pair(p: MultiPoly, rels):
-    num, den = reduce_powers(p, MultiPoly.one(), rels)
-    return num, den
 
 
 # --------------------------------------------------------------------------
@@ -411,15 +406,3 @@ def check_w2_chord_identity() -> bool:
         if not _sum_reduces_to_zero(parts, t.rels):
             return False
     return True
-
-
-def residue_element(parts, t: Tower) -> Element:
-    """Slow path: combine parts into a canonical element (diagnostics)."""
-    total = t.zero()
-    for p in parts:
-        rf = RatFunc.from_poly(p.num)
-        den = RatFunc.from_poly(p.den_extra)
-        for f, k in p.dens.items():
-            den = den * RatFunc.from_poly(f) ** k
-        total = total + t.wrap(rf / den)
-    return total

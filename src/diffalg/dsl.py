@@ -25,7 +25,6 @@ printed text reproduces the same tower, bindings, and form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .curves import ThirdKindParam
 from .errors import NameClash, ParseError
@@ -187,8 +186,7 @@ def _parse_atom(ts: _Stream, env: dict, t: Tower, stop: bool) -> Element:
     if tok.kind == "NAME":
         if tok.text not in env:
             raise ParseError(f"unknown name {tok.text!r}", tok.line, tok.col)
-        e = env[tok.text]
-        return e if e.tower is t else t.wrap(e.rf)
+        return t.coerce(env[tok.text])
     if tok.kind == "OP" and tok.text == "(":
         inner = _parse_binary(ts, env, t, 0, False)
         ts.expect("OP", ")")
@@ -279,8 +277,7 @@ def parse_tower(text: str) -> TowerDoc:
             ts.next()
 
     # Re-anchor earlier bindings on the final tower.
-    bindings = {k: v if v.tower is t else t.wrap(v.rf)
-                for k, v in bindings.items()}
+    bindings = {k: t.coerce(v) for k, v in bindings.items()}
     return TowerDoc(t, bindings)
 
 

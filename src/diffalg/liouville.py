@@ -30,10 +30,9 @@ from fractions import Fraction
 from .curves import (CurvePoint, LegendreCurve, ThirdKindParam,
                      WeierstrassCurve, abel_e_correction, abel_log_argument,
                      legendre_add, weierstrass_add, weierstrass_e_correction)
-from .errors import (FieldMismatch, FNotBelow, IntegrandNotReducible,
-                     InvalidDefiningData, NonConstantCoefficient, NotConstant,
-                     PartNotBelow, SelfCheckFailed, UnsupportedHandle,
-                     UnsupportedTermKind)
+from .errors import (FNotBelow, IntegrandNotReducible, InvalidDefiningData,
+                     NonConstantCoefficient, NotConstant, PartNotBelow,
+                     SelfCheckFailed, UnsupportedHandle, UnsupportedTermKind)
 from .poly import MultiPoly
 from .ratfunc import RatFunc
 from .tower import (FULL_D, AlgebraicSqrt, BaseVar, CommutingX, ConstParam,
@@ -116,26 +115,18 @@ class LPhi:
 PhiTerm = LogPhi | WPhi | LPhi
 
 
-def _lift(t: Tower, e: Element) -> Element:
-    if e.tower is t:
-        return e
-    if e.tower.is_prefix_of(t) or set(e.rf.gens()) <= set(t._by_gid):
-        return t.wrap(e.rf)
-    raise FieldMismatch("form part lives outside the tower")
-
-
-def _lift_term(t: Tower, term: PhiTerm) -> PhiTerm:
+def _map_term(term: PhiTerm, move) -> PhiTerm:
+    """The same phi term with move applied to every element it holds."""
     if isinstance(term, LogPhi):
-        return LogPhi(_lift(t, term.v))
+        return LogPhi(move(term.v))
     if isinstance(term, WPhi):
-        c = None if term.c is None else _lift(t, term.c)
-        return WPhi(term.kind, _lift(t, term.v), _lift(t, term.q),
-                    _lift(t, term.a), _lift(t, term.b), c)
+        c = None if term.c is None else move(term.c)
+        return WPhi(term.kind, move(term.v), move(term.q), move(term.a),
+                    move(term.b), c)
     prm = term.prm
     if prm is not None:
-        prm = ThirdKindParam(_lift(t, prm.a), _lift(t, prm.delta))
-    return LPhi(term.kind, _lift(t, term.v), _lift(t, term.y),
-                _lift(t, term.m), prm)
+        prm = ThirdKindParam(move(prm.a), move(prm.delta))
+    return LPhi(term.kind, move(term.v), move(term.y), move(term.m), prm)
 
 
 class LiouvilleForm:
@@ -149,11 +140,11 @@ class LiouvilleForm:
         self.v0 = v0
         checked = []
         for coeff, term in terms:
-            coeff = _lift(t, coeff) if isinstance(coeff, Element) else t.lit(coeff)
+            coeff = t.coerce(coeff)
             if not t.is_constant(coeff):
                 raise NonConstantCoefficient(
                     f"term coefficient {coeff} is not a constant")
-            term = _lift_term(t, term)
+            term = _map_term(term, t.coerce)
             term.validate(t)
             checked.append((coeff, term))
         self.terms = tuple(checked)
@@ -193,7 +184,7 @@ def form_derivative(t: Tower, form: LiouvilleForm) -> Element:
 
 
 def verify_liouville(t: Tower, f: Element, form: LiouvilleForm) -> bool:
-    return (form_derivative(t, form) - _lift(t, f)).is_zero()
+    return (form_derivative(t, form) - t.coerce(f)).is_zero()
 
 
 def x_constant(t: Tower, form: LiouvilleForm, k) -> Element:
@@ -347,6 +338,20 @@ def _merge_terms(terms):
     return [(acc[term], term) for term in order if not acc[term].is_zero()]
 
 
+def _move_down(new_t: Tower, f: Element, v0: Element, terms) -> LiouvilleForm:
+    """Rebuild the reduced form over the shrunken tower and self-check it.
+
+    This is the one downward move: every field is re-read from its raw
+    RatFunc by new_t.wrap, which rejects a generator that was dropped.
+    """
+    down = lambda e: new_t.wrap(e.rf)
+    moved = LiouvilleForm(down(v0), [(down(cf), _map_term(term, down))
+                                     for cf, term in _merge_terms(terms)])
+    if not verify_liouville(new_t, down(f), moved):
+        raise SelfCheckFailed("reduced form derivative drifted")
+    return moved
+
+
 def reduce_top(t: Tower, f: Element, form: LiouvilleForm):
     """Push the form below the top transcendental extension.
 
@@ -401,12 +406,7 @@ def reduce_top(t: Tower, f: Element, form: LiouvilleForm):
             new_terms.append((c, LogPhi(t.wrap(kind.v))))
 
     new_t = t.drop_gens(sgids)
-    moved = LiouvilleForm(new_t.wrap(v0.rf),
-                          [(new_t.wrap(cf.rf), _lift_term(new_t, term))
-                           for cf, term in _merge_terms(new_terms)])
-    if not verify_liouville(new_t, new_t.wrap(f.rf), moved):
-        raise SelfCheckFailed("reduced form derivative drifted")
-    return new_t, moved
+    return new_t, _move_down(new_t, f, v0, new_terms)
 
 
 # --------------------------------------------------------------------------
@@ -491,13 +491,7 @@ def reduce_algebraic(t: Tower, s, f: Element, form: LiouvilleForm) -> LiouvilleF
         new_terms.append(
             (chalf, LPhi(term.kind, p3.x, p3.y, term.m, term.prm)))
 
-    new_t = t.drop_gens({gen.gid})
-    moved = LiouvilleForm(new_t.wrap(v0.rf),
-                          [(new_t.wrap(cf.rf), _lift_term(new_t, term))
-                           for cf, term in _merge_terms(new_terms)])
-    if not verify_liouville(new_t, new_t.wrap(f.rf), moved):
-        raise SelfCheckFailed("reduced form derivative drifted")
-    return moved
+    return _move_down(t.drop_gens({gen.gid}), f, v0, new_terms)
 
 
 # --------------------------------------------------------------------------
@@ -518,9 +512,8 @@ def reduce(t: Tower, f: Element, form: LiouvilleForm,
     an empty list means nothing above f was reducible.
     """
     steps: list[ReductionStep] = []
-    f = _lift(t, f)
-    form = LiouvilleForm(_lift(t, form.v0),
-                         [(c, term) for c, term in form.terms])
+    f = t.coerce(f)
+    form = LiouvilleForm(t.coerce(form.v0), form.terms)
     while max_steps is None or len(steps) < max_steps:
         target = _reduction_target(t)
         if target is None:

@@ -49,12 +49,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def mono_pow(m: Monomial, k: int) -> Monomial:
-    if k == 0 or not m:
-        return MONO_ONE
-    return tuple((g, e * k) for g, e in m)
-
-
 def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
@@ -366,20 +360,6 @@ def _ideg_in(p: dict, gid: int) -> int:
     return d
 
 
-def _imul(a: dict, b: dict) -> dict:
-    return _dict_mul(a, b)
-
-
-def _iadd(a: dict, b: dict) -> dict:
-    return _dict_add(a, b)
-
-
-def _iscale(a: dict, k: int) -> dict:
-    if k == 1:
-        return a
-    return {m: c * k for m, c in a.items()}
-
-
 def _int_content(p: dict) -> int:
     g = 0
     for c in p.values():
@@ -595,12 +575,12 @@ def _pseudo_rem(a: dict, b: dict) -> dict:
         nr: dict = {}
         for k, c in r.items():
             if k != dr:
-                nr[k] = _imul(c, lb)
+                nr[k] = _dict_mul(c, lb)
         for k, c in b.items():
             if k != db:
                 kk = k + dr - db
-                prod = _dict_neg(_imul(c, lr))
-                nr[kk] = _iadd(nr[kk], prod) if kk in nr else prod
+                prod = _dict_neg(_dict_mul(c, lr))
+                nr[kk] = _dict_add(nr[kk], prod) if kk in nr else prod
         r = {k: c for k, c in nr.items() if c}
     return r
 
@@ -656,7 +636,7 @@ def _igcd(p: dict, q: dict) -> dict:
         rc = _uni_content(r)
         r = {k: _idivexact(c, rc) for k, c in r.items()}
         a, b = b, r
-    g = _from_uni({k: _imul(c, cont) for k, c in b.items()}, v)
+    g = _from_uni({k: _dict_mul(c, cont) for k, c in b.items()}, v)
     return _pos_lc(g)
 
 

@@ -123,18 +123,11 @@ class RelationSet:
         out[gid] = radicand
         return RelationSet(out)
 
-    def without(self, gids) -> "RelationSet":
-        return RelationSet({g: r for g, r in self.radicands.items()
-                            if g not in gids})
-
     def __contains__(self, gid: int) -> bool:
         return gid in self.radicands
 
     def __getitem__(self, gid: int) -> RatFunc:
         return self.radicands[gid]
-
-    def sqrt_gids(self):
-        return sorted(self.radicands)
 
 
 def _reduce_poly(p: MultiPoly, rels: RelationSet):

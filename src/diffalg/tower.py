@@ -157,18 +157,16 @@ class Element:
     # -- arithmetic ---------------------------------------------------
 
     def _pair(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self, Element(self.tower, RatFunc.const(other))
-        if not isinstance(other, Element):
+        t = self.tower
+        if isinstance(other, Element):
+            u = other.tower
+            if u is t:
+                return self, other
+            if len(u.generators) > len(t.generators):
+                return u.coerce(self), other
+        elif not isinstance(other, (int, Fraction)):
             return self, NotImplemented
-        a, b = self, other
-        if a.tower is b.tower or a.tower.generators == b.tower.generators:
-            return a, b
-        if a.tower.is_prefix_of(b.tower):
-            return Element(b.tower, a.rf), b
-        if b.tower.is_prefix_of(a.tower):
-            return a, Element(a.tower, b.rf)
-        raise FieldMismatch("elements of unrelated towers")
+        return self, t.coerce(other)
 
     def _wrap(self, num: MultiPoly, den: MultiPoly) -> "Element":
         return Element(self.tower, normal_form(num, den, self.tower.rels))
@@ -270,10 +268,6 @@ class Tower:
     def base() -> "Tower":
         return Tower(())
 
-    def is_prefix_of(self, other: "Tower") -> bool:
-        n = len(self.generators)
-        return other.generators[:n] == self.generators
-
     def gen_of(self, key) -> Generator:
         if isinstance(key, Generator):
             return key
@@ -289,9 +283,6 @@ class Tower:
 
     def name_of(self, gid: int) -> str:
         return self._by_gid[gid].name
-
-    def top_gid(self) -> int:
-        return self.generators[-1].gid if self.generators else -1
 
     def drop_gens(self, gids) -> "Tower":
         """Tower without the given generators (ids stay stable)."""
@@ -316,6 +307,22 @@ class Tower:
     def __getitem__(self, name) -> Element:
         return self.element(name)
 
+    def coerce(self, value) -> Element:
+        """The one way into this tower: a rational becomes a constant, and
+        an element is taken only from this tower or a prefix of it, so
+        elements move up into extensions and never sideways."""
+        if isinstance(value, Element):
+            other = value.tower
+            if other is self:
+                return value
+            n = len(other.generators)
+            if other.generators == self.generators[:n]:
+                return Element(self, value.rf)
+            raise FieldMismatch("element does not live in this tower")
+        if isinstance(value, (int, Fraction)):
+            return self.lit(value)
+        raise FieldMismatch(f"cannot use {value!r} as a tower element")
+
     def wrap(self, rf: RatFunc) -> Element:
         """Re-normalize a raw RatFunc as an element of this tower."""
         bad = rf.gens() - set(self._by_gid)
@@ -334,24 +341,21 @@ class Tower:
 
     def _coerce_below(self, value) -> RatFunc:
         """Defining data must live strictly inside this tower."""
-        if isinstance(value, Element):
-            if not (value.tower is self
-                    or value.tower.generators == self.generators
-                    or value.tower.is_prefix_of(self)):
-                raise CyclicDefinition(
-                    "defining data comes from an unrelated or taller tower")
-            rf = value.rf
-        elif isinstance(value, RatFunc):
+        if isinstance(value, RatFunc):
             rf = value
-        elif isinstance(value, (int, Fraction)):
-            rf = RatFunc.const(value)
+        elif isinstance(value, (Element, int, Fraction)):
+            try:
+                rf = self.coerce(value).rf
+            except FieldMismatch:
+                raise CyclicDefinition("defining data comes from an "
+                                       "unrelated or taller tower") from None
         else:
             raise InvalidDefiningData(f"cannot use {value!r} as defining data")
         bad = rf.gens() - set(self._by_gid)
         if bad:
             raise CyclicDefinition(
                 f"defining data mentions unknown generator ids {sorted(bad)}")
-        return normal_form(rf.num, rf.den, self.rels)
+        return self._nf(rf)
 
     def _append(self, *gens: Generator) -> "Tower":
         return Tower(self.generators + gens)
@@ -510,6 +514,13 @@ class Tower:
         def d_of(rf: RatFunc) -> RatFunc:
             return _diff_rf(rf, get)
 
+        def d_sqrt(gid: int, kind: AlgebraicSqrt) -> RatFunc:
+            # s^2 = r gives D s = D r / (2 s).
+            dr = d_of(kind.radicand)
+            if dr.is_zero():
+                return _RF_ZERO
+            return self._nf(dr / (RatFunc.const(2) * RatFunc.var(gid)))
+
         if isinstance(handle, FullD):
             def compute(gid: int) -> RatFunc:
                 kind = self._by_gid[gid].kind
@@ -528,50 +539,29 @@ class Tower:
                     val = d_of(kind.v) * theta / (kind.v * (theta + _RF_ONE))
                     return self._nf(val)
                 if isinstance(kind, AlgebraicSqrt):
-                    dr = d_of(kind.radicand)
-                    return self._nf(dr / (RatFunc.const(2) * RatFunc.var(gid)))
+                    return d_sqrt(gid, kind)
                 raise UnsupportedHandle(f"unknown kind {kind!r}")
 
-        elif isinstance(handle, CommutingX):
+        elif isinstance(handle, (CommutingX, PartialD)):
+            # Both send theta_k to a fixed value, kill the rest of the
+            # tower and follow it through the square roots above k.
             k = handle.gid
             kgen = self.gen_of(k)
-            if not isinstance(kgen.kind, _X_KINDS):
+            if isinstance(handle, PartialD):
+                at_k = _RF_ONE
+            elif not isinstance(kgen.kind, _X_KINDS):
                 raise UnsupportedHandle(
                     f"no commuting derivation for generator {kgen.name!r} "
                     f"of kind {type(kgen.kind).__name__}")
+            else:
+                at_k = _x_image(kgen)
 
             def compute(gid: int) -> RatFunc:
                 if gid == k:
-                    kind = kgen.kind
-                    if isinstance(kind, Primitive):
-                        return _RF_ONE
-                    if isinstance(kind, Exponential):
-                        return RatFunc.var(gid)
-                    if isinstance(kind, EllipticFunction):
-                        return RatFunc.var(kind.companion)
-                    theta = RatFunc.var(gid)
-                    return theta / (theta + _RF_ONE)
+                    return at_k
                 kind = self._by_gid[gid].kind
                 if gid > k and isinstance(kind, AlgebraicSqrt):
-                    dr = d_of(kind.radicand)
-                    if dr.is_zero():
-                        return _RF_ZERO
-                    return self._nf(dr / (RatFunc.const(2) * RatFunc.var(gid)))
-                return _RF_ZERO
-
-        elif isinstance(handle, PartialD):
-            k = handle.gid
-            self.gen_of(k)
-
-            def compute(gid: int) -> RatFunc:
-                if gid == k:
-                    return _RF_ONE
-                kind = self._by_gid[gid].kind
-                if gid > k and isinstance(kind, AlgebraicSqrt):
-                    dr = d_of(kind.radicand)
-                    if dr.is_zero():
-                        return _RF_ZERO
-                    return self._nf(dr / (RatFunc.const(2) * RatFunc.var(gid)))
+                    return d_sqrt(gid, kind)
                 return _RF_ZERO
 
         elif isinstance(handle, BelowD):
@@ -588,10 +578,7 @@ class Tower:
                 if isinstance(kind, ConstParam):
                     return _RF_ZERO
                 if isinstance(kind, AlgebraicSqrt):
-                    dr = d_of(kind.radicand)
-                    if dr.is_zero():
-                        return _RF_ZERO
-                    return self._nf(dr / (RatFunc.const(2) * RatFunc.var(gid)))
+                    return d_sqrt(gid, kind)
                 return _POISON
 
         else:
@@ -605,11 +592,7 @@ class Tower:
 
     def derive(self, handle, e: Element) -> Element:
         """Apply a derivation handle to an element of this tower."""
-        if e.tower is not self and e.tower.generators != self.generators:
-            if e.tower.is_prefix_of(self):
-                e = Element(self, e.rf)
-            else:
-                raise FieldMismatch("element does not live in this tower")
+        e = self.coerce(e)
         get = self._dget(handle)
         rf = _diff_rf(e.rf, get)
         return Element(self, self._nf(rf))
@@ -664,10 +647,7 @@ class Tower:
         return gen
 
     def _check_up_to(self, gen: Generator, e: Element) -> Element:
-        if e.tower is not self and e.tower.generators != self.generators:
-            if not e.tower.is_prefix_of(self):
-                raise FieldMismatch("element does not live in this tower")
-            e = Element(self, e.rf)
+        e = self.coerce(e)
         above = {g for g in e.used_gids() if g > gen.gid}
         if above:
             names = ", ".join(self.name_of(g) for g in sorted(above))
@@ -771,6 +751,19 @@ def _diff_rf(rf: RatFunc, get) -> RatFunc:
     den = RatFunc.from_poly(rf.den)
     num = RatFunc.from_poly(rf.num)
     return (dnum * den - num * dden) / (den * den)
+
+
+def _x_image(gen: Generator) -> RatFunc:
+    """X theta for the commuting derivation at an X-kind generator."""
+    kind = gen.kind
+    if isinstance(kind, Primitive):
+        return _RF_ONE
+    if isinstance(kind, Exponential):
+        return RatFunc.var(gen.gid)
+    if isinstance(kind, EllipticFunction):
+        return RatFunc.var(kind.companion)
+    theta = RatFunc.var(gen.gid)
+    return theta / (theta + _RF_ONE)
 
 
 def _single_var(rf: RatFunc):

@@ -7,7 +7,8 @@ import pytest
 
 from diffalg.dsl import (TowerDoc, parse_expr, parse_form, parse_tower,
                          print_form, print_tower, tokenize)
-from diffalg.errors import NameClash, ParseError, ZeroDenominator
+from diffalg.errors import (FieldMismatch, NameClash, ParseError,
+                            ZeroDenominator)
 from diffalg.fmt import format_ratfunc
 from diffalg.liouville import (LiouvilleForm, LogPhi, LPhi, WPhi,
                                form_derivative, verify_liouville)
@@ -287,6 +288,15 @@ def test_parse_form_with_bindings():
     doc = parse_tower(X_ONLY + "let u = x^2 + 1")
     form = parse_form("v0 = u\nterm 1 * log(u)", doc.tower, doc.bindings)
     assert (form.v0 - (doc.tower["x"] ** 2 + 1)).is_zero()
+
+
+def test_parse_form_rejects_binding_from_sibling_tower():
+    x = Tower.base().var("x")
+    a = x.exp_ext("t", x["x"])
+    b = x.log_ext("u", x["x"])
+    with pytest.raises(FieldMismatch):
+        form = parse_form("v0 = x\nterm 1 * log(w)", a, {"w": b["u"]})
+        verify_liouville(a, a.lit(2), form)
 
 
 def test_parse_form_must_start_with_v0():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from diffalg.curves import ThirdKindParam
-from diffalg.errors import (FNotBelow, IntegrandNotReducible,
+from diffalg.errors import (FieldMismatch, FNotBelow, IntegrandNotReducible,
                             NonConstantCoefficient, NotConstant, PartNotBelow,
                             UnsupportedTermKind)
 from diffalg.liouville import (LiouvilleForm, LogPhi, LPhi, WPhi, check_step1,
@@ -97,6 +97,43 @@ def test_coefficients_must_be_constant():
     t = Tower.base().var("x")
     with pytest.raises(NonConstantCoefficient):
         LiouvilleForm(t.zero(), [(t["x"], LogPhi(t["x"] + 1))])
+
+
+def _exp_and_log_over_x():
+    x = Tower.base().var("x")
+    return x.exp_ext("t", x["x"]), x.log_ext("u", x["x"])
+
+
+def test_form_rejects_sibling_tower_element():
+    # u = log x lives in a sibling of (x, t = exp x); read as t it would
+    # make D(x + log u) = 1 + 1/(x log x) pass as 2.
+    a, b = _exp_and_log_over_x()
+    with pytest.raises(FieldMismatch):
+        verify_liouville(a, a.lit(2),
+                         LiouvilleForm(a["x"], [(1, LogPhi(b["u"]))]))
+
+
+def test_form_rejects_same_gids_other_derivation():
+    # Same generator id, different field: D x = 2 here, D x = 1 in a.
+    a, _ = _exp_and_log_over_x()
+    d = Tower.base().var("x", 2)
+    with pytest.raises(FieldMismatch):
+        verify_liouville(d, 2 / d["x"],
+                         LiouvilleForm(d.zero(), [(1, LogPhi(a["x"]))]))
+
+
+def test_verify_rejects_integrand_from_sibling_tower():
+    a, b = _exp_and_log_over_x()
+    with pytest.raises(FieldMismatch):
+        verify_liouville(a, b["u"], LiouvilleForm(a["x"]))
+
+
+def test_equal_towers_built_apart_combine():
+    a, _ = _exp_and_log_over_x()
+    a2, _ = _exp_and_log_over_x()
+    assert a is not a2
+    assert (a["t"] - a2["t"]).is_zero()
+    assert verify_liouville(a, a2["t"], LiouvilleForm(a2["t"]))
 
 
 # -- x_constant ----------------------------------------------------------------
