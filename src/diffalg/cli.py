@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 
@@ -171,8 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-degree", type=int, default=512, metavar="N",
                         help="abort any polynomial above this total degree")
     common.add_argument("--seed", type=int, default=None, metavar="K",
-                        help="seed the gcd coprimality certificate "
-                             "(results do not depend on it)")
+                        help="seed the random generator")
 
     p = argparse.ArgumentParser(
         prog="diffalg",
@@ -225,9 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     poly.set_degree_limit(args.max_degree)
-    cert_seed = poly._cert_seed
     if args.seed is not None:
-        poly._cert_seed = args.seed
+        random.seed(args.seed)
     started = time.monotonic()
     try:
         rep = args.func(args, started)
@@ -246,7 +245,6 @@ def main(argv=None) -> int:
         return 2
     finally:
         poly.set_degree_limit(None)
-        poly._cert_seed = cert_seed
     return _emit(rep, args.json)
 
 

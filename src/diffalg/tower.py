@@ -164,9 +164,10 @@ class Element:
                 return self, other
             if len(u.generators) > len(t.generators):
                 return u.coerce(self), other
-        elif not isinstance(other, (int, Fraction)):
-            return self, NotImplemented
-        return self, t.coerce(other)
+            return self, t.coerce(other)
+        if isinstance(other, (int, Fraction)):
+            return self, t.lit(other)
+        return self, NotImplemented
 
     def _wrap(self, num: MultiPoly, den: MultiPoly) -> "Element":
         return Element(self.tower, normal_form(num, den, self.tower.rels))
@@ -343,7 +344,9 @@ class Tower:
         """Defining data must live strictly inside this tower."""
         if isinstance(value, RatFunc):
             rf = value
-        elif isinstance(value, (Element, int, Fraction)):
+        elif isinstance(value, (int, Fraction)):
+            rf = RatFunc.const(value)
+        elif isinstance(value, Element):
             try:
                 rf = self.coerce(value).rf
             except FieldMismatch:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import diffalg
-from diffalg import cli, errors, poly
+from diffalg import cli, errors
 from diffalg.cli import ERROR_MESSAGES, main
 
 X_ONLY = "var x = d/dx 1\n"
@@ -274,27 +274,6 @@ def test_abel_seed_accepted(capsys):
     rc = main(["abel", "--kind", "f", "--seed", "7"])
     capsys.readouterr()
     assert rc == 0
-
-
-def test_seed_drives_certificate_only_for_the_call(capsys, monkeypatch):
-    default = poly._cert_seed
-    seen = []
-    certify = poly._certify_coprime
-
-    def spy(*args):
-        seen.append(poly._cert_seed)
-        return certify(*args)
-
-    monkeypatch.setattr(poly, "_certify_coprime", spy)
-    reports = []
-    for seed in (7, 12345):
-        seen.clear()
-        assert main(["abel", "--kind", "f", "--json", "--seed", str(seed)]) == 0
-        assert seen and set(seen) == {seed}
-        assert poly._cert_seed == default
-        rep = json.loads(capsys.readouterr().out)
-        reports.append((rep["verdict"], rep["residues"]))
-    assert reports[0] == reports[1]
 
 
 # -- console entry point --------------------------------------------------------
