@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 
@@ -165,14 +164,20 @@ def _cmd_trnorm(args, started) -> dict:
     return _report("PASS" if ok else "FAIL", residues, started)
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a JSON report instead of text")
-    common.add_argument("--max-degree", type=int, default=512, metavar="N",
+    common.add_argument("--max-degree", type=positive_int, default=512,
+                        metavar="N",
                         help="abort any polynomial above this total degree")
-    common.add_argument("--seed", type=int, default=None, metavar="K",
-                        help="seed the random generator")
 
     p = argparse.ArgumentParser(
         prog="diffalg",
@@ -225,8 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     poly.set_degree_limit(args.max_degree)
-    if args.seed is not None:
-        random.seed(args.seed)
     started = time.monotonic()
     try:
         rep = args.func(args, started)

@@ -1,18 +1,20 @@
-"""Elliptic curve group laws and the Abel addition identities.
+"""Elliptic curve group laws, the phi shapes, and the one zero test.
 
 Two curve shapes are supported: the Legendre quartic
 y^2 = (1-x^2)(1-m*x^2) with the sn/cn-dn addition law, and monic
 depressed Weierstrass cubics y^2 = x^3 - a*x - b with the chord-tangent
 law.  On top of the group laws sit the pieces needed to push elliptic
 integrands through point addition: the third-kind log argument, the
-second-kind corrections, and coefficient-wise verification of the four
-differential addition identities under both coordinate partials.
+second-kind corrections, and the four differential addition identities
+checked under both coordinate partials.
 
-The identity checks never rationalize their way to a canonical form.
-Each summand is kept as numerator over a bag of denominator factors;
-the whole sum is cleared over the common denominator and the single
-big numerator is power-reduced and tested for zero.  That is orders of
-magnitude cheaper than canonical arithmetic and just as conclusive.
+The phi shapes are defined once, as lazy parts: a numerator over a bag
+of denominator factors.  phi_sum_is_zero, the zero test that the Abel
+identities and liouville.verify_liouville share, clears the common
+denominator of D_h(v0) + sum c_i phi(h v_i, v_i) - f once, power-reduces
+the single big numerator and tests it for zero.  That takes no gcd, is
+orders of magnitude cheaper than canonical arithmetic, and is just as
+conclusive.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from .errors import (DegenerateChord, DegenerateDenominator,
                      InvalidDefiningData, ZeroDenominator)
 from .poly import MultiPoly
-from .ratfunc import reduce_powers
+from .ratfunc import normal_form, reduce_powers
 from .tower import Element, PartialD, Tower
 
 
@@ -212,6 +214,13 @@ class _Part:
         self.den_extra = den_extra  # uncounted denominator (from reductions)
         self.dens = dens        # Counter of MultiPoly factors
 
+    def value(self, t: Tower) -> Element:
+        """The part as one canonical element of t."""
+        den = self.den_extra
+        for f, k in self.dens.items():
+            den = den * f ** k
+        return Element(t, normal_form(self.num, den, t.rels))
+
 
 def _part(numel: Element, *dens: Element) -> _Part:
     """numel / product(dens), denominators kept factored."""
@@ -220,7 +229,7 @@ def _part(numel: Element, *dens: Element) -> _Part:
     bag: Counter = Counter()
     for d in dens:
         if d.rf.num.is_zero():
-            raise ZeroDenominator("zero denominator in identity part")
+            raise ZeroDenominator("division by zero element")
         bag[d.rf.num] += 1
         if not (d.rf.den.is_const() and d.rf.den.const_value() == 1):
             num = num * d.rf.den
@@ -231,10 +240,6 @@ def _part_scale(p: _Part, c: Element) -> _Part:
     num = p.num * c.rf.num
     extra = p.den_extra * c.rf.den
     return _Part(num, extra, p.dens)
-
-
-def _part_neg(p: _Part) -> _Part:
-    return _Part(-p.num, p.den_extra, p.dens)
 
 
 def _sum_reduces_to_zero(parts, rels) -> bool:
@@ -265,7 +270,121 @@ def _sum_reduces_to_zero(parts, rels) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Canonical verification towers and the identity checks.
+# The phi shapes: logarithmic derivatives and the six elliptic integrands.
+
+
+@dataclass(frozen=True)
+class LogPhi:
+    """phi(w, v) = w/v."""
+
+    v: Element
+
+    def validate(self, t: Tower) -> None:
+        if self.v.is_zero():
+            raise InvalidDefiningData("log argument is zero")
+
+
+@dataclass(frozen=True)
+class WPhi:
+    """Weierstrass integrands on q^2 = v^3 - a v - b.
+
+    kind 1: w/q; kind 2: v*w/q; kind 3: w/((v-c)q)."""
+
+    kind: int
+    v: Element
+    q: Element
+    a: Element
+    b: Element
+    c: Element | None = None
+
+    def validate(self, t: Tower) -> None:
+        if self.kind not in (1, 2, 3):
+            raise InvalidDefiningData(f"W-kind {self.kind} out of range")
+        for name in ("a", "b"):
+            if not t.is_constant(getattr(self, name)):
+                raise InvalidDefiningData(f"curve parameter {name} not constant")
+        rel = self.q * self.q - (self.v ** 3 - self.a * self.v - self.b)
+        if not rel.is_zero():
+            raise InvalidDefiningData("q^2 = v^3 - a v - b fails")
+        if self.kind == 3:
+            if self.c is None:
+                raise InvalidDefiningData("third kind needs a pole c")
+            if not t.is_constant(self.c):
+                raise InvalidDefiningData("pole c not constant")
+        elif self.c is not None:
+            raise InvalidDefiningData("pole c only belongs to the third kind")
+
+
+@dataclass(frozen=True)
+class LPhi:
+    """Legendre integrands on y^2 = (1-v^2)(1-m v^2).
+
+    kind 1: w/y; kind 2: (1-m v^2)w/y; kind 3: w/((1-v^2/a^2)y)."""
+
+    kind: int
+    v: Element
+    y: Element
+    m: Element
+    prm: ThirdKindParam | None = None
+
+    def validate(self, t: Tower) -> None:
+        if self.kind not in (1, 2, 3):
+            raise InvalidDefiningData(f"L-kind {self.kind} out of range")
+        if not t.is_constant(self.m):
+            raise InvalidDefiningData("modulus m not constant")
+        rel = self.y * self.y - (1 - self.v ** 2) * (1 - self.m * self.v ** 2)
+        if not rel.is_zero():
+            raise InvalidDefiningData("y^2 = (1-v^2)(1-m v^2) fails")
+        if self.kind == 3:
+            if self.prm is None:
+                raise InvalidDefiningData("third kind needs pole data")
+            if not t.is_constant(self.prm.a):
+                raise InvalidDefiningData("pole a not constant")
+            self.prm.validate(self.m)
+        elif self.prm is not None:
+            raise InvalidDefiningData("pole data only belongs to the third kind")
+
+
+PhiTerm = LogPhi | WPhi | LPhi
+
+
+def phi_part(t: Tower, term: PhiTerm, h) -> _Part:
+    """phi(hv, v) as a lazy part: the handle's derivative of v in the
+    first slot, the shape's denominator factors kept apart."""
+    w = t.derive(h, term.v)
+    if isinstance(term, LogPhi):
+        return _part(w, term.v)
+    if isinstance(term, WPhi):
+        if term.kind == 1:
+            return _part(w, term.q)
+        if term.kind == 2:
+            return _part(term.v * w, term.q)
+        return _part(w, term.v - term.c, term.q)
+    if term.kind == 1:
+        return _part(w, term.y)
+    if term.kind == 2:
+        return _part((1 - term.m * term.v ** 2) * w, term.y)
+    a = term.prm.a
+    return _part(w, 1 - term.v ** 2 / (a * a), term.y)
+
+
+def phi_sum_is_zero(t: Tower, h, v0: Element, terms, f=0) -> bool:
+    """Whether D_h(v0) + sum c * phi(h v, v) - f is zero in t.
+
+    terms holds (c, phi term) pairs.  Every summand stays a lazy part,
+    so the test takes no gcd and builds no canonical sum.
+    """
+    parts = [_part_scale(phi_part(t, term, h), t.coerce(c))
+             for c, term in terms]
+    parts.append(_part(t.derive(h, v0)))
+    parts.append(_part(-t.coerce(f)))
+    return _sum_reduces_to_zero(parts, t.rels)
+
+
+# --------------------------------------------------------------------------
+# Symbolic verification towers and the identity checks.  Each identity
+# phi(p1) + phi(p2) - phi(p3) + D(v0) + (log terms) = 0 for p3 = p1 + p2
+# is tested under both coordinate partials.
 
 
 @dataclass(frozen=True)
@@ -296,6 +415,24 @@ def _weierstrass_tower():
     return t
 
 
+def _symbolic_sum(t: Tower, curve, add):
+    """The two generic points of t and their sum under add."""
+    p1 = CurvePoint(t["x1"], t["y1"])
+    p2 = CurvePoint(t["x2"], t["y2"])
+    return p1, p2, add(curve, p1, p2)
+
+
+def _addition_terms(shape, p1, p2, p3) -> list:
+    return [(1, shape(p1)), (1, shape(p2)), (-1, shape(p3))]
+
+
+def _under_partials(t: Tower, v0: Element, terms) -> list:
+    """(label, zero) for the identity under d/dx1 and d/dx2."""
+    return [(f"d/d{label}",
+             phi_sum_is_zero(t, PartialD(t.gen_of(label).gid), v0, terms))
+            for label in ("x1", "x2")]
+
+
 def check_abel_identity(kind: str) -> AbelReport:
     """Verify one addition identity under both coordinate partials.
 
@@ -307,83 +444,30 @@ def check_abel_identity(kind: str) -> AbelReport:
     if kind in ("f", "e", "pi"):
         t = _legendre_tower(with_pole=(kind == "pi"))
         curve = LegendreCurve(t["m"])
-        p1 = CurvePoint(t["x1"], t["y1"])
-        p2 = CurvePoint(t["x2"], t["y2"])
-        p3 = legendre_add(curve, p1, p2)
-        builder = {"f": _parts_first_kind_legendre,
-                   "e": _parts_second_kind_legendre,
-                   "pi": _parts_third_kind_legendre}[kind]
-        ctx = (t, curve, p1, p2, p3)
+        p1, p2, p3 = _symbolic_sum(t, curve, legendre_add)
+        prm = ThirdKindParam(t["a"], t["delta"]) if kind == "pi" else None
+        lkind = {"f": 1, "e": 2, "pi": 3}[kind]
+        terms = _addition_terms(
+            lambda p: LPhi(lkind, p.x, p.y, curve.m, prm), p1, p2, p3)
     elif kind == "w1":
         t = _weierstrass_tower()
         curve = WeierstrassCurve(t["a"], t["b"])
-        p1 = CurvePoint(t["x1"], t["y1"])
-        p2 = CurvePoint(t["x2"], t["y2"])
-        p3 = weierstrass_add(curve, p1, p2)
-        builder = _parts_first_kind_weierstrass
-        ctx = (t, curve, p1, p2, p3)
+        p1, p2, p3 = _symbolic_sum(t, curve, weierstrass_add)
+        terms = _addition_terms(
+            lambda p: WPhi(1, p.x, p.y, curve.a, curve.b), p1, p2, p3)
     else:
         raise InvalidDefiningData(f"unknown identity kind {kind!r}")
 
-    rows = []
-    passed = True
-    for label in ("x1", "x2"):
-        handle = PartialD(t.gen_of(label).gid)
-        parts = builder(ctx, handle)
-        zero = _sum_reduces_to_zero(parts, t.rels)
-        rows.append((f"d/d{label}", zero))
-        passed = passed and zero
-    return AbelReport(kind, tuple(rows), passed)
-
-
-def _dx(t: Tower, handle, pt: CurvePoint) -> Element:
-    return t.derive(handle, pt.x)
-
-
-def _parts_first_kind_legendre(ctx, handle):
-    t, curve, p1, p2, p3 = ctx
-    return [
-        _part(_dx(t, handle, p1), p1.y),
-        _part(_dx(t, handle, p2), p2.y),
-        _part_neg(_part(_dx(t, handle, p3), p3.y)),
-    ]
-
-
-def _parts_first_kind_weierstrass(ctx, handle):
-    return _parts_first_kind_legendre(ctx, handle)
-
-
-def _parts_second_kind_legendre(ctx, handle):
-    t, curve, p1, p2, p3 = ctx
-    m = curve.m
-    g = abel_e_correction(curve, p1, p2)
-    dg = t.derive(handle, g)
-    return [
-        _part((1 - m * p1.x ** 2) * _dx(t, handle, p1), p1.y),
-        _part((1 - m * p2.x ** 2) * _dx(t, handle, p2), p2.y),
-        _part_neg(_part((1 - m * p3.x ** 2) * _dx(t, handle, p3), p3.y)),
-        _part_neg(_part(dg)),
-    ]
-
-
-def _parts_third_kind_legendre(ctx, handle):
-    t, curve, p1, p2, p3 = ctx
-    a = t["a"]
-    delta = t["delta"]
-    prm = ThirdKindParam(a, delta)
-    fnum, fden = _abel_f_parts(prm, p1, p2, p3)
-    scale = a / (2 * delta)
-
-    parts = []
-    for p in (p1, p2):
-        parts.append(_part(_dx(t, handle, p), (1 - p.x ** 2 / a ** 2) * p.y))
-    parts.append(_part_neg(
-        _part(_dx(t, handle, p3), (1 - p3.x ** 2 / a ** 2) * p3.y)))
-    # + (a/(2 delta)) * (D num/num - D den/den)
-    parts.append(_part_scale(_part(t.derive(handle, fnum), fnum), scale))
-    parts.append(_part_neg(
-        _part_scale(_part(t.derive(handle, fden), fden), scale)))
-    return parts
+    v0 = t.zero()
+    if kind == "e":
+        v0 = -abel_e_correction(curve, p1, p2)
+    elif kind == "pi":
+        # + (a/(2 delta)) * (D num/num - D den/den) of the log argument
+        fnum, fden = _abel_f_parts(prm, p1, p2, p3)
+        scale = prm.a / (2 * prm.delta)
+        terms += [(scale, LogPhi(fnum)), (-scale, LogPhi(fden))]
+    rows = _under_partials(t, v0, terms)
+    return AbelReport(kind, tuple(rows), all(zero for _, zero in rows))
 
 
 def check_w2_chord_identity() -> bool:
@@ -391,18 +475,8 @@ def check_w2_chord_identity() -> bool:
     x1 Dx1/y1 + x2 Dx2/y2 - x3 Dx3/y3 - D(2 lambda) = 0."""
     t = _weierstrass_tower()
     curve = WeierstrassCurve(t["a"], t["b"])
-    p1 = CurvePoint(t["x1"], t["y1"])
-    p2 = CurvePoint(t["x2"], t["y2"])
-    p3 = weierstrass_add(curve, p1, p2)
-    corr = weierstrass_e_correction(curve, p1, p2)
-    for label in ("x1", "x2"):
-        handle = PartialD(t.gen_of(label).gid)
-        parts = [
-            _part(p1.x * _dx(t, handle, p1), p1.y),
-            _part(p2.x * _dx(t, handle, p2), p2.y),
-            _part_neg(_part(p3.x * _dx(t, handle, p3), p3.y)),
-            _part_neg(_part(t.derive(handle, corr))),
-        ]
-        if not _sum_reduces_to_zero(parts, t.rels):
-            return False
-    return True
+    p1, p2, p3 = _symbolic_sum(t, curve, weierstrass_add)
+    terms = _addition_terms(
+        lambda p: WPhi(2, p.x, p.y, curve.a, curve.b), p1, p2, p3)
+    v0 = -weierstrass_e_correction(curve, p1, p2)
+    return all(zero for _, zero in _under_partials(t, v0, terms))

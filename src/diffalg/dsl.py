@@ -129,7 +129,12 @@ _BINARY = {"+": 10, "-": 10, "*": 20, "/": 20}
 
 def _parse_expr(ts: _Stream, env: dict, t: Tower,
                 stop_before_phikind: bool = False) -> Element:
-    return _parse_binary(ts, env, t, 0, stop_before_phikind)
+    start = ts.peek()
+    try:
+        return _parse_binary(ts, env, t, 0, stop_before_phikind)
+    except RecursionError:
+        raise ParseError("expression nests too deeply",
+                         start.line, start.col) from None
 
 
 def _parse_binary(ts: _Stream, env: dict, t: Tower, min_prec: int,

@@ -2,9 +2,12 @@
 
 A Liouville form D(v0) + sum c_i * phi(D v_i, v_i) certifies an integral
 in finite terms.  The phi shapes are logarithmic derivatives and the six
-elliptic integrands (three kinds on each curve model).  The engine can
-verify a form against an integrand, and reduce it down a tower one
-extension at a time.
+elliptic integrands (three kinds on each curve model); they are defined
+once in curves.py and re-exported here.  The engine can verify a form
+against an integrand, and reduce it down a tower one extension at a time.
+Verification is the lazy zero test curves.phi_sum_is_zero, the same one
+the Abel identities use; canonical values (form_derivative, phi_eval,
+x_constant) are built only where they are printed or carried on.
 
 Reduction rests on one identity: if theta is the top extension with
 commuting derivation X, then D = BelowD + w*X on everything in sight,
@@ -27,92 +30,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import (CurvePoint, LegendreCurve, ThirdKindParam,
-                     WeierstrassCurve, abel_e_correction, abel_log_argument,
-                     legendre_add, weierstrass_add, weierstrass_e_correction)
-from .errors import (FNotBelow, IntegrandNotReducible, InvalidDefiningData,
-                     NonConstantCoefficient, NotConstant, PartNotBelow,
-                     SelfCheckFailed, UnsupportedHandle, UnsupportedTermKind)
+from .curves import (CurvePoint, LegendreCurve, LogPhi, LPhi, PhiTerm,
+                     ThirdKindParam, WeierstrassCurve, WPhi, abel_e_correction,
+                     abel_log_argument, legendre_add, phi_part,
+                     phi_sum_is_zero, weierstrass_add,
+                     weierstrass_e_correction)
+from .errors import (FNotBelow, IntegrandNotReducible, NonConstantCoefficient,
+                     NotConstant, PartNotBelow, SelfCheckFailed,
+                     UnsupportedHandle, UnsupportedTermKind)
 from .poly import MultiPoly
 from .ratfunc import RatFunc
 from .tower import (FULL_D, AlgebraicSqrt, BaseVar, CommutingX, ConstParam,
                     Element, EllipticFunction, EllIntegralTag, Exponential,
                     Generator, LambertW, LogTag, Primitive, Tower)
-
-
-@dataclass(frozen=True)
-class LogPhi:
-    """phi(w, v) = w/v."""
-
-    v: Element
-
-    def validate(self, t: Tower) -> None:
-        if self.v.is_zero():
-            raise InvalidDefiningData("log argument is zero")
-
-
-@dataclass(frozen=True)
-class WPhi:
-    """Weierstrass integrands on q^2 = v^3 - a v - b.
-
-    kind 1: w/q; kind 2: v*w/q; kind 3: w/((v-c)q)."""
-
-    kind: int
-    v: Element
-    q: Element
-    a: Element
-    b: Element
-    c: Element | None = None
-
-    def validate(self, t: Tower) -> None:
-        if self.kind not in (1, 2, 3):
-            raise InvalidDefiningData(f"W-kind {self.kind} out of range")
-        for name in ("a", "b"):
-            if not t.is_constant(getattr(self, name)):
-                raise InvalidDefiningData(f"curve parameter {name} not constant")
-        rel = self.q * self.q - (self.v ** 3 - self.a * self.v - self.b)
-        if not rel.is_zero():
-            raise InvalidDefiningData("q^2 = v^3 - a v - b fails")
-        if self.kind == 3:
-            if self.c is None:
-                raise InvalidDefiningData("third kind needs a pole c")
-            if not t.is_constant(self.c):
-                raise InvalidDefiningData("pole c not constant")
-        elif self.c is not None:
-            raise InvalidDefiningData("pole c only belongs to the third kind")
-
-
-@dataclass(frozen=True)
-class LPhi:
-    """Legendre integrands on y^2 = (1-v^2)(1-m v^2).
-
-    kind 1: w/y; kind 2: (1-m v^2)w/y; kind 3: w/((1-v^2/a^2)y)."""
-
-    kind: int
-    v: Element
-    y: Element
-    m: Element
-    prm: ThirdKindParam | None = None
-
-    def validate(self, t: Tower) -> None:
-        if self.kind not in (1, 2, 3):
-            raise InvalidDefiningData(f"L-kind {self.kind} out of range")
-        if not t.is_constant(self.m):
-            raise InvalidDefiningData("modulus m not constant")
-        rel = self.y * self.y - (1 - self.v ** 2) * (1 - self.m * self.v ** 2)
-        if not rel.is_zero():
-            raise InvalidDefiningData("y^2 = (1-v^2)(1-m v^2) fails")
-        if self.kind == 3:
-            if self.prm is None:
-                raise InvalidDefiningData("third kind needs pole data")
-            if not t.is_constant(self.prm.a):
-                raise InvalidDefiningData("pole a not constant")
-            self.prm.validate(self.m)
-        elif self.prm is not None:
-            raise InvalidDefiningData("pole data only belongs to the third kind")
-
-
-PhiTerm = LogPhi | WPhi | LPhi
 
 
 def _map_term(term: PhiTerm, move) -> PhiTerm:
@@ -157,23 +87,9 @@ class LiouvilleForm:
 
 
 def phi_eval(t: Tower, term: PhiTerm, h) -> Element:
-    """phi with the handle's derivative in the first slot: phi(hv, v)."""
-    if isinstance(term, LogPhi):
-        return t.derive(h, term.v) / term.v
-    if isinstance(term, WPhi):
-        w = t.derive(h, term.v)
-        if term.kind == 1:
-            return w / term.q
-        if term.kind == 2:
-            return term.v * w / term.q
-        return w / ((term.v - term.c) * term.q)
-    w = t.derive(h, term.v)
-    if term.kind == 1:
-        return w / term.y
-    if term.kind == 2:
-        return (1 - term.m * term.v ** 2) * w / term.y
-    a = term.prm.a
-    return w / ((1 - term.v ** 2 / (a * a)) * term.y)
+    """phi with the handle's derivative in the first slot: phi(hv, v),
+    as a canonical element."""
+    return phi_part(t, term, h).value(t)
 
 
 def form_derivative(t: Tower, form: LiouvilleForm) -> Element:
@@ -184,7 +100,8 @@ def form_derivative(t: Tower, form: LiouvilleForm) -> Element:
 
 
 def verify_liouville(t: Tower, f: Element, form: LiouvilleForm) -> bool:
-    return (form_derivative(t, form) - t.coerce(f)).is_zero()
+    """Whether the form differentiates to f, by the lazy zero test."""
+    return phi_sum_is_zero(t, FULL_D, form.v0, form.terms, f)
 
 
 def x_constant(t: Tower, form: LiouvilleForm, k) -> Element:

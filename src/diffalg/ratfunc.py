@@ -171,16 +171,6 @@ def reduce_powers(num: MultiPoly, den: MultiPoly, rels: RelationSet):
     return n1 * d2, n2 * d1
 
 
-def is_zero_mod(num: MultiPoly, den: MultiPoly, rels: RelationSet) -> bool:
-    """Zero test of num/den in the field, without rationalizing."""
-    if den.is_zero():
-        raise ZeroDenominator("denominator reduced to zero")
-    n, d = reduce_powers(num, MultiPoly.one(), rels)
-    if d.is_zero():
-        raise ZeroDenominator("radicand denominator vanished")
-    return n.is_zero()
-
-
 def normal_form(num: MultiPoly, den: MultiPoly, rels: RelationSet) -> RatFunc:
     """Unique representative: numerator multilinear in relation
     generators, denominator free of them, then gcd-reduced and monic."""

@@ -133,6 +133,29 @@ def test_degree_limit_reset_after_run(tower_file, capsys):
     assert poly.get_degree_limit() is None
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_max_degree_below_one_is_a_usage_error(tower_file, capsys, limit):
+    with pytest.raises(SystemExit) as exc:
+        main(["derive", tower_file(X_ONLY), "-e", "x", "--max-degree", limit])
+    assert exc.value.code == 2
+    assert "--max-degree: must be at least 1" in capsys.readouterr().err
+
+
+def test_deep_nesting_maps_to_error(tower_file, capsys):
+    expr = "(" * 3000 + "x" + ")" * 3000
+    rc = main(["derive", tower_file(X_ONLY), "-e", expr])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert "syntax error: expression nests too deeply" in cap.err
+    rc = main(["derive", tower_file(X_ONLY), "-e", expr, "--json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert rep["verdict"] == "ERROR"
+    assert rep["residues"] == [
+        "syntax error: expression nests too deeply (line 1, column 1)"]
+
+
 def test_not_quadratic_mapped(tower_file, capsys):
     rc = main(["trnorm", tower_file(LOG_TOWER), "--gen", "th", "-e", "x"])
     err = capsys.readouterr().err
@@ -268,12 +291,6 @@ def test_abel_kinds(kind, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.rstrip().endswith("PASS")
-
-
-def test_abel_seed_accepted(capsys):
-    rc = main(["abel", "--kind", "f", "--seed", "7"])
-    capsys.readouterr()
-    assert rc == 0
 
 
 # -- console entry point --------------------------------------------------------

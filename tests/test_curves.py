@@ -6,15 +6,16 @@ import random
 import pytest
 from scipy.special import ellipj
 
-from diffalg.curves import (CurvePoint, LegendreCurve, ThirdKindParam,
-                            WeierstrassCurve, abel_a0, abel_log_argument,
-                            check_abel_identity, check_w2_chord_identity,
-                            chord_slope, legendre_add, weierstrass_add,
+from diffalg.curves import (CurvePoint, LegendreCurve, LPhi, ThirdKindParam,
+                            WeierstrassCurve, abel_a0, abel_e_correction,
+                            abel_log_argument, check_abel_identity,
+                            check_w2_chord_identity, chord_slope,
+                            legendre_add, phi_sum_is_zero, weierstrass_add,
                             weierstrass_e_correction, _abel_f_parts,
                             _legendre_tower, _weierstrass_tower)
 from diffalg.errors import (DegenerateChord, DegenerateDenominator,
                             InvalidDefiningData)
-from diffalg.tower import Tower
+from diffalg.tower import PartialD, Tower
 
 
 def legendre_setup():
@@ -128,6 +129,20 @@ def test_abel_identity(kind):
     assert rep.passed
     assert all(zero for _, zero in rep.residues)
     assert len(rep.residues) == 2  # both coordinate derivations
+
+
+def test_doubled_second_kind_correction_fails():
+    # phi(p1) + phi(p2) - phi(p3) = D(g) holds with v0 = -g, and the same
+    # shared zero test must reject v0 = -2g under each partial.
+    t, curve, p1, p2 = legendre_setup()
+    p3 = legendre_add(curve, p1, p2)
+    terms = [(c, LPhi(2, p.x, p.y, curve.m))
+             for c, p in ((1, p1), (1, p2), (-1, p3))]
+    g = abel_e_correction(curve, p1, p2)
+    for label in ("x1", "x2"):
+        h = PartialD(t.gen_of(label).gid)
+        assert phi_sum_is_zero(t, h, -g, terms)
+        assert not phi_sum_is_zero(t, h, -2 * g, terms)
 
 
 def test_w2_correction_normalization():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffalg.curves import ThirdKindParam
 from diffalg.errors import (FieldMismatch, FNotBelow, IntegrandNotReducible,
@@ -91,6 +93,61 @@ def test_verify_examples():
         t, 1 / x,
         LiouvilleForm(t.zero(), [(Fraction(1, 2), LogPhi(x ** 2))]))
     assert not verify_liouville(t, x, LiouvilleForm(x))
+
+
+# -- the lazy zero test agrees with the canonical residual --------------------
+
+
+def _mixed_tower():
+    """x with exp(x), log(x), y^2 = (1-x^2)(1-2x^2) and a constant
+    delta^2 = (1-9)(1-18) for a third-kind pole at 3."""
+    t = Tower.base().var("x")
+    t = t.exp_ext("E", t["x"]).log_ext("L", t["x"])
+    t = t.sqrt_ext("y", (1 - t["x"] ** 2) * (1 - 2 * t["x"] ** 2))
+    return t.sqrt_ext("delta", (1 - 3 ** 2) * (1 - 2 * 3 ** 2))
+
+
+_MIXED = _mixed_tower()
+small = st.integers(min_value=-2, max_value=2)
+
+
+@st.composite
+def mixed_forms(draw):
+    t = _MIXED
+    x, big_e, big_l, y = t["x"], t["E"], t["L"], t["y"]
+    atoms = (x, big_e, big_l, y, x * big_e, big_l * y)
+
+    def coeff():
+        return Fraction(draw(small), draw(st.integers(1, 3)))
+
+    v0 = t.lit(draw(small))
+    for atom in atoms:
+        v0 = v0 + draw(small) * atom
+    v0 = v0 / (1 + abs(draw(small)) * x ** 2)
+    terms = []
+    for _ in range(draw(st.integers(0, 2))):
+        # log arguments stay binomials: the canonical side of the
+        # comparison grows fast with their size
+        v = draw(small) + draw(small) * draw(st.sampled_from(atoms))
+        if not v.is_zero():
+            terms.append((coeff(), LogPhi(v)))
+    prm = ThirdKindParam(t.lit(3), t["delta"])
+    for kind in draw(st.lists(st.sampled_from([1, 2, 3]), max_size=2)):
+        sign = draw(st.sampled_from([1, -1]))
+        terms.append((coeff(), LPhi(kind, sign * x, y, t.lit(2),
+                                    prm if kind == 3 else None)))
+    return LiouvilleForm(v0, terms)
+
+
+@given(mixed_forms())
+@settings(max_examples=25, deadline=None)
+def test_lazy_verify_matches_canonical_residual(form):
+    t = _MIXED
+    # the canonical residual form_derivative - f is zero for f = D(form)
+    # and x for f = D(form) + x; the lazy test must agree with both
+    df = form_derivative(t, form)
+    assert verify_liouville(t, df, form)
+    assert not verify_liouville(t, df + t["x"], form)
 
 
 def test_coefficients_must_be_constant():
