@@ -209,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("tower")
     r.add_argument("--integrand", required=True, metavar="EXPR")
     r.add_argument("--form", required=True, metavar="FORMFILE")
-    r.add_argument("--steps", type=int, default=None, metavar="N")
+    r.add_argument("--steps", type=positive_int, default=None, metavar="N")
     r.set_defaults(func=_cmd_reduce)
 
     a = sub.add_parser("abel", parents=[common],

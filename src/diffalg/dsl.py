@@ -121,6 +121,16 @@ class _Stream:
             self.next()
 
 
+def _int_value(tok: Token) -> int:
+    """Value of an INT token.  int() refuses literals past its digit
+    limit (4300 by default); that is reported as a syntax error."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(tok.text)} digits is "
+                         "too long", tok.line, tok.col) from None
+
+
 # --------------------------------------------------------------------------
 # Expressions: precedence climbing into Element arithmetic.
 
@@ -179,15 +189,14 @@ def _parse_power(ts: _Stream, env: dict, t: Tower, stop: bool) -> Element:
     tok = ts.peek()
     if tok.kind == "OP" and tok.text == "^":
         ts.next()
-        e = ts.expect("INT")
-        return base ** int(e.text)
+        return base ** _int_value(ts.expect("INT"))
     return base
 
 
 def _parse_atom(ts: _Stream, env: dict, t: Tower, stop: bool) -> Element:
     tok = ts.next()
     if tok.kind == "INT":
-        return t.lit(int(tok.text))
+        return t.lit(_int_value(tok))
     if tok.kind == "NAME":
         if tok.text not in env:
             raise ParseError(f"unknown name {tok.text!r}", tok.line, tok.col)
@@ -293,7 +302,7 @@ def _parse_gen(ts: _Stream, t: Tower, env: dict, name: Token) -> Tower:
                          kind.line, kind.col)
     ts.expect("OP", "(")
     if kind.text == "ellint":
-        k = ts.expect("INT")
+        k = _int_value(ts.expect("INT"))
         ts.expect("OP", ",")
         args = [_parse_expr(ts, env, t)]
         while ts.peek().text == ",":
@@ -301,9 +310,9 @@ def _parse_gen(ts: _Stream, t: Tower, env: dict, name: Token) -> Tower:
             args.append(_parse_expr(ts, env, t))
         ts.expect("OP", ")")
         if len(args) == 2:
-            return t.ellint(name.text, int(k.text), args[0], args[1])
+            return t.ellint(name.text, k, args[0], args[1])
         if len(args) == 3:
-            return t.ellint(name.text, int(k.text), args[0], args[1], args[2])
+            return t.ellint(name.text, k, args[0], args[1], args[2])
         raise ParseError("ellint takes kind, p, q and optionally c",
                          kind.line, kind.col)
     args = [_parse_expr(ts, env, t)]

@@ -48,7 +48,7 @@ def format_ratfunc(rf: RatFunc, name_of) -> str:
         return num
     den = format_poly(rf.den, name_of)
     nwrap = f"({num})" if _needs_parens(rf.num) else num
-    dwrap = f"({den})" if _needs_parens_den(rf.den) else den
+    dwrap = f"({den})" if _needs_parens(rf.den) else den
     return f"{nwrap}/{dwrap}"
 
 
@@ -65,11 +65,3 @@ def _needs_parens(p: MultiPoly) -> bool:
             return True
     return False
 
-
-def _needs_parens_den(p: MultiPoly) -> bool:
-    if len(p.terms) > 1:
-        return True
-    for m, c in p.terms.items():
-        if c < 0 or c != 1 or len(m) > 1 or (m and m[0][1] > 1):
-            return True
-    return False

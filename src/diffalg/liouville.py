@@ -38,7 +38,7 @@ from .curves import (CurvePoint, LegendreCurve, LogPhi, LPhi, PhiTerm,
 from .errors import (FNotBelow, IntegrandNotReducible, NonConstantCoefficient,
                      NotConstant, PartNotBelow, SelfCheckFailed,
                      UnsupportedHandle, UnsupportedTermKind)
-from .poly import MultiPoly
+from .poly import MONO_ONE, MultiPoly
 from .ratfunc import RatFunc
 from .tower import (FULL_D, AlgebraicSqrt, BaseVar, CommutingX, ConstParam,
                     Element, EllipticFunction, EllIntegralTag, Exponential,
@@ -154,34 +154,6 @@ def _top_gids(t: Tower, gen: Generator) -> set:
     return gids
 
 
-def _strip_monomial(p: MultiPoly, sgids: set) -> MultiPoly | None:
-    """Factor out the common sgid-monomial; None if the rest still mixes."""
-    mins: dict = {}
-    first = True
-    for m in p.terms:
-        present = {g: e for g, e in m if g in sgids}
-        if first:
-            mins = present
-            first = False
-        else:
-            mins = {g: min(e, present.get(g, 0)) for g, e in mins.items()
-                    if present.get(g, 0)}
-    out: dict = {}
-    for m, c in p.terms.items():
-        kept = []
-        for g, e in m:
-            if g in sgids:
-                e -= mins.get(g, 0)
-                if e < 0:
-                    return None
-                if e:
-                    return None  # leftover top generator: not a pure factor
-            if e:
-                kept.append((g, e))
-        out[tuple(kept)] = c
-    return MultiPoly(out)
-
-
 def _rewrite_v0(t: Tower, v0: Element, sgids: set) -> Element:
     """Keep the part of v0 with zero BelowD-loss: the monomial-free slice.
 
@@ -192,37 +164,27 @@ def _rewrite_v0(t: Tower, v0: Element, sgids: set) -> Element:
     rf = v0.rf
     if rf.den.gens() & sgids:
         raise PartNotBelow("v0 denominator involves the top extension")
-    below: dict = {}
-    for m, c in rf.num.terms.items():
-        if any(g in sgids for g, _ in m):
-            continue
-        below[m] = c
-    dropped = rf.num - MultiPoly(below)
-    if not dropped.is_zero():
-        # Group the dropped slice by its top-monomials; each coefficient
-        # over the common denominator must be a constant.
-        groups: dict = {}
-        for m, c in dropped.terms.items():
-            topm = tuple((g, e) for g, e in m if g in sgids)
-            rest = tuple((g, e) for g, e in m if g not in sgids)
-            groups.setdefault(topm, {})[rest] = c
-        for topm, coeffs in groups.items():
-            piece = t.wrap(RatFunc.make(MultiPoly(coeffs), rf.den))
-            if not t.is_constant(piece):
-                raise PartNotBelow(
-                    "v0 has a non-constant coefficient on the top extension")
-    return t.wrap(RatFunc.make(MultiPoly(below), rf.den))
+    groups = rf.num.split_by(sgids)
+    below = groups.pop(MONO_ONE, MultiPoly.zero())
+    # Each dropped top-monomial's coefficient over the common
+    # denominator must be a constant.
+    for coeff in groups.values():
+        if not t.is_constant(t.wrap(RatFunc.make(coeff, rf.den))):
+            raise PartNotBelow(
+                "v0 has a non-constant coefficient on the top extension")
+    return t.wrap(RatFunc.make(below, rf.den))
 
 
 def _rewrite_log(t: Tower, v: Element, sgids: set) -> Element | None:
     """Realize phi(BelowD v, v) as a log term below; None drops the term."""
-    rf = v.rf
-    num = _strip_monomial(rf.num, sgids)
-    den = _strip_monomial(rf.den, sgids)
-    if num is None or den is None:
-        raise PartNotBelow(
-            "log argument is not a monomial in the top extension")
-    w = t.wrap(RatFunc.make(num, den))
+    parts = []
+    for p in (v.rf.num, v.rf.den):
+        groups = p.split_by(sgids)
+        if len(groups) != 1:
+            raise PartNotBelow(
+                "log argument is not a monomial in the top extension")
+        parts.extend(groups.values())
+    w = t.wrap(RatFunc.make(*parts))
     if t.is_constant(w):
         return None
     return w

@@ -187,12 +187,7 @@ def normal_form(num: MultiPoly, den: MultiPoly, rels: RelationSet) -> RatFunc:
         if den.deg_in(gid) == 0:
             continue
         conj = den.conj_gen(gid)
-        num = num * conj
-        den = den * conj
-        num, dn = _reduce_poly(num, rels)
-        den, dd = _reduce_poly(den, rels)
-        num = num * dd
-        den = den * dn
+        num, den = reduce_powers(num * conj, den * conj, rels)
         if den.is_zero():
             raise ZeroDenominator(
                 "denominator is a zero divisor modulo the relations")

@@ -771,11 +771,8 @@ def _x_image(gen: Generator) -> RatFunc:
 
 def _single_var(rf: RatFunc):
     """gid when rf is exactly one generator, else None."""
-    if not rf.den.is_const() or rf.den.const_value() != 1:
+    gids = rf.gens()
+    if len(gids) != 1:
         return None
-    if len(rf.num.terms) != 1:
-        return None
-    (m, c), = rf.num.terms.items()
-    if c != 1 or len(m) != 1 or m[0][1] != 1:
-        return None
-    return m[0][0]
+    gid, = gids
+    return gid if rf == RatFunc.var(gid) else None

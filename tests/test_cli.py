@@ -156,6 +156,25 @@ def test_deep_nesting_maps_to_error(tower_file, capsys):
         "syntax error: expression nests too deeply (line 1, column 1)"]
 
 
+@pytest.mark.parametrize("expr, column", [("x^" + "9" * 5000, 3),
+                                          ("9" * 5000 + "*x", 1)],
+                         ids=["exponent", "factor"])
+def test_overlong_integer_maps_to_error(tower_file, capsys, expr, column):
+    # int() refuses more than 4300 digits; that must not escape as a
+    # traceback (exit 1 would read as FAIL).
+    msg = "syntax error: integer literal of 5000 digits is too long"
+    rc = main(["derive", tower_file(X_ONLY), "-e", expr])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert msg in cap.err
+    rc = main(["derive", tower_file(X_ONLY), "-e", expr, "--json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert rep["verdict"] == "ERROR"
+    assert rep["residues"] == [f"{msg} (line 1, column {column})"]
+
+
 def test_not_quadratic_mapped(tower_file, capsys):
     rc = main(["trnorm", tower_file(LOG_TOWER), "--gen", "th", "-e", "x"])
     err = capsys.readouterr().err
@@ -269,6 +288,17 @@ def test_reduce_steps_limit(tower_file, form_file, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "# step 1" in out and "# step 2" not in out
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_reduce_steps_below_one_is_a_usage_error(tower_file, form_file,
+                                                 capsys, steps):
+    # The log(x) tower is reducible, so zero steps would misreport it.
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", tower_file(LOG_TOWER), "--integrand", "1/x",
+              "--form", form_file("v0 = th"), "--steps", steps])
+    assert exc.value.code == 2
+    assert "--steps: must be at least 1" in capsys.readouterr().err
 
 
 def test_reduce_two_steps_through_sqrt(tower_file, form_file, capsys):

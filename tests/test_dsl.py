@@ -134,6 +134,13 @@ def test_parse_tower_elliptic_pair():
     assert (q * q - (p ** 3 - a * p - b)).is_zero()
 
 
+def test_parse_tower_ellint_overlong_kind():
+    with pytest.raises(ParseError) as exc:
+        parse_tower("var x = d/dx 1\ngen E = ellint(" + "9" * 5000 + ", x, x)")
+    assert (exc.value.line, exc.value.column) == (2, 16)
+    assert "integer literal of 5000 digits is too long" in str(exc.value)
+
+
 def test_parse_tower_ellint_with_pole():
     text = ("const a, b, c\n" + X_ONLY +
             "gen p = ellfun(x, a, b)\ngen P = ellint(3, p, p_q, c)")

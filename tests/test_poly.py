@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,19 +83,18 @@ exps = st.integers(min_value=0, max_value=2)
 
 
 @st.composite
-def polys(draw, max_terms=3):
+def polys(draw, max_terms=3, nvars=2):
     n = draw(st.integers(min_value=0, max_value=max_terms))
     terms = {}
     for _ in range(n):
-        ex, ey = draw(exps), draw(exps)
+        mono = MONO_ONE
+        for gid in range(nvars):
+            e = draw(exps)
+            if e:
+                mono += ((gid, e),)
         c = draw(coeffs)
         if c == 0:
             continue
-        mono = MONO_ONE
-        if ex:
-            mono += ((0, ex),)
-        if ey:
-            mono += ((1, ey),)
         terms[mono] = terms.get(mono, 0) + c
     return MultiPoly.from_dict({m: Fraction(c) for m, c in terms.items() if c})
 
@@ -128,3 +128,52 @@ def test_gcd_symmetric_and_monic(p, q):
     assert g1 == g2
     if not g1.is_zero():
         assert g1.leading()[1] == 1
+
+
+@given(polys(max_terms=5, nvars=3), st.sets(st.integers(0, 2)))
+@settings(max_examples=60, deadline=None)
+def test_split_by_regroups_to_p(p, gids):
+    total = MultiPoly.zero()
+    for mono, coeff in p.split_by(gids).items():
+        assert {g for g, _ in mono} <= gids
+        assert not coeff.gens() & gids
+        total = total + MultiPoly.from_dict({mono: 1}) * coeff
+    assert total == p
+
+
+# -- sympy as an independent oracle, over three variables -------------------
+
+GENS = sympy.symbols("x0:3")
+
+
+def to_sympy(p: MultiPoly) -> sympy.Poly:
+    return sympy.Poly(p.evaluate(dict(enumerate(GENS))), *GENS, domain="QQ")
+
+
+@given(polys(nvars=3), polys(nvars=3), polys(nvars=3))
+@settings(max_examples=60, deadline=None)
+def test_gcd_matches_sympy(p, q, r):
+    p, q = p * r, q * r
+    g, want = to_sympy(poly_gcd(p, q)), sympy.gcd(to_sympy(p), to_sympy(q))
+    if want.is_zero:
+        assert g.is_zero
+    else:
+        assert g.monic() == want.monic()
+
+
+@given(polys(nvars=3), polys(nvars=3))
+@settings(max_examples=60, deadline=None)
+def test_divexact_undoes_multiplication(p, q):
+    if not q.is_zero():
+        assert poly_divexact(p * q, q) == p
+
+
+@given(polys(max_terms=4, nvars=3), polys(nvars=3), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_divexact_inexact_exactly_when_sympy_leaves_a_remainder(p, q, mult):
+    if q.is_zero():
+        return
+    if mult:
+        p = p * q
+    remainder = to_sympy(p).rem(to_sympy(q))
+    assert (poly_divexact(p, q) is None) == (not remainder.is_zero)
