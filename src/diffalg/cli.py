@@ -8,6 +8,7 @@ with --json, and exits 0 on PASS, 1 on FAIL, 2 on ERROR.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -18,8 +19,8 @@ from .dsl import parse_expr, parse_form, parse_tower, print_form
 from .liouville import form_derivative, reduce, verify_liouville
 from .tower import (FULL_D, CommutingX, PartialD, _X_KINDS)
 
-# One terse line per error class; kept exhaustive so the CLI never
-# leaks a bare traceback for a library-defined failure.
+# One terse line per error class; any other exception reads as
+# "unexpected failure", so the CLI never leaks a bare traceback.
 ERROR_MESSAGES = {
     errors.ZeroDenominator: "division by a zero denominator",
     errors.DegreeOverflow: "intermediate degree exceeded --max-degree",
@@ -171,6 +172,7 @@ def positive_int(text: str) -> int:
     return n
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -233,17 +235,15 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         rep = args.func(args, started)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        if isinstance(exc, OSError):
+            detail = str(exc)
+        else:
+            msg = ERROR_MESSAGES.get(type(exc), "unexpected failure")
+            detail = f"{msg}: {exc}"
+        print(f"error: {detail}", file=sys.stderr)
         if args.json:
-            print(json.dumps(_report("ERROR", [str(exc)], started),
-                             sort_keys=True))
-        return 2
-    except errors.DiffAlgError as exc:
-        msg = ERROR_MESSAGES.get(type(exc), "unexpected failure")
-        print(f"error: {msg}: {exc}", file=sys.stderr)
-        if args.json:
-            print(json.dumps(_report("ERROR", [f"{msg}: {exc}"], started),
+            print(json.dumps(_report("ERROR", [detail], started),
                              sort_keys=True))
         return 2
     finally:

@@ -14,18 +14,21 @@ identities and liouville.verify_liouville share, clears the common
 denominator of D_h(v0) + sum c_i phi(h v_i, v_i) - f once, power-reduces
 the single big numerator and tests it for zero.  That takes no gcd, is
 orders of magnitude cheaper than canonical arithmetic, and is just as
-conclusive.
+conclusive.  phi_sum turns the same cleared sum into a canonical value
+with one normal_form.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import prod
+from typing import NamedTuple
 
 from .errors import (DegenerateChord, DegenerateDenominator,
                      InvalidDefiningData, ZeroDenominator)
 from .poly import MultiPoly
-from .ratfunc import normal_form, reduce_powers
+from .ratfunc import normal_form, rationalize, reduce_powers
 from .tower import Element, PartialD, Tower
 
 
@@ -206,20 +209,10 @@ def abel_log_argument(curve: LegendreCurve, prm: ThirdKindParam,
 # denominator and power-reduces once.
 
 
-class _Part:
-    __slots__ = ("num", "den_extra", "dens")
-
-    def __init__(self, num: MultiPoly, den_extra: MultiPoly, dens: Counter):
-        self.num = num          # numerator polynomial
-        self.den_extra = den_extra  # uncounted denominator (from reductions)
-        self.dens = dens        # Counter of MultiPoly factors
-
-    def value(self, t: Tower) -> Element:
-        """The part as one canonical element of t."""
-        den = self.den_extra
-        for f, k in self.dens.items():
-            den = den * f ** k
-        return Element(t, normal_form(self.num, den, t.rels))
+class _Part(NamedTuple):
+    num: MultiPoly        # numerator polynomial
+    den_extra: MultiPoly  # uncounted denominator (from reductions)
+    dens: Counter         # Counter of MultiPoly factors
 
 
 def _part(numel: Element, *dens: Element) -> _Part:
@@ -236,21 +229,13 @@ def _part(numel: Element, *dens: Element) -> _Part:
     return _Part(num, extra, bag)
 
 
-def _part_scale(p: _Part, c: Element) -> _Part:
-    num = p.num * c.rf.num
-    extra = p.den_extra * c.rf.den
-    return _Part(num, extra, p.dens)
-
-
-def _sum_reduces_to_zero(parts, rels) -> bool:
+def _clear(parts, rels):
+    """The sum of the parts as (num, den, common): it equals num over
+    den times the product of f^k over common, with num power-reduced."""
     parts = [p for p in parts if not p.num.is_zero()]
-    if not parts:
-        return True
     common: Counter = Counter()
     for p in parts:
-        for f, k in p.dens.items():
-            if common[f] < k:
-                common[f] = k
+        common |= p.dens  # the largest power of each factor
     total_num = MultiPoly.zero()
     total_den = MultiPoly.one()
     for p in parts:
@@ -266,7 +251,11 @@ def _sum_reduces_to_zero(parts, rels) -> bool:
         total_den = total_den * pden
         total_num, d = reduce_powers(total_num, MultiPoly.one(), rels)
         total_den = total_den * d
-    return total_num.is_zero()
+    return total_num, total_den, common
+
+
+def _sum_reduces_to_zero(parts, rels) -> bool:
+    return _clear(parts, rels)[0].is_zero()
 
 
 # --------------------------------------------------------------------------
@@ -368,17 +357,37 @@ def phi_part(t: Tower, term: PhiTerm, h) -> _Part:
     return _part(w, 1 - term.v ** 2 / (a * a), term.y)
 
 
+def _product(bag: Counter) -> MultiPoly:
+    return prod((f ** k for f, k in bag.items()), start=MultiPoly.one())
+
+
+def _phi_parts(t: Tower, h, v0: Element, terms, f, check=False) -> list:
+    parts = []
+    for c, term in terms:
+        p = phi_part(t, term, h)
+        if check and not p.num.is_zero():  # a zero divisor raises here
+            rationalize(MultiPoly.one(), _product(p.dens), t.rels)
+        c = t.coerce(c)
+        parts.append(_Part(p.num * c.rf.num, p.den_extra * c.rf.den, p.dens))
+    return parts + [_part(t.derive(h, v0)), _part(-t.coerce(f))]
+
+
 def phi_sum_is_zero(t: Tower, h, v0: Element, terms, f=0) -> bool:
     """Whether D_h(v0) + sum c * phi(h v, v) - f is zero in t.
 
     terms holds (c, phi term) pairs.  Every summand stays a lazy part,
     so the test takes no gcd and builds no canonical sum.
     """
-    parts = [_part_scale(phi_part(t, term, h), t.coerce(c))
-             for c, term in terms]
-    parts.append(_part(t.derive(h, v0)))
-    parts.append(_part(-t.coerce(f)))
-    return _sum_reduces_to_zero(parts, t.rels)
+    return _sum_reduces_to_zero(_phi_parts(t, h, v0, terms, f), t.rels)
+
+
+def phi_sum(t: Tower, h, v0: Element, terms, f=0) -> Element:
+    """D_h(v0) + sum c * phi(h v, v) - f as a canonical element: the
+    same cleared sum as phi_sum_is_zero, put in normal form once.  A zero
+    divisor in the denominator of a phi that is not 0 raises
+    ZeroDenominator, also where c or the whole sum is 0."""
+    num, den, common = _clear(_phi_parts(t, h, v0, terms, f, True), t.rels)
+    return Element(t, normal_form(num, den * _product(common), t.rels))
 
 
 # --------------------------------------------------------------------------

@@ -6,8 +6,9 @@ elliptic integrands (three kinds on each curve model); they are defined
 once in curves.py and re-exported here.  The engine can verify a form
 against an integrand, and reduce it down a tower one extension at a time.
 Verification is the lazy zero test curves.phi_sum_is_zero, the same one
-the Abel identities use; canonical values (form_derivative, phi_eval,
-x_constant) are built only where they are printed or carried on.
+the Abel identities use.  The canonical values form_derivative, phi_eval
+and x_constant are that same cleared sum, put in normal form once by
+curves.phi_sum.
 
 Reduction rests on one identity: if theta is the top extension with
 commuting derivation X, then D = BelowD + w*X on everything in sight,
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 from .curves import (CurvePoint, LegendreCurve, LogPhi, LPhi, PhiTerm,
                      ThirdKindParam, WeierstrassCurve, WPhi, abel_e_correction,
-                     abel_log_argument, legendre_add, phi_part,
+                     abel_log_argument, legendre_add, phi_sum,
                      phi_sum_is_zero, weierstrass_add,
                      weierstrass_e_correction)
 from .errors import (FNotBelow, IntegrandNotReducible, NonConstantCoefficient,
@@ -89,14 +90,11 @@ class LiouvilleForm:
 def phi_eval(t: Tower, term: PhiTerm, h) -> Element:
     """phi with the handle's derivative in the first slot: phi(hv, v),
     as a canonical element."""
-    return phi_part(t, term, h).value(t)
+    return phi_sum(t, h, t.zero(), [(1, term)])
 
 
 def form_derivative(t: Tower, form: LiouvilleForm) -> Element:
-    total = t.derive(FULL_D, form.v0)
-    for coeff, term in form.terms:
-        total = total + coeff * phi_eval(t, term, FULL_D)
-    return total
+    return phi_sum(t, FULL_D, form.v0, form.terms)
 
 
 def verify_liouville(t: Tower, f: Element, form: LiouvilleForm) -> bool:
@@ -106,10 +104,7 @@ def verify_liouville(t: Tower, f: Element, form: LiouvilleForm) -> bool:
 
 def x_constant(t: Tower, form: LiouvilleForm, k) -> Element:
     """c = X v0 + sum c_i phi(X v_i, v_i); raises unless constant."""
-    handle = CommutingX(t.gen_of(k).gid)
-    c = t.derive(handle, form.v0)
-    for coeff, term in form.terms:
-        c = c + coeff * phi_eval(t, term, handle)
+    c = phi_sum(t, CommutingX(t.gen_of(k).gid), form.v0, form.terms)
     if not t.is_constant(c):
         raise NotConstant(f"X-image of the form is not constant: {c}")
     return c
@@ -190,18 +185,11 @@ def _rewrite_log(t: Tower, v: Element, sgids: set) -> Element | None:
     return w
 
 
-def _term_fields(term: PhiTerm):
-    if isinstance(term, LogPhi):
-        return (term.v,)
-    if isinstance(term, WPhi):
-        out = [term.v, term.q, term.a, term.b]
-        if term.c is not None:
-            out.append(term.c)
-        return tuple(out)
-    out = [term.v, term.y, term.m]
-    if term.prm is not None:
-        out.extend((term.prm.a, term.prm.delta))
-    return tuple(out)
+def _term_fields(term: PhiTerm) -> list:
+    """Every element a phi term holds, collected through _map_term."""
+    fields = []
+    _map_term(term, lambda e: fields.append(e) or e)
+    return fields
 
 
 def _merge_terms(terms):

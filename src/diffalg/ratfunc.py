@@ -32,10 +32,6 @@ class RatFunc:
         return ratfunc_normalize(num, den)
 
     @staticmethod
-    def from_poly(p: MultiPoly) -> "RatFunc":
-        return RatFunc(p, MultiPoly.one())
-
-    @staticmethod
     def const(q) -> "RatFunc":
         return RatFunc(MultiPoly.const(q), MultiPoly.one())
 
@@ -171,18 +167,17 @@ def reduce_powers(num: MultiPoly, den: MultiPoly, rels: RelationSet):
     return n1 * d2, n2 * d1
 
 
-def normal_form(num: MultiPoly, den: MultiPoly, rels: RelationSet) -> RatFunc:
-    """Unique representative: numerator multilinear in relation
-    generators, denominator free of them, then gcd-reduced and monic."""
+def rationalize(num: MultiPoly, den: MultiPoly, rels: RelationSet):
+    """Power-reduce num/den and clear the relation generators out of den,
+    latest first so squares surfacing in earlier ones get picked up; a
+    raw pair.  Raises ZeroDenominator if den is 0 or a zero divisor."""
     if den.is_zero():
         raise ZeroDenominator("denominator reduced to zero")
     num, den = reduce_powers(num, den, rels)
     if den.is_zero():
         raise ZeroDenominator("denominator is zero modulo the relations")
     if num.is_zero():
-        return RatFunc(MultiPoly.zero(), MultiPoly.one())
-    # Rationalize: clear each relation generator out of the denominator,
-    # latest first so squares surfacing in earlier ones get picked up.
+        return num, den
     for gid in sorted(rels.radicands, reverse=True):
         if den.deg_in(gid) == 0:
             continue
@@ -191,4 +186,10 @@ def normal_form(num: MultiPoly, den: MultiPoly, rels: RelationSet) -> RatFunc:
         if den.is_zero():
             raise ZeroDenominator(
                 "denominator is a zero divisor modulo the relations")
-    return ratfunc_normalize(num, den)
+    return num, den
+
+
+def normal_form(num: MultiPoly, den: MultiPoly, rels: RelationSet) -> RatFunc:
+    """Unique representative: numerator multilinear in relation
+    generators, denominator free of them, then gcd-reduced and monic."""
+    return ratfunc_normalize(*rationalize(num, den, rels))

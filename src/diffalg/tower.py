@@ -10,8 +10,8 @@ generators only, so the full derivation is well defined by recursion.
 Besides the full derivation D the tower offers, per generator where it
 makes sense, the commuting derivation X that kills the field below, the
 formal partial, and the below-the-cut derivation that annihilates a
-chosen generator and its companions.  All derivation results are normal
-forms modulo the tower's square-root relations.
+chosen generator and its companions.  Each derivative is built as one
+raw quotient and put in normal form once, modulo the square roots.
 """
 
 from __future__ import annotations
@@ -329,7 +329,7 @@ class Tower:
         bad = rf.gens() - set(self._by_gid)
         if bad:
             raise FieldMismatch(f"unknown generator ids {sorted(bad)}")
-        return Element(self, normal_form(rf.num, rf.den, self.rels))
+        return Element(self, self._nf(rf.num, rf.den))
 
     # -- extension ----------------------------------------------------
 
@@ -358,7 +358,7 @@ class Tower:
         if bad:
             raise CyclicDefinition(
                 f"defining data mentions unknown generator ids {sorted(bad)}")
-        return self._nf(rf)
+        return self._nf(rf.num, rf.den)
 
     def _append(self, *gens: Generator) -> "Tower":
         return Tower(self.generators + gens)
@@ -485,9 +485,9 @@ class Tower:
             raise InvalidDefiningData("coordinates do not satisfy a monic "
                                       "depressed cubic relation")
         groups = e.num.split_powers(pgid)
-        den = RatFunc.from_poly(e.den)
-        a = Element(self, RatFunc.from_poly(groups.get(1, MultiPoly.zero())) / den)
-        b = Element(self, RatFunc.from_poly(groups.get(0, MultiPoly.zero())) / den)
+        zero = MultiPoly.zero()
+        a = Element(self, self._nf(groups.get(1, zero), e.den))
+        b = Element(self, self._nf(groups.get(0, zero), e.den))
         if not (a.is_constant() and b.is_constant()):
             raise InvalidDefiningData("recovered curve coefficients are not "
                                       "constant")
@@ -514,15 +514,10 @@ class Tower:
                     f"{self.name_of(gid)!r}")
             return val
 
-        def d_of(rf: RatFunc) -> RatFunc:
-            return _diff_rf(rf, get)
-
         def d_sqrt(gid: int, kind: AlgebraicSqrt) -> RatFunc:
             # s^2 = r gives D s = D r / (2 s).
-            dr = d_of(kind.radicand)
-            if dr.is_zero():
-                return _RF_ZERO
-            return self._nf(dr / (RatFunc.const(2) * RatFunc.var(gid)))
+            num, den = _diff_rf(kind.radicand, get)
+            return self._nf(num, den * MultiPoly.var(gid).scale(2))
 
         if isinstance(handle, FullD):
             def compute(gid: int) -> RatFunc:
@@ -534,13 +529,16 @@ class Tower:
                 if isinstance(kind, Primitive):
                     return kind.integrand
                 if isinstance(kind, Exponential):
-                    return self._nf(d_of(kind.v) * RatFunc.var(gid))
+                    num, den = _diff_rf(kind.v, get)
+                    return self._nf(num * MultiPoly.var(gid), den)
                 if isinstance(kind, EllipticFunction):
-                    return self._nf(d_of(kind.v) * RatFunc.var(kind.companion))
+                    num, den = _diff_rf(kind.v, get)
+                    return self._nf(num * MultiPoly.var(kind.companion), den)
                 if isinstance(kind, LambertW):
-                    theta = RatFunc.var(gid)
-                    val = d_of(kind.v) * theta / (kind.v * (theta + _RF_ONE))
-                    return self._nf(val)
+                    num, den = _diff_rf(kind.v, get)
+                    theta = MultiPoly.var(gid)
+                    return self._nf(num * theta * kind.v.den,
+                                    den * kind.v.num * (theta + MultiPoly.one()))
                 if isinstance(kind, AlgebraicSqrt):
                     return d_sqrt(gid, kind)
                 raise UnsupportedHandle(f"unknown kind {kind!r}")
@@ -590,15 +588,13 @@ class Tower:
         self._dtables[handle] = {"get": get}
         return get
 
-    def _nf(self, rf: RatFunc) -> RatFunc:
-        return normal_form(rf.num, rf.den, self.rels)
+    def _nf(self, num: MultiPoly, den: MultiPoly) -> RatFunc:
+        return normal_form(num, den, self.rels)
 
     def derive(self, handle, e: Element) -> Element:
         """Apply a derivation handle to an element of this tower."""
         e = self.coerce(e)
-        get = self._dget(handle)
-        rf = _diff_rf(e.rf, get)
-        return Element(self, self._nf(rf))
+        return Element(self, self._nf(*_diff_rf(e.rf, self._dget(handle))))
 
     def is_constant(self, e: Element) -> bool:
         return self.derive(FULL_D, e).is_zero()
@@ -736,24 +732,26 @@ def _eval_poly1(tower: Tower, coeffs, p: Element) -> Element:
 # Shared differentiation core.
 
 
-def _diff_poly(p: MultiPoly, get) -> RatFunc:
-    total = _RF_ZERO
+def _diff_poly(p: MultiPoly, get):
+    """D p = sum of partial_g(p) * D g, as a raw (num, den) pair."""
+    num, den = MultiPoly.zero(), MultiPoly.one()
     for gid in sorted(p.gens()):
         dg = get(gid)
         if dg.is_zero():
             continue
-        total = total + RatFunc.from_poly(p.partial(gid)) * dg
-    return total
+        num = num * dg.den + p.partial(gid) * dg.num * den
+        den = den * dg.den
+    return num, den
 
 
-def _diff_rf(rf: RatFunc, get) -> RatFunc:
-    dnum = _diff_poly(rf.num, get)
+def _diff_rf(rf: RatFunc, get):
+    """D(num/den) as a raw (num, den) pair: one quotient rule on the raw
+    derivatives of the numerator and the (monic) denominator."""
+    dn, dd = _diff_poly(rf.num, get)
     if rf.den.is_const():
-        return dnum
-    dden = _diff_poly(rf.den, get)
-    den = RatFunc.from_poly(rf.den)
-    num = RatFunc.from_poly(rf.num)
-    return (dnum * den - num * dden) / (den * den)
+        return dn, dd
+    en, ed = _diff_poly(rf.den, get)
+    return dn * ed * rf.den - rf.num * en * dd, dd * ed * rf.den * rf.den
 
 
 def _x_image(gen: Generator) -> RatFunc:
@@ -765,8 +763,8 @@ def _x_image(gen: Generator) -> RatFunc:
         return RatFunc.var(gen.gid)
     if isinstance(kind, EllipticFunction):
         return RatFunc.var(kind.companion)
-    theta = RatFunc.var(gen.gid)
-    return theta / (theta + _RF_ONE)
+    theta = MultiPoly.var(gen.gid)
+    return RatFunc(theta, theta + MultiPoly.one())  # coprime, monic
 
 
 def _single_var(rf: RatFunc):

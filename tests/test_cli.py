@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import diffalg
-from diffalg import cli, errors
+from diffalg import cli, errors, poly
 from diffalg.cli import ERROR_MESSAGES, main
 
 X_ONLY = "var x = d/dx 1\n"
@@ -154,6 +154,94 @@ def test_deep_nesting_maps_to_error(tower_file, capsys):
     assert rep["verdict"] == "ERROR"
     assert rep["residues"] == [
         "syntax error: expression nests too deeply (line 1, column 1)"]
+
+
+def test_unexpected_failure_maps_to_error(tower_file, capsys, monkeypatch):
+    # an exception type without an ERROR_MESSAGES entry is still ERROR
+    # (exit 2) with its text, never a traceback (exit 1)
+    def fail(*args):
+        raise RuntimeError("no such luck")
+    monkeypatch.setattr(diffalg.tower.Tower, "derive", fail)
+    path = tower_file(X_ONLY)
+    rc = main(["derive", path, "-e", "x"])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert cap.err == "error: unexpected failure: no such luck\n"
+    rc = main(["derive", path, "-e", "x", "--json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert rep["verdict"] == "ERROR"
+    assert rep["residues"] == ["unexpected failure: no such luck"]
+
+
+def test_deep_exp_tower_maps_to_error(tower_file, capsys):
+    # D t400 recurses through 400 exponentials, deeper than Python's
+    # stack allows; that is ERROR (exit 2), never a traceback (exit 1).
+    # Tower._dget fills its table by recursion today; once it fills it
+    # bottom-up this must expect the derivative t1*...*t400 instead.
+    gens = ["gen t1 = exp(x)"] + [f"gen t{k} = exp(t{k - 1})"
+                                  for k in range(2, 401)]
+    path = tower_file(X_ONLY + "\n".join(gens) + "\n")
+    rc = main(["derive", path, "-e", "t400"])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert cap.err.startswith("error: unexpected failure: ")
+    assert "Traceback" not in cap.err
+    rc = main(["derive", path, "-e", "t400", "--json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert rep["verdict"] == "ERROR"
+
+
+def test_options_do_not_leak_between_calls(tower_file, capsys):
+    # the parser is built once per process; each call still starts from
+    # the defaults and leaves no degree limit behind
+    path = tower_file(X_ONLY)
+    assert main(["derive", path, "-e", "x^2", "--json",
+                 "--max-degree", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["output"] == "2*x"
+    assert poly.get_degree_limit() is None
+    assert main(["derive", path, "-e", "x^9"]) == 0
+    assert capsys.readouterr().out == "9*x^8\nPASS\n"
+    assert poly.get_degree_limit() is None
+    assert cli._build_parser() is cli._build_parser()
+
+
+ZD_LOG = "term 1 * log(y2 - 2*y1)\n"
+
+
+@pytest.mark.parametrize("v0, terms, integrand", [
+    ("0", ZD_LOG, "1/(2*x) + y2 + 2*y1"),
+    ("0", ZD_LOG, "1/(2*x)"),
+    # D v0 = -1/(2x) + y2 + 2*y1, and (y2 + 2*y1)(y2 - 2*y1) = 0, so the
+    # cleared sum D(form) is 0 though the form differentiates to y2 + 2*y1
+    ("-L/2 + (2/3)*x*(y2 + 2*y1)", ZD_LOG, "0"),
+    ("-L/2 + (2/3)*x*(y2 + 2*y1)", ZD_LOG, "y2 + 2*y1"),
+    # a zero coefficient drops the term from the cleared sum
+    ("0", "term 0 * log(y2 - 2*y1)\n", "0"),
+    ("x", "term 0 * log(y2 - 2*y1)\n", "1"),
+    # the two denominators multiply to 0 in the common denominator
+    ("0", ZD_LOG + "term 1 * log(y2 + 2*y1)\n", "0"),
+], ids=["sum", "log", "cleared-0", "cleared", "coeff-0-sum-0", "coeff-0",
+        "two-logs"])
+def test_verify_zero_divisor_log_stays_error(tower_file, form_file, capsys,
+                                             v0, terms, integrand):
+    # y2 - 2*y1 is a nonzero zero divisor, since (y2 - 2 y1)(y2 + 2 y1) = 0.
+    # verify must answer ERROR and name the zero divisor, as when each
+    # phi was normalized alone; a sum cleared by multiplying through by
+    # the zero divisor, or without the term, would read PASS
+    tower = tower_file(X_ONLY + "gen L = log(x)\ngen y1 = sqrt(x)\n"
+                       "gen y2 = sqrt(4*x)\n")
+    form = form_file(f"v0 = {v0}\n{terms}")
+    argv = ["verify", tower, "--integrand", integrand, "--form", form]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: division by a zero denominator: "
+        "denominator is a zero divisor modulo the relations\n")
+    assert main(argv + ["--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "ERROR"
 
 
 @pytest.mark.parametrize("expr, column", [("x^" + "9" * 5000, 3),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffalg.curves import ThirdKindParam
+from diffalg.curves import ThirdKindParam, phi_part
 from diffalg.errors import (FieldMismatch, FNotBelow, IntegrandNotReducible,
                             NonConstantCoefficient, NotConstant, PartNotBelow,
                             UnsupportedTermKind)
@@ -14,6 +14,7 @@ from diffalg.liouville import (LiouvilleForm, LogPhi, LPhi, WPhi, check_step1,
                                form_derivative, phi_eval, reduce,
                                reduce_algebraic, reduce_top, verify_liouville,
                                x_constant)
+from diffalg.ratfunc import RatFunc
 from diffalg.tower import FULL_D, CommutingX, Tower
 
 
@@ -148,6 +149,43 @@ def test_lazy_verify_matches_canonical_residual(form):
     df = form_derivative(t, form)
     assert verify_liouville(t, df, form)
     assert not verify_liouville(t, df + t["x"], form)
+
+
+def _canonical_part(t, part):
+    """A lazy part as one canonical element, the reference for phi_eval."""
+    den = part.den_extra
+    for f, k in part.dens.items():
+        den = den * f ** k
+    return t.wrap(RatFunc(part.num, den))
+
+
+def _term_by_term(t, h, form):
+    """D_h(v0) + sum c * phi(h v, v), summed one canonical term at a time."""
+    total = t.derive(h, form.v0)
+    for coeff, term in form.terms:
+        total = total + coeff * _canonical_part(t, phi_part(t, term, h))
+    return total
+
+
+@given(mixed_forms())
+@settings(max_examples=25, deadline=None)
+def test_canonical_values_match_term_by_term_sums(form):
+    # form_derivative, phi_eval and x_constant normalize one cleared sum;
+    # each must equal the canonical sum built one term at a time
+    t = _MIXED
+    assert form_derivative(t, form) == _term_by_term(t, FULL_D, form)
+    for name in ("E", "L"):
+        h = CommutingX(t.gen_of(name).gid)
+        for handle in (FULL_D, h):
+            for _, term in form.terms:
+                assert phi_eval(t, term, handle) == _canonical_part(
+                    t, phi_part(t, term, handle))
+        want = _term_by_term(t, h, form)
+        if t.is_constant(want):
+            assert x_constant(t, form, name) == want
+        else:
+            with pytest.raises(NotConstant):
+                x_constant(t, form, name)
 
 
 def test_coefficients_must_be_constant():

@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diffalg.errors import (CyclicDefinition, FieldMismatch,
@@ -298,3 +299,59 @@ def test_derivation_additive(te):
     lhs = t.derive(FULL_D, e1 + e2)
     rhs = t.derive(FULL_D, e1) + t.derive(FULL_D, e2)
     assert (lhs - rhs).is_zero()
+
+
+# -- sympy as an independent oracle for D ------------------------------------
+
+SX = sympy.Symbol("x")
+coeffs = st.integers(min_value=-2, max_value=2)
+
+
+@st.composite
+def exp_log_towers(draw):
+    """x with one or two generators exp(p) or log(q) on top, and an
+    element of the tower; each generator's sympy image rides along.
+
+    p and q are small polynomials in x and the earlier generators.  An
+    exp argument never holds a log generator, so sympy's exp(log u) = u
+    cannot fold two generators into one."""
+    t = Tower.base().var("x")
+    image = {t.gen_of("x").gid: SX}
+
+    def poly(atoms):
+        e = t.lit(draw(coeffs))
+        for _ in range(draw(st.integers(1, 2))):
+            mono = draw(st.sampled_from(atoms)) ** draw(st.integers(1, 2))
+            if draw(st.booleans()):
+                mono = mono * draw(st.sampled_from(atoms))
+            e = e + draw(coeffs) * mono
+        return e
+
+    def to_sympy(e):
+        return e.rf.num.evaluate(image) / e.rf.den.evaluate(image)
+
+    exp_atoms, atoms = [t["x"]], [t["x"]]
+    for k in range(draw(st.integers(1, 2))):
+        name = f"g{k}"
+        if draw(st.booleans()):
+            arg = poly(exp_atoms)
+            t = t.exp_ext(name, arg)
+            image[t.gen_of(name).gid] = sympy.exp(to_sympy(arg))
+            exp_atoms.append(t[name])
+        else:
+            arg = poly(atoms)
+            assume(not arg.is_zero())
+            t = t.log_ext(name, arg)
+            image[t.gen_of(name).gid] = sympy.log(to_sympy(arg))
+        atoms.append(t[name])
+    num, den = poly(atoms), poly(atoms)
+    assume(not den.is_zero())
+    return t, num / den, to_sympy
+
+
+@given(exp_log_towers())
+@settings(max_examples=25, deadline=None)
+def test_derive_matches_sympy(case):
+    t, e, to_sympy = case
+    got = to_sympy(t.derive(FULL_D, e))
+    assert sympy.cancel(got - sympy.diff(to_sympy(e), SX)) == 0
