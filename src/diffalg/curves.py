@@ -10,24 +10,27 @@ checked under both coordinate partials.
 
 The phi shapes are defined once, as lazy parts: a numerator over a bag
 of denominator factors.  phi_sum_is_zero, the zero test that the Abel
-identities and liouville.verify_liouville share, clears the common
-denominator of D_h(v0) + sum c_i phi(h v_i, v_i) - f once, power-reduces
-the single big numerator and tests it for zero.  That takes no gcd, is
-orders of magnitude cheaper than canonical arithmetic, and is just as
-conclusive.  phi_sum turns the same cleared sum into a canonical value
-with one normal_form.
+identities and liouville.verify_liouville share, clears
+D_h(v0) + sum c_i phi(h v_i, v_i) - f once over the least common multiple
+of its denominators, power-reduces the single big numerator and tests it
+for zero.  The lcm is taken over a pairwise coprime basis of the
+denominator factors, so gcds run only between those small factors, never
+on the big numerator.  That is orders of magnitude cheaper than canonical
+arithmetic and just as conclusive.  phi_sum turns the same cleared sum
+into a canonical value with one normal_form.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from math import prod
 from typing import NamedTuple
 
 from .errors import (DegenerateChord, DegenerateDenominator,
                      InvalidDefiningData, ZeroDenominator)
-from .poly import MultiPoly
+from .poly import MultiPoly, poly_divexact, poly_gcd
 from .ratfunc import normal_form, rationalize, reduce_powers
 from .tower import Element, PartialD, Tower
 
@@ -205,13 +208,14 @@ def abel_log_argument(curve: LegendreCurve, prm: ThirdKindParam,
 
 # --------------------------------------------------------------------------
 # Lazy sums of quotients: each part is a numerator polynomial over a bag
-# of denominator factor polynomials.  Zero testing clears the common
-# denominator and power-reduces once.
+# of denominator factor polynomials.  Zero testing clears the least common
+# multiple of the parts' denominators, factored over a coprime basis, and
+# power-reduces once.
 
 
 class _Part(NamedTuple):
     num: MultiPoly        # numerator polynomial
-    den_extra: MultiPoly  # uncounted denominator (from reductions)
+    den_extra: MultiPoly  # the numerator element's own denominator
     dens: Counter         # Counter of MultiPoly factors
 
 
@@ -229,29 +233,102 @@ def _part(numel: Element, *dens: Element) -> _Part:
     return _Part(num, extra, bag)
 
 
+def _split(a: MultiPoly, g: MultiPoly) -> list:
+    """[g, a/g] for monic a and g with g a proper divisor of a."""
+    q = poly_divexact(a, g)
+    if q is None:
+        raise RuntimeError("coprime basis: a gcd does not divide its "
+                           "argument")
+    return [g, q]
+
+
+def _coprime_basis(factors) -> dict:
+    """Each nonzero factor f as (u, e): f = u * prod(b^k for b, k in e),
+    with u rational and the b of all factors monic and pairwise coprime.
+
+    Naive factor refinement (Bach, Driscoll & Shallit 1993): a factor
+    that shares a gcd g with a basis element b replaces both by g and the
+    cofactors.  Each split is recorded, so every factor rewrites by
+    expansion, with no trial division.  Factors with no generator in
+    common are coprime and skip the gcd."""
+    units, monics = {}, {}
+    for f in factors:
+        if f in units:
+            continue
+        u = units[f] = f.leading()[1]
+        if not f.is_const():
+            monics[f] = f if u == 1 else f.scale(1 / u)
+    basis: dict = {}  # b -> its generators
+    splits: dict = {}  # a -> [g, a/g], whose product is a
+    work = list(monics.values())
+    while work:
+        a = work.pop()
+        if a in basis or a in splits:
+            continue
+        gens = a.gens()
+        for b, bgens in basis.items():
+            if gens.isdisjoint(bgens):
+                continue
+            g = poly_gcd(a, b)
+            if g.is_const():
+                continue
+            if g != b:
+                del basis[b]
+                splits[b] = _split(b, g)
+                work += splits[b]
+            if g != a:  # else a = g is among the pieces of b
+                splits[a] = _split(a, g)
+                work += splits[a]
+            break
+        else:
+            basis[a] = gens
+
+    def expand(a: MultiPoly) -> Counter:
+        if a in basis:
+            return Counter({a: 1})
+        return sum((expand(c) for c in splits[a]), Counter())
+
+    return {f: (u, expand(monics[f]) if f in monics else Counter())
+            for f, u in units.items()}
+
+
 def _clear(parts, rels):
     """The sum of the parts as (num, den, common): it equals num over
-    den times the product of f^k over common, with num power-reduced."""
+    den times the product of b^k over common, with num power-reduced.
+    common is the least common multiple of the parts' denominators over
+    a coprime basis, so a factor shared by parts is cleared once."""
     parts = [p for p in parts if not p.num.is_zero()]
+    bags = [p.dens + Counter({p.den_extra: 1}) for p in parts]
+    over = _coprime_basis(f for bag in bags for f in bag)
     common: Counter = Counter()
-    for p in parts:
-        common |= p.dens  # the largest power of each factor
-    total_num = MultiPoly.zero()
-    total_den = MultiPoly.one()
-    for p in parts:
-        piece, pden = p.num, p.den_extra
-        missing = common - p.dens
-        for f, k in missing.items():
+    scaled = []
+    for p, bag in zip(parts, bags):
+        unit, exps = Fraction(1), Counter()
+        for f, k in bag.items():
+            u, e = over[f]
+            unit *= u ** k
+            for b, j in e.items():
+                exps[b] += j * k
+        common |= exps  # the largest power of each basis element
+        scaled.append((p.num if unit == 1 else p.num.scale(1 / unit), exps))
+    one = MultiPoly.one()
+    total_num, total_den = MultiPoly.zero(), one
+    for piece, exps in scaled:
+        pden = one
+        for b, k in (common - exps).items():
             for _ in range(k):
-                piece = piece * f
-                piece, d = reduce_powers(piece, MultiPoly.one(), rels)
+                piece, d = reduce_powers(piece * b, one, rels)
                 pden = pden * d
         # piece/pden joins total_num/total_den
-        total_num = total_num * pden + piece * total_den
-        total_den = total_den * pden
-        total_num, d = reduce_powers(total_num, MultiPoly.one(), rels)
-        total_den = total_den * d
-    return total_num, total_den, common
+        if pden == total_den:
+            total_num = total_num + piece
+        else:
+            total_num = total_num * pden + piece * total_den
+            total_den = total_den * pden
+    # a piece that needed no factor joined unreduced, and a coefficient's
+    # numerator may hold relation generators
+    total_num, d = reduce_powers(total_num, one, rels)
+    return total_num, total_den * d, common
 
 
 def _sum_reduces_to_zero(parts, rels) -> bool:
@@ -368,7 +445,8 @@ def _phi_parts(t: Tower, h, v0: Element, terms, f, check=False) -> list:
         if check and not p.num.is_zero():  # a zero divisor raises here
             rationalize(MultiPoly.one(), _product(p.dens), t.rels)
         c = t.coerce(c)
-        parts.append(_Part(p.num * c.rf.num, p.den_extra * c.rf.den, p.dens))
+        parts.append(_Part(p.num * c.rf.num, p.den_extra,
+                           p.dens + Counter({c.rf.den: 1})))
     return parts + [_part(t.derive(h, v0)), _part(-t.coerce(f))]
 
 
@@ -376,7 +454,8 @@ def phi_sum_is_zero(t: Tower, h, v0: Element, terms, f=0) -> bool:
     """Whether D_h(v0) + sum c * phi(h v, v) - f is zero in t.
 
     terms holds (c, phi term) pairs.  Every summand stays a lazy part,
-    so the test takes no gcd and builds no canonical sum.
+    so the test builds no canonical sum; its gcds run only between
+    denominator factors, never on the big numerator.
     """
     return _sum_reduces_to_zero(_phi_parts(t, h, v0, terms, f), t.rels)
 

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fmt
-from .errors import (CyclicDefinition, FieldMismatch, InvalidDefiningData,
-                     NameClash, NotQuadratic, PsiNotRealizable,
-                     UnsupportedHandle, ZeroDenominator, ZeroElement)
+from .errors import (CyclicDefinition, DiffAlgError, FieldMismatch,
+                     InvalidDefiningData, NameClash, NotQuadratic,
+                     PsiNotRealizable, UnsupportedHandle, ZeroDenominator,
+                     ZeroElement)
 from .poly import MultiPoly
 from .ratfunc import RatFunc, RelationSet, normal_form
 
@@ -506,8 +507,19 @@ class Tower:
         def get(gid: int) -> RatFunc:
             val = table.get(gid)
             if val is None:
-                val = compute(gid)
-                table[gid] = val
+                # Fill the table bottom-up, in generator order, so compute
+                # reads only entries already there and a deep tower needs
+                # no deep recursion.  An entry below gid that fails stays
+                # empty, to raise only if it is read.
+                for g in self._by_gid:
+                    if g >= gid:
+                        break
+                    if g not in table:
+                        try:
+                            table[g] = compute(g)
+                        except DiffAlgError:
+                            pass
+                val = table[gid] = compute(gid)
             if val is _POISON:
                 raise UnsupportedHandle(
                     f"derivation undefined on generator "

@@ -2,19 +2,30 @@
 
 import math
 import random
+from collections import Counter
+from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ellipj
 
+from diffalg import curves
 from diffalg.curves import (CurvePoint, LegendreCurve, LPhi, ThirdKindParam,
                             WeierstrassCurve, abel_a0, abel_e_correction,
                             abel_log_argument, check_abel_identity,
                             check_w2_chord_identity, chord_slope,
                             legendre_add, phi_sum_is_zero, weierstrass_add,
-                            weierstrass_e_correction, _abel_f_parts,
-                            _legendre_tower, _weierstrass_tower)
+                            weierstrass_e_correction, _abel_f_parts, _clear,
+                            _coprime_basis, _legendre_tower, _Part,
+                            _weierstrass_tower)
 from diffalg.errors import (DegenerateChord, DegenerateDenominator,
                             InvalidDefiningData)
+from diffalg.poly import MONO_ONE, MultiPoly, poly_gcd
+from diffalg.ratfunc import normal_form
 from diffalg.tower import PartialD, Tower
 
 
@@ -243,3 +254,94 @@ def test_symbolic_add_evaluates_numerically():
     x3 = float(p3.x.rf.num.evaluate(vals)) / float(p3.x.rf.den.evaluate(vals))
     want, _ = sn_point(u + v, m)
     assert math.isclose(x3, want, abs_tol=1e-7)
+
+
+# -- clearing over a coprime basis -------------------------------------------
+
+GENS = sympy.symbols("x0:3")
+
+
+def to_sympy(p: MultiPoly) -> sympy.Poly:
+    return sympy.Poly(p.evaluate(dict(enumerate(GENS))), *GENS, domain="QQ")
+
+
+def _rebuild(u, exps) -> MultiPoly:
+    out = MultiPoly.const(u)
+    for b, k in exps.items():
+        out = out * b ** k
+    return out
+
+
+@st.composite
+def small_polys(draw, nvars):
+    """A nonconstant polynomial of 1-3 terms over nvars variables."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        mono = MONO_ONE
+        for gid in range(nvars):
+            e = draw(st.integers(0, 2))
+            if e:
+                mono += ((gid, e),)
+        terms[mono] = terms.get(mono, 0) + draw(st.integers(-3, 3))
+    p = MultiPoly.from_dict({m: Fraction(c) for m, c in terms.items() if c})
+    if p.is_const():
+        p = p + MultiPoly.var(draw(st.integers(0, nvars - 1)))
+    return p
+
+
+@st.composite
+def bag_products(draw):
+    """Products of 1-3 small polynomials, drawing often from a shared pool
+    so that factors recur across products."""
+    nvars = draw(st.integers(2, 3))
+    pool = draw(st.lists(small_polys(nvars), min_size=1, max_size=3))
+    out = []
+    for _ in range(draw(st.integers(2, 4))):
+        prod = MultiPoly.one()
+        for _ in range(draw(st.integers(1, 3))):
+            shared = draw(st.booleans())
+            prod = prod * (draw(st.sampled_from(pool)) if shared
+                           else draw(small_polys(nvars)))
+        out.append(prod)
+    return out
+
+
+@given(bag_products())
+@settings(max_examples=60, deadline=None)
+def test_coprime_basis_matches_sympy_lcm(products):
+    over = _coprime_basis(products)
+    basis = {b for _, exps in over.values() for b in exps}
+    for b, c in combinations(basis, 2):
+        assert poly_gcd(b, c) == MultiPoly.one()
+    for f in products:
+        u, exps = over[f]
+        assert f == _rebuild(u, exps)
+    top: Counter = Counter()
+    for _, exps in over.values():
+        top |= exps
+    want = reduce(sympy.lcm, [to_sympy(f) for f in products])
+    assert to_sympy(_rebuild(1, top)).monic() == want.monic()
+
+
+def test_clear_holds_each_shared_factor_once():
+    # the shape of abel pi: two log parts share one denominator, and a
+    # third part's factor divides it; the lcm holds p and q once each
+    t = Tower.base().var("x").var("z")
+    x, z = t["x"].rf.num, t["z"].rf.num
+    one = MultiPoly.one()
+    p, q = x + one, x * z + MultiPoly.const(2)
+    parts = [_Part(x, p * q, Counter()), _Part(z, p * q, Counter()),
+             _Part(one, one, Counter({p: 1})),
+             _Part(one, one, Counter({p.scale(Fraction(2)): 1}))]
+    num, den, common = _clear(parts, t.rels)
+    assert common == Counter({p: 1, q: 1})
+    half = MultiPoly.const(Fraction(1, 2))
+    assert (normal_form(num, den * p * q, t.rels)
+            == normal_form(x + z + q + half * q, p * q, t.rels))
+
+
+def test_basis_split_that_does_not_divide_raises(monkeypatch):
+    x = MultiPoly.var(0)
+    monkeypatch.setattr(curves, "poly_divexact", lambda p, q: None)
+    with pytest.raises(RuntimeError):
+        _coprime_basis([x * (x + MultiPoly.one()), x])
