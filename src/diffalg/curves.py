@@ -320,11 +320,8 @@ def _clear(parts, rels):
                 piece, d = reduce_powers(piece * b, one, rels)
                 pden = pden * d
         # piece/pden joins total_num/total_den
-        if pden == total_den:
-            total_num = total_num + piece
-        else:
-            total_num = total_num * pden + piece * total_den
-            total_den = total_den * pden
+        total_num = total_num * pden + piece * total_den
+        total_den = total_den * pden
     # a piece that needed no factor joined unreduced, and a coefficient's
     # numerator may hold relation generators
     total_num, d = reduce_powers(total_num, one, rels)

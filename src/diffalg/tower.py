@@ -503,23 +503,38 @@ class Tower:
             return memo["get"]
 
         table: dict = {}
+        failed = None  # gid -> DiffAlgError, while a fill runs
 
         def get(gid: int) -> RatFunc:
+            nonlocal failed
             val = table.get(gid)
             if val is None:
+                if failed is not None and gid in failed:
+                    raise failed[gid]
                 # Fill the table bottom-up, in generator order, so compute
                 # reads only entries already there and a deep tower needs
-                # no deep recursion.  An entry below gid that fails stays
-                # empty, to raise only if it is read.
-                for g in self._by_gid:
-                    if g >= gid:
-                        break
-                    if g not in table:
-                        try:
-                            table[g] = compute(g)
-                        except DiffAlgError:
-                            pass
-                val = table[gid] = compute(gid)
+                # no deep recursion.  An entry that fails is computed once
+                # per fill and raises only when read; the record is not
+                # kept past the fill, since a failure such as
+                # DegreeOverflow depends on the degree limit in force.
+                outer = failed is None
+                if outer:
+                    failed = {}
+                try:
+                    for g in self._by_gid:
+                        if g > gid:
+                            break
+                        if g not in table and g not in failed:
+                            try:
+                                table[g] = compute(g)
+                            except DiffAlgError as exc:
+                                failed[g] = exc
+                    if gid in failed:
+                        raise failed[gid]
+                    val = table[gid]
+                finally:
+                    if outer:
+                        failed = None
             if val is _POISON:
                 raise UnsupportedHandle(
                     f"derivation undefined on generator "

@@ -194,6 +194,37 @@ def test_deep_exp_tower_derives(tower_file, capsys):
     assert rep["output"] == want
 
 
+def test_deep_exp_tower_degree_limit_fails_once(tower_file, capsys,
+                                                monkeypatch):
+    # D t9 exceeds --max-degree 8 and every t above it reads t9; each
+    # entry is computed once, so the reply is the degree ERROR at once.
+    # The guard stops a fill that retries failed entries (2^31 calls here)
+    calls = []
+    real = diffalg.tower._diff_rf
+
+    def counted(rf, get):
+        calls.append(1)
+        if len(calls) > 200:
+            raise RuntimeError("derivative table recomputed")
+        return real(rf, get)
+    monkeypatch.setattr(diffalg.tower, "_diff_rf", counted)
+    gens = ["gen t1 = exp(x)"] + [f"gen t{k} = exp(t{k - 1})"
+                                  for k in range(2, 41)]
+    path = tower_file(X_ONLY + "\n".join(gens) + "\n")
+    msg = ("intermediate degree exceeded --max-degree: product degree "
+           "exceeds limit 8")
+    rc = main(["derive", path, "-e", "t40", "--max-degree", "8"])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert cap.err == f"error: {msg}\n"
+    rc = main(["derive", path, "-e", "t40", "--max-degree", "8", "--json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert rep["verdict"] == "ERROR"
+    assert rep["residues"] == [msg]
+
+
 def test_options_do_not_leak_between_calls(tower_file, capsys):
     # the parser is built once per process; each call still starts from
     # the defaults and leaves no degree limit behind

@@ -90,6 +90,53 @@ def test_below_fill_raises_only_on_read():
             t.derive(h, t[name])
 
 
+def test_below_fill_computes_failed_entries_once(monkeypatch):
+    # BelowD(t) is undefined on the exponential u, so each root r_k of
+    # r_(k-1) fails through the one below it.  Every entry is computed
+    # once per fill, not once per reader; the guard stops the
+    # exponential recount that retrying failed entries would take
+    from diffalg import tower as tower_mod
+    t = Tower.base().var("x")
+    t = t.exp_ext("t", t["x"]).exp_ext("u", t["x"])
+    prev = "u"
+    for k in range(1, 31):
+        t = t.sqrt_ext(f"r{k}", t[prev])
+        prev = f"r{k}"
+    calls = []
+    real = tower_mod._diff_rf
+
+    def counted(rf, get):
+        calls.append(1)
+        if len(calls) > 100:
+            raise RuntimeError("derivative table recomputed")
+        return real(rf, get)
+    monkeypatch.setattr(tower_mod, "_diff_rf", counted)
+    with pytest.raises(UnsupportedHandle):
+        t.derive(BelowD(t.gen_of("t").gid), t["r30"])
+    assert len(calls) <= 32  # one per root, one for D r30 itself
+
+
+def test_fill_failure_is_not_kept_past_the_fill():
+    # D t9 overflows a degree limit of 8; once the limit is lifted, the
+    # same tower derives, so no failure outlives the fill that saw it
+    from diffalg.errors import DegreeOverflow
+    from diffalg.poly import set_degree_limit
+    t = Tower.base().var("x")
+    t = t.exp_ext("t1", t["x"])
+    for k in range(2, 13):
+        t = t.exp_ext(f"t{k}", t[f"t{k - 1}"])
+    set_degree_limit(8)
+    try:
+        with pytest.raises(DegreeOverflow):
+            t.derive(FULL_D, t["t12"])
+    finally:
+        set_degree_limit(None)
+    want = t["t1"]
+    for k in range(2, 13):
+        want = want * t[f"t{k}"]
+    assert (t.derive(FULL_D, t["t12"]) - want).is_zero()
+
+
 def test_chain_rule():
     t = exp_inv_square()
     x, th = t["x"], t["t"]
