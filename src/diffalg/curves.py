@@ -17,7 +17,8 @@ for zero.  The lcm is taken over a pairwise coprime basis of the
 denominator factors, so gcds run only between those small factors, never
 on the big numerator.  That is orders of magnitude cheaper than canonical
 arithmetic and just as conclusive.  phi_sum turns the same cleared sum
-into a canonical value with one normal_form.
+into a canonical value with one normal_form.  Both refuse a phi whose
+denominator holds a zero divisor, which clearing would multiply through.
 """
 
 from __future__ import annotations
@@ -214,23 +215,29 @@ def abel_log_argument(curve: LegendreCurve, prm: ThirdKindParam,
 
 
 class _Part(NamedTuple):
-    num: MultiPoly        # numerator polynomial
-    den_extra: MultiPoly  # the numerator element's own denominator
-    dens: Counter         # Counter of MultiPoly factors
+    num: MultiPoly  # numerator polynomial
+    dens: Counter   # Counter of MultiPoly factors
 
 
 def _part(numel: Element, *dens: Element) -> _Part:
-    """numel / product(dens), denominators kept factored."""
+    """numel / product(dens), denominators kept factored; numel's own
+    denominator is one more factor of the bag.  Clearing multiplies
+    through by every factor, so unless numel is 0 a factor that is a zero
+    divisor modulo the square-root relations raises ZeroDenominator."""
     num = numel.rf.num
-    extra = numel.rf.den
-    bag: Counter = Counter()
+    bag: Counter = Counter({numel.rf.den: 1})
     for d in dens:
         if d.rf.num.is_zero():
             raise ZeroDenominator("division by zero element")
         bag[d.rf.num] += 1
         if not (d.rf.den.is_const() and d.rf.den.const_value() == 1):
             num = num * d.rf.den
-    return _Part(num, extra, bag)
+    rels = numel.tower.rels
+    if not num.is_zero():
+        for f in bag:
+            if not f.gens().isdisjoint(rels.radicands):
+                rationalize(MultiPoly.one(), f, rels)
+    return _Part(num, bag)
 
 
 def _split(a: MultiPoly, g: MultiPoly) -> list:
@@ -298,13 +305,12 @@ def _clear(parts, rels):
     common is the least common multiple of the parts' denominators over
     a coprime basis, so a factor shared by parts is cleared once."""
     parts = [p for p in parts if not p.num.is_zero()]
-    bags = [p.dens + Counter({p.den_extra: 1}) for p in parts]
-    over = _coprime_basis(f for bag in bags for f in bag)
+    over = _coprime_basis(f for p in parts for f in p.dens)
     common: Counter = Counter()
     scaled = []
-    for p, bag in zip(parts, bags):
+    for p in parts:
         unit, exps = Fraction(1), Counter()
-        for f, k in bag.items():
+        for f, k in p.dens.items():
             u, e = over[f]
             unit *= u ** k
             for b, j in e.items():
@@ -435,15 +441,12 @@ def _product(bag: Counter) -> MultiPoly:
     return prod((f ** k for f, k in bag.items()), start=MultiPoly.one())
 
 
-def _phi_parts(t: Tower, h, v0: Element, terms, f, check=False) -> list:
+def _phi_parts(t: Tower, h, v0: Element, terms, f) -> list:
     parts = []
     for c, term in terms:
         p = phi_part(t, term, h)
-        if check and not p.num.is_zero():  # a zero divisor raises here
-            rationalize(MultiPoly.one(), _product(p.dens), t.rels)
         c = t.coerce(c)
-        parts.append(_Part(p.num * c.rf.num, p.den_extra,
-                           p.dens + Counter({c.rf.den: 1})))
+        parts.append(_Part(p.num * c.rf.num, p.dens + Counter({c.rf.den: 1})))
     return parts + [_part(t.derive(h, v0)), _part(-t.coerce(f))]
 
 
@@ -452,17 +455,17 @@ def phi_sum_is_zero(t: Tower, h, v0: Element, terms, f=0) -> bool:
 
     terms holds (c, phi term) pairs.  Every summand stays a lazy part,
     so the test builds no canonical sum; its gcds run only between
-    denominator factors, never on the big numerator.
+    denominator factors, never on the big numerator.  A zero divisor in
+    the denominator of a phi that is not 0 raises ZeroDenominator, also
+    where c or the whole sum is 0.
     """
     return _sum_reduces_to_zero(_phi_parts(t, h, v0, terms, f), t.rels)
 
 
 def phi_sum(t: Tower, h, v0: Element, terms, f=0) -> Element:
     """D_h(v0) + sum c * phi(h v, v) - f as a canonical element: the
-    same cleared sum as phi_sum_is_zero, put in normal form once.  A zero
-    divisor in the denominator of a phi that is not 0 raises
-    ZeroDenominator, also where c or the whole sum is 0."""
-    num, den, common = _clear(_phi_parts(t, h, v0, terms, f, True), t.rels)
+    same cleared sum as phi_sum_is_zero, put in normal form once."""
+    num, den, common = _clear(_phi_parts(t, h, v0, terms, f), t.rels)
     return Element(t, normal_form(num, den * _product(common), t.rels))
 
 

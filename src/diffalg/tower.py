@@ -5,12 +5,16 @@ kind: explicit base variables, constant parameters, primitives (with
 optional log / elliptic-integral provenance tags), exponentials,
 elliptic-function pairs, Lambert-style solutions of w*e^w = v, and
 square roots.  Derivatives of a generator may mention earlier
-generators only, so the full derivation is well defined by recursion.
+generators only, so each derivation is defined generator by generator.
 
 Besides the full derivation D the tower offers, per generator where it
 makes sense, the commuting derivation X that kills the field below, the
 formal partial, and the below-the-cut derivation that annihilates a
-chosen generator and its companions.  Each derivative is built as one
+chosen generator and its companions.  Each handle reads one memoized
+table of generator derivatives, filled bottom-up by one rule: a square
+root s of r gets h(s) = h(r)/(2s) under every handle h, and any other
+generator takes the handle's image.  A table serves one degree limit
+and keeps each failed entry's error.  Each derivative is built as one
 raw quotient and put in normal form once, modulo the square roots.
 """
 
@@ -24,7 +28,7 @@ from .errors import (CyclicDefinition, DiffAlgError, FieldMismatch,
                      InvalidDefiningData, NameClash, NotQuadratic,
                      PsiNotRealizable, UnsupportedHandle, ZeroDenominator,
                      ZeroElement)
-from .poly import MultiPoly
+from .poly import MultiPoly, get_degree_limit
 from .ratfunc import RatFunc, RelationSet, normal_form
 
 # --------------------------------------------------------------------------
@@ -124,8 +128,6 @@ class BelowD:
 
 FULL_D = FullD()
 
-_POISON = object()
-
 _RF_ZERO = RatFunc.const(0)
 _RF_ONE = RatFunc.const(1)
 
@@ -213,6 +215,8 @@ class Element:
 
     def __rtruediv__(self, other):
         a, b = self._pair(other)
+        if b is NotImplemented:
+            return NotImplemented
         return b.__truediv__(a)
 
     def __pow__(self, k: int):
@@ -497,82 +501,57 @@ class Tower:
     # -- derivations ----------------------------------------------------
 
     def _dget(self, handle):
-        """Memoized gid -> derivative (RatFunc) lookup for a handle."""
-        memo = self._dtables.get(handle)
-        if memo is not None:
-            return memo["get"]
+        """Memoized gid -> derivative (RatFunc) lookup for a handle.
 
+        One fill loop serves every handle: on a miss it computes every
+        missing entry up to the asked generator, bottom-up in generator
+        order, so an entry reads only entries already there and a deep
+        tower needs no deep recursion.  A square root gets h(s) = h(r)/(2s)
+        under every handle; any other generator takes the handle's image.
+        An entry whose computation fails holds its DiffAlgError and raises
+        it whenever it is read, so a failure is computed once.  A table
+        serves one degree limit, since a DegreeOverflow depends on it.
+        """
+        key = (handle, get_degree_limit())
+        get = self._dtables.get(key)
+        if get is not None:
+            return get
+        image = self._image(handle)
         table: dict = {}
-        failed = None  # gid -> DiffAlgError, while a fill runs
 
         def get(gid: int) -> RatFunc:
-            nonlocal failed
-            val = table.get(gid)
-            if val is None:
-                if failed is not None and gid in failed:
-                    raise failed[gid]
-                # Fill the table bottom-up, in generator order, so compute
-                # reads only entries already there and a deep tower needs
-                # no deep recursion.  An entry that fails is computed once
-                # per fill and raises only when read; the record is not
-                # kept past the fill, since a failure such as
-                # DegreeOverflow depends on the degree limit in force.
-                outer = failed is None
-                if outer:
-                    failed = {}
-                try:
-                    for g in self._by_gid:
-                        if g > gid:
-                            break
-                        if g not in table and g not in failed:
-                            try:
-                                table[g] = compute(g)
-                            except DiffAlgError as exc:
-                                failed[g] = exc
-                    if gid in failed:
-                        raise failed[gid]
-                    val = table[gid]
-                finally:
-                    if outer:
-                        failed = None
-            if val is _POISON:
-                raise UnsupportedHandle(
-                    f"derivation undefined on generator "
-                    f"{self.name_of(gid)!r}")
+            if gid not in table:
+                for g, gen in self._by_gid.items():
+                    if g > gid:
+                        break
+                    if g not in table:
+                        try:
+                            table[g] = compute(g, gen.kind)
+                        except DiffAlgError as exc:
+                            table[g] = exc
+            val = table[gid]
+            if isinstance(val, DiffAlgError):
+                raise val.with_traceback(None)
             return val
 
-        def d_sqrt(gid: int, kind: AlgebraicSqrt) -> RatFunc:
-            # s^2 = r gives D s = D r / (2 s).
-            num, den = _diff_rf(kind.radicand, get)
-            return self._nf(num, den * MultiPoly.var(gid).scale(2))
+        def compute(gid: int, kind) -> RatFunc:
+            if isinstance(kind, AlgebraicSqrt):
+                # s^2 = r gives h(s) = h(r) / (2 s).
+                num, den = _diff_rf(kind.radicand, get)
+                return self._nf(num, den * MultiPoly.var(gid).scale(2))
+            return image(gid, kind, get)
 
+        self._dtables[key] = get
+        return get
+
+    def _image(self, handle):
+        """The handle's rule for a generator that is not a square root:
+        a function of (gid, kind, get) giving its derivative."""
         if isinstance(handle, FullD):
-            def compute(gid: int) -> RatFunc:
-                kind = self._by_gid[gid].kind
-                if isinstance(kind, BaseVar):
-                    return kind.deriv
-                if isinstance(kind, ConstParam):
-                    return _RF_ZERO
-                if isinstance(kind, Primitive):
-                    return kind.integrand
-                if isinstance(kind, Exponential):
-                    num, den = _diff_rf(kind.v, get)
-                    return self._nf(num * MultiPoly.var(gid), den)
-                if isinstance(kind, EllipticFunction):
-                    num, den = _diff_rf(kind.v, get)
-                    return self._nf(num * MultiPoly.var(kind.companion), den)
-                if isinstance(kind, LambertW):
-                    num, den = _diff_rf(kind.v, get)
-                    theta = MultiPoly.var(gid)
-                    return self._nf(num * theta * kind.v.den,
-                                    den * kind.v.num * (theta + MultiPoly.one()))
-                if isinstance(kind, AlgebraicSqrt):
-                    return d_sqrt(gid, kind)
-                raise UnsupportedHandle(f"unknown kind {kind!r}")
-
-        elif isinstance(handle, (CommutingX, PartialD)):
-            # Both send theta_k to a fixed value, kill the rest of the
-            # tower and follow it through the square roots above k.
+            return self._full_image
+        if isinstance(handle, (CommutingX, PartialD)):
+            # Both send theta_k to a fixed value and kill every other
+            # generator that is not a square root.
             k = handle.gid
             kgen = self.gen_of(k)
             if isinstance(handle, PartialD):
@@ -583,37 +562,44 @@ class Tower:
                     f"of kind {type(kgen.kind).__name__}")
             else:
                 at_k = _x_image(kgen)
-
-            def compute(gid: int) -> RatFunc:
-                if gid == k:
-                    return at_k
-                kind = self._by_gid[gid].kind
-                if gid > k and isinstance(kind, AlgebraicSqrt):
-                    return d_sqrt(gid, kind)
-                return _RF_ZERO
-
-        elif isinstance(handle, BelowD):
+            return lambda gid, kind, get: at_k if gid == k else _RF_ZERO
+        if isinstance(handle, BelowD):
+            # D below theta_j, 0 at theta_j and on constants, undefined
+            # on the generators above theta_j.
             j = handle.gid
             self.gen_of(j)
-            full = self._dget(FULL_D)
 
-            def compute(gid: int) -> RatFunc:
-                if gid == j:
-                    return _RF_ZERO
+            def below(gid: int, kind, get) -> RatFunc:
                 if gid < j:
-                    return full(gid)
-                kind = self._by_gid[gid].kind
-                if isinstance(kind, ConstParam):
+                    return self._full_image(gid, kind, get)
+                if gid == j or isinstance(kind, ConstParam):
                     return _RF_ZERO
-                if isinstance(kind, AlgebraicSqrt):
-                    return d_sqrt(gid, kind)
-                return _POISON
+                raise UnsupportedHandle(
+                    f"derivation undefined on generator "
+                    f"{self.name_of(gid)!r}")
+            return below
+        raise UnsupportedHandle(f"unknown handle {handle!r}")
 
-        else:
-            raise UnsupportedHandle(f"unknown handle {handle!r}")
-
-        self._dtables[handle] = {"get": get}
-        return get
+    def _full_image(self, gid: int, kind, get) -> RatFunc:
+        """D theta for a generator that is not a square root."""
+        if isinstance(kind, BaseVar):
+            return kind.deriv
+        if isinstance(kind, ConstParam):
+            return _RF_ZERO
+        if isinstance(kind, Primitive):
+            return kind.integrand
+        if isinstance(kind, Exponential):
+            num, den = _diff_rf(kind.v, get)
+            return self._nf(num * MultiPoly.var(gid), den)
+        if isinstance(kind, EllipticFunction):
+            num, den = _diff_rf(kind.v, get)
+            return self._nf(num * MultiPoly.var(kind.companion), den)
+        if isinstance(kind, LambertW):
+            num, den = _diff_rf(kind.v, get)
+            theta = MultiPoly.var(gid)
+            return self._nf(num * theta * kind.v.den,
+                            den * kind.v.num * (theta + MultiPoly.one()))
+        raise UnsupportedHandle(f"unknown kind {kind!r}")
 
     def _nf(self, num: MultiPoly, den: MultiPoly) -> RatFunc:
         return normal_form(num, den, self.rels)

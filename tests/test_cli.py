@@ -259,19 +259,20 @@ ZD_LOG = "term 1 * log(y2 - 2*y1)\n"
 def test_verify_zero_divisor_log_stays_error(tower_file, form_file, capsys,
                                              v0, terms, integrand):
     # y2 - 2*y1 is a nonzero zero divisor, since (y2 - 2 y1)(y2 + 2 y1) = 0.
-    # verify must answer ERROR and name the zero divisor, as when each
-    # phi was normalized alone; a sum cleared by multiplying through by
-    # the zero divisor, or without the term, would read PASS
+    # verify and reduce must answer ERROR and name the zero divisor, as
+    # when each phi was normalized alone; a sum cleared by multiplying
+    # through by the zero divisor, or without the term, would read PASS
     tower = tower_file(X_ONLY + "gen L = log(x)\ngen y1 = sqrt(x)\n"
                        "gen y2 = sqrt(4*x)\n")
     form = form_file(f"v0 = {v0}\n{terms}")
-    argv = ["verify", tower, "--integrand", integrand, "--form", form]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "error: division by a zero denominator: "
-        "denominator is a zero divisor modulo the relations\n")
-    assert main(argv + ["--json"]) == 2
-    assert json.loads(capsys.readouterr().out)["verdict"] == "ERROR"
+    for command in ("verify", "reduce"):
+        argv = [command, tower, "--integrand", integrand, "--form", form]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: division by a zero denominator: "
+            "denominator is a zero divisor modulo the relations\n")
+        assert main(argv + ["--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["verdict"] == "ERROR"
 
 
 @pytest.mark.parametrize("expr, column", [("x^" + "9" * 5000, 3),

@@ -330,9 +330,9 @@ def test_clear_holds_each_shared_factor_once():
     x, z = t["x"].rf.num, t["z"].rf.num
     one = MultiPoly.one()
     p, q = x + one, x * z + MultiPoly.const(2)
-    parts = [_Part(x, p * q, Counter()), _Part(z, p * q, Counter()),
-             _Part(one, one, Counter({p: 1})),
-             _Part(one, one, Counter({p.scale(Fraction(2)): 1}))]
+    parts = [_Part(x, Counter({p * q: 1})), _Part(z, Counter({p * q: 1})),
+             _Part(one, Counter({p: 1})),
+             _Part(one, Counter({p.scale(Fraction(2)): 1}))]
     num, den, common = _clear(parts, t.rels)
     assert common == Counter({p: 1, q: 1})
     half = MultiPoly.const(Fraction(1, 2))

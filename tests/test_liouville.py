@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from diffalg.curves import ThirdKindParam, phi_part
 from diffalg.errors import (FieldMismatch, FNotBelow, IntegrandNotReducible,
                             NonConstantCoefficient, NotConstant, PartNotBelow,
-                            UnsupportedTermKind)
+                            UnsupportedTermKind, ZeroDenominator)
 from diffalg.liouville import (LiouvilleForm, LogPhi, LPhi, WPhi, check_step1,
                                form_derivative, phi_eval, reduce,
                                reduce_algebraic, reduce_top, verify_liouville,
                                x_constant)
+from diffalg.poly import MultiPoly
 from diffalg.ratfunc import RatFunc
 from diffalg.tower import FULL_D, CommutingX, Tower
 
@@ -96,6 +97,18 @@ def test_verify_examples():
     assert not verify_liouville(t, x, LiouvilleForm(x))
 
 
+def test_verify_refuses_zero_divisor_log():
+    # (y2 - 2 y1)(y2 + 2 y1) = 0, so clearing through the log's
+    # denominator y2 - 2 y1 would read the residual y2 + 2 y1 as 0
+    t = Tower.base().var("x")
+    t = t.sqrt_ext("y1", t["x"]).sqrt_ext("y2", 4 * t["x"])
+    y1, y2 = t["y1"], t["y2"]
+    form = LiouvilleForm(t.zero(), [(1, LogPhi(y2 - 2 * y1))])
+    with pytest.raises(ZeroDenominator, match="^denominator is a zero "
+                       "divisor modulo the relations$"):
+        verify_liouville(t, 1 / (2 * t["x"]) + y2 + 2 * y1, form)
+
+
 # -- the lazy zero test agrees with the canonical residual --------------------
 
 
@@ -153,7 +166,7 @@ def test_lazy_verify_matches_canonical_residual(form):
 
 def _canonical_part(t, part):
     """A lazy part as one canonical element, the reference for phi_eval."""
-    den = part.den_extra
+    den = MultiPoly.one()
     for f, k in part.dens.items():
         den = den * f ** k
     return t.wrap(RatFunc(part.num, den))

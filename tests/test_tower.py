@@ -1,5 +1,6 @@
 """Differential towers: extensions, derivations, commutation, trace/norm."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -118,7 +119,7 @@ def test_below_fill_computes_failed_entries_once(monkeypatch):
 
 def test_fill_failure_is_not_kept_past_the_fill():
     # D t9 overflows a degree limit of 8; once the limit is lifted, the
-    # same tower derives, so no failure outlives the fill that saw it
+    # same tower derives, so a failure is kept only under its own limit
     from diffalg.errors import DegreeOverflow
     from diffalg.poly import set_degree_limit
     t = Tower.base().var("x")
@@ -277,6 +278,17 @@ def test_trace_rejects_higher_elements():
 # -- extension validation ------------------------------------------------------
 
 
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv],
+                         ids=["add", "sub", "mul", "truediv"])
+def test_reflected_operators_refuse_floats(op):
+    # an operand the element cannot take gives Python's TypeError, never
+    # an AttributeError from inside the operator
+    t = Tower.base().var("x")
+    with pytest.raises(TypeError):
+        op(1.5, t["x"])
+
+
 def test_name_clash():
     t = Tower.base().var("x")
     with pytest.raises(NameClash):
@@ -369,15 +381,21 @@ coeffs = st.integers(min_value=-2, max_value=2)
 
 
 @st.composite
-def exp_log_towers(draw):
+def exp_log_towers(draw, root=False):
     """x with one or two generators exp(p) or log(q) on top, and an
     element of the tower; each generator's sympy image rides along.
 
     p and q are small polynomials in x and the earlier generators.  An
     exp argument never holds a log generator, so sympy's exp(log u) = u
-    cannot fold two generators into one."""
+    cannot fold two generators into one.  With root, the one generator g
+    has s = sqrt(k*a + r) just below or just above it, for an atom a that
+    r does not hold, so the radicand is never a square.
+
+    Returns the tower, the element, g's name and to_sympy(e, frozen):
+    e's sympy image, where frozen reads every generator but s as its own
+    symbol."""
     t = Tower.base().var("x")
-    image = {t.gen_of("x").gid: SX}
+    images = ({t.gen_of("x").gid: SX}, {t.gen_of("x").gid: SX})
 
     def poly(atoms):
         e = t.lit(draw(coeffs))
@@ -388,32 +406,77 @@ def exp_log_towers(draw):
             e = e + draw(coeffs) * mono
         return e
 
-    def to_sympy(e):
+    def to_sympy(e, frozen=False):
+        image = images[frozen]
         return e.rf.num.evaluate(image) / e.rf.den.evaluate(image)
 
+    def adjoin(name, what, *args):
+        nonlocal t
+        t = getattr(t, what)(name, *args)
+        gid = t.gen_of(name).gid
+        if what == "sqrt_ext":
+            images[1][gid] = sympy.sqrt(to_sympy(args[0], True))
+        else:
+            images[1][gid] = sympy.Symbol(name)
+        fn = {"exp_ext": sympy.exp, "log_ext": sympy.log,
+              "sqrt_ext": sympy.sqrt}[what]
+        images[0][gid] = fn(to_sympy(args[0]))
+        return t[name]
+
     exp_atoms, atoms = [t["x"]], [t["x"]]
-    for k in range(draw(st.integers(1, 2))):
+    # with a root, one generator g keeps the canonical arithmetic small
+    n = 1 if root else draw(st.integers(1, 2))
+    root_at = draw(st.sampled_from([n - 1, n])) if root else None
+    for k in range(n + 1):
+        if k == root_at:
+            a = draw(st.sampled_from(atoms))
+            rest = [b for b in atoms if b is not a]
+            r = poly(rest) if rest else t.lit(draw(coeffs))
+            # sympy would split the root of k*a alone into two factors
+            assume(not r.is_zero())
+            s = adjoin("s", "sqrt_ext", draw(coeffs.filter(bool)) * a + r)
+            exp_atoms.append(s)
+            atoms.append(s)
+        if k == n:
+            break
         name = f"g{k}"
         if draw(st.booleans()):
-            arg = poly(exp_atoms)
-            t = t.exp_ext(name, arg)
-            image[t.gen_of(name).gid] = sympy.exp(to_sympy(arg))
-            exp_atoms.append(t[name])
+            g = adjoin(name, "exp_ext", poly(exp_atoms))
+            exp_atoms.append(g)
         else:
             arg = poly(atoms)
             # sympy reads log(1) as 0, so a division by it becomes zoo
             assume(not (arg.is_zero() or (arg - 1).is_zero()))
-            t = t.log_ext(name, arg)
-            image[t.gen_of(name).gid] = sympy.log(to_sympy(arg))
-        atoms.append(t[name])
+            g = adjoin(name, "log_ext", arg)
+        atoms.append(g)
     num, den = poly(atoms), poly(atoms)
     assume(not den.is_zero())
-    return t, num / den, to_sympy
+    return t, num / den, f"g{n - 1}", to_sympy
 
 
 @given(exp_log_towers())
 @settings(max_examples=25, deadline=None)
 def test_derive_matches_sympy(case):
-    t, e, to_sympy = case
+    t, e, _, to_sympy = case
     got = to_sympy(t.derive(FULL_D, e))
     assert sympy.cancel(got - sympy.diff(to_sympy(e), SX)) == 0
+
+
+@given(exp_log_towers(root=True))
+@settings(max_examples=25, deadline=None)
+def test_partial_with_root_matches_sympy(case):
+    # the root s, below or above g, is derived by d(s) = d(r)/(2s) like
+    # every other root, so the partial in g is sympy's with g a symbol
+    t, e, g, to_sympy = case
+    got = to_sympy(t.derive(PartialD(t.gen_of(g).gid), e), True)
+    want = sympy.diff(to_sympy(e, True), sympy.Symbol(g))
+    assert sympy.cancel(got - want) == 0
+
+
+@given(exp_log_towers(root=True))
+@settings(max_examples=25, deadline=None)
+def test_chain_rule_with_root(case):
+    # BelowD(g) is D on a root below g and takes h(s) = h(r)/(2s) on one
+    # above it; either way D = BelowD + (D g) * partial_g
+    t, e, g, _ = case
+    assert t.check_chain_rule(g, e)
