@@ -24,6 +24,7 @@ from .tower import (FULL_D, CommutingX, PartialD, _X_KINDS)
 ERROR_MESSAGES = {
     errors.ZeroDenominator: "division by a zero denominator",
     errors.DegreeOverflow: "intermediate degree exceeded --max-degree",
+    errors.ExponentOverflow: "polynomial too large",
     errors.CyclicDefinition: "defining data refers to the generator itself or above",
     errors.NameClash: "name is already bound",
     errors.InvalidDefiningData: "invalid defining data",

@@ -15,6 +15,10 @@ class DegreeOverflow(DiffAlgError):
     """A polynomial product exceeded the configured total-degree guard."""
 
 
+class ExponentOverflow(DegreeOverflow):
+    """A monomial's total degree would pass the packed exponent field."""
+
+
 class CyclicDefinition(DiffAlgError):
     """Defining data of a new generator mentions generators not strictly below it."""
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import MultiPoly, mono_key
+from .poly import MultiPoly, mono_items, mono_key
 from .ratfunc import RatFunc
 
 
@@ -24,9 +24,9 @@ def format_poly(p: MultiPoly, name_of) -> str:
         return "0"
     bits = []
     for m in sorted(p.terms, key=mono_key, reverse=True):
-        c = p.terms[m]
+        c = Fraction(p.terms[m], p.den)
         factors = []
-        for g, e in m:
+        for g, e in mono_items(m):
             factors.append(name_of(g) if e == 1 else f"{name_of(g)}^{e}")
         mag = abs(c)
         if not factors:
@@ -57,11 +57,13 @@ def _needs_parens(p: MultiPoly) -> bool:
         return True
     # Single negative or composite terms still need protection.
     for m, c in p.terms.items():
+        c = Fraction(c, p.den)
         if c < 0:
             return True
-        if m and (c != 1 or len(m) > 1 or m[0][1] > 1):
+        items = mono_items(m)
+        if items and (c != 1 or len(items) > 1 or items[0][1] > 1):
             return True
-        if not m and c.denominator != 1:
+        if not items and c.denominator != 1:
             return True
     return False
 

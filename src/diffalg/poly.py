@@ -1,18 +1,38 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
+"""Sparse multivariate polynomials over Q in a packed integer layout.
 
-A monomial is a tuple of (generator-id, exponent) pairs, sorted by
-generator-id, with no zero exponents stored.  A polynomial is a map from
-monomials to nonzero Fractions.  Terms are ordered graded-lexicographically
-with later generators ranking higher, so the leading term of x + y is y
-whenever y was adjoined after x.
+Monomials.  A monomial is one Python int: the exponent of generator-id k
+sits in the W-bit field at bit k*W (W = 16), so x0^2 * x3 is
+2 + (1 << 48).  Multiplying monomials is `+` and dividing them is `-`.
+No monomial's total degree may pass DEG_MAX = 2**(W-1) - 1.  Then every
+field keeps its top bit (the guard bit) clear and never carries into the
+next, the total degree is m % (2**W - 1), and a - b is a monomial exactly
+when it is nonnegative with every guard bit clear.
+
+Coefficients.  A polynomial is a term dict, monomial -> nonzero int, over
+one positive denominator `den` shared by all terms and coprime to their
+content.  That pair is canonical, so == and hash are polynomial equality.
+
+Order.  Terms are ordered graded-lexicographically with later generators
+ranking higher, so the leading term of x + y is y whenever y was adjoined
+after x.  Later generators sit in higher fields, so the order is the
+order of (total degree, packed int).
+
+Degree guard.  Q[gens] is an integral domain, so a product's total degree
+is deg a + deg b exactly.  Every product of two nonconstant polynomials,
+the gcd code's included, runs in one kernel, _dict_mul, which is given
+that degree and raises ExponentOverflow when it passes DEG_MAX, or
+DegreeOverflow when it passes the optional limit of set_degree_limit.
+The check costs O(1) per product, and an exponent never wraps around
+into the next field.
 
 This module owns the layout: every scan over monomials is written once,
 as a function on the term dict, and the MultiPoly methods are views over
 them.  Outside this module only the printer (fmt.py) reads monomials.
+The public views from_dict, leading and split_by speak tuple monomials,
+((gid, exp), ...) sorted by gid, with MONO_ONE = () the unit.
 
 GCDs use recursive content/primitive-part elimination over the last
-variable.  Coefficients are cleared to integers first, which keeps the
-pseudo-remainder sequence cheap.
+variable, on the integer term dicts: the denominator is a unit over Q.
 """
 
 from __future__ import annotations
@@ -20,77 +40,96 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd as int_gcd
-from operator import truediv
+from math import lcm
 
-from .errors import DegreeOverflow
+from .errors import DegreeOverflow, ExponentOverflow
 
-Monomial = tuple  # tuple[tuple[int, int], ...]
+W = 16
+_FIELD = (1 << W) - 1
+DEG_MAX = (1 << (W - 1)) - 1
 
-MONO_ONE: Monomial = ()
+MONO_ONE = ()  # the unit of the tuple monomials the public views speak
 
 # Optional abort guard: when set, any product whose total degree would
 # exceed the limit raises DegreeOverflow.  The CLI sets this; library use
-# leaves it off.
+# leaves it off.  _deg_cap is what the kernel compares against.
 _degree_limit: int | None = None
+_deg_cap = DEG_MAX
 
 
 def set_degree_limit(limit: int | None) -> None:
-    global _degree_limit
+    global _degree_limit, _deg_cap
     _degree_limit = limit
+    _deg_cap = DEG_MAX if limit is None else min(limit, DEG_MAX)
 
 
 def get_degree_limit() -> int | None:
     return _degree_limit
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
-    for g, e in b:
-        exps[g] = exps.get(g, 0) + e
-    return tuple(sorted(exps.items()))
+def _refuse(deg: int):
+    if _degree_limit is not None and deg > _degree_limit:
+        raise DegreeOverflow(f"product degree exceeds limit {_degree_limit}")
+    raise ExponentOverflow(f"degree {deg} exceeds the exponent field limit "
+                           f"{DEG_MAX}")
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def mono_key(m: Monomial):
+def mono_key(m: int):
     """Graded-lex sort key; later generator-ids are more significant."""
-    return (mono_degree(m), tuple(reversed(m)))
+    return (m % _FIELD, m)
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when a divides b."""
-    eb = dict(b)
-    return all(eb.get(g, 0) >= e for g, e in a)
+def mono_items(m: int) -> list:
+    """The (gid, exponent) pairs of a monomial, by increasing gid."""
+    out = []
+    while m:
+        shift = ((m & -m).bit_length() - 1) // W * W
+        e = (m >> shift) & _FIELD
+        out.append((shift // W, e))
+        m -= e << shift
+    return out
 
 
-def mono_div(b: Monomial, a: Monomial) -> Monomial:
-    """b / a, assuming divisibility."""
-    exps = dict(b)
-    for g, e in a:
-        r = exps[g] - e
-        if r:
-            exps[g] = r
-        else:
-            del exps[g]
-    return tuple(sorted(exps.items()))
+def _pack(mono) -> int:
+    m = 0
+    deg = 0
+    for g, e in mono:
+        if e < 0:
+            raise ValueError("negative exponent in a monomial")
+        m += e << (g * W)
+        deg += e
+    if deg > DEG_MAX:
+        _refuse(deg)
+    return m
 
 
-def _dict_add(a: dict, b: dict) -> dict:
+def _guards(nbits: int) -> int:
+    """The guard bits of every field that a monomial of nbits touches."""
+    n = nbits // W + 1
+    return ((1 << (n * W)) - 1) // _FIELD << (W - 1)
+
+
+def _deg(p: dict) -> int:
+    return max((m % _FIELD for m in p), default=-1)
+
+
+def _lead(p: dict) -> int:
+    return max(p, key=mono_key)
+
+
+def _dict_add(a: dict, ka: int, b: dict, kb: int) -> dict:
+    """ka*a + kb*b."""
     if len(a) < len(b):
-        a, b = b, a
-    out = dict(a)
+        a, ka, b, kb = b, kb, a, ka
+    out = dict(a) if ka == 1 else {m: c * ka for m, c in a.items()}
     for m, c in b.items():
+        if kb != 1:
+            c *= kb
         s = out.get(m)
         if s is None:
             out[m] = c
         else:
-            s = s + c
+            s += c
             if s:
                 out[m] = s
             else:
@@ -102,183 +141,184 @@ def _dict_neg(a: dict) -> dict:
     return {m: -c for m, c in a.items()}
 
 
-def _dict_mul(a: dict, b: dict) -> dict:
+def _dict_mul(a: dict, b: dict, deg: int) -> dict:
+    """a * b, whose total degree is deg = deg a + deg b: the one multiply
+    kernel, and the one place that checks the degree guard."""
     if not a or not b:
         return {}
+    if deg > _deg_cap:
+        _refuse(deg)
     if len(a) < len(b):
         a, b = b, a
-    out: dict = {}
-    for mb, cb in b.items():
-        # Constant monomial of the shorter factor: no mono_mul.  Measured
-        # share of term pairs that take this path: 72 % on cli_roundtrip,
-        # 40 % on abel_small, 7 % on l3_pushdown.
-        if not mb:
-            for ma, ca in a.items():
-                m = ma
-                s = out.get(m)
-                p = ca * cb
-                if s is None:
-                    out[m] = p
-                else:
-                    s = s + p
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        else:
-            for ma, ca in a.items():
-                m = mono_mul(ma, mb)
-                s = out.get(m)
-                p = ca * cb
-                if s is None:
-                    out[m] = p
-                else:
-                    s = s + p
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-    return out
+    items = iter(b.items())
+    mb, cb = next(items)
+    out = {ma + mb: ca * cb for ma, ca in a.items()}
+    get = out.get
+    for mb, cb in items:
+        for ma, ca in a.items():
+            m = ma + mb
+            out[m] = get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c} if len(b) > 1 else out
+
+
+def _imul(a: dict, b: dict) -> dict:
+    """a * b for the gcd code, whose term dicts carry no degree."""
+    return _dict_mul(a, b, _deg(a) + _deg(b))
 
 
 def _deg_in(p: dict, gid: int) -> int:
-    d = 0
-    for m in p:
-        for g, e in m:
-            if g == gid and e > d:
-                d = e
-    return d
+    shift = gid * W
+    return max(((m >> shift) & _FIELD for m in p), default=0)
 
 
 def _gens_of(p: dict) -> set:
-    out = set()
+    union = 0
     for m in p:
-        for g, _ in m:
-            out.add(g)
-    return out
+        union |= m
+    return {g for g, _ in mono_items(union)}
 
 
 def _to_uni(p: dict, gid: int) -> dict:
     """View p as univariate in gid: degree -> coefficient dict."""
+    shift = gid * W
     out: dict = {}
     for m, c in p.items():
-        deg = 0
-        rest = m
-        for i, (g, e) in enumerate(m):
-            if g == gid:
-                deg = e
-                rest = m[:i] + m[i + 1:]
-                break
-        out.setdefault(deg, {})[rest] = c
+        deg = (m >> shift) & _FIELD
+        out.setdefault(deg, {})[m - (deg << shift)] = c
     return out
+
+
+def _from_uni(u: dict, gid: int) -> dict:
+    shift = gid * W
+    return {m + (deg << shift): c
+            for deg, coeff in u.items() for m, c in coeff.items()}
 
 
 def _split_by(p: dict, gids) -> dict:
     """Group p by its monomials in gids: each such monomial maps to the
     dict of the remaining terms that carry it, with it divided out."""
+    mask = sum(_FIELD << (g * W) for g in gids)
     groups: dict = {}
     for m, c in p.items():
-        inside = []
-        rest = []
-        for g, e in m:
-            (inside if g in gids else rest).append((g, e))
-        groups.setdefault(tuple(inside), {})[tuple(rest)] = c
+        inside = m & mask
+        groups.setdefault(inside, {})[m - inside] = c
     return groups
 
 
-def _divexact(p: dict, q: dict, cquot) -> dict | None:
-    """p / q by long division; None when the division is not exact.
-
-    cquot(c, qc) divides a coefficient by q's leading coefficient and
-    returns None when that is inexact (integer coefficients).
-    """
+def _divexact(p: dict, q: dict) -> dict | None:
+    """p / q by long division over the integers; None unless q divides p
+    with an integer quotient."""
     if not p:
         return {}
-    if len(q) == 1 and MONO_ONE in q:
-        qc = q[MONO_ONE]
-        quot = {m: cquot(c, qc) for m, c in p.items()}
-        return None if None in quot.values() else quot
-    qm = max(q, key=mono_key)
+    if len(q) == 1 and 0 in q:
+        qc = q[0]
+        quot = {}
+        for m, c in p.items():
+            f, r = divmod(c, qc)
+            if r:
+                return None
+            quot[m] = f
+        return quot
+    qm = _lead(q)
     qc = q[qm]
+    guards = _guards(max(max(p).bit_length(), max(q).bit_length()))
     rem = dict(p)
     quot = {}
     while rem:
         m = max(rem, key=mono_key)
-        if not mono_divides(qm, m):
+        fm = m - qm
+        if fm < 0 or fm & guards:
             return None
-        fc = cquot(rem[m], qc)
-        if fc is None:
+        fc, r = divmod(rem[m], qc)
+        if r:
             return None
-        fm = mono_div(m, qm)
         quot[fm] = fc
         for m2, c2 in q.items():
-            mm = mono_mul(fm, m2)
-            s = rem.get(mm)
-            if s is None:
-                rem[mm] = -fc * c2
+            mm = fm + m2
+            s = rem.get(mm, 0) - fc * c2
+            if s:
+                rem[mm] = s
             else:
-                s -= fc * c2
-                if s:
-                    rem[mm] = s
-                else:
-                    del rem[mm]
+                del rem[mm]
     return quot
 
 
+def _make(terms: dict, den: int = 1, deg: int | None = None) -> "MultiPoly":
+    """terms/den in lowest terms, for den > 0."""
+    if den != 1:
+        g = den
+        for c in terms.values():
+            g = int_gcd(g, c)
+            if g == 1:
+                break
+        if g != 1:
+            terms = {m: c // g for m, c in terms.items()}
+            den //= g
+    return MultiPoly(terms, den, deg)
+
+
 class MultiPoly:
-    """Immutable-by-convention sparse polynomial over the rationals."""
+    """Immutable-by-convention sparse polynomial over the rationals:
+    integer terms over one shared denominator."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "den", "_deg", "_hash")
 
-    def __init__(self, terms: dict):
-        # Trusted constructor: terms must already be canonical.
+    def __init__(self, terms: dict, den: int = 1, deg: int | None = None):
+        # Trusted constructor: terms/den must already be canonical; deg
+        # is the total degree when known.
         self.terms = terms
+        self.den = den
+        self._deg = deg
         self._hash = None
 
     @staticmethod
     def from_dict(terms: dict) -> "MultiPoly":
-        clean = {}
-        for m, c in terms.items():
-            c = c if isinstance(c, Fraction) else Fraction(c)
-            if c:
-                clean[m] = c
-        return MultiPoly(clean)
+        """From {tuple monomial: int or Fraction coefficient}."""
+        packed: dict = {}
+        for mono, c in terms.items():
+            m = _pack(mono)
+            packed[m] = packed.get(m, 0) + Fraction(c)
+        den = lcm(*(c.denominator for c in packed.values()))
+        return _make({m: c.numerator * (den // c.denominator)
+                      for m, c in packed.items() if c}, den)
 
     @staticmethod
     def zero() -> "MultiPoly":
-        return MultiPoly({})
+        return MultiPoly({}, 1, -1)
 
     @staticmethod
     def const(q) -> "MultiPoly":
         q = q if isinstance(q, Fraction) else Fraction(q)
-        return MultiPoly({MONO_ONE: q} if q else {})
+        if not q:
+            return MultiPoly.zero()
+        return MultiPoly({0: q.numerator}, q.denominator, 0)
 
     @staticmethod
     def one() -> "MultiPoly":
-        return MultiPoly({MONO_ONE: Fraction(1)})
+        return MultiPoly({0: 1}, 1, 0)
 
     @staticmethod
     def var(gid: int, exp: int = 1) -> "MultiPoly":
         if exp == 0:
             return MultiPoly.one()
-        return MultiPoly({((gid, exp),): Fraction(1)})
+        return MultiPoly({_pack(((gid, exp),)): 1}, 1, exp)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and MONO_ONE in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def const_value(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
-        return self.terms[MONO_ONE]
+        return Fraction(self.terms[0], self.den)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
+        if self._deg is None:
+            self._deg = _deg(self.terms)
+        return self._deg
 
     def deg_in(self, gid: int) -> int:
         return _deg_in(self.terms, gid)
@@ -288,24 +328,54 @@ class MultiPoly:
 
     def leading(self):
         """(monomial, coefficient) of the leading term under graded-lex."""
-        m = max(self.terms, key=mono_key)
-        return m, self.terms[m]
+        m = _lead(self.terms)
+        return tuple(mono_items(m)), Fraction(self.terms[m], self.den)
+
+    def _plus(self, sign: int, other: "MultiPoly") -> "MultiPoly":
+        """self + sign * other."""
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other if sign == 1 else -other
+        da, db = self.den, other.den
+        if da == db:
+            terms = _dict_add(self.terms, 1, other.terms, sign)
+        else:
+            g = int_gcd(da, db)
+            terms = _dict_add(self.terms, db // g, other.terms,
+                              sign * (da // g))
+            da = da // g * db
+        # the leading degree cannot cancel when the two differ
+        x, y = self._deg, other._deg
+        deg = None if x is None or y is None or x == y else max(x, y)
+        return _make(terms, da, deg)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        return MultiPoly(_dict_add(self.terms, other.terms))
+        return self._plus(1, other)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return MultiPoly(_dict_add(self.terms, _dict_neg(other.terms)))
+        return self._plus(-1, other)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(_dict_neg(self.terms))
+        return MultiPoly(_dict_neg(self.terms), self.den, self._deg)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        if _degree_limit is not None and self.terms and other.terms:
-            if self.degree() + other.degree() > _degree_limit:
-                raise DegreeOverflow(
-                    f"product degree exceeds limit {_degree_limit}")
-        return MultiPoly(_dict_mul(self.terms, other.terms))
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return MultiPoly.zero()
+        if len(b) == 1 and 0 in b:
+            return self._times(b[0], other.den)
+        if len(a) == 1 and 0 in a:
+            return other._times(a[0], self.den)
+        deg = self.degree() + other.degree()
+        return _make(_dict_mul(a, b, deg), self.den * other.den, deg)
+
+    def _times(self, n: int, d: int) -> "MultiPoly":
+        """self * n/d for a nonzero constant n/d in lowest terms, d > 0."""
+        if n == 1 and d == 1:
+            return self
+        return _make({m: c * n for m, c in self.terms.items()},
+                     self.den * d, self._deg)
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
@@ -320,17 +390,18 @@ class MultiPoly:
                 base = base * base
         return result
 
-    def scale(self, q: Fraction) -> "MultiPoly":
-        if not q:
-            return MultiPoly({})
-        return MultiPoly({m: c * q for m, c in self.terms.items()})
+    def scale(self, q) -> "MultiPoly":
+        if not q or not self.terms:
+            return MultiPoly.zero()
+        return self._times(q.numerator, q.denominator)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MultiPoly) and self.terms == other.terms
+        return (isinstance(other, MultiPoly) and self.den == other.den
+                and self.terms == other.terms)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = hash((frozenset(self.terms.items()), self.den))
         return self._hash
 
     def __repr__(self) -> str:
@@ -338,109 +409,83 @@ class MultiPoly:
             return "MultiPoly(0)"
         bits = []
         for m in sorted(self.terms, key=mono_key, reverse=True):
-            bits.append(f"{self.terms[m]}*{m}")
+            c = Fraction(self.terms[m], self.den)
+            bits.append(f"{c}*{tuple(mono_items(m))}")
         return "MultiPoly(" + " + ".join(bits) + ")"
 
     def partial(self, gid: int) -> "MultiPoly":
         """Formal partial derivative with respect to one generator."""
-        out: dict = {}
+        shift = gid * W
+        unit = 1 << shift
+        out = {}
         for m, c in self.terms.items():
-            for i, (g, e) in enumerate(m):
-                if g == gid:
-                    if e == 1:
-                        nm = m[:i] + m[i + 1:]
-                    else:
-                        nm = m[:i] + ((g, e - 1),) + m[i + 1:]
-                    nc = c * e
-                    s = out.get(nm)
-                    out[nm] = nc if s is None else s + nc
-                    break
-        return MultiPoly({m: c for m, c in out.items() if c})
+            e = (m >> shift) & _FIELD
+            if e:
+                out[m - unit] = c * e
+        return _make(out, self.den)
 
     def conj_gen(self, gid: int) -> "MultiPoly":
         """Substitute g -> -g: negate terms of odd degree in g."""
-        out = {}
-        for m, c in self.terms.items():
-            deg = 0
-            for g, e in m:
-                if g == gid:
-                    deg = e
-                    break
-            out[m] = -c if deg & 1 else c
-        return MultiPoly(out)
+        shift = gid * W
+        return MultiPoly({m: -c if (m >> shift) & 1 else c
+                          for m, c in self.terms.items()},
+                         self.den, self._deg)
 
     def split_powers(self, gid: int) -> dict:
         """Map exponent-of-gid -> polynomial coefficient (gid removed)."""
-        return {k: MultiPoly(d) for k, d in _to_uni(self.terms, gid).items()}
+        return {k: _make(d, self.den)
+                for k, d in _to_uni(self.terms, gid).items()}
 
     def split_by(self, gids) -> dict:
         """Map each monomial in gids -> polynomial coefficient (gids removed)."""
-        return {k: MultiPoly(d) for k, d in _split_by(self.terms, gids).items()}
+        return {tuple(mono_items(k)): _make(d, self.den)
+                for k, d in _split_by(self.terms, gids).items()}
 
     def evaluate(self, values: dict):
         """Evaluate at values[gid]; works for Fractions, floats, complex."""
         total = None
         for m, c in self.terms.items():
-            v = c
-            for g, e in m:
+            v = Fraction(c, self.den)
+            for g, e in mono_items(m):
                 v = v * values[g] ** e
             total = v if total is None else total + v
         return 0 if total is None else total
+
+
+def _int_content(p: dict) -> int:
+    g = 0
+    for c in p.values():
+        g = int_gcd(g, c)
+        if g == 1:
+            break
+    return g or 1
 
 
 def poly_divexact(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
     """p / q when the division is exact, else None."""
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    quot = _divexact(p.terms, q.terms, truediv)
-    return None if quot is None else MultiPoly(quot)
+    # By Gauss's lemma q divides p over Q exactly when q's primitive part
+    # divides p's integer terms over Z.
+    cont = _int_content(q.terms)
+    qt = q.terms if cont == 1 else {m: c // cont for m, c in q.terms.items()}
+    quot = _divexact(p.terms, qt)
+    if quot is None:
+        return None
+    if q.den != 1:
+        quot = {m: c * q.den for m, c in quot.items()}
+    return _make(quot, p.den * cont)
 
 
 # ---------------------------------------------------------------------------
-# GCD over cleared integer coefficients.
-
-def _int_clear(p: MultiPoly) -> dict:
-    """Scale to integer coefficients; returns a mono -> int dict."""
-    lcm = 1
-    for c in p.terms.values():
-        d = c.denominator
-        lcm = lcm // int_gcd(lcm, d) * d
-    return {m: int(c * lcm) for m, c in p.terms.items()}
-
-
-def _int_content(p: dict) -> int:
-    g = 0
-    for c in p.values():
-        g = int_gcd(g, abs(c))
-        if g == 1:
-            break
-    return g or 1
-
-
-def _iquot(c: int, qc: int) -> int | None:
-    f, r = divmod(c, qc)
-    return None if r else f
-
+# GCD over the integer term dicts.
 
 def _idivexact(p: dict, q: dict) -> dict:
     """Exact division of integer-coefficient polys (asserts exactness)."""
-    quot = _divexact(p, q, _iquot)
+    quot = _divexact(p, q)
     if quot is None:
         raise ArithmeticError("inexact polynomial division")
     return quot
-
-
-def _from_uni(u: dict, gid: int) -> dict:
-    out: dict = {}
-    for deg, coeff in u.items():
-        if deg == 0:
-            for m, c in coeff.items():
-                out[m] = out.get(m, 0) + c
-        else:
-            gm = ((gid, deg),)
-            for m, c in coeff.items():
-                out[mono_mul(m, gm)] = c
-    return {m: c for m, c in out.items() if c}
 
 
 def _fold_gcd(polys: list) -> dict:
@@ -448,14 +493,14 @@ def _fold_gcd(polys: list) -> dict:
     polys = sorted(polys, key=len)
     cont = polys[0]
     for i, coeff in enumerate(polys[1:], start=1):
-        if len(cont) == 1 and MONO_ONE in cont:
+        if len(cont) == 1 and 0 in cont:
             # Constant running gcd: only integer content can still shrink.
-            g = abs(cont[MONO_ONE])
+            g = abs(cont[0])
             for rest in polys[i:]:
                 g = int_gcd(g, _int_content(rest))
                 if g == 1:
                     break
-            return {MONO_ONE: g}
+            return {0: g}
         cont = _igcd(cont, coeff)
     return cont
 
@@ -489,22 +534,19 @@ _cert_seed = 0x5EED
 def _eval_uni_mod(p: dict, v: int, vals: dict) -> list | None:
     """Image of p in Z_P[v] at vals; None if the leading coeff drops."""
     P = _CERT_PRIME
+    shift = v * W
     degv = _deg_in(p, v)
     coeffs = [0] * (degv + 1)
     cache: dict = {}
     for m, c in p.items():
-        d = 0
+        d = (m >> shift) & _FIELD
         acc = c % P
-        for g, e in m:
-            if g == v:
-                d = e
-            else:
-                key = (g, e)
-                pw = cache.get(key)
-                if pw is None:
-                    pw = pow(vals[g], e, P)
-                    cache[key] = pw
-                acc = acc * pw % P
+        for key in mono_items(m - (d << shift)):
+            pw = cache.get(key)
+            if pw is None:
+                g, e = key
+                pw = cache[key] = pow(vals[g], e, P)
+            acc = acc * pw % P
         coeffs[d] = (coeffs[d] + acc) % P
     if coeffs[degv] == 0:
         return None
@@ -570,12 +612,13 @@ def _pseudo_rem(a: dict, b: dict) -> dict:
         nr: dict = {}
         for k, c in r.items():
             if k != dr:
-                nr[k] = _dict_mul(c, lb)
+                nr[k] = _imul(c, lb)
         for k, c in b.items():
             if k != db:
                 kk = k + dr - db
-                prod = _dict_neg(_dict_mul(c, lr))
-                nr[kk] = _dict_add(nr[kk], prod) if kk in nr else prod
+                prod = _imul(c, lr)
+                nr[kk] = (_dict_add(nr[kk], 1, prod, -1) if kk in nr
+                          else _dict_neg(prod))
         r = {k: c for k, c in nr.items() if c}
     return r
 
@@ -586,11 +629,11 @@ def _igcd(p: dict, q: dict) -> dict:
         return _pos_lc(q)
     if not q:
         return _pos_lc(p)
-    p_const = len(p) == 1 and MONO_ONE in p
-    q_const = len(q) == 1 and MONO_ONE in q
+    p_const = len(p) == 1 and 0 in p
+    q_const = len(q) == 1 and 0 in q
     if p_const or q_const:
         g = int_gcd(_int_content(p), _int_content(q))
-        return {MONO_ONE: g}
+        return {0: g}
 
     gens = _gens_of(p)
     qgens = _gens_of(q)
@@ -601,10 +644,10 @@ def _igcd(p: dict, q: dict) -> dict:
     shared = gens & qgens
     if not shared:
         g = int_gcd(_int_content(p), _int_content(q))
-        return {MONO_ONE: g}
+        return {0: g}
     if _certify_coprime(p, q, shared):
         g = int_gcd(_int_content(p), _int_content(q))
-        return {MONO_ONE: g}
+        return {0: g}
     if gens - shared:
         return _igcd(_content_over(p, gens - shared), q)
     if qgens - shared:
@@ -626,22 +669,27 @@ def _igcd(p: dict, q: dict) -> dict:
             break
         if max(r) == 0:
             # Nonzero v-free remainder: primitive parts are coprime in v.
-            b = {0: {MONO_ONE: 1}}
+            b = {0: {0: 1}}
             break
         rc = _uni_content(r)
         r = {k: _idivexact(c, rc) for k, c in r.items()}
         a, b = b, r
-    g = _from_uni({k: _dict_mul(c, cont) for k, c in b.items()}, v)
+    g = _from_uni({k: _imul(c, cont) for k, c in b.items()}, v)
     return _pos_lc(g)
 
 
 def _pos_lc(p: dict) -> dict:
-    if not p:
-        return p
-    m = max(p, key=mono_key)
-    if p[m] < 0:
+    if p and p[_lead(p)] < 0:
         return _dict_neg(p)
     return p
+
+
+def _monic(p: dict) -> MultiPoly:
+    """p over its leading coefficient."""
+    lc = p[_lead(p)]
+    if lc < 0:
+        p, lc = _dict_neg(p), -lc
+    return _make(p, lc)
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -649,19 +697,9 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if p.is_zero() and q.is_zero():
         return MultiPoly.zero()
     if p.is_zero():
-        return _monic(q)
+        return _monic(q.terms)
     if q.is_zero():
-        return _monic(p)
+        return _monic(p.terms)
     if p.is_const() or q.is_const():
         return MultiPoly.one()
-    g = _igcd(_int_clear(p), _int_clear(q))
-    return _monic(MultiPoly({m: Fraction(c) for m, c in g.items()}))
-
-
-def _monic(p: MultiPoly) -> MultiPoly:
-    if p.is_zero():
-        return p
-    _, lc = p.leading()
-    if lc == 1:
-        return p
-    return p.scale(1 / lc)
+    return _monic(_igcd(p.terms, q.terms))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from . import fmt
 from .errors import (CyclicDefinition, DiffAlgError, FieldMismatch,
@@ -414,6 +415,13 @@ class Tower:
         r = self._coerce_below(radicand)
         if r.is_zero():
             raise InvalidDefiningData("square root of zero")
+        if r.is_const():
+            # with s^2 = a^2 for a rational a, s - a is a zero divisor
+            q = r.const_value()
+            if q > 0 and all(isqrt(n) ** 2 == n
+                             for n in (q.numerator, q.denominator)):
+                raise InvalidDefiningData(
+                    f"radicand {q} is the square of a rational")
         return self._append(Generator(self._next_gid(), name,
                                       AlgebraicSqrt(r)))
 

@@ -133,6 +133,19 @@ def test_degree_limit_reset_after_run(tower_file, capsys):
     assert poly.get_degree_limit() is None
 
 
+def test_exponent_field_overflow_maps_to_error(tower_file, capsys):
+    # past the packed exponent field a product is refused, never wrapped
+    # around, also under a larger --max-degree
+    msg = ("polynomial too large: degree 32768 exceeds the exponent field "
+           "limit 32767")
+    argv = ["derive", tower_file(X_ONLY), "-e", "x^40000",
+            "--max-degree", "100000"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {msg}\n")
+    assert main(argv + ["--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["residues"] == [msg]
+
+
 @pytest.mark.parametrize("limit", ["0", "-5"])
 def test_max_degree_below_one_is_a_usage_error(tower_file, capsys, limit):
     with pytest.raises(SystemExit) as exc:
@@ -273,6 +286,21 @@ def test_verify_zero_divisor_log_stays_error(tower_file, form_file, capsys,
             "denominator is a zero divisor modulo the relations\n")
         assert main(argv + ["--json"]) == 2
         assert json.loads(capsys.readouterr().out)["verdict"] == "ERROR"
+
+
+def test_square_constant_radicand_maps_to_error(tower_file, form_file,
+                                                capsys):
+    # s = sqrt(4) is 2 on one branch, so v0 = s*x does integrate 2; the
+    # tower is refused instead of answering FAIL with residue 2 - s
+    tower = tower_file(X_ONLY + "gen s = sqrt(4)\n")
+    argv = ["verify", tower, "--integrand", "2", "--form",
+            form_file("v0 = s*x")]
+    msg = "invalid defining data: radicand 4 is the square of a rational"
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {msg}\n")
+    assert main(argv + ["--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
 
 
 @pytest.mark.parametrize("expr, column", [("x^" + "9" * 5000, 3),

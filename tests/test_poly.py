@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffalg import poly
 from diffalg.errors import DegreeOverflow
 from diffalg.poly import (MONO_ONE, MultiPoly, get_degree_limit,
                           poly_divexact, poly_gcd, set_degree_limit)
@@ -177,3 +178,105 @@ def test_divexact_inexact_exactly_when_sympy_leaves_a_remainder(p, q, mult):
         p = p * q
     remainder = to_sympy(p).rem(to_sympy(q))
     assert (poly_divexact(p, q) is None) == (not remainder.is_zero)
+
+
+def test_degree_limit_bounds_the_gcd_pseudo_remainders():
+    # inputs of degree 7 and 6 whose pseudo-remainder sequence multiplies
+    # up to degree 10: the guard covers the gcd's own products too
+    g = X * Y + ONE
+    p = g * (X ** 3 * Y ** 2 + X + ONE)
+    q = g * (X ** 3 * Y + ONE)
+    assert poly_gcd(p, q) == g
+    set_degree_limit(7)
+    try:
+        with pytest.raises(DegreeOverflow):
+            poly_gcd(p, q)
+    finally:
+        set_degree_limit(None)
+
+
+# -- the packed kernel against sympy, over sparse and large generator ids ----
+
+SPARSE_GIDS = (0, 1, 5, 40, 400)
+SPARSE_GENS = {g: sympy.Symbol(f"g{g}") for g in SPARSE_GIDS}
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def glex_key(mono):
+    """Graded lex on tuple monomials, later generator-ids more significant."""
+    return (sum(e for _, e in mono), tuple(reversed(mono)))
+
+
+@st.composite
+def sparse_terms(draw, max_terms=4):
+    """{tuple monomial: nonzero Fraction} over a few of SPARSE_GIDS."""
+    gids = sorted(draw(st.sets(st.sampled_from(SPARSE_GIDS), min_size=1,
+                               max_size=3)))
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = tuple((g, e) for g in gids if (e := draw(exps)))
+        terms[mono] = terms.get(mono, 0) + draw(rationals)
+    return {m: c for m, c in terms.items() if c}
+
+
+def sparse_sympy(p: MultiPoly) -> sympy.Poly:
+    return sympy.Poly(p.evaluate(SPARSE_GENS), *SPARSE_GENS.values(),
+                      domain="QQ")
+
+
+@given(sparse_terms(), sparse_terms())
+@settings(max_examples=60, deadline=None)
+def test_kernel_arithmetic_matches_sympy(a, b):
+    p, q = MultiPoly.from_dict(a), MultiPoly.from_dict(b)
+    sp, sq = sparse_sympy(p), sparse_sympy(q)
+    assert sparse_sympy(p * q) == sp * sq
+    assert sparse_sympy(p + q) == sp + sq
+    assert sparse_sympy(p - q) == sp - sq
+    for g, sym in SPARSE_GENS.items():
+        assert sparse_sympy(p.partial(g)) == sp.diff(sym)
+    if not q.is_zero():
+        assert poly_divexact(p * q, q) == p
+        quot, rem = sp.div(sq)
+        got = poly_divexact(p, q)
+        assert (got is None) == (not rem.is_zero)
+        if got is not None:
+            assert sparse_sympy(got) == quot
+
+
+@given(sparse_terms(max_terms=6))
+@settings(max_examples=60, deadline=None)
+def test_leading_is_the_graded_lex_maximum(terms):
+    if not terms:
+        return
+    m = max(terms, key=glex_key)
+    assert MultiPoly.from_dict(terms).leading() == (m, terms[m])
+
+
+@given(sparse_terms(), rationals.filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_scaling_round_trip_is_canonical(terms, q):
+    p = MultiPoly.from_dict(terms)
+    back = p.scale(q).scale(1 / q)
+    assert back == p and hash(back) == hash(p)
+    # built term by term, the same polynomial has the same representation
+    summed = MultiPoly.zero()
+    for mono, c in terms.items():
+        summed = summed + MultiPoly.from_dict({mono: 1}).scale(c)
+    assert summed == p and hash(summed) == hash(p)
+
+
+@pytest.mark.parametrize("gid", [0, 40, 400])
+def test_exponent_past_the_field_raises(gid):
+    assert get_degree_limit() is None
+    top = MultiPoly.var(gid, poly.DEG_MAX)  # the largest exponent held
+    assert top.degree() == poly.DEG_MAX
+    assert (MultiPoly.var(gid, poly.DEG_MAX - 1) * MultiPoly.var(gid)
+            == top)
+    with pytest.raises(DegreeOverflow, match="exponent field"):
+        top * MultiPoly.var(gid)
+    with pytest.raises(DegreeOverflow, match="exponent field"):
+        top * MultiPoly.var(0 if gid else 1)
+    with pytest.raises(DegreeOverflow, match="exponent field"):
+        (MultiPoly.var(gid, 20000) + ONE) ** 2
+    with pytest.raises(DegreeOverflow, match="exponent field"):
+        MultiPoly.from_dict({((gid, poly.DEG_MAX + 1),): 1})

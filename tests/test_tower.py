@@ -320,6 +320,16 @@ def test_invalid_defining_data():
         ab.ellint("P", 3, ab["p"], ab["p_q"])  # third kind needs the pole
 
 
+@pytest.mark.parametrize("q", [4, Fraction(9, 16), Fraction(1, 25), 1])
+def test_sqrt_of_a_rational_square_is_refused(q):
+    # s = sqrt(q) with q a square would make s - sqrt(q) a zero divisor
+    t = Tower.base().var("x")
+    with pytest.raises(InvalidDefiningData, match="square of a rational"):
+        t.sqrt_ext("s", q)
+    for nonsquare in (2, -4, Fraction(4, 3), 136):
+        t.sqrt_ext("s", nonsquare)
+
+
 def test_wrap_rejects_foreign_gids():
     t = Tower.base().var("x")
     taller = t.exp_ext("t", t["x"])
