@@ -31,8 +31,15 @@ them.  Outside this module only the printer (fmt.py) reads monomials.
 The public views from_dict, leading and split_by speak tuple monomials,
 ((gid, exp), ...) sorted by gid, with MONO_ONE = () the unit.
 
-GCDs use recursive content/primitive-part elimination over the last
-variable, on the integer term dicts: the denominator is a unit over Q.
+GCDs run on the integer term dicts (the denominator is a unit over Q).
+A modular certificate first proves most coprime pairs coprime.  The
+heuristic gcd GCDHEU then evaluates at large integers, takes integer
+gcds and reads the candidate back from xi-adic digits, and accepts it
+only when it divides both inputs exactly.  When GCDHEU gives up (a few
+evaluation points, or a fixed bit budget on the evaluated coefficients),
+recursive content/primitive-part elimination by pseudo-remainders over
+the last variable gives the exact answer.  Every recursive content gcd
+takes the same route.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd as int_gcd
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import DegreeOverflow, ExponentOverflow
 
@@ -461,6 +468,11 @@ def _int_content(p: dict) -> int:
     return g or 1
 
 
+def _primitive(p: dict, cont: int) -> dict:
+    """p over its integer content cont."""
+    return p if cont == 1 else {m: c // cont for m, c in p.items()}
+
+
 def poly_divexact(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
     """p / q when the division is exact, else None."""
     if q.is_zero():
@@ -468,8 +480,7 @@ def poly_divexact(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
     # By Gauss's lemma q divides p over Q exactly when q's primitive part
     # divides p's integer terms over Z.
     cont = _int_content(q.terms)
-    qt = q.terms if cont == 1 else {m: c // cont for m, c in q.terms.items()}
-    quot = _divexact(p.terms, qt)
+    quot = _divexact(p.terms, _primitive(q.terms, cont))
     if quot is None:
         return None
     if q.den != 1:
@@ -623,31 +634,107 @@ def _pseudo_rem(a: dict, b: dict) -> dict:
     return r
 
 
+# Heuristic gcd, GCDHEU (Char, Geddes & Gonnet 1989, J. Symb. Comp. 7;
+# Geddes, Czapor & Labahn 1992, Algorithms for Computer Algebra, 7.7).
+# Set the highest generator v to an integer xi above 1 + 2*min(|f|, |g|)
+# (max-norms of the primitive parts), take the gcd of the images by the
+# same method down to integers, and read a candidate back from the
+# symmetric xi-adic digits of that gcd.  With xi above that bound, a
+# primitive candidate that divides both inputs exactly is their gcd (GCL
+# Thm 7.7).  Any other outcome grows xi.  The method gives up (None) after
+# _HEU_TRIES values, or before an image coefficient could pass _HEU_BITS,
+# and the pseudo-remainder sequence below takes over.
+
+_HEU_TRIES = 6
+_HEU_BITS = 1 << 17
+
+
+def _eval_gen(p: dict, v: int, xi: int) -> dict:
+    """p with generator v set to xi."""
+    out: dict = {}
+    for e, coeff in _to_uni(p, v).items():
+        out = _dict_add(out, 1, coeff, xi ** e)
+    return out
+
+
+def _xi_adic(gamma: dict, v: int, xi: int, top: int) -> dict | None:
+    """The polynomial whose coefficients of v^0, v^1, ... are the symmetric
+    xi-adic digits, in (-xi/2, xi/2], of gamma's coefficients; None when
+    that needs a power of v past top."""
+    shift = v * W
+    half = xi >> 1
+    h = {}
+    for m, c in gamma.items():
+        e = 0
+        while c:
+            if e > top:
+                return None
+            c, d = divmod(c, xi)
+            if d > half:
+                d -= xi
+                c += 1
+            if d:
+                h[m + (e << shift)] = d
+            e += 1
+    return h
+
+
+def _heu_gcd(f: dict, g: dict) -> dict | None:
+    """gcd(f, g) up to sign by GCDHEU, or None when it gives up."""
+    if not f or not g:
+        return f or g
+    cf, cg = _int_content(f), _int_content(g)
+    cont = int_gcd(cf, cg)
+    if (len(f) == 1 and 0 in f) or (len(g) == 1 and 0 in g):
+        return {0: cont}
+    f, g = _primitive(f, cf), _primitive(g, cg)
+    v = (max(max(f), max(g)).bit_length() - 1) // W
+    df, dg = _deg_in(f, v), _deg_in(g, v)
+    nf, ng = max(map(abs, f.values())), max(map(abs, g.values()))
+    xi = 2 * min(nf, ng) + 2
+    # an image coefficient of p is below |p| * len(p) * xi^deg_v(p)
+    bf = nf.bit_length() + len(f).bit_length()
+    bg = ng.bit_length() + len(g).bit_length()
+    for _ in range(_HEU_TRIES):
+        if max(bf + df * xi.bit_length(),
+               bg + dg * xi.bit_length()) > _HEU_BITS:
+            return None
+        gamma = _heu_gcd(_eval_gen(f, v, xi), _eval_gen(g, v, xi))
+        if gamma is None:
+            return None
+        h = _xi_adic(gamma, v, xi, min(df, dg))
+        if h:
+            h = _primitive(h, _int_content(h))
+            if _divexact(f, h) is not None and _divexact(g, h) is not None:
+                return {m: c * cont for m, c in h.items()}
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
 def _igcd(p: dict, q: dict) -> dict:
     """GCD of integer-coefficient polynomial dicts (sign-normalized)."""
     if not p:
         return _pos_lc(q)
     if not q:
         return _pos_lc(p)
-    p_const = len(p) == 1 and 0 in p
-    q_const = len(q) == 1 and 0 in q
-    if p_const or q_const:
-        g = int_gcd(_int_content(p), _int_content(q))
-        return {0: g}
+    # The gcd divides both, so it lives in the shared variables; a
+    # constant has none.
+    shared = _gens_of(p) & _gens_of(q)
+    if not shared or _certify_coprime(p, q, shared):
+        return {0: int_gcd(_int_content(p), _int_content(q))}
+    g = _heu_gcd(p, q)
+    return _prs_gcd(p, q) if g is None else _pos_lc(g)
 
+
+def _prs_gcd(p: dict, q: dict) -> dict:
+    """GCD of integer-coefficient polynomial dicts that share a generator,
+    by a primitive pseudo-remainder sequence: the exact fallback of
+    _igcd."""
     gens = _gens_of(p)
     qgens = _gens_of(q)
-
-    # The gcd divides both, so it lives in the shared variables.  Project
-    # each input to its content over the variables only it mentions, then
-    # eliminate inside the shared ring.
+    # Project each input to its content over the variables only it
+    # mentions, then eliminate inside the shared ring.
     shared = gens & qgens
-    if not shared:
-        g = int_gcd(_int_content(p), _int_content(q))
-        return {0: g}
-    if _certify_coprime(p, q, shared):
-        g = int_gcd(_int_content(p), _int_content(q))
-        return {0: g}
     if gens - shared:
         return _igcd(_content_over(p, gens - shared), q)
     if qgens - shared:

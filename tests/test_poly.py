@@ -180,13 +180,38 @@ def test_divexact_inexact_exactly_when_sympy_leaves_a_remainder(p, q, mult):
     assert (poly_divexact(p, q) is None) == (not remainder.is_zero)
 
 
-def test_degree_limit_bounds_the_gcd_pseudo_remainders():
+def _guarded_gcd_inputs():
     # inputs of degree 7 and 6 whose pseudo-remainder sequence multiplies
-    # up to degree 10: the guard covers the gcd's own products too
+    # up to degree 10
     g = X * Y + ONE
-    p = g * (X ** 3 * Y ** 2 + X + ONE)
-    q = g * (X ** 3 * Y + ONE)
-    assert poly_gcd(p, q) == g
+    return g, g * (X ** 3 * Y ** 2 + X + ONE), g * (X ** 3 * Y + ONE)
+
+
+def test_degree_limit_bounds_the_gcd_pseudo_remainders():
+    # the heuristic gcd forms no products, so the guard is seen on the
+    # pseudo-remainder fallback called directly
+    g, p, q = _guarded_gcd_inputs()
+    assert poly._prs_gcd(p.terms, q.terms) == g.terms
+    set_degree_limit(7)
+    try:
+        with pytest.raises(DegreeOverflow):
+            poly._prs_gcd(p.terms, q.terms)
+        assert poly_gcd(p, q) == g
+    finally:
+        set_degree_limit(None)
+
+
+def test_gcd_falls_back_past_the_bit_budget(monkeypatch):
+    g, p, q = _guarded_gcd_inputs()
+    prems = []
+    pseudo_rem = poly._pseudo_rem
+    monkeypatch.setattr(poly, "_pseudo_rem",
+                        lambda a, b: prems.append(1) or pseudo_rem(a, b))
+    assert poly_gcd(p, q) == g and prems == []
+    monkeypatch.setattr(poly, "_HEU_BITS", 4)
+    got = poly_gcd(p, q)
+    assert prems and got == g
+    assert to_sympy(got) == sympy.gcd(to_sympy(p), to_sympy(q)).monic()
     set_degree_limit(7)
     try:
         with pytest.raises(DegreeOverflow):
@@ -208,14 +233,14 @@ def glex_key(mono):
 
 
 @st.composite
-def sparse_terms(draw, max_terms=4):
-    """{tuple monomial: nonzero Fraction} over a few of SPARSE_GIDS."""
+def sparse_terms(draw, max_terms=4, coeffs=rationals):
+    """{tuple monomial: nonzero coefficient} over a few of SPARSE_GIDS."""
     gids = sorted(draw(st.sets(st.sampled_from(SPARSE_GIDS), min_size=1,
                                max_size=3)))
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         mono = tuple((g, e) for g in gids if (e := draw(exps)))
-        terms[mono] = terms.get(mono, 0) + draw(rationals)
+        terms[mono] = terms.get(mono, 0) + draw(coeffs)
     return {m: c for m, c in terms.items() if c}
 
 
@@ -241,6 +266,25 @@ def test_kernel_arithmetic_matches_sympy(a, b):
         assert (got is None) == (not rem.is_zero)
         if got is not None:
             assert sparse_sympy(got) == quot
+
+
+big_ints = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+
+
+@given(sparse_terms(coeffs=big_ints), sparse_terms(coeffs=big_ints),
+       sparse_terms(max_terms=3, coeffs=big_ints))
+@settings(max_examples=60, deadline=None)
+def test_gcd_over_sparse_generators_matches_sympy(a, b, c):
+    # each operand draws its own generators, so one often holds generators
+    # the other lacks; r is a planted common factor
+    r = MultiPoly.from_dict(c)
+    p, q = MultiPoly.from_dict(a) * r, MultiPoly.from_dict(b) * r
+    g = sparse_sympy(poly_gcd(p, q))
+    want = sympy.gcd(sparse_sympy(p), sparse_sympy(q))
+    if want.is_zero:
+        assert g.is_zero
+    else:
+        assert g.monic() == want.monic()
 
 
 @given(sparse_terms(max_terms=6))
