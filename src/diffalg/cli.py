@@ -232,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    poly.set_degree_limit(args.max_degree)
+    token = poly.set_degree_limit(args.max_degree)
     started = time.monotonic()
     try:
         rep = args.func(args, started)
@@ -248,7 +248,7 @@ def main(argv=None) -> int:
                              sort_keys=True))
         return 2
     finally:
-        poly.set_degree_limit(None)
+        poly.reset_degree_limit(token)
     return _emit(rep, args.json)
 
 

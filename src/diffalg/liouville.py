@@ -299,7 +299,8 @@ def _cancels(p: CurvePoint, pc: CurvePoint) -> bool:
 def reduce_algebraic(t: Tower, s, f: Element, form: LiouvilleForm) -> LiouvilleForm:
     """Push the form through the top quadratic extension by averaging
     with its conjugate: v0 to trace/2, logs to norms, curve terms to the
-    conjugate-point sum with the Abel corrections."""
+    conjugate-point sum with the Abel corrections.  Each conjugate pair
+    of terms is pushed once, as half its trace."""
     gen = t._sqrt_gen(s)
     if gen.kind.companion_of is not None:
         raise UnsupportedHandle(
@@ -315,7 +316,20 @@ def reduce_algebraic(t: Tower, s, f: Element, form: LiouvilleForm) -> LiouvilleF
     v0 = t.trace(s, form.v0) * half
     new_terms = []
 
+    # A term and its conjugate have the same trace, so each orbit
+    # {T, conj T} is pushed once, with its coefficients summed, at the
+    # place where either first appears.  A term free of s is its own
+    # orbit.
+    orbits: dict = {}
     for coeff, term in form.terms:
+        bar = _map_term(term, lambda e: e.conj(s))
+        if bar in orbits:
+            term = bar
+        orbits[term] = orbits[term] + coeff if term in orbits else coeff
+
+    for term, coeff in orbits.items():
+        if coeff.is_zero():
+            continue  # the orbit's trace is zero
         touched = any(gen.gid in e.used_gids() for e in _term_fields(term))
         if not touched:
             new_terms.append((coeff, term))

@@ -21,7 +21,8 @@ Degree guard.  Q[gens] is an integral domain, so a product's total degree
 is deg a + deg b exactly.  Every product of two nonconstant polynomials,
 the gcd code's included, runs in one kernel, _dict_mul, which is given
 that degree and raises ExponentOverflow when it passes DEG_MAX, or
-DegreeOverflow when it passes the optional limit of set_degree_limit.
+DegreeOverflow when it passes the optional limit of set_degree_limit
+(a context variable, so it stays with the caller's thread or context).
 The check costs O(1) per product, and an exponent never wraps around
 into the next field.
 
@@ -30,6 +31,11 @@ as a function on the term dict, and the MultiPoly methods are views over
 them.  Outside this module only the printer (fmt.py) reads monomials.
 The public views from_dict, leading and split_by speak tuple monomials,
 ((gid, exp), ...) sorted by gid, with MONO_ONE = () the unit.
+
+Exact division runs in heap order.  One long-division loop, _divexact,
+does all of it; a max-heap of the remainder's monomials on the graded-lex
+key hands it each step's leading term, so no step rescans the remainder
+(Monagan & Pearce 2007, CASC).
 
 GCDs run on the integer term dicts (the denominator is a unit over Q).
 A modular certificate first proves most coprime pairs coprime.  The
@@ -45,7 +51,9 @@ takes the same route.
 from __future__ import annotations
 
 import random
+from contextvars import ContextVar, Token
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
 from math import isqrt, lcm
 
@@ -58,25 +66,33 @@ DEG_MAX = (1 << (W - 1)) - 1
 MONO_ONE = ()  # the unit of the tuple monomials the public views speak
 
 # Optional abort guard: when set, any product whose total degree would
-# exceed the limit raises DegreeOverflow.  The CLI sets this; library use
-# leaves it off.  _deg_cap is what the kernel compares against.
-_degree_limit: int | None = None
-_deg_cap = DEG_MAX
+# exceed the limit raises DegreeOverflow.  The CLI sets it for one call
+# and restores the caller's; library use leaves it off.  It is context-
+# local, so a limit set in one thread or context is not seen in another.
+# The pair is (limit, the cap the kernel compares against).
+_degree_guard: ContextVar = ContextVar("degree_guard",
+                                       default=(None, DEG_MAX))
 
 
-def set_degree_limit(limit: int | None) -> None:
-    global _degree_limit, _deg_cap
-    _degree_limit = limit
-    _deg_cap = DEG_MAX if limit is None else min(limit, DEG_MAX)
+def set_degree_limit(limit: int | None) -> Token:
+    """Set the limit in the current context; the token undoes it."""
+    cap = DEG_MAX if limit is None else min(limit, DEG_MAX)
+    return _degree_guard.set((limit, cap))
+
+
+def reset_degree_limit(token: Token) -> None:
+    """Restore the limit that set_degree_limit's token replaced."""
+    _degree_guard.reset(token)
 
 
 def get_degree_limit() -> int | None:
-    return _degree_limit
+    return _degree_guard.get()[0]
 
 
 def _refuse(deg: int):
-    if _degree_limit is not None and deg > _degree_limit:
-        raise DegreeOverflow(f"product degree exceeds limit {_degree_limit}")
+    limit = get_degree_limit()
+    if limit is not None and deg > limit:
+        raise DegreeOverflow(f"product degree exceeds limit {limit}")
     raise ExponentOverflow(f"degree {deg} exceeds the exponent field limit "
                            f"{DEG_MAX}")
 
@@ -153,7 +169,7 @@ def _dict_mul(a: dict, b: dict, deg: int) -> dict:
     kernel, and the one place that checks the degree guard."""
     if not a or not b:
         return {}
-    if deg > _deg_cap:
+    if deg > _degree_guard.get()[1]:
         _refuse(deg)
     if len(a) < len(b):
         a, b = b, a
@@ -228,25 +244,43 @@ def _divexact(p: dict, q: dict) -> dict | None:
         return quot
     qm = _lead(q)
     qc = q[qm]
-    guards = _guards(max(max(p).bit_length(), max(q).bit_length()))
+    rest = [(m2, c2) for m2, c2 in q.items() if m2 != qm]
+    nbits = max(max(p).bit_length(), max(q).bit_length())
+    guards = _guards(nbits)
+    top = (nbits // W + 1) * W  # every monomial below is under 1 << top
+    low = (1 << top) - 1
+    # The remainder's monomials wait in a min-heap on -key, where the key
+    # (m % _FIELD) << top | m orders like mono_key, so the leading term
+    # pops first.  A monomial is pushed each time it enters rem; an entry
+    # whose monomial has since cancelled is dropped when it pops.
     rem = dict(p)
+    heap = [-((m % _FIELD) << top | m) for m in rem]
+    heapify(heap)
     quot = {}
-    while rem:
-        m = max(rem, key=mono_key)
+    while heap:
+        m = -heappop(heap) & low
+        c = rem.pop(m, 0)
+        if not c:
+            continue
         fm = m - qm
         if fm < 0 or fm & guards:
             return None
-        fc, r = divmod(rem[m], qc)
+        fc, r = divmod(c, qc)
         if r:
             return None
         quot[fm] = fc
-        for m2, c2 in q.items():
+        for m2, c2 in rest:
             mm = fm + m2
-            s = rem.get(mm, 0) - fc * c2
-            if s:
-                rem[mm] = s
+            s = rem.get(mm)
+            if s is None:
+                rem[mm] = -fc * c2
+                heappush(heap, -((mm % _FIELD) << top | mm))
             else:
-                del rem[mm]
+                s -= fc * c2
+                if s:
+                    rem[mm] = s
+                else:
+                    del rem[mm]
     return quot
 
 

@@ -133,6 +133,18 @@ def test_degree_limit_reset_after_run(tower_file, capsys):
     assert poly.get_degree_limit() is None
 
 
+def test_library_degree_limit_survives_a_cli_call(capsys):
+    # main runs under its own --max-degree and then restores the caller's
+    token = poly.set_degree_limit(64)
+    try:
+        assert main(["abel", "--kind", "f"]) == 0
+        capsys.readouterr()
+        assert poly.get_degree_limit() == 64
+    finally:
+        poly.reset_degree_limit(token)
+    assert poly.get_degree_limit() is None
+
+
 def test_exponent_field_overflow_maps_to_error(tower_file, capsys):
     # past the packed exponent field a product is refused, never wrapped
     # around, also under a larger --max-degree

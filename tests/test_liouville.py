@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffalg import liouville
 from diffalg.curves import ThirdKindParam, phi_part
 from diffalg.errors import (FieldMismatch, FNotBelow, IntegrandNotReducible,
                             NonConstantCoefficient, NotConstant, PartNotBelow,
                             UnsupportedTermKind, ZeroDenominator)
 from diffalg.liouville import (LiouvilleForm, LogPhi, LPhi, WPhi, check_step1,
-                               form_derivative, phi_eval, reduce,
+                               form_derivative, log_canonical, phi_eval,
+                               reduce,
                                reduce_algebraic, reduce_top, verify_liouville,
                                x_constant)
 from diffalg.poly import MultiPoly
@@ -624,7 +626,7 @@ def test_reduce_algebraic_w3_unsupported():
         reduce_algebraic(t, sgid, f, form)
 
 
-def test_reduce_algebraic_l3_log_correction():
+def _l3_tower():
     t = Tower.base().const("m").const("pa").var("x")
     m, pa, x = t["m"], t["pa"], t["x"]
     big_e = (1 + m) / (2 * m)
@@ -633,21 +635,71 @@ def test_reduce_algebraic_l3_log_correction():
     t = t.sqrt_ext("y", a_val)
     t = t.sqrt_ext("delta", (1 - pa ** 2) * (1 - m * pa ** 2))
     t = t.sqrt_ext("s", r)
-    m, pa, x, y, delta, s = (t["m"], t["pa"], t["x"], t["y"], t["delta"],
-                             t["s"])
-    prm = ThirdKindParam(pa, delta)
-    prm.validate(m)
+    prm = ThirdKindParam(t["pa"], t["delta"])
+    prm.validate(t["m"])
+    return t, prm
+
+
+def _count_abel_calls(monkeypatch) -> dict:
+    """Count legendre_add and abel_log_argument at their liouville
+    bindings, which reduce_algebraic calls."""
+    calls = {"legendre_add": 0, "abel_log_argument": 0}
+    for name in calls:
+        fn = getattr(liouville, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(liouville, name, counted)
+    return calls
+
+
+def test_reduce_algebraic_l3_log_correction(monkeypatch):
+    t, prm = _l3_tower()
+    m, x, y, s = t["m"], t["x"], t["y"], t["s"]
     sgid = t.gen_of("s").gid
     form = LiouvilleForm(t.zero(),
                          [(Fraction(1, 2), LPhi(3, x + s, y, m, prm)),
                           (Fraction(1, 2), LPhi(3, x - s, y, m, prm))])
     f = form_derivative(t, form)
     assert (f - f.conj(sgid)).is_zero()
+    calls = _count_abel_calls(monkeypatch)
     out = reduce_algebraic(t, sgid, f, form)
+    # the two terms are one conjugate pair, pushed once
+    assert calls == {"legendre_add": 1, "abel_log_argument": 1}
     assert verify_liouville(out.tower, out.tower.wrap(f.rf), out)
     assert any(isinstance(term, LPhi) and term.kind == 3
                for _, term in out.terms)
     assert any(isinstance(term, LogPhi) for _, term in out.terms)
+
+
+def test_reduce_algebraic_pushes_each_orbit_once_in_order(monkeypatch):
+    # a conjugate log pair (conjugate first), a conjugate third-kind pair
+    # and an s-free log, interleaved: each pair is pushed once at the
+    # place where it first appears, and the s-free term keeps its place
+    t, prm = _l3_tower()
+    m, x, y, s = t["m"], t["x"], t["y"], t["s"]
+    sgid = t.gen_of("s").gid
+    form = LiouvilleForm(t.zero(),
+                         [(1, LogPhi(x - s)),
+                          (Fraction(1, 2), LPhi(3, x + s, y, m, prm)),
+                          (3, LogPhi(x)),
+                          (1, LogPhi(x + s)),
+                          (Fraction(1, 2), LPhi(3, x - s, y, m, prm))])
+    f = form_derivative(t, form)
+    assert (f - f.conj(sgid)).is_zero()
+    calls = _count_abel_calls(monkeypatch)
+    out = reduce_algebraic(t, sgid, f, form)
+    assert calls == {"legendre_add": 1, "abel_log_argument": 1}
+    assert verify_liouville(out.tower, out.tower.wrap(f.rf), out)
+    down = lambda e: out.tower.wrap(e.rf)
+    correction = down(-t["pa"] / (4 * t["delta"]))
+    assert [(type(term).__name__, cf) for cf, term in out.terms] == [
+        ("LogPhi", 1), ("LogPhi", correction), ("LPhi", Fraction(1, 2)),
+        ("LogPhi", 3)]
+    assert out.terms[0][1] == LogPhi(log_canonical(down(x * x - s * s)))
+    assert out.terms[3][1] == LogPhi(down(x))
 
 
 def test_reduce_algebraic_weierstrass_cancellation():

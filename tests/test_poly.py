@@ -1,5 +1,6 @@
 """Sparse multivariate polynomials: arithmetic, gcd, degree guard."""
 
+import threading
 from fractions import Fraction
 
 import pytest
@@ -45,11 +46,45 @@ def test_gcd_of_constants():
     assert poly_gcd(MultiPoly.const(6), MultiPoly.const(4)) == MultiPoly.one()
 
 
+def _divexact_matches_sympy(p: MultiPoly, q: MultiPoly, gids) -> bool:
+    """poly_divexact(p, q) against sympy's div over the generators gids;
+    True when the division was exact."""
+    syms = {g: sympy.Symbol(f"g{g}") for g in gids}
+    as_sympy = lambda e: sympy.Poly(e.evaluate(syms), *syms.values(),
+                                    domain="QQ")
+    quot, rem = sympy.div(as_sympy(p), as_sympy(q))
+    got = poly_divexact(p, q)
+    assert (got is None) == (not rem.is_zero)
+    if got is not None:
+        assert as_sympy(got) == quot
+    return got is not None
+
+
 def test_divexact():
     p = (X + Y) * (X - Y)
     assert poly_divexact(p, X + Y) == X - Y
     assert poly_divexact(p, X + ONE) is None
     assert poly_divexact(MultiPoly.zero(), X) == MultiPoly.zero()
+    # y^4 + x^2 y^2 + x^4 over y^2 + x y + x^2: the first step cancels
+    # the remainder's x^2 y^2, and the second brings it back, so its
+    # first heap entry is stale when it pops
+    q = Y * Y + X * Y + X * X
+    p = Y ** 4 + X * X * Y * Y + X ** 4
+    assert poly_divexact(p, q) == Y * Y - X * Y + X * X
+    assert _divexact_matches_sympy(p, q, (0, 1))
+    # the same division with a stray x is inexact, which shows only when x
+    # pops, after those cancellations
+    assert poly_divexact(p + X, q) is None
+    assert not _divexact_matches_sympy(p + X, q, (0, 1))
+    # generators 300 fields apart: x0^2 leads x300 by total degree, though
+    # x300 sits in the higher field, so the heap must order by the
+    # graded-lex key across fields
+    a, b = MultiPoly.var(0), MultiPoly.var(300)
+    q = a * a + b
+    p = q * (b * b - a ** 3 + ONE)
+    assert poly_divexact(p, q) == b * b - a ** 3 + ONE
+    assert _divexact_matches_sympy(p, q, (0, 300))
+    assert not _divexact_matches_sympy(p + b ** 3, q, (0, 300))
 
 
 def test_partial_and_evaluate():
@@ -74,6 +109,29 @@ def test_degree_limit_guard():
         (X + ONE) ** 4  # at the limit is fine
     finally:
         set_degree_limit(None)
+    assert get_degree_limit() is None
+
+
+def test_degree_limit_is_local_to_a_thread():
+    seen = {}
+
+    def other():
+        seen["limit"] = get_degree_limit()
+        seen["degree"] = ((X + ONE) ** 5).degree()
+        set_degree_limit(2)  # stays in this thread
+
+    token = set_degree_limit(4)
+    try:
+        worker = threading.Thread(target=other)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert seen == {"limit": None, "degree": 5}
+        assert get_degree_limit() == 4
+        with pytest.raises(DegreeOverflow):
+            (X + ONE) ** 5
+    finally:
+        poly.reset_degree_limit(token)
     assert get_degree_limit() is None
 
 
