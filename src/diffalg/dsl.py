@@ -18,6 +18,12 @@ Form documents declare v0 and phi terms:
     term m * l2(v, y, m)
 
 Expressions use +, -, *, /, ^ with non-negative integer exponents.
+Each is folded as one raw quotient by ratfunc.quotient and normalized
+once, at its end; only square-root powers are reduced on the way, and a
+division by an expression in a square root (a possible zero divisor) is
+normalized at once.  If the fold raises anything, as a raw product past
+--max-degree may, the expression is replayed with a normal form after
+every operator, so values and errors are those of Element arithmetic.
 Everything prints back through the canonical formatter, so parsing the
 printed text reproduces the same tower, bindings, and form.
 """
@@ -27,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import ThirdKindParam
-from .errors import NameClash, ParseError
+from .errors import DiffAlgError, NameClash, ParseError
 from .fmt import format_ratfunc
 from .liouville import LiouvilleForm, LogPhi, LPhi, PhiTerm, WPhi
+from .ratfunc import RatFunc, normal_form, quotient, reduce_powers
 from .tower import (AlgebraicSqrt, BaseVar, ConstParam, Element,
                     EllipticFunction, EllIntegralTag, Exponential, LambertW,
                     LogTag, Primitive, Tower)
@@ -68,9 +75,9 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(Token("INT", text[i:j], line, col))
             col += j - i
@@ -132,24 +139,29 @@ def _int_value(tok: Token) -> int:
 
 
 # --------------------------------------------------------------------------
-# Expressions: precedence climbing into Element arithmetic.
+# Expressions: precedence climbing; an atom is a RatFunc, an operation a pair.
 
 _BINARY = {"+": 10, "-": 10, "*": 20, "/": 20}
 
 
 def _parse_expr(ts: _Stream, env: dict, t: Tower,
-                stop_before_phikind: bool = False) -> Element:
-    start = ts.peek()
+                stop: bool = False) -> Element:
+    start, pos = ts.peek(), ts.pos
     try:
-        return _parse_binary(ts, env, t, 0, stop_before_phikind)
+        try:
+            v = _settle(_parse_binary(ts, env, t, False, 0, stop), t, True)
+        except DiffAlgError:  # replay as Element arithmetic, for its error
+            ts.pos = pos
+            v = _parse_binary(ts, env, t, True, 0, stop)
     except RecursionError:
         raise ParseError("expression nests too deeply",
                          start.line, start.col) from None
+    return Element(t, v)
 
 
-def _parse_binary(ts: _Stream, env: dict, t: Tower, min_prec: int,
-                  stop: bool) -> Element:
-    left = _parse_unary(ts, env, t, stop)
+def _parse_binary(ts: _Stream, env: dict, t: Tower, step: bool,
+                  min_prec: int, stop: bool):
+    left = _parse_unary(ts, env, t, step, stop)
     while True:
         tok = ts.peek()
         if tok.kind != "OP" or tok.text not in _BINARY:
@@ -162,47 +174,53 @@ def _parse_binary(ts: _Stream, env: dict, t: Tower, min_prec: int,
         if prec < min_prec:
             return left
         ts.next()
-        right = _parse_binary(ts, env, t, prec + 1, stop)
-        try:
-            if tok.text == "+":
-                left = left + right
-            elif tok.text == "-":
-                left = left - right
-            elif tok.text == "*":
-                left = left * right
-            else:
-                left = left / right
-        except ZeroDivisionError:
-            raise ParseError("division by zero", tok.line, tok.col)
+        right = _parse_binary(ts, env, t, step, prec + 1, stop)
+        divisor, _ = right  # one in a square root may be a zero divisor
+        full = step or tok.text == "/" and bool(
+            divisor.gens() & t.rels.radicands.keys())
+        left = _settle(quotient(tok.text, left, right), t, full,
+                       tok.text == "*")
 
 
-def _parse_unary(ts: _Stream, env: dict, t: Tower, stop: bool) -> Element:
+def _settle(v, t: Tower, full: bool, product: bool = True):
+    """Normal form if full, else square-root powers reduced after a
+    product, where Element's normal form would (sums keep them reduced)."""
+    if isinstance(v, RatFunc):  # an atom, already normal
+        return v
+    if full:
+        return normal_form(*v, t.rels)
+    return reduce_powers(*v, t.rels) if product and t.rels.radicands else v
+
+
+def _parse_unary(ts: _Stream, env: dict, t: Tower, step: bool, stop: bool):
     tok = ts.peek()
     if tok.kind == "OP" and tok.text == "-":
         ts.next()
-        return -_parse_unary(ts, env, t, stop)
-    return _parse_power(ts, env, t, stop)
+        v = _parse_unary(ts, env, t, step, stop)
+        return -v if isinstance(v, RatFunc) else (-v[0], v[1])
+    return _parse_power(ts, env, t, step, stop)
 
 
-def _parse_power(ts: _Stream, env: dict, t: Tower, stop: bool) -> Element:
-    base = _parse_atom(ts, env, t, stop)
+def _parse_power(ts: _Stream, env: dict, t: Tower, step: bool, stop: bool):
+    base = _parse_atom(ts, env, t, step, stop)
     tok = ts.peek()
     if tok.kind == "OP" and tok.text == "^":
         ts.next()
-        return base ** _int_value(ts.expect("INT"))
+        v = quotient("^", base, _int_value(ts.expect("INT")))
+        return _settle(v, t, step)
     return base
 
 
-def _parse_atom(ts: _Stream, env: dict, t: Tower, stop: bool) -> Element:
+def _parse_atom(ts: _Stream, env: dict, t: Tower, step: bool, stop: bool):
     tok = ts.next()
     if tok.kind == "INT":
-        return t.lit(_int_value(tok))
+        return RatFunc.const(_int_value(tok))
     if tok.kind == "NAME":
         if tok.text not in env:
             raise ParseError(f"unknown name {tok.text!r}", tok.line, tok.col)
-        return t.coerce(env[tok.text])
+        return t.coerce(env[tok.text]).rf
     if tok.kind == "OP" and tok.text == "(":
-        inner = _parse_binary(ts, env, t, 0, False)
+        inner = _parse_binary(ts, env, t, step, 0, False)
         ts.expect("OP", ")")
         return inner
     raise ParseError(f"expected an expression, found {tok.text!r}",
@@ -398,7 +416,7 @@ def parse_form(text: str, t: Tower, bindings: dict | None = None) -> LiouvilleFo
         if tok.kind == "EOF":
             break
         ts.expect("NAME", "term")
-        coeff = _parse_expr(ts, env, t, stop_before_phikind=True)
+        coeff = _parse_expr(ts, env, t, stop=True)
         ts.expect("OP", "*")
         terms.append((coeff, _parse_phikind(ts, env, t)))
     return LiouvilleForm(v0, terms)

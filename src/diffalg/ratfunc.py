@@ -51,27 +51,27 @@ class RatFunc:
     def gens(self) -> set:
         return self.num.gens() | self.den.gens()
 
+    def __iter__(self):  # unpacks as the pair (num, den)
+        return iter((self.num, self.den))
+
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        return ratfunc_normalize(self.num * other.den + other.num * self.den,
-                                 self.den * other.den)
+        return ratfunc_normalize(*quotient("+", self, other))
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return ratfunc_normalize(self.num * other.den - other.num * self.den,
-                                 self.den * other.den)
+        return ratfunc_normalize(*quotient("-", self, other))
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return ratfunc_normalize(self.num * other.num, self.den * other.den)
+        return ratfunc_normalize(*quotient("*", self, other))
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        return ratfunc_normalize(self.num * other.den, self.den * other.num)
+        return ratfunc_normalize(*quotient("/", self, other))
 
     def __pow__(self, k: int) -> "RatFunc":
-        if k < 0:
-            return ratfunc_normalize(self.den ** (-k), self.num ** (-k))
-        return RatFunc(self.num ** k, self.den ** k)
+        num, den = quotient("^", self, k)
+        return RatFunc(num, den) if k >= 0 else ratfunc_normalize(num, den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatFunc)
@@ -82,6 +82,26 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r}, {self.den!r})"
+
+
+def quotient(op: str, a, b):
+    """a op b as a raw (num, den) pair, b a pair or for ^ an integer: the
+    quotient rules of RatFunc, Element and the parser, written once."""
+    an, ad = a
+    if op == "^":
+        if b < 0 and an.is_zero():
+            raise ZeroDenominator("negative power of zero")
+        return (an ** b, ad ** b) if b >= 0 else (ad ** -b, an ** -b)
+    bn, bd = b
+    if op == "+":
+        return an * bd + bn * ad, ad * bd
+    if op == "-":
+        return an * bd - bn * ad, ad * bd
+    if op == "*":
+        return an * bn, ad * bd
+    if bn.is_zero():
+        raise ZeroDenominator("division by zero element")
+    return an * bd, ad * bn
 
 
 def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
@@ -176,8 +196,6 @@ def rationalize(num: MultiPoly, den: MultiPoly, rels: RelationSet):
     num, den = reduce_powers(num, den, rels)
     if den.is_zero():
         raise ZeroDenominator("denominator is zero modulo the relations")
-    if num.is_zero():
-        return num, den
     for gid in sorted(rels.radicands, reverse=True):
         if den.deg_in(gid) == 0:
             continue

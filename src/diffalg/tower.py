@@ -30,7 +30,7 @@ from .errors import (CyclicDefinition, DiffAlgError, FieldMismatch,
                      PsiNotRealizable, UnsupportedHandle, ZeroDenominator,
                      ZeroElement)
 from .poly import MultiPoly, get_degree_limit
-from .ratfunc import RatFunc, RelationSet, normal_form
+from .ratfunc import RatFunc, RelationSet, normal_form, quotient
 
 # --------------------------------------------------------------------------
 # Extension kinds.  Payloads are stored as plain RatFuncs over the gids of
@@ -176,21 +176,19 @@ class Element:
     def _wrap(self, num: MultiPoly, den: MultiPoly) -> "Element":
         return Element(self.tower, normal_form(num, den, self.tower.rels))
 
-    def __add__(self, other):
+    def _apply(self, op: str, other):
         a, b = self._pair(other)
         if b is NotImplemented:
             return NotImplemented
-        return a._wrap(a.rf.num * b.rf.den + b.rf.num * a.rf.den,
-                       a.rf.den * b.rf.den)
+        return a._wrap(*quotient(op, a.rf, b.rf))
+
+    def __add__(self, other):
+        return self._apply("+", other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return a._wrap(a.rf.num * b.rf.den - b.rf.num * a.rf.den,
-                       a.rf.den * b.rf.den)
+        return self._apply("-", other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -199,35 +197,21 @@ class Element:
         return Element(self.tower, -self.rf)
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return a._wrap(a.rf.num * b.rf.num, a.rf.den * b.rf.den)
+        return self._apply("*", other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b = self._pair(other)
-        if b is NotImplemented:
-            return NotImplemented
-        if b.is_zero():
-            raise ZeroDenominator("division by zero element")
-        return a._wrap(a.rf.num * b.rf.den, a.rf.den * b.rf.num)
+        return self._apply("/", other)
 
     def __rtruediv__(self, other):
         a, b = self._pair(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return b.__truediv__(a)
+        return NotImplemented if b is NotImplemented else b / a
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            if self.is_zero():
-                raise ZeroDenominator("negative power of zero")
-            return self._wrap(self.rf.den ** (-k), self.rf.num ** (-k))
-        return self._wrap(self.rf.num ** k, self.rf.den ** k)
+        return self._wrap(*quotient("^", self.rf, k))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Element)):

@@ -145,6 +145,61 @@ def test_library_degree_limit_survives_a_cli_call(capsys):
     assert poly.get_degree_limit() is None
 
 
+@pytest.mark.parametrize("expr, limit, output", [
+    ("(x^3/x^2)*(x^3/x^2)", "4", "2*x"),
+    ("(x^3/x^2)^3", "4", "3*x^2"),
+], ids=["product", "power"])
+def test_max_degree_sees_each_normalized_operand(tower_file, capsys, expr,
+                                                 limit, output):
+    # the parser folds one raw quotient, whose products (x^6, x^9) pass the
+    # limit; the operands' normal forms (x) do not, so this is a PASS
+    path = tower_file(X_ONLY)
+    assert main(["derive", path, "-e", expr, "--max-degree", limit]) == 0
+    assert capsys.readouterr() == (f"{output}\nPASS\n", "")
+    assert main(["derive", path, "-e", expr, "--max-degree", limit,
+                 "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["output"]) == ("PASS", output)
+
+
+ROOT_TOWER = X_ONLY + "gen s = sqrt(x^3 - x)\n"
+ZD_TOWER = X_ONLY + "gen y = sqrt(x^2)\n"  # (y - x)(y + x) = 0
+OVERFLOW = "intermediate degree exceeded --max-degree: product degree "
+ZERO_DIVISOR = ("division by a zero denominator: "
+                "denominator is a zero divisor modulo the relations")
+
+
+@pytest.mark.parametrize("tower, expr, limit, msg", [
+    # x^5*x^5 has degree 10 whichever way it is parsed
+    (X_ONLY, "x^5*x^5/x^9", "8", OVERFLOW + "exceeds limit 8"),
+    # s^4 reduces to (x^3 - x)^2, of degree 6, at the operator that forms
+    # it, also where ^0, *0 or a cancellation drops it later
+    (ROOT_TOWER, "(s^4)^0", "4", OVERFLOW + "exceeds limit 4"),
+    (ROOT_TOWER, "s*s*s*s*0", "4", OVERFLOW + "exceeds limit 4"),
+    (ROOT_TOWER, "s^4 - s^4", "4", OVERFLOW + "exceeds limit 4"),
+    # an arithmetic error, not a syntax error with a position
+    (X_ONLY, "x/(x-x)", "512",
+     "division by a zero denominator: division by zero element"),
+    # no quotient by y - x exists, also when its numerator is 0 or it is
+    # divided into 1 again
+    (ZD_TOWER, "1/(y-x)", "512", ZERO_DIVISOR),
+    (ZD_TOWER, "0/(y-x)", "512", ZERO_DIVISOR),
+    (ZD_TOWER, "(1/(y-x))*0", "512", ZERO_DIVISOR),
+    (ZD_TOWER, "1/(1/(y-x))", "512", ZERO_DIVISOR),
+], ids=["degree", "root-power-to-0", "root-power-times-0", "root-power-cancel",
+        "zero-element", "zero-divisor", "zero-over-zero-divisor",
+        "zero-divisor-times-0", "inverse-of-zero-divisor"])
+def test_parse_errors_as_operator_wise_normal_forms(tower_file, capsys,
+                                                    tower, expr, limit, msg):
+    # the reply is the one operator-by-operator normal forms give
+    argv = ["derive", tower_file(tower), "-e", expr, "--max-degree", limit]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {msg}\n")
+    assert main(argv + ["--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
+
+
 def test_exponent_field_overflow_maps_to_error(tower_file, capsys):
     # past the packed exponent field a product is refused, never wrapped
     # around, also under a larger --max-degree

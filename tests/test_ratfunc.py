@@ -73,6 +73,13 @@ def test_inverse_of_one_plus_s():
     assert normal_form((prod - RatFunc.const(1)).num, prod.den, rels).is_zero()
 
 
+def test_zero_numerator_over_a_zero_divisor_is_refused():
+    # s^2 = x^2 makes s - x a zero divisor; 0/(s - x) is no element either
+    rels = rels_s2(x ** 2)
+    with pytest.raises(ZeroDenominator, match="zero divisor"):
+        normal_form(MultiPoly.zero(), S - X, rels)
+
+
 def test_normal_form_idempotent():
     one = RatFunc.const(1)
     rels = rels_s2((x - one) / (x + one))
