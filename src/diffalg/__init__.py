@@ -10,7 +10,7 @@ from .errors import DiffAlgError
 from .liouville import (LiouvilleForm, LogPhi, LPhi, ReductionStep, WPhi,
                         form_derivative, reduce, verify_liouville, x_constant)
 from .poly import MultiPoly, poly_gcd, set_degree_limit
-from .ratfunc import RatFunc, RelationSet, normal_form, ratfunc_normalize
+from .ratfunc import RatFunc, normal_form, ratfunc_normalize
 from .tower import (BelowD, CommutingX, Element, FullD, FULL_D, PartialD,
                     PsiRational, PsiSqrtCubic, Tower)
 
@@ -20,7 +20,7 @@ __all__ = [
     "BelowD", "CommutingX", "CurvePoint", "DiffAlgError", "Element", "FullD",
     "FULL_D", "LegendreCurve", "LiouvilleForm", "LogPhi", "LPhi", "MultiPoly",
     "PartialD", "PsiRational", "PsiSqrtCubic", "RatFunc", "ReductionStep",
-    "RelationSet", "ThirdKindParam", "Tower", "TowerDoc", "WPhi",
+    "ThirdKindParam", "Tower", "TowerDoc", "WPhi",
     "WeierstrassCurve", "check_abel_identity", "form_derivative",
     "legendre_add", "normal_form", "parse_expr", "parse_form", "parse_tower",
     "poly_gcd", "print_form", "print_tower", "ratfunc_normalize", "reduce",

@@ -235,7 +235,7 @@ def _part(numel: Element, *dens: Element) -> _Part:
     rels = numel.tower.rels
     if not num.is_zero():
         for f in bag:
-            if not f.gens().isdisjoint(rels.radicands):
+            if not f.gens().isdisjoint(rels):
                 rationalize(MultiPoly.one(), f, rels)
     return _Part(num, bag)
 
@@ -415,6 +415,39 @@ class LPhi:
 
 
 PhiTerm = LogPhi | WPhi | LPhi
+
+# The one phi-term layout: each kind's document name and the elements it
+# takes, in order.  The parser and the printer read and write terms only
+# through term_args and make_term; the reducer moves and scans a term's
+# elements through them.
+TERM_KINDS = {
+    "log": "one argument",
+    "w1": "v, q, a, b", "w2": "v, q, a, b", "w3": "v, q, a, b, c",
+    "l1": "v, y, m", "l2": "v, y, m", "l3": "v, y, m, a, delta",
+}
+
+
+def term_args(term: PhiTerm) -> tuple:
+    """(name, elements): the term's document name and its elements in
+    the order of TERM_KINDS; the inverse of make_term."""
+    if isinstance(term, LogPhi):
+        return "log", [term.v]
+    if isinstance(term, WPhi):
+        pole = [] if term.c is None else [term.c]
+        return f"w{term.kind}", [term.v, term.q, term.a, term.b] + pole
+    pole = [] if term.prm is None else [term.prm.a, term.prm.delta]
+    return f"l{term.kind}", [term.v, term.y, term.m] + pole
+
+
+def make_term(name: str, elements) -> PhiTerm:
+    """The term that term_args reads back as (name, elements).  The pole
+    data follows the elements given, so validate judges the kind."""
+    if name == "log":
+        return LogPhi(*elements)
+    if name[0] == "w":
+        return WPhi(int(name[1:]), *elements)
+    v, y, m, *pole = elements
+    return LPhi(int(name[1:]), v, y, m, ThirdKindParam(*pole) if pole else None)
 
 
 def phi_part(t: Tower, term: PhiTerm, h) -> _Part:

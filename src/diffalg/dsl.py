@@ -5,7 +5,8 @@ Tower documents are line-oriented:
     const m, a          # constant parameters
     var x = d/dx 1      # base variable with its derivative
     gen t = exp(1/x^2)  # extension generators by kind
-    let u = x*t + 1     # named shorthand, usable in later lines
+    let u = x*t + 1     # named shorthand, usable in later lines; no
+                        # later declaration may take its name
 
 Extension kinds: int(g), log(h), exp(v), lambertw(v), sqrt(r),
 ellfun(v, a, b) which also adds the companion NAME_q, and
@@ -16,6 +17,8 @@ Form documents declare v0 and phi terms:
     v0 = x^2
     term 1/2 * log((x-1)/(x+1))
     term m * l2(v, y, m)
+
+The term kinds and the elements each takes are curves.TERM_KINDS.
 
 Expressions use +, -, *, /, ^ with non-negative integer exponents.
 Each is folded as one raw quotient by ratfunc.quotient and normalized
@@ -32,17 +35,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import ThirdKindParam
+from .curves import TERM_KINDS, make_term, term_args
 from .errors import DiffAlgError, NameClash, ParseError
 from .fmt import format_ratfunc
-from .liouville import LiouvilleForm, LogPhi, LPhi, PhiTerm, WPhi
+from .liouville import LiouvilleForm
 from .ratfunc import RatFunc, normal_form, quotient, reduce_powers
 from .tower import (AlgebraicSqrt, BaseVar, ConstParam, Element,
                     EllipticFunction, EllIntegralTag, Exponential, LambertW,
                     LogTag, Primitive, Tower)
 
 _KINDS = ("int", "log", "exp", "lambertw", "sqrt", "ellfun", "ellint")
-_PHIKINDS = ("log", "w1", "w2", "w3", "l1", "l2", "l3")
 
 _OPS = "+-*/^(),=;"
 
@@ -167,7 +169,7 @@ def _parse_binary(ts: _Stream, env: dict, t: Tower, step: bool,
         if tok.kind != "OP" or tok.text not in _BINARY:
             return left
         if (stop and tok.text == "*" and ts.peek(1).kind == "NAME"
-                and ts.peek(1).text in _PHIKINDS
+                and ts.peek(1).text in TERM_KINDS
                 and ts.peek(2).text == "("):
             return left  # the * belongs to "term coeff * phikind(...)"
         prec = _BINARY[tok.text]
@@ -177,7 +179,7 @@ def _parse_binary(ts: _Stream, env: dict, t: Tower, step: bool,
         right = _parse_binary(ts, env, t, step, prec + 1, stop)
         divisor, _ = right  # one in a square root may be a zero divisor
         full = step or tok.text == "/" and bool(
-            divisor.gens() & t.rels.radicands.keys())
+            divisor.gens() & t.rels.keys())
         left = _settle(quotient(tok.text, left, right), t, full,
                        tok.text == "*")
 
@@ -189,7 +191,7 @@ def _settle(v, t: Tower, full: bool, product: bool = True):
         return v
     if full:
         return normal_form(*v, t.rels)
-    return reduce_powers(*v, t.rels) if product and t.rels.radicands else v
+    return reduce_powers(*v, t.rels) if product and t.rels else v
 
 
 def _parse_unary(ts: _Stream, env: dict, t: Tower, step: bool, stop: bool):
@@ -302,6 +304,10 @@ def parse_tower(text: str) -> TowerDoc:
         else:
             raise ParseError(f"unknown declaration {head.text!r}",
                              head.line, head.col)
+        # a generator may not take a let name, nor may ellfun's NAME_q
+        taken = [g.name for g in t.generators if g.name in bindings]
+        if taken:
+            raise NameClash(f"name {taken[0]!r} already bound")
         nxt = ts.peek()
         if nxt.kind not in ("NL", "EOF") and nxt.text != ";":
             raise ParseError(f"trailing input {nxt.text!r}", nxt.line, nxt.col)
@@ -318,26 +324,14 @@ def _parse_gen(ts: _Stream, t: Tower, env: dict, name: Token) -> Tower:
     if kind.text not in _KINDS:
         raise ParseError(f"unknown extension kind {kind.text!r}",
                          kind.line, kind.col)
-    ts.expect("OP", "(")
     if kind.text == "ellint":
-        k = _int_value(ts.expect("INT"))
-        ts.expect("OP", ",")
-        args = [_parse_expr(ts, env, t)]
-        while ts.peek().text == ",":
-            ts.next()
-            args.append(_parse_expr(ts, env, t))
-        ts.expect("OP", ")")
-        if len(args) == 2:
-            return t.ellint(name.text, k, args[0], args[1])
-        if len(args) == 3:
-            return t.ellint(name.text, k, args[0], args[1], args[2])
-        raise ParseError("ellint takes kind, p, q and optionally c",
-                         kind.line, kind.col)
-    args = [_parse_expr(ts, env, t)]
-    while ts.peek().text == ",":
-        ts.next()
-        args.append(_parse_expr(ts, env, t))
-    ts.expect("OP", ")")
+        k, *args = _parse_args(ts, env, t,
+                               lambda: _int_value(ts.expect("INT")))
+        if len(args) not in (2, 3):
+            raise ParseError("ellint takes kind, p, q and optionally c",
+                             kind.line, kind.col)
+        return t.ellint(name.text, k, *args)
+    args = _parse_args(ts, env, t)
     single = {"int": t.primitive, "log": t.log_ext, "exp": t.exp_ext,
               "lambertw": t.lambertw, "sqrt": t.sqrt_ext}
     if kind.text in single:
@@ -347,7 +341,19 @@ def _parse_gen(ts: _Stream, t: Tower, env: dict, name: Token) -> Tower:
         return single[kind.text](name.text, args[0])
     if len(args) != 3:
         raise ParseError("ellfun takes v, a, b", kind.line, kind.col)
-    return t.elliptic(name.text, args[0], args[1], args[2])
+    return t.elliptic(name.text, *args)
+
+
+def _parse_args(ts: _Stream, env: dict, t: Tower, first=None) -> list:
+    """A parenthesized, comma-separated argument list of expressions; the
+    first item is read by first() instead, if given."""
+    ts.expect("OP", "(")
+    args = [first() if first else _parse_expr(ts, env, t)]
+    while ts.peek().text == ",":
+        ts.next()
+        args.append(_parse_expr(ts, env, t))
+    ts.expect("OP", ")")
+    return args
 
 
 # --------------------------------------------------------------------------
@@ -422,38 +428,14 @@ def parse_form(text: str, t: Tower, bindings: dict | None = None) -> LiouvilleFo
     return LiouvilleForm(v0, terms)
 
 
-def _parse_phikind(ts: _Stream, env: dict, t: Tower) -> PhiTerm:
-    kind = ts.expect("NAME")
-    if kind.text not in _PHIKINDS:
-        raise ParseError(f"unknown term kind {kind.text!r}",
-                         kind.line, kind.col)
-    ts.expect("OP", "(")
-    args = [_parse_expr(ts, env, t)]
-    while ts.peek().text == ",":
-        ts.next()
-        args.append(_parse_expr(ts, env, t))
-    ts.expect("OP", ")")
-
-    def need(n: int, what: str):
-        if len(args) != n:
-            raise ParseError(f"{kind.text} takes {what}",
-                             kind.line, kind.col)
-
-    if kind.text == "log":
-        need(1, "one argument")
-        return LogPhi(args[0])
-    if kind.text in ("w1", "w2"):
-        need(4, "v, q, a, b")
-        return WPhi(int(kind.text[1]), *args)
-    if kind.text == "w3":
-        need(5, "v, q, a, b, c")
-        return WPhi(3, *args)
-    if kind.text in ("l1", "l2"):
-        need(3, "v, y, m")
-        return LPhi(int(kind.text[1]), *args)
-    need(5, "v, y, m, a, delta")
-    return LPhi(3, args[0], args[1], args[2],
-                ThirdKindParam(args[3], args[4]))
+def _parse_phikind(ts: _Stream, env: dict, t: Tower):
+    # the coefficient stopped at its "*" only before a TERM_KINDS name
+    kind = ts.next()
+    takes = TERM_KINDS[kind.text]
+    args = _parse_args(ts, env, t)
+    if len(args) != takes.count(",") + 1:
+        raise ParseError(f"{kind.text} takes {takes}", kind.line, kind.col)
+    return make_term(kind.text, args)
 
 
 def print_form(form: LiouvilleForm) -> str:
@@ -464,16 +446,6 @@ def print_form(form: LiouvilleForm) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _print_phikind(t: Tower, term: PhiTerm) -> str:
-    f = lambda e: _fmt(t, e.rf)
-    if isinstance(term, LogPhi):
-        return f"log({f(term.v)})"
-    if isinstance(term, WPhi):
-        args = [f(term.v), f(term.q), f(term.a), f(term.b)]
-        if term.kind == 3:
-            args.append(f(term.c))
-        return f"w{term.kind}({', '.join(args)})"
-    args = [f(term.v), f(term.y), f(term.m)]
-    if term.kind == 3:
-        args.extend((f(term.prm.a), f(term.prm.delta)))
-    return f"l{term.kind}({', '.join(args)})"
+def _print_phikind(t: Tower, term) -> str:
+    name, elements = term_args(term)
+    return f"{name}({', '.join(_fmt(t, e.rf) for e in elements)})"

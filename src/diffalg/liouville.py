@@ -32,32 +32,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import (CurvePoint, LegendreCurve, LogPhi, LPhi, PhiTerm,
-                     ThirdKindParam, WeierstrassCurve, WPhi, abel_e_correction,
-                     abel_log_argument, legendre_add, phi_sum,
-                     phi_sum_is_zero, weierstrass_add,
+                     WeierstrassCurve, WPhi, abel_e_correction,
+                     abel_log_argument, legendre_add, make_term, phi_sum,
+                     phi_sum_is_zero, term_args, weierstrass_add,
                      weierstrass_e_correction)
 from .errors import (FNotBelow, IntegrandNotReducible, NonConstantCoefficient,
                      NotConstant, PartNotBelow, SelfCheckFailed,
                      UnsupportedHandle, UnsupportedTermKind)
 from .poly import MONO_ONE, MultiPoly
 from .ratfunc import RatFunc
-from .tower import (FULL_D, AlgebraicSqrt, BaseVar, CommutingX, ConstParam,
-                    Element, EllipticFunction, EllIntegralTag, Exponential,
-                    Generator, LambertW, LogTag, Primitive, Tower)
+from .tower import (_X_KINDS, FULL_D, AlgebraicSqrt, BaseVar, CommutingX,
+                    ConstParam, Element, EllipticFunction, EllIntegralTag,
+                    Exponential, Generator, LogTag, Primitive, Tower)
 
 
 def _map_term(term: PhiTerm, move) -> PhiTerm:
     """The same phi term with move applied to every element it holds."""
-    if isinstance(term, LogPhi):
-        return LogPhi(move(term.v))
-    if isinstance(term, WPhi):
-        c = None if term.c is None else move(term.c)
-        return WPhi(term.kind, move(term.v), move(term.q), move(term.a),
-                    move(term.b), c)
-    prm = term.prm
-    if prm is not None:
-        prm = ThirdKindParam(move(prm.a), move(prm.delta))
-    return LPhi(term.kind, move(term.v), move(term.y), move(term.m), prm)
+    name, elements = term_args(term)
+    return make_term(name, [move(e) for e in elements])
 
 
 class LiouvilleForm:
@@ -164,10 +156,10 @@ def _rewrite_v0(t: Tower, v0: Element, sgids: set) -> Element:
     # Each dropped top-monomial's coefficient over the common
     # denominator must be a constant.
     for coeff in groups.values():
-        if not t.is_constant(t.wrap(RatFunc.make(coeff, rf.den))):
+        if not t.is_constant(t.wrap(RatFunc(coeff, rf.den))):
             raise PartNotBelow(
                 "v0 has a non-constant coefficient on the top extension")
-    return t.wrap(RatFunc.make(below, rf.den))
+    return t.wrap(RatFunc(below, rf.den))
 
 
 def _rewrite_log(t: Tower, v: Element, sgids: set) -> Element | None:
@@ -179,17 +171,10 @@ def _rewrite_log(t: Tower, v: Element, sgids: set) -> Element | None:
             raise PartNotBelow(
                 "log argument is not a monomial in the top extension")
         parts.extend(groups.values())
-    w = t.wrap(RatFunc.make(*parts))
+    w = t.wrap(RatFunc(*parts))
     if t.is_constant(w):
         return None
     return w
-
-
-def _term_fields(term: PhiTerm) -> list:
-    """Every element a phi term holds, collected through _map_term."""
-    fields = []
-    _map_term(term, lambda e: fields.append(e) or e)
-    return fields
 
 
 def _merge_terms(terms):
@@ -226,8 +211,7 @@ def reduce_top(t: Tower, f: Element, form: LiouvilleForm):
     is preserved exactly and re-verified before returning.
     """
     target = _reduction_target(t)
-    if target is None or not isinstance(
-            target.kind, (Primitive, Exponential, EllipticFunction, LambertW)):
+    if target is None or not isinstance(target.kind, _X_KINDS):
         raise UnsupportedHandle("no reducible transcendental on top")
     sgids = _top_gids(t, target)
     if f.used_gids() & sgids:
@@ -238,7 +222,7 @@ def reduce_top(t: Tower, f: Element, form: LiouvilleForm):
     v0 = _rewrite_v0(t, form.v0, sgids)
     new_terms = []
     for coeff, term in form.terms:
-        touched = any(e.used_gids() & sgids for e in _term_fields(term))
+        touched = any(e.used_gids() & sgids for e in term_args(term)[1])
         if not touched:
             new_terms.append((coeff, term))
             continue
@@ -305,9 +289,7 @@ def reduce_algebraic(t: Tower, s, f: Element, form: LiouvilleForm) -> LiouvilleF
     if gen.kind.companion_of is not None:
         raise UnsupportedHandle(
             "companion square roots reduce with their elliptic function")
-    if gen.gid != max(g.gid for g in t.generators
-                      if not isinstance(g.kind, ConstParam)
-                      and not t.is_constant(t.element(g.name))):
+    if _reduction_target(t) != gen:
         raise UnsupportedHandle("square root is not the top extension")
     if gen.gid in f.used_gids():
         raise FNotBelow(f"integrand involves {gen.name}")
@@ -330,7 +312,7 @@ def reduce_algebraic(t: Tower, s, f: Element, form: LiouvilleForm) -> LiouvilleF
     for term, coeff in orbits.items():
         if coeff.is_zero():
             continue  # the orbit's trace is zero
-        touched = any(gen.gid in e.used_gids() for e in _term_fields(term))
+        touched = any(gen.gid in e.used_gids() for e in term_args(term)[1])
         if not touched:
             new_terms.append((coeff, term))
             continue

@@ -1,12 +1,14 @@
 """Reduced rational functions and normal forms modulo square-root relations.
 
 A RatFunc is a pair of polynomials with gcd 1 and a monic denominator.
-A RelationSet records quadratic relations g^2 = r for algebraic
-generators; normal_form rewrites an element so that every such g appears
-with exponent at most one in the numerator and not at all in the
-denominator (conjugate rationalization).  Under the declared-nonsquare
-convention this representative is unique, so equality and zero tests are
-plain structural comparisons.
+The quadratic relations g^2 = r of the algebraic generators are a plain
+dict rels, generator id -> radicand r.  Each radicand is a normal form
+over the strictly earlier part of the tower, so rewriting a later
+generator can only surface earlier ones.  normal_form rewrites an element
+so that every such g appears with exponent at most one in the numerator
+and not at all in the denominator (conjugate rationalization).  Under the
+declared-nonsquare convention this representative is unique, so equality
+and zero tests are plain structural comparisons.
 """
 
 from __future__ import annotations
@@ -23,13 +25,9 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
-        # Trusted constructor; use make() for raw input.
+        # Trusted constructor; ratfunc_normalize takes raw input.
         self.num = num
         self.den = den
-
-    @staticmethod
-    def make(num: MultiPoly, den: MultiPoly) -> "RatFunc":
-        return ratfunc_normalize(num, den)
 
     @staticmethod
     def const(q) -> "RatFunc":
@@ -122,38 +120,14 @@ def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
     return RatFunc(num, den)
 
 
-class RelationSet:
-    """Quadratic relations g^2 = r, keyed by generator-id.
-
-    Radicands must be normal forms over the strictly earlier part of the
-    tower, so rewriting a later generator can only surface earlier ones.
-    """
-
-    __slots__ = ("radicands",)
-
-    def __init__(self, radicands: dict | None = None):
-        self.radicands = dict(radicands) if radicands else {}
-
-    def with_relation(self, gid: int, radicand: RatFunc) -> "RelationSet":
-        out = dict(self.radicands)
-        out[gid] = radicand
-        return RelationSet(out)
-
-    def __contains__(self, gid: int) -> bool:
-        return gid in self.radicands
-
-    def __getitem__(self, gid: int) -> RatFunc:
-        return self.radicands[gid]
-
-
-def _reduce_poly(p: MultiPoly, rels: RelationSet):
+def _reduce_poly(p: MultiPoly, rels: dict):
     """Rewrite g^2 -> r until every relation generator has exponent <= 1.
 
     Returns (num, den) since radicands may carry denominators.
     """
     num = p
     den = MultiPoly.one()
-    for gid in sorted(rels.radicands, reverse=True):
+    for gid in sorted(rels, reverse=True):
         if num.deg_in(gid) < 2:
             continue
         r = rels[gid]
@@ -180,14 +154,14 @@ def _reduce_poly(p: MultiPoly, rels: RelationSet):
     return num, den
 
 
-def reduce_powers(num: MultiPoly, den: MultiPoly, rels: RelationSet):
+def reduce_powers(num: MultiPoly, den: MultiPoly, rels: dict):
     """Power-reduce numerator and denominator; returns a raw (num, den)."""
     n1, d1 = _reduce_poly(num, rels)
     n2, d2 = _reduce_poly(den, rels)
     return n1 * d2, n2 * d1
 
 
-def rationalize(num: MultiPoly, den: MultiPoly, rels: RelationSet):
+def rationalize(num: MultiPoly, den: MultiPoly, rels: dict):
     """Power-reduce num/den and clear the relation generators out of den,
     latest first so squares surfacing in earlier ones get picked up; a
     raw pair.  Raises ZeroDenominator if den is 0 or a zero divisor."""
@@ -196,7 +170,7 @@ def rationalize(num: MultiPoly, den: MultiPoly, rels: RelationSet):
     num, den = reduce_powers(num, den, rels)
     if den.is_zero():
         raise ZeroDenominator("denominator is zero modulo the relations")
-    for gid in sorted(rels.radicands, reverse=True):
+    for gid in sorted(rels, reverse=True):
         if den.deg_in(gid) == 0:
             continue
         conj = den.conj_gen(gid)
@@ -207,7 +181,7 @@ def rationalize(num: MultiPoly, den: MultiPoly, rels: RelationSet):
     return num, den
 
 
-def normal_form(num: MultiPoly, den: MultiPoly, rels: RelationSet) -> RatFunc:
+def normal_form(num: MultiPoly, den: MultiPoly, rels: dict) -> RatFunc:
     """Unique representative: numerator multilinear in relation
     generators, denominator free of them, then gcd-reduced and monic."""
     return ratfunc_normalize(*rationalize(num, den, rels))

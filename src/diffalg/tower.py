@@ -30,7 +30,7 @@ from .errors import (CyclicDefinition, DiffAlgError, FieldMismatch,
                      PsiNotRealizable, UnsupportedHandle, ZeroDenominator,
                      ZeroElement)
 from .poly import MultiPoly, get_degree_limit
-from .ratfunc import RatFunc, RelationSet, normal_form, quotient
+from .ratfunc import RatFunc, normal_form, quotient
 
 # --------------------------------------------------------------------------
 # Extension kinds.  Payloads are stored as plain RatFuncs over the gids of
@@ -244,11 +244,9 @@ class Tower:
 
     def __init__(self, generators: tuple = ()):
         self.generators = generators
-        rels = RelationSet()
-        for g in generators:
-            if isinstance(g.kind, AlgebraicSqrt):
-                rels = rels.with_relation(g.gid, g.kind.radicand)
-        self.rels = rels
+        # gid -> radicand of every square root, the relations of ratfunc
+        self.rels = {g.gid: g.kind.radicand for g in generators
+                     if isinstance(g.kind, AlgebraicSqrt)}
         self._by_name = {g.name: g for g in generators}
         self._by_gid = {g.gid: g for g in generators}
         self._dtables: dict = {}
@@ -464,14 +462,7 @@ class Tower:
 
     def _resolve_cubic(self, prf: RatFunc, qrf: RatFunc):
         """Find constants a, b with q^2 = p^3 - a*p - b, or reject."""
-        # Fast path: p is an elliptic-function generator, q its companion.
         pgid = _single_var(prf)
-        qgid = _single_var(qrf)
-        if pgid is not None and qgid is not None:
-            gen = self._by_gid.get(pgid)
-            if (gen is not None and isinstance(gen.kind, EllipticFunction)
-                    and gen.kind.companion == qgid):
-                return gen.kind.a, gen.kind.b
         if pgid is None:
             raise InvalidDefiningData(
                 "cannot recover curve constants: argument is not a generator")

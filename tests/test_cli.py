@@ -67,6 +67,17 @@ def test_parse_error_exits_2(tower_file, capsys):
     assert "syntax error" in err
 
 
+def test_let_name_taken_by_later_gen_exits_2(tower_file, capsys):
+    # the generator may not shadow the binding; the document is refused
+    path = tower_file(X_ONLY + "let u = x + 1\ngen u = log(x)\n")
+    msg = "name is already bound: name 'u' already bound"
+    assert main(["derive", path, "-e", "u"]) == 2
+    assert capsys.readouterr() == ("", f"error: {msg}\n")
+    assert main(["derive", path, "-e", "u", "--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     rc = main(["derive", str(tmp_path / "absent.tower"), "-e", "x"])
     assert rc == 2

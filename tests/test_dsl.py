@@ -195,6 +195,15 @@ def test_parse_tower_duplicate_let():
         parse_tower(X_ONLY + "let u = x\nlet u = x + 1")
     with pytest.raises(NameClash):
         parse_tower(X_ONLY + "let x = x + 1")
+    # nor may a later gen, var or const take a let name, and ellfun's
+    # companion NAME_q counts as a declared name
+    for later in ("gen u = log(x)", "var u = d/dx 1", "const u",
+                  "const c, u"):
+        with pytest.raises(NameClash, match="'u' already bound"):
+            parse_tower(X_ONLY + "let u = x + 1\n" + later)
+    with pytest.raises(NameClash, match="'p_q' already bound"):
+        parse_tower("const a, b\n" + X_ONLY
+                    + "let p_q = x\ngen p = ellfun(x, a, b)")
 
 
 def test_parse_tower_unknown_extension_kind():
@@ -326,10 +335,21 @@ def test_parse_form_must_start_with_v0():
 
 def test_parse_form_unknown_kind_and_arity():
     doc = parse_tower(X_ONLY)
-    with pytest.raises(ParseError):
+    # a name that is no term kind ends up in the coefficient
+    with pytest.raises(ParseError) as e:
         parse_form("v0 = 0\nterm 1 * atan(x)", doc.tower)
-    with pytest.raises(ParseError):
-        parse_form("v0 = 0\nterm 1 * log(x, x)", doc.tower)
+    assert e.value.message == "unknown name 'atan'"
+    for call, takes in (("log(x, x)", "one argument"),
+                        ("w1(x, x, x)", "v, q, a, b"),
+                        ("w2(x, x, x, x, x)", "v, q, a, b"),
+                        ("w3(x, x, x, x)", "v, q, a, b, c"),
+                        ("l1(x, x, x, x)", "v, y, m"),
+                        ("l2(x, x)", "v, y, m"),
+                        ("l3(x, x, x)", "v, y, m, a, delta")):
+        with pytest.raises(ParseError) as e:
+            parse_form(f"v0 = 0\nterm 1 * {call}", doc.tower)
+        assert e.value.message == f"{call.split('(')[0]} takes {takes}"
+        assert (e.value.line, e.value.column) == (2, 10)
 
 
 FORM_CORPUS = [

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from diffalg import liouville
 from diffalg.curves import ThirdKindParam, phi_part
 from diffalg.errors import (FieldMismatch, FNotBelow, IntegrandNotReducible,
-                            NonConstantCoefficient, NotConstant, PartNotBelow,
+                            InvalidDefiningData, NonConstantCoefficient,
+                            NotConstant, PartNotBelow, UnsupportedHandle,
                             UnsupportedTermKind, ZeroDenominator)
 from diffalg.liouville import (LiouvilleForm, LogPhi, LPhi, WPhi, check_step1,
                                form_derivative, log_canonical, phi_eval,
@@ -32,6 +33,18 @@ def exp_tower():
 
 
 # -- phi evaluation and form arithmetic ---------------------------------------
+
+
+def test_out_of_range_kind_reaches_validate():
+    t = Tower.base().const("a").const("b").const("m").var("x")
+    t = t.elliptic("p", t["x"], t["a"], t["b"])
+    p, q, a, b, m = t["p"], t["p_q"], t["a"], t["b"], t["m"]
+    with pytest.raises(InvalidDefiningData, match="W-kind 4 out of range"):
+        LiouvilleForm(t.zero(), [(1, WPhi(4, p, q, a, b))])
+    with pytest.raises(InvalidDefiningData, match="L-kind 0 out of range"):
+        LiouvilleForm(t.zero(), [(1, LPhi(0, p, q, m))])
+    with pytest.raises(InvalidDefiningData, match="pole c only belongs"):
+        LiouvilleForm(t.zero(), [(1, WPhi(1, p, q, a, b, m))])
 
 
 def test_phi_eval_log():
@@ -385,6 +398,9 @@ def test_reduce_elliptic_function_pair():
     assert isinstance(term, WPhi) and term.kind == 2
     assert verify_liouville(t2, t2.wrap(f.rf), out)
     assert [g.name for g in t2.generators] == ["a", "b", "x", "p", "p_q"]
+    # the tag recovered the curve of the elliptic function it integrates
+    tag, ell = t.gen_of("E2").kind.tag, t.gen_of("p").kind
+    assert (tag.a, tag.b) == (ell.a, ell.b)
 
 
 def test_reduce_third_kind_integral():
@@ -514,6 +530,27 @@ def test_reduce_algebraic_all_below_is_identity():
     assert (coeff - 1).is_zero()
     assert (term.v - t2["x"]).is_zero()
     assert verify_liouville(t2, t2.wrap(f.rf), out)
+
+
+def test_reduce_algebraic_needs_the_top_root():
+    t = Tower.base().var("x")
+    t = t.sqrt_ext("s", t["x"] ** 2 + 1)
+    f = 2 * t["x"] + 1 / t["x"]
+    form = LiouvilleForm(t["x"] ** 2, [(1, LogPhi(t["x"]))])
+    # a log above the root is the top extension
+    above = t.log_ext("th", t["x"])
+    with pytest.raises(UnsupportedHandle,
+                       match="square root is not the top extension"):
+        reduce_algebraic(above, above.gen_of("s").gid, f, form)
+    # a constant parameter and a constant root above it are not
+    above = t.const("c").sqrt_ext("r", 2)
+    out = reduce_algebraic(above, above.gen_of("s").gid, f, form)
+    assert [g.name for g in out.tower.generators] == ["x", "c", "r"]
+    # a companion root goes with its elliptic function
+    t = Tower.base().const("a").const("b").var("x")
+    t = t.elliptic("p", t["x"], t["a"], t["b"])
+    with pytest.raises(UnsupportedHandle, match="companion square roots"):
+        reduce_algebraic(t, t.gen_of("p_q").gid, t["x"], LiouvilleForm(t["x"]))
 
 
 def legendre_pushdown_tower():

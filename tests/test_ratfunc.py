@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from diffalg.errors import ZeroDenominator
 from diffalg.poly import MultiPoly
-from diffalg.ratfunc import (RatFunc, RelationSet, normal_form,
-                             ratfunc_normalize)
+from diffalg.ratfunc import RatFunc, normal_form, ratfunc_normalize
 
 X = MultiPoly.var(0)
 S = MultiPoly.var(1)
@@ -45,8 +44,8 @@ def test_zero_denominator_rejected():
 # -- relations ---------------------------------------------------------------
 
 
-def rels_s2(radicand: RatFunc) -> RelationSet:
-    return RelationSet().with_relation(1, radicand)
+def rels_s2(radicand: RatFunc) -> dict:
+    return {1: radicand}
 
 
 def test_square_rewrites():
