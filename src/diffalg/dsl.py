@@ -104,12 +104,17 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Stream:
+    # A peek looks at most this far past the current token; the token
+    # list is padded with that many more copies of its EOF token, and the
+    # position never passes the first EOF, so a peek is a plain index.
+    LOOKAHEAD = 2
+
     def __init__(self, toks: list[Token]):
-        self.toks = toks
+        self.toks = toks + toks[-1:] * self.LOOKAHEAD
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.peek()

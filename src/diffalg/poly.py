@@ -32,6 +32,14 @@ them.  Outside this module only the printer (fmt.py) reads monomials.
 The public views from_dict, leading and split_by speak tuple monomials,
 ((gid, exp), ...) sorted by gid, with MONO_ONE = () the unit.
 
+Square-root relations g^2 = r fold in the layout too (fold_squares, the
+one reduction under ratfunc.reduce_powers).  One OR over the monomials
+(_union) finds every relation generator of exponent 2 or more, since a
+field of the OR has a bit above its lowest set exactly then.  Each such
+generator is folded in one pass (_halve) that groups the terms by
+h = e // 2 and takes g^(2h) out of the packed monomial; the products by
+powers of r run in the multiply kernel, under the degree guard.
+
 Exact division runs in heap order.  One long-division loop, _divexact,
 does all of it; a max-heap of the remainder's monomials on the graded-lex
 key hands it each step's leading term, so no step rescans the remainder
@@ -53,9 +61,11 @@ from __future__ import annotations
 import random
 from contextvars import ContextVar, Token
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
 from math import isqrt, lcm
+from operator import or_
 
 from .errors import DegreeOverflow, ExponentOverflow
 
@@ -194,11 +204,15 @@ def _deg_in(p: dict, gid: int) -> int:
     return max(((m >> shift) & _FIELD for m in p), default=0)
 
 
+def _union(p: dict) -> int:
+    """The OR of p's monomials.  A generator's field is nonzero when it
+    occurs in p, and has a bit above its lowest set when some exponent
+    of it is 2 or more."""
+    return reduce(or_, p, 0)
+
+
 def _gens_of(p: dict) -> set:
-    union = 0
-    for m in p:
-        union |= m
-    return {g for g, _ in mono_items(union)}
+    return {g for g, _ in mono_items(_union(p))}
 
 
 def _to_uni(p: dict, gid: int) -> dict:
@@ -225,6 +239,25 @@ def _split_by(p: dict, gids) -> dict:
     for m, c in p.items():
         inside = m & mask
         groups.setdefault(inside, {})[m - inside] = c
+    return groups
+
+
+def _halve(p: dict, gid: int) -> dict:
+    """Group p by h = e // 2, e the exponent of gid: each h maps to the
+    dict of the terms with that h, with gid^(2h) divided out."""
+    shift = gid * W + 1
+    half = _FIELD >> 1
+    low: dict = {}
+    groups = {0: low}
+    for m, c in p.items():
+        h = m >> shift & half
+        if h:
+            group = groups.get(h)
+            if group is None:
+                group = groups[h] = {}
+            group[m - (h << shift)] = c
+        else:
+            low[m] = c
     return groups
 
 
@@ -472,15 +505,44 @@ class MultiPoly:
                           for m, c in self.terms.items()},
                          self.den, self._deg)
 
-    def split_powers(self, gid: int) -> dict:
-        """Map exponent-of-gid -> polynomial coefficient (gid removed)."""
-        return {k: _make(d, self.den)
-                for k, d in _to_uni(self.terms, gid).items()}
-
     def split_by(self, gids) -> dict:
         """Map each monomial in gids -> polynomial coefficient (gids removed)."""
         return {tuple(mono_items(k)): _make(d, self.den)
                 for k, d in _split_by(self.terms, gids).items()}
+
+    def fold_squares(self, rels: dict):
+        """Rewrite g^2 -> rnum/rden, for (rnum, rden) = rels[g], until every
+        generator of rels has exponent at most one; a raw pair (num, den).
+
+        Each radicand rnum/rden may hold only generators earlier than g.
+        One OR over the monomials finds every relation generator of
+        exponent 2 or more, and each is folded in one pass, latest first:
+        with p = sum_h p_h * g^(2h) and H the largest h, p becomes
+        sum_h p_h * rnum^h * rden^(H-h) over rden^H.  A fold leaves the
+        exponents of earlier generators alone unless the radicand holds a
+        relation generator, and only then is the OR taken again.
+        """
+        squares = sum((_FIELD - 1) << (g * W) for g in rels)
+        todo = _union(self.terms) & squares if squares else 0
+        num, den = self, MultiPoly.one()
+        while todo:
+            gid = (todo.bit_length() - 1) // W
+            squares &= (1 << (gid * W)) - 1  # the earlier fields
+            todo &= squares
+            rnum, rden = rels[gid]
+            groups = _halve(num.terms, gid)
+            top = max(groups)
+            if not top:  # the squares cancelled since the last OR
+                continue
+            acc = MultiPoly.zero()
+            for h, group in groups.items():
+                acc = acc + _make(group, num.den) * (rnum ** h
+                                                     * rden ** (top - h))
+            num = acc
+            den = den * rden ** top
+            if not (rnum.gens() | rden.gens()).isdisjoint(rels):
+                todo = _union(num.terms) & squares
+        return num, den
 
     def evaluate(self, values: dict):
         """Evaluate at values[gid]; works for Fractions, floats, complex."""

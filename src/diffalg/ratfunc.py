@@ -9,6 +9,10 @@ so that every such g appears with exponent at most one in the numerator
 and not at all in the denominator (conjugate rationalization).  Under the
 declared-nonsquare convention this representative is unique, so equality
 and zero tests are plain structural comparisons.
+
+reduce_powers, the power reduction of every caller (normal_form, the lazy
+clearing of curves and the parser), folds g^2 -> r through the polynomial
+view MultiPoly.fold_squares; this module reads no monomials.
 """
 
 from __future__ import annotations
@@ -120,44 +124,10 @@ def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
     return RatFunc(num, den)
 
 
-def _reduce_poly(p: MultiPoly, rels: dict):
-    """Rewrite g^2 -> r until every relation generator has exponent <= 1.
-
-    Returns (num, den) since radicands may carry denominators.
-    """
-    num = p
-    den = MultiPoly.one()
-    for gid in sorted(rels, reverse=True):
-        if num.deg_in(gid) < 2:
-            continue
-        r = rels[gid]
-        groups = num.split_powers(gid)
-        acc_num = MultiPoly.zero()
-        acc_den = MultiPoly.one()
-        # Sum of a_k * r^(k//2) * g^(k%2) over a common denominator.
-        maxpow = max(k // 2 for k in groups)
-        rnum_pows = [MultiPoly.one()]
-        for _ in range(maxpow):
-            rnum_pows.append(rnum_pows[-1] * r.num)
-        rden_pows = [MultiPoly.one()]
-        for _ in range(maxpow):
-            rden_pows.append(rden_pows[-1] * r.den)
-        for k, coeff in groups.items():
-            h, parity = divmod(k, 2)
-            piece = coeff * rnum_pows[h] * rden_pows[maxpow - h]
-            if parity:
-                piece = piece * MultiPoly.var(gid)
-            acc_num = acc_num + piece
-        acc_den = rden_pows[maxpow]
-        num = acc_num
-        den = den * acc_den
-    return num, den
-
-
 def reduce_powers(num: MultiPoly, den: MultiPoly, rels: dict):
     """Power-reduce numerator and denominator; returns a raw (num, den)."""
-    n1, d1 = _reduce_poly(num, rels)
-    n2, d2 = _reduce_poly(den, rels)
+    n1, d1 = num.fold_squares(rels)
+    n2, d2 = den.fold_squares(rels)
     return n1 * d2, n2 * d1
 
 

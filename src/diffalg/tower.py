@@ -29,7 +29,7 @@ from .errors import (CyclicDefinition, DiffAlgError, FieldMismatch,
                      InvalidDefiningData, NameClash, NotQuadratic,
                      PsiNotRealizable, UnsupportedHandle, ZeroDenominator,
                      ZeroElement)
-from .poly import MultiPoly, get_degree_limit
+from .poly import MONO_ONE, MultiPoly, get_degree_limit
 from .ratfunc import RatFunc, normal_form, quotient
 
 # --------------------------------------------------------------------------
@@ -472,10 +472,10 @@ class Tower:
         if e.den.deg_in(pgid) or e.num.deg_in(pgid) > 1:
             raise InvalidDefiningData("coordinates do not satisfy a monic "
                                       "depressed cubic relation")
-        groups = e.num.split_powers(pgid)
+        groups = e.num.split_by((pgid,))
         zero = MultiPoly.zero()
-        a = Element(self, self._nf(groups.get(1, zero), e.den))
-        b = Element(self, self._nf(groups.get(0, zero), e.den))
+        a = Element(self, self._nf(groups.get(((pgid, 1),), zero), e.den))
+        b = Element(self, self._nf(groups.get(MONO_ONE, zero), e.den))
         if not (a.is_constant() and b.is_constant()):
             raise InvalidDefiningData("recovered curve coefficients are not "
                                       "constant")

@@ -352,6 +352,23 @@ def test_parse_form_unknown_kind_and_arity():
         assert (e.value.line, e.value.column) == (2, 10)
 
 
+@pytest.mark.parametrize("text, message, where", [
+    ("v0 = 0\nterm 1 *", "expected an expression, found ''", (2, 9)),
+    ("v0 = 0\nterm 1 * l3", "unknown name 'l3'", (2, 10)),
+    ("v0 = 0\nterm 1 * log(", "expected an expression, found ''", (2, 14)),
+    ("v0 = 0\nterm 1 * l3(x, x", "expected ')', found ''", (2, 17)),
+    ("v0", "expected '=', found ''", (1, 3)),
+    ("", "expected 'NAME', found ''", (1, 1)),
+])
+def test_parse_errors_at_the_end_of_input(text, message, where):
+    # the lookahead after "term c *" reads up to two tokens past the end
+    doc = parse_tower(X_ONLY)
+    with pytest.raises(ParseError) as e:
+        parse_form(text, doc.tower)
+    assert e.value.message == message
+    assert (e.value.line, e.value.column) == where
+
+
 FORM_CORPUS = [
     ("const m\n" + X_ONLY + "gen th = log(x)",
      "v0 = x^2/2 + th\nterm 1 * log(x+1)\nterm m * log(x-1)"),

@@ -94,11 +94,11 @@ def test_partial_and_evaluate():
     assert p.evaluate({0: Fraction(2), 1: Fraction(5)}) == Fraction(26)
 
 
-def test_split_powers():
+def test_split_by_one_generator():
     p = X * X * Y + X * Y + Y
-    parts = p.split_powers(0)
-    assert set(parts) == {0, 1, 2}
-    assert parts[2] == Y and parts[1] == Y and parts[0] == Y
+    parts = p.split_by((0,))
+    assert set(parts) == {((0, 2),), ((0, 1),), MONO_ONE}
+    assert all(part == Y for part in parts.values())
 
 
 def test_degree_limit_guard():
@@ -382,3 +382,4 @@ def test_exponent_past_the_field_raises(gid):
         (MultiPoly.var(gid, 20000) + ONE) ** 2
     with pytest.raises(DegreeOverflow, match="exponent field"):
         MultiPoly.from_dict({((gid, poly.DEG_MAX + 1),): 1})
+

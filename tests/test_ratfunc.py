@@ -3,12 +3,15 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffalg.errors import ZeroDenominator
-from diffalg.poly import MultiPoly
-from diffalg.ratfunc import RatFunc, normal_form, ratfunc_normalize
+from diffalg.errors import DegreeOverflow, ZeroDenominator
+from diffalg.poly import DEG_MAX, MultiPoly, get_degree_limit
+from diffalg.ratfunc import (RatFunc, normal_form, ratfunc_normalize,
+                             reduce_powers)
+from diffalg.tower import Tower
 
 X = MultiPoly.var(0)
 S = MultiPoly.var(1)
@@ -128,3 +131,155 @@ def test_mul_inverse(a, b):
     if a.is_zero():
         return
     assert a * (b / a) == b
+
+
+# -- the power reduction against sympy, over towers of two or three roots ---
+#
+# sympy's expand and together cannot decide zero for quotients of nested
+# roots (they answer "nonzero" for true identities, or run for more than
+# a minute),
+# so the oracle compares values: x at two rational points, each root the
+# sympy.sqrt of its radicand's image there, to 60 digits.  A fold that
+# leaves a square behind keeps the value, so the exponents are checked
+# apart.
+
+POINTS = (sympy.Rational(7, 3), sympy.Rational(13, 5))
+
+
+def point_images(rels: dict) -> list:
+    """At each of POINTS, an image of every generator: x (gid 0) the
+    point, and each root of rels, earliest first, the sqrt of its
+    radicand's image.  rels maps a gid to a (num, den) pair."""
+    images = []
+    for point in POINTS:
+        image = {0: sympy.Float(point, 60)}
+        for g in sorted(rels):
+            rnum, rden = rels[g]
+            image[g] = sympy.sqrt(rnum.evaluate(image) / rden.evaluate(image))
+        images.append(image)
+    return images
+
+
+def agree(a, b, images) -> bool:
+    """The raw (num, den) pairs a and b take the same value at each of
+    images, up to rounding far below the 60 digits."""
+    for image in images:
+        va, vb = (num.evaluate(image) / den.evaluate(image)
+                  for num, den in (a, b))
+        if abs(va - vb) > 1e-40 * (1 + abs(va)):
+            return False
+    return True
+
+
+# Each tower is a list of (name, radicand builder); a builder takes the
+# tower so far.  They hold a nested radicand (z over y), radicands with a
+# denominator, and one with both (w over y, over x).  Every radicand is
+# positive for x > 1, so every root's image is real.
+ROOT_TOWERS = [
+    [("y", lambda t: t["x"]), ("z", lambda t: 1 + t["y"])],
+    [("y", lambda t: (t["x"] - 1) / (t["x"] + 1)), ("z", lambda t: t["x"])],
+    [("y", lambda t: t["x"]), ("z", lambda t: 1 + t["y"]),
+     ("w", lambda t: (t["x"] - 1) / (t["x"] + t["y"]))],
+    [("y", lambda t: (t["x"] - 1) / (t["x"] + 1)),
+     ("z", lambda t: 1 + t["y"]), ("w", lambda t: t["x"] + 2 * t["z"])],
+]
+
+
+def root_tower(shape: list) -> Tower:
+    t = Tower.base().var("x")
+    for name, radicand in shape:
+        t = t.sqrt_ext(name, radicand(t))
+    return t
+
+
+@st.composite
+def root_tower_fractions(draw):
+    """A tower of ROOT_TOWERS and a raw num/den pair over it with root
+    exponents up to 5, so a fold may take g^4 out at once."""
+    t = root_tower(draw(st.sampled_from(ROOT_TOWERS)))
+    gids = [g.gid for g in t.generators]
+
+    def poly(max_terms):
+        p = MultiPoly.zero()
+        for _ in range(draw(st.integers(1, max_terms))):
+            mono = tuple((g, draw(st.integers(0, 5 if g in t.rels else 2)))
+                         for g in gids)
+            p = p + MultiPoly.from_dict({mono: draw(ints.filter(bool))})
+        return p
+
+    den = poly(2) if draw(st.booleans()) else ONE
+    return t, poly(4), den
+
+
+@given(root_tower_fractions())
+@settings(max_examples=40, deadline=None)
+def test_reduction_matches_sympy(case):
+    t, num, den = case
+    images = point_images(t.rels)
+    n, d = reduce_powers(num, den, t.rels)
+    for g in t.rels:
+        assert n.deg_in(g) <= 1 and d.deg_in(g) <= 1
+    try:
+        nf = normal_form(num, den, t.rels)
+    except ZeroDenominator:  # den is 0 as an element
+        assert all(abs(den.evaluate(image)) < 1e-40 for image in images)
+        return
+    for g in t.rels:
+        assert nf.num.deg_in(g) <= 1 and nf.den.deg_in(g) == 0
+    assert agree((n, d), (num, den), images)
+    assert agree(nf, (num, den), images)
+
+
+def test_nested_radicand_folds_again():
+    # z^4 = (1 + y)^2 = 1 + 2y + y^2, and y^2 = x surfaces only after z's
+    # fold, so the reduction must look at y again
+    t = root_tower(ROOT_TOWERS[0])
+    x, y, z = t["x"], t["y"], t["z"]
+    Y = MultiPoly.var(t.gen_of("y").gid)
+    Z = MultiPoly.var(t.gen_of("z").gid)
+    assert z ** 4 == 1 + 2 * y + x
+    assert reduce_powers(Z ** 4, ONE, t.rels) == ((1 + 2 * y + x).rf.num,
+                                                   ONE)
+    assert reduce_powers(ONE, Z ** 4 * Y, t.rels) == (
+        ONE, (y * (1 + 2 * y + x)).rf.num)
+
+
+# -- the square fold, at the edges of the layout ----------------------------
+
+
+def fold_is_exact(p: MultiPoly, rels: dict) -> bool:
+    """p's fold has every relation exponent at most one and p's value."""
+    num, den = p.fold_squares(rels)
+    return (all(num.deg_in(g) <= 1 and den.deg_in(g) == 0 for g in rels)
+            and agree((num, den), (p, ONE), point_images(rels)))
+
+
+def test_fold_takes_several_squares_over_a_denominator():
+    # s^2 = (x - 1)/(x + 1); s^7 loses s^6 at once (H = 3).  rels maps
+    # to (num, den) pairs, as a RatFunc unpacks
+    rels = {1: (X - ONE, X + ONE)}
+    p = S ** 7 + X * S ** 4 + S
+    assert p.fold_squares(rels) == (
+        S * (X + ONE) ** 3 + X * (X - ONE) ** 2 * (X + ONE)
+        + S * (X - ONE) ** 3, (X + ONE) ** 3)
+    assert fold_is_exact(p, rels)
+
+
+def test_fold_at_generator_id_300():
+    # t^2 = x and u^2 = 1 + t, with u in the field at bit 300 * W
+    T, U = MultiPoly.var(299), MultiPoly.var(300)
+    rels = {299: (X, ONE), 300: (ONE + T, ONE)}
+    assert (U ** 5).fold_squares(rels) == (
+        (ONE + T.scale(2) + X) * U, ONE)
+    assert fold_is_exact(U ** 5 * T + U ** 2 * X, rels)
+
+
+def test_fold_near_the_exponent_field_limit():
+    assert get_degree_limit() is None
+    top = S ** DEG_MAX
+    half = (DEG_MAX - 1) // 2
+    assert top.fold_squares({1: (X, ONE)}) == (X ** half * S, ONE)
+    assert top.fold_squares({1: (ONE, X)}) == (S, X ** half)
+    # x^(3 * half) * s is past the field: refused, never wrapped
+    with pytest.raises(DegreeOverflow, match="exponent field"):
+        top.fold_squares({1: (X ** 3, ONE)})
