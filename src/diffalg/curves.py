@@ -348,7 +348,7 @@ class LogPhi:
 
     v: Element
 
-    def validate(self, t: Tower) -> None:
+    def validate(self) -> None:
         if self.v.is_zero():
             raise InvalidDefiningData("log argument is zero")
 
@@ -366,11 +366,11 @@ class WPhi:
     b: Element
     c: Element | None = None
 
-    def validate(self, t: Tower) -> None:
+    def validate(self) -> None:
         if self.kind not in (1, 2, 3):
             raise InvalidDefiningData(f"W-kind {self.kind} out of range")
         for name in ("a", "b"):
-            if not t.is_constant(getattr(self, name)):
+            if not getattr(self, name).is_constant():
                 raise InvalidDefiningData(f"curve parameter {name} not constant")
         rel = self.q * self.q - (self.v ** 3 - self.a * self.v - self.b)
         if not rel.is_zero():
@@ -378,7 +378,7 @@ class WPhi:
         if self.kind == 3:
             if self.c is None:
                 raise InvalidDefiningData("third kind needs a pole c")
-            if not t.is_constant(self.c):
+            if not self.c.is_constant():
                 raise InvalidDefiningData("pole c not constant")
         elif self.c is not None:
             raise InvalidDefiningData("pole c only belongs to the third kind")
@@ -396,10 +396,10 @@ class LPhi:
     m: Element
     prm: ThirdKindParam | None = None
 
-    def validate(self, t: Tower) -> None:
+    def validate(self) -> None:
         if self.kind not in (1, 2, 3):
             raise InvalidDefiningData(f"L-kind {self.kind} out of range")
-        if not t.is_constant(self.m):
+        if not self.m.is_constant():
             raise InvalidDefiningData("modulus m not constant")
         rel = self.y * self.y - (1 - self.v ** 2) * (1 - self.m * self.v ** 2)
         if not rel.is_zero():
@@ -407,7 +407,7 @@ class LPhi:
         if self.kind == 3:
             if self.prm is None:
                 raise InvalidDefiningData("third kind needs pole data")
-            if not t.is_constant(self.prm.a):
+            if not self.prm.a.is_constant():
                 raise InvalidDefiningData("pole a not constant")
             self.prm.validate(self.m)
         elif self.prm is not None:

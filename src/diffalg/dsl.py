@@ -66,6 +66,7 @@ def tokenize(text: str) -> list[Token]:
         if ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
+                col += 1
             continue
         if ch == "\n":
             toks.append(Token("NL", "\n", line, col))
@@ -204,7 +205,8 @@ def _parse_unary(ts: _Stream, env: dict, t: Tower, step: bool, stop: bool):
     if tok.kind == "OP" and tok.text == "-":
         ts.next()
         v = _parse_unary(ts, env, t, step, stop)
-        return -v if isinstance(v, RatFunc) else (-v[0], v[1])
+        num, den = v
+        return RatFunc(-num, den) if isinstance(v, RatFunc) else (-num, den)
     return _parse_power(ts, env, t, step, stop)
 
 
@@ -294,7 +296,7 @@ def parse_tower(text: str) -> TowerDoc:
             ts.expect("OP", "/")
             ts.expect("NAME", "dx")
             deriv = _parse_expr(ts, env(), t)
-            t = t.var(name.text, deriv.rf)
+            t = t.var(name.text, deriv)
         elif head.text == "gen":
             name = ts.expect("NAME")
             ts.expect("OP", "=")

@@ -64,11 +64,11 @@ class LiouvilleForm:
         checked = []
         for coeff, term in terms:
             coeff = t.coerce(coeff)
-            if not t.is_constant(coeff):
+            if not coeff.is_constant():
                 raise NonConstantCoefficient(
                     f"term coefficient {coeff} is not a constant")
             term = _map_term(term, t.coerce)
-            term.validate(t)
+            term.validate()
             checked.append((coeff, term))
         self.terms = tuple(checked)
 
@@ -97,7 +97,7 @@ def verify_liouville(t: Tower, f: Element, form: LiouvilleForm) -> bool:
 def x_constant(t: Tower, form: LiouvilleForm, k) -> Element:
     """c = X v0 + sum c_i phi(X v_i, v_i); raises unless constant."""
     c = phi_sum(t, CommutingX(t.gen_of(k).gid), form.v0, form.terms)
-    if not t.is_constant(c):
+    if not c.is_constant():
         raise NotConstant(f"X-image of the form is not constant: {c}")
     return c
 
@@ -126,7 +126,7 @@ def _reduction_target(t: Tower) -> Generator | None:
             continue
         if isinstance(gen.kind, BaseVar):
             return None
-        if t.is_constant(t.element(gen.name)):
+        if t.element(gen.name).is_constant():
             continue
         if isinstance(gen.kind, AlgebraicSqrt) and gen.kind.companion_of is not None:
             return t.gen_of(gen.kind.companion_of)
@@ -156,7 +156,7 @@ def _rewrite_v0(t: Tower, v0: Element, sgids: set) -> Element:
     # Each dropped top-monomial's coefficient over the common
     # denominator must be a constant.
     for coeff in groups.values():
-        if not t.is_constant(t.wrap(RatFunc(coeff, rf.den))):
+        if not t.wrap(RatFunc(coeff, rf.den)).is_constant():
             raise PartNotBelow(
                 "v0 has a non-constant coefficient on the top extension")
     return t.wrap(RatFunc(below, rf.den))
@@ -172,7 +172,7 @@ def _rewrite_log(t: Tower, v: Element, sgids: set) -> Element | None:
                 "log argument is not a monomial in the top extension")
         parts.extend(groups.values())
     w = t.wrap(RatFunc(*parts))
-    if t.is_constant(w):
+    if w.is_constant():
         return None
     return w
 

@@ -1,10 +1,12 @@
 """Reduced rational functions and normal forms modulo square-root relations.
 
-A RatFunc is a pair of polynomials with gcd 1 and a monic denominator.
-The quadratic relations g^2 = r of the algebraic generators are a plain
-dict rels, generator id -> radicand r.  Each radicand is a normal form
-over the strictly earlier part of the tower, so rewriting a later
-generator can only surface earlier ones.  normal_form rewrites an element
+A RatFunc is a pair of polynomials with gcd 1 and a monic denominator,
+and has no arithmetic: Element and the parser apply quotient, the one
+copy of the quotient rules on raw (num, den) pairs.  The quadratic
+relations g^2 = r of the algebraic generators are a plain dict rels,
+generator id -> radicand r.  Each radicand is a normal form over the
+strictly earlier part of the tower, so rewriting a later generator can
+only surface earlier ones.  normal_form rewrites an element
 so that every such g appears with exponent at most one in the numerator
 and not at all in the denominator (conjugate rationalization).  Under the
 declared-nonsquare convention this representative is unique, so equality
@@ -56,25 +58,6 @@ class RatFunc:
     def __iter__(self):  # unpacks as the pair (num, den)
         return iter((self.num, self.den))
 
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return ratfunc_normalize(*quotient("+", self, other))
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return ratfunc_normalize(*quotient("-", self, other))
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return ratfunc_normalize(*quotient("*", self, other))
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        return ratfunc_normalize(*quotient("/", self, other))
-
-    def __pow__(self, k: int) -> "RatFunc":
-        num, den = quotient("^", self, k)
-        return RatFunc(num, den) if k >= 0 else ratfunc_normalize(num, den)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatFunc)
                 and self.num == other.num and self.den == other.den)
@@ -88,7 +71,7 @@ class RatFunc:
 
 def quotient(op: str, a, b):
     """a op b as a raw (num, den) pair, b a pair or for ^ an integer: the
-    quotient rules of RatFunc, Element and the parser, written once."""
+    quotient rules of Element and the parser, written once."""
     an, ad = a
     if op == "^":
         if b < 0 and an.is_zero():

@@ -33,8 +33,8 @@ from .poly import MONO_ONE, MultiPoly, get_degree_limit
 from .ratfunc import RatFunc, normal_form, quotient
 
 # --------------------------------------------------------------------------
-# Extension kinds.  Payloads are stored as plain RatFuncs over the gids of
-# the tower below the generator.
+# Extension kinds.  A payload is the RatFunc, in normal form, of defining
+# data that Tower.coerce took from the tower below the generator.
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ class Element:
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Element(self.tower, -self.rf)
+        return Element(self.tower, RatFunc(-self.rf.num, self.rf.den))
 
     def __mul__(self, other):
         return self._apply("*", other)
@@ -328,25 +328,16 @@ class Tower:
         if name in self._by_name:
             raise NameClash(f"generator {name!r} already declared")
 
-    def _coerce_below(self, value) -> RatFunc:
-        """Defining data must live strictly inside this tower."""
-        if isinstance(value, RatFunc):
-            rf = value
-        elif isinstance(value, (int, Fraction)):
-            rf = RatFunc.const(value)
-        elif isinstance(value, Element):
-            try:
-                rf = self.coerce(value).rf
-            except FieldMismatch:
-                raise CyclicDefinition("defining data comes from an "
-                                       "unrelated or taller tower") from None
-        else:
+    def _coerce_below(self, value) -> Element:
+        """Defining data goes in through coerce: a rational, or an element
+        of this tower or of a prefix of it.  A raw RatFunc is refused."""
+        if not isinstance(value, (Element, int, Fraction)):
             raise InvalidDefiningData(f"cannot use {value!r} as defining data")
-        bad = rf.gens() - set(self._by_gid)
-        if bad:
-            raise CyclicDefinition(
-                f"defining data mentions unknown generator ids {sorted(bad)}")
-        return self._nf(rf.num, rf.den)
+        try:
+            return self.coerce(value)
+        except FieldMismatch:
+            raise CyclicDefinition("defining data comes from an "
+                                   "unrelated or taller tower") from None
 
     def _append(self, *gens: Generator) -> "Tower":
         return Tower(self.generators + gens)
@@ -358,46 +349,45 @@ class Tower:
     def var(self, name: str, deriv=1) -> "Tower":
         self._check_name(name)
         d = self._coerce_below(deriv)
-        return self._append(Generator(self._next_gid(), name, BaseVar(d)))
+        return self._append(Generator(self._next_gid(), name, BaseVar(d.rf)))
 
     def primitive(self, name: str, integrand, antiderivative=None) -> "Tower":
         self._check_name(name)
         f = self._coerce_below(integrand)
         anti = None
         if antiderivative is not None:
-            anti = self._coerce_below(antiderivative)
+            anti = self._coerce_below(antiderivative).rf
         return self._append(Generator(self._next_gid(), name,
-                                      Primitive(f, None, anti)))
+                                      Primitive(f.rf, None, anti)))
 
     def log_ext(self, name: str, h) -> "Tower":
         self._check_name(name)
-        hrf = self._coerce_below(h)
-        if hrf.is_zero():
+        h = self._coerce_below(h)
+        if h.is_zero():
             raise InvalidDefiningData("log of zero")
-        he = Element(self, hrf)
-        integrand = (self.derive(FULL_D, he) / he).rf
+        integrand = (self.derive(FULL_D, h) / h).rf
         return self._append(Generator(self._next_gid(), name,
-                                      Primitive(integrand, LogTag(hrf))))
+                                      Primitive(integrand, LogTag(h.rf))))
 
     def exp_ext(self, name: str, v) -> "Tower":
         self._check_name(name)
-        vrf = self._coerce_below(v)
+        v = self._coerce_below(v)
         return self._append(Generator(self._next_gid(), name,
-                                      Exponential(vrf)))
+                                      Exponential(v.rf)))
 
     def lambertw(self, name: str, v) -> "Tower":
         self._check_name(name)
-        vrf = self._coerce_below(v)
-        if vrf.is_zero():
+        v = self._coerce_below(v)
+        if v.is_zero():
             raise InvalidDefiningData("lambertw of zero")
-        return self._append(Generator(self._next_gid(), name, LambertW(vrf)))
+        return self._append(Generator(self._next_gid(), name, LambertW(v.rf)))
 
     def sqrt_ext(self, name: str, radicand) -> "Tower":
         self._check_name(name)
         r = self._coerce_below(radicand)
         if r.is_zero():
             raise InvalidDefiningData("square root of zero")
-        if r.is_const():
+        if r.rf.is_const():
             # with s^2 = a^2 for a rational a, s - a is a zero divisor
             q = r.const_value()
             if q > 0 and all(isqrt(n) ** 2 == n
@@ -405,26 +395,26 @@ class Tower:
                 raise InvalidDefiningData(
                     f"radicand {q} is the square of a rational")
         return self._append(Generator(self._next_gid(), name,
-                                      AlgebraicSqrt(r)))
+                                      AlgebraicSqrt(r.rf)))
 
     def elliptic(self, name: str, v, a, b) -> "Tower":
         """Adjoin an elliptic-function pair (theta, theta_q)."""
         self._check_name(name)
         qname = name + "_q"
         self._check_name(qname)
-        vrf = self._coerce_below(v)
-        arf = self._coerce_below(a)
-        brf = self._coerce_below(b)
-        for label, rf in (("a", arf), ("b", brf)):
-            if not Element(self, rf).is_constant():
+        v, a, b = (self._coerce_below(e) for e in (v, a, b))
+        for label, e in (("a", a), ("b", b)):
+            if not e.is_constant():
                 raise InvalidDefiningData(
                     f"curve coefficient {label} must be constant")
         gid = self._next_gid()
         qgid = gid + 1
         theta = RatFunc.var(gid)
-        radicand = theta ** 3 - arf * theta - brf
+        cubic = quotient("-", quotient("^", theta, 3),
+                         quotient("*", a.rf, theta))
+        radicand = self._nf(*quotient("-", cubic, b.rf))
         return self._append(
-            Generator(gid, name, EllipticFunction(vrf, arf, brf, qgid)),
+            Generator(gid, name, EllipticFunction(v.rf, a.rf, b.rf, qgid)),
             Generator(qgid, qname, AlgebraicSqrt(radicand, companion_of=gid)))
 
     def ellint(self, name: str, kind: int, p, q, c=None) -> "Tower":
@@ -432,43 +422,38 @@ class Tower:
         self._check_name(name)
         if kind not in (1, 2, 3):
             raise InvalidDefiningData("elliptic integral kind must be 1, 2, 3")
-        prf = self._coerce_below(p)
-        qrf = self._coerce_below(q)
-        if qrf.is_zero():
+        p, q = self._coerce_below(p), self._coerce_below(q)
+        if q.is_zero():
             raise InvalidDefiningData("zero curve coordinate")
-        crf = None
         if kind == 3:
             if c is None:
                 raise InvalidDefiningData("third kind needs a pole constant")
-            crf = self._coerce_below(c)
-            if not Element(self, crf).is_constant():
+            c = self._coerce_below(c)
+            if not c.is_constant():
                 raise InvalidDefiningData("pole parameter must be constant")
-        arf, brf = self._resolve_cubic(prf, qrf)
-        pe = Element(self, prf)
-        qe = Element(self, qrf)
-        dp = self.derive(FULL_D, pe)
+        a, b = self._resolve_cubic(p, q)
+        dp = self.derive(FULL_D, p)
         if kind == 1:
-            integrand = dp / qe
+            integrand = dp / q
         elif kind == 2:
-            integrand = pe * dp / qe
+            integrand = p * dp / q
         else:
-            pole = pe - Element(self, crf)
+            pole = p - c
             if pole.is_zero():
                 raise InvalidDefiningData("pole coincides with the argument")
-            integrand = dp / (pole * qe)
-        tag = EllIntegralTag(kind, prf, qrf, crf, arf, brf)
+            integrand = dp / (pole * q)
+        tag = EllIntegralTag(kind, p.rf, q.rf, c.rf if kind == 3 else None,
+                             a.rf, b.rf)
         return self._append(Generator(self._next_gid(), name,
                                       Primitive(integrand.rf, tag)))
 
-    def _resolve_cubic(self, prf: RatFunc, qrf: RatFunc):
+    def _resolve_cubic(self, p: Element, q: Element):
         """Find constants a, b with q^2 = p^3 - a*p - b, or reject."""
-        pgid = _single_var(prf)
+        pgid = _single_var(p.rf)
         if pgid is None:
             raise InvalidDefiningData(
                 "cannot recover curve constants: argument is not a generator")
-        pe = Element(self, prf)
-        qe = Element(self, qrf)
-        e = (pe ** 3 - qe ** 2).rf  # should equal a*p + b
+        e = (p ** 3 - q ** 2).rf  # should equal a*p + b
         if e.den.deg_in(pgid) or e.num.deg_in(pgid) > 1:
             raise InvalidDefiningData("coordinates do not satisfy a monic "
                                       "depressed cubic relation")
@@ -479,7 +464,7 @@ class Tower:
         if not (a.is_constant() and b.is_constant()):
             raise InvalidDefiningData("recovered curve coefficients are not "
                                       "constant")
-        return a.rf, b.rf
+        return a, b
 
     # -- derivations ----------------------------------------------------
 
@@ -591,9 +576,6 @@ class Tower:
         """Apply a derivation handle to an element of this tower."""
         e = self.coerce(e)
         return Element(self, self._nf(*_diff_rf(e.rf, self._dget(handle))))
-
-    def is_constant(self, e: Element) -> bool:
-        return self.derive(FULL_D, e).is_zero()
 
     # -- verification helpers -------------------------------------------
 

@@ -67,6 +67,15 @@ def test_parse_error_exits_2(tower_file, capsys):
     assert "syntax error" in err
 
 
+def test_parse_error_after_a_comment_names_its_column(tower_file, capsys):
+    path = tower_file(X_ONLY + "gen t = exp(x +  # oops\n")
+    msg = ("syntax error: expected an expression, found '\\n' "
+           "(line 2, column 24)")
+    assert main(["derive", path, "-e", "x", "--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
+
+
 def test_let_name_taken_by_later_gen_exits_2(tower_file, capsys):
     # the generator may not shadow the binding; the document is refused
     path = tower_file(X_ONLY + "let u = x + 1\ngen u = log(x)\n")

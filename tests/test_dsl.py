@@ -36,6 +36,16 @@ def test_tokenize_comments_and_blank_lines():
     assert names == ["const", "m"]
 
 
+def test_tokenize_comment_advances_the_column():
+    # the token after a comment sits past it, not at the "#"
+    toks = tokenize("x # abc")
+    assert (toks[-1].kind, toks[-1].line, toks[-1].col) == ("EOF", 1, 8)
+    with pytest.raises(ParseError) as e:
+        parse_tower("var x = d/dx 1\ngen t = exp(x +  # oops\n")
+    assert e.value.message == "expected an expression, found '\\n'"
+    assert (e.value.line, e.value.column) == (2, 24)
+
+
 def test_tokenize_rejects_stray_characters():
     with pytest.raises(ParseError) as e:
         tokenize("var x = d/dx 1 @")

@@ -340,6 +340,29 @@ def test_defining_data_must_be_below():
         t1.exp_ext("u", t2["t"])  # data from a taller tower
 
 
+def test_defining_data_from_an_unrelated_tower_of_the_same_height():
+    # m of the other tower has x's generator id 0; it is still refused
+    t = Tower.base().var("x")
+    other = Tower.base().const("m")
+    with pytest.raises(CyclicDefinition):
+        t.exp_ext("u", other["m"])
+    with pytest.raises(CyclicDefinition):
+        t.sqrt_ext("s", other["m"] + 1)
+
+
+@pytest.mark.parametrize("extend", [
+    lambda t, rf: t.sqrt_ext("s", rf),
+    lambda t, rf: t.exp_ext("u", rf),
+    lambda t, rf: t.var("y", rf),
+], ids=["sqrt_ext", "exp_ext", "var"])
+def test_raw_ratfunc_is_not_defining_data(extend):
+    # a bare RatFunc carries generator ids of no known tower; it is
+    # refused, never read as an element of this one
+    t = Tower.base().var("x")
+    with pytest.raises(InvalidDefiningData, match="as defining data"):
+        extend(t, t["x"].rf)
+
+
 def test_invalid_defining_data():
     t = Tower.base().var("x")
     with pytest.raises(InvalidDefiningData):
