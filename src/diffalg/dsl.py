@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 from .curves import TERM_KINDS, make_term, term_args
 from .errors import DiffAlgError, NameClash, ParseError
-from .fmt import format_ratfunc
 from .liouville import LiouvilleForm
 from .ratfunc import RatFunc, normal_form, quotient, reduce_powers
 from .tower import (AlgebraicSqrt, BaseVar, ConstParam, Element,
@@ -368,43 +367,36 @@ def _parse_args(ts: _Stream, env: dict, t: Tower, first=None) -> list:
 # the output re-parses to an equal tower.
 
 
-def _fmt(t: Tower, rf) -> str:
-    return format_ratfunc(rf, t.name_of)
-
-
 def print_tower(doc: TowerDoc) -> str:
-    t = doc.tower
     lines = []
-    for g in t.generators:
+    for g in doc.tower.generators:
         k = g.kind
         if isinstance(k, ConstParam):
             lines.append(f"const {g.name}")
         elif isinstance(k, BaseVar):
-            lines.append(f"var {g.name} = d/dx {_fmt(t, k.deriv)}")
+            lines.append(f"var {g.name} = d/dx {k.deriv}")
         elif isinstance(k, Primitive):
             if isinstance(k.tag, LogTag):
-                lines.append(f"gen {g.name} = log({_fmt(t, k.tag.h)})")
+                lines.append(f"gen {g.name} = log({k.tag.h})")
             elif isinstance(k.tag, EllIntegralTag):
                 tag = k.tag
-                args = [str(tag.kind), _fmt(t, tag.p), _fmt(t, tag.q)]
-                if tag.c is not None:
-                    args.append(_fmt(t, tag.c))
-                lines.append(f"gen {g.name} = ellint({', '.join(args)})")
+                args = ", ".join(str(e) for e in (tag.kind, tag.p, tag.q,
+                                                  tag.c) if e is not None)
+                lines.append(f"gen {g.name} = ellint({args})")
             else:
-                lines.append(f"gen {g.name} = int({_fmt(t, k.integrand)})")
+                lines.append(f"gen {g.name} = int({k.integrand})")
         elif isinstance(k, Exponential):
-            lines.append(f"gen {g.name} = exp({_fmt(t, k.v)})")
+            lines.append(f"gen {g.name} = exp({k.v})")
         elif isinstance(k, LambertW):
-            lines.append(f"gen {g.name} = lambertw({_fmt(t, k.v)})")
+            lines.append(f"gen {g.name} = lambertw({k.v})")
         elif isinstance(k, EllipticFunction):
-            lines.append(f"gen {g.name} = ellfun({_fmt(t, k.v)}, "
-                         f"{_fmt(t, k.a)}, {_fmt(t, k.b)})")
+            lines.append(f"gen {g.name} = ellfun({k.v}, {k.a}, {k.b})")
         elif isinstance(k, AlgebraicSqrt):
             if k.companion_of is None:
-                lines.append(f"gen {g.name} = sqrt({_fmt(t, k.radicand)})")
+                lines.append(f"gen {g.name} = sqrt({k.radicand})")
             # companions are implied by their ellfun line
     for name, e in doc.bindings.items():
-        lines.append(f"let {name} = {_fmt(t, e.rf)}")
+        lines.append(f"let {name} = {e}")
     return "\n".join(lines) + "\n"
 
 
@@ -446,13 +438,8 @@ def _parse_phikind(ts: _Stream, env: dict, t: Tower):
 
 
 def print_form(form: LiouvilleForm) -> str:
-    t = form.tower
-    lines = [f"v0 = {_fmt(t, form.v0.rf)}"]
+    lines = [f"v0 = {form.v0}"]
     for coeff, term in form.terms:
-        lines.append(f"term {_fmt(t, coeff.rf)} * {_print_phikind(t, term)}")
+        name, elements = term_args(term)
+        lines.append(f"term {coeff} * {name}({', '.join(map(str, elements))})")
     return "\n".join(lines) + "\n"
-
-
-def _print_phikind(t: Tower, term) -> str:
-    name, elements = term_args(term)
-    return f"{name}({', '.join(_fmt(t, e.rf) for e in elements)})"

@@ -39,8 +39,7 @@ from .curves import (CurvePoint, LegendreCurve, LogPhi, LPhi, PhiTerm,
 from .errors import (FNotBelow, IntegrandNotReducible, NonConstantCoefficient,
                      NotConstant, PartNotBelow, SelfCheckFailed,
                      UnsupportedHandle, UnsupportedTermKind)
-from .poly import MONO_ONE, MultiPoly
-from .ratfunc import RatFunc
+from .poly import MONO_ONE
 from .tower import (_X_KINDS, FULL_D, AlgebraicSqrt, BaseVar, CommutingX,
                     ConstParam, Element, EllipticFunction, EllIntegralTag,
                     Exponential, Generator, LogTag, Primitive, Tower)
@@ -134,11 +133,10 @@ def _reduction_target(t: Tower) -> Generator | None:
     return None
 
 
-def _top_gids(t: Tower, gen: Generator) -> set:
-    gids = {gen.gid}
+def _top_gids(gen: Generator) -> set:
     if isinstance(gen.kind, EllipticFunction):
-        gids.add(gen.kind.companion)
-    return gids
+        return {gen.gid, gen.kind.companion}
+    return {gen.gid}
 
 
 def _rewrite_v0(t: Tower, v0: Element, sgids: set) -> Element:
@@ -148,60 +146,58 @@ def _rewrite_v0(t: Tower, v0: Element, sgids: set) -> Element:
     zero under BelowD and are dropped; anything else cannot be realized
     below and is an error.
     """
-    rf = v0.rf
-    if rf.den.gens() & sgids:
+    nums, dens = v0.slices(sgids)
+    if list(dens) != [MONO_ONE]:
         raise PartNotBelow("v0 denominator involves the top extension")
-    groups = rf.num.split_by(sgids)
-    below = groups.pop(MONO_ONE, MultiPoly.zero())
+    den = dens[MONO_ONE]
+    below = nums.pop(MONO_ONE, t.zero())
     # Each dropped top-monomial's coefficient over the common
     # denominator must be a constant.
-    for coeff in groups.values():
-        if not t.wrap(RatFunc(coeff, rf.den)).is_constant():
+    for coeff in nums.values():
+        if not (coeff / den).is_constant():
             raise PartNotBelow(
                 "v0 has a non-constant coefficient on the top extension")
-    return t.wrap(RatFunc(below, rf.den))
+    return below / den
 
 
-def _rewrite_log(t: Tower, v: Element, sgids: set) -> Element | None:
+def _rewrite_log(v: Element, sgids: set) -> Element | None:
     """Realize phi(BelowD v, v) as a log term below; None drops the term."""
-    parts = []
-    for p in (v.rf.num, v.rf.den):
-        groups = p.split_by(sgids)
-        if len(groups) != 1:
-            raise PartNotBelow(
-                "log argument is not a monomial in the top extension")
-        parts.extend(groups.values())
-    w = t.wrap(RatFunc(*parts))
-    if w.is_constant():
-        return None
-    return w
+    nums, dens = v.slices(sgids)
+    if len(nums) != 1 or len(dens) != 1:
+        raise PartNotBelow(
+            "log argument is not a monomial in the top extension")
+    (a,), (b,) = nums.values(), dens.values()
+    w = a / b
+    return None if w.is_constant() else w
 
 
 def _merge_terms(terms):
     """Combine repeated phi terms; drop zero coefficients."""
-    order = []
     acc = {}
     for coeff, term in terms:
-        if term in acc:
-            acc[term] = acc[term] + coeff
-        else:
-            acc[term] = coeff
-            order.append(term)
-    return [(acc[term], term) for term in order if not acc[term].is_zero()]
+        acc[term] = acc[term] + coeff if term in acc else coeff
+    return [(c, term) for term, c in acc.items() if not c.is_zero()]
 
 
 def _move_down(new_t: Tower, f: Element, v0: Element, terms) -> LiouvilleForm:
     """Rebuild the reduced form over the shrunken tower and self-check it.
 
-    This is the one downward move: every field is re-read from its raw
-    RatFunc by new_t.wrap, which rejects a generator that was dropped.
+    new_t is the tower without the consumed generators, and it keeps the
+    constants above them, so it need not be a prefix.  LiouvilleForm moves
+    every element down by new_t.coerce, which refuses one that still uses
+    a dropped generator; no element is normalized again.
     """
-    down = lambda e: new_t.wrap(e.rf)
-    moved = LiouvilleForm(down(v0), [(down(cf), _map_term(term, down))
-                                     for cf, term in _merge_terms(terms)])
-    if not verify_liouville(new_t, down(f), moved):
+    moved = LiouvilleForm(new_t.coerce(v0), _merge_terms(terms))
+    if not verify_liouville(new_t, new_t.coerce(f), moved):
         raise SelfCheckFailed("reduced form derivative drifted")
     return moved
+
+
+def _into(t: Tower, f, form: LiouvilleForm):
+    """f and the form as elements of t, for a reduction step over t."""
+    if form.tower is not t:
+        form = LiouvilleForm(t.coerce(form.v0), form.terms)
+    return t.coerce(f), form
 
 
 def reduce_top(t: Tower, f: Element, form: LiouvilleForm):
@@ -210,10 +206,11 @@ def reduce_top(t: Tower, f: Element, form: LiouvilleForm):
     Returns (tower, form) over the shrunken tower; the form's derivative
     is preserved exactly and re-verified before returning.
     """
+    f, form = _into(t, f, form)
     target = _reduction_target(t)
     if target is None or not isinstance(target.kind, _X_KINDS):
         raise UnsupportedHandle("no reducible transcendental on top")
-    sgids = _top_gids(t, target)
+    sgids = _top_gids(target)
     if f.used_gids() & sgids:
         raise FNotBelow(f"integrand involves {t.name_of(target.gid)}")
 
@@ -227,7 +224,7 @@ def reduce_top(t: Tower, f: Element, form: LiouvilleForm):
             new_terms.append((coeff, term))
             continue
         if isinstance(term, LogPhi):
-            w = _rewrite_log(t, term.v, sgids)
+            w = _rewrite_log(term.v, sgids)
             if w is not None:
                 new_terms.append((coeff, LogPhi(w)))
             continue
@@ -240,21 +237,19 @@ def reduce_top(t: Tower, f: Element, form: LiouvilleForm):
         if isinstance(kind, Primitive):
             tag = kind.tag
             if isinstance(tag, LogTag):
-                new_terms.append((c, LogPhi(t.wrap(tag.h))))
+                new_terms.append((c, LogPhi(tag.h)))
             elif isinstance(tag, EllIntegralTag):
-                cc = None if tag.c is None else t.wrap(tag.c)
-                new_terms.append((c, WPhi(tag.kind, t.wrap(tag.p),
-                                          t.wrap(tag.q), t.wrap(tag.a),
-                                          t.wrap(tag.b), cc)))
+                new_terms.append((c, WPhi(tag.kind, tag.p, tag.q, tag.a,
+                                          tag.b, tag.c)))
             elif kind.antiderivative is not None:
-                v0 = v0 + c * t.wrap(kind.antiderivative)
+                v0 = v0 + c * kind.antiderivative
             else:
                 raise IntegrandNotReducible(
                     f"no closed form recorded for D({t.name_of(target.gid)})")
         elif isinstance(kind, (Exponential, EllipticFunction)):
-            v0 = v0 + c * t.wrap(kind.v)
+            v0 = v0 + c * kind.v
         else:  # LambertW
-            new_terms.append((c, LogPhi(t.wrap(kind.v))))
+            new_terms.append((c, LogPhi(kind.v)))
 
     new_t = t.drop_gens(sgids)
     return new_t, _move_down(new_t, f, v0, new_terms)
@@ -285,6 +280,7 @@ def reduce_algebraic(t: Tower, s, f: Element, form: LiouvilleForm) -> LiouvilleF
     with its conjugate: v0 to trace/2, logs to norms, curve terms to the
     conjugate-point sum with the Abel corrections.  Each conjugate pair
     of terms is pushed once, as half its trace."""
+    f, form = _into(t, f, form)
     gen = t._sqrt_gen(s)
     if gen.kind.companion_of is not None:
         raise UnsupportedHandle(
@@ -375,19 +371,16 @@ def reduce(t: Tower, f: Element, form: LiouvilleForm,
     an empty list means nothing above f was reducible.
     """
     steps: list[ReductionStep] = []
-    f = t.coerce(f)
-    form = LiouvilleForm(t.coerce(form.v0), form.terms)
     while max_steps is None or len(steps) < max_steps:
         target = _reduction_target(t)
         if target is None:
             break
-        if f.used_gids() & _top_gids(t, target):
+        if t.coerce(f).used_gids() & _top_gids(target):
             break  # the integrand lives here: reduction floor
         if isinstance(target.kind, AlgebraicSqrt):
             form = reduce_algebraic(t, target.gid, f, form)
             t = form.tower
         else:
             t, form = reduce_top(t, f, form)
-        f = t.wrap(f.rf)
         steps.append(ReductionStep(t, form))
     return steps

@@ -33,13 +33,14 @@ from .poly import MONO_ONE, MultiPoly, get_degree_limit
 from .ratfunc import RatFunc, normal_form, quotient
 
 # --------------------------------------------------------------------------
-# Extension kinds.  A payload is the RatFunc, in normal form, of defining
-# data that Tower.coerce took from the tower below the generator.
+# Extension kinds.  A payload is the Element that Tower.coerce made of
+# the defining data, in the tower below the generator; a reduction moves
+# it down into a smaller tower by coerce.
 
 
 @dataclass(frozen=True)
 class BaseVar:
-    deriv: RatFunc
+    deriv: Element
 
 
 @dataclass(frozen=True)
@@ -49,47 +50,47 @@ class ConstParam:
 
 @dataclass(frozen=True)
 class LogTag:
-    h: RatFunc
+    h: Element
 
 
 @dataclass(frozen=True)
 class EllIntegralTag:
     kind: int  # 1, 2 or 3
-    p: RatFunc
-    q: RatFunc
-    c: RatFunc | None
-    a: RatFunc
-    b: RatFunc
+    p: Element
+    q: Element
+    c: Element | None
+    a: Element
+    b: Element
 
 
 @dataclass(frozen=True)
 class Primitive:
-    integrand: RatFunc
+    integrand: Element
     tag: object | None = None
-    antiderivative: RatFunc | None = None
+    antiderivative: Element | None = None
 
 
 @dataclass(frozen=True)
 class Exponential:
-    v: RatFunc
+    v: Element
 
 
 @dataclass(frozen=True)
 class EllipticFunction:
-    v: RatFunc
-    a: RatFunc
-    b: RatFunc
+    v: Element
+    a: Element
+    b: Element
     companion: int  # gid of the paired square root
 
 
 @dataclass(frozen=True)
 class LambertW:
-    v: RatFunc
+    v: Element
 
 
 @dataclass(frozen=True)
 class AlgebraicSqrt:
-    radicand: RatFunc
+    radicand: Element
     companion_of: int | None = None
 
 
@@ -222,6 +223,13 @@ class Element:
     def __hash__(self):
         return hash(self.rf)
 
+    def slices(self, gids) -> tuple:
+        """Numerator and denominator split by their monomials in gids: two
+        dicts, monomial -> coefficient, each coefficient the polynomial in
+        the other generators as an element of this tower."""
+        return tuple({m: Element(self.tower, RatFunc(c, MultiPoly.one()))
+                      for m, c in p.split_by(gids).items()} for p in self.rf)
+
     def conj(self, s) -> "Element":
         """Image under the square-root sign flip s -> -s."""
         gen = self.tower.gen_of(s)
@@ -245,7 +253,7 @@ class Tower:
     def __init__(self, generators: tuple = ()):
         self.generators = generators
         # gid -> radicand of every square root, the relations of ratfunc
-        self.rels = {g.gid: g.kind.radicand for g in generators
+        self.rels = {g.gid: g.kind.radicand.rf for g in generators
                      if isinstance(g.kind, AlgebraicSqrt)}
         self._by_name = {g.name: g for g in generators}
         self._by_gid = {g.gid: g for g in generators}
@@ -274,9 +282,22 @@ class Tower:
         return self._by_gid[gid].name
 
     def drop_gens(self, gids) -> "Tower":
-        """Tower without the given generators (ids stay stable)."""
+        """Tower without the given generators (ids stay stable); refused
+        if a kept generator's defining data uses a dropped one."""
         kept = tuple(g for g in self.generators if g.gid not in gids)
+        for g in kept:
+            used = _data_gids(g.kind).intersection(gids)
+            if used:
+                raise FieldMismatch(f"cannot drop {self.name_of(min(used))}: "
+                                    f"the defining data of {g.name} uses it")
         return Tower(kept)
+
+    def _holds(self, u: "Tower") -> bool:
+        """Whether u is this tower with some generators left out."""
+        key = lambda g: (g.name, _data(g.kind))
+        own = self._by_gid
+        return all(g.gid in own and key(own[g.gid]) == key(g)
+                   for g in u.generators)
 
     # -- element constructors ------------------------------------------
 
@@ -297,27 +318,25 @@ class Tower:
         return self.element(name)
 
     def coerce(self, value) -> Element:
-        """The one way into this tower: a rational becomes a constant, and
-        an element is taken only from this tower or a prefix of it, so
-        elements move up into extensions and never sideways."""
+        """The one way into this tower, and the one way an element changes
+        tower.  A rational becomes a constant.  An element moves between
+        two towers when one is the other with some generators left out
+        (same generators, same order), up or down, and only if it uses no
+        generator this tower lacks; its normal form stands, since it
+        depends only on the relations of the generators it uses.  A prefix
+        rule would not serve reduction: the constants above the consumed
+        generator stay, so the smaller tower is not a prefix."""
         if isinstance(value, Element):
             other = value.tower
             if other is self:
                 return value
-            n = len(other.generators)
-            if other.generators == self.generators[:n]:
+            if self._holds(other) or (other._holds(self) and value.used_gids()
+                                      <= self._by_gid.keys()):
                 return Element(self, value.rf)
             raise FieldMismatch("element does not live in this tower")
         if isinstance(value, (int, Fraction)):
             return self.lit(value)
         raise FieldMismatch(f"cannot use {value!r} as a tower element")
-
-    def wrap(self, rf: RatFunc) -> Element:
-        """Re-normalize a raw RatFunc as an element of this tower."""
-        bad = rf.gens() - set(self._by_gid)
-        if bad:
-            raise FieldMismatch(f"unknown generator ids {sorted(bad)}")
-        return Element(self, self._nf(rf.num, rf.den))
 
     # -- extension ----------------------------------------------------
 
@@ -330,14 +349,14 @@ class Tower:
 
     def _coerce_below(self, value) -> Element:
         """Defining data goes in through coerce: a rational, or an element
-        of this tower or of a prefix of it.  A raw RatFunc is refused."""
+        that coerce moves into this tower.  A raw RatFunc is refused."""
         if not isinstance(value, (Element, int, Fraction)):
             raise InvalidDefiningData(f"cannot use {value!r} as defining data")
         try:
             return self.coerce(value)
         except FieldMismatch:
-            raise CyclicDefinition("defining data comes from an "
-                                   "unrelated or taller tower") from None
+            raise CyclicDefinition("defining data does not live in the "
+                                   "tower below") from None
 
     def _append(self, *gens: Generator) -> "Tower":
         return Tower(self.generators + gens)
@@ -349,38 +368,39 @@ class Tower:
     def var(self, name: str, deriv=1) -> "Tower":
         self._check_name(name)
         d = self._coerce_below(deriv)
-        return self._append(Generator(self._next_gid(), name, BaseVar(d.rf)))
+        return self._append(Generator(self._next_gid(), name, BaseVar(d)))
 
     def primitive(self, name: str, integrand, antiderivative=None) -> "Tower":
         self._check_name(name)
         f = self._coerce_below(integrand)
         anti = None
         if antiderivative is not None:
-            anti = self._coerce_below(antiderivative).rf
+            anti = self._coerce_below(antiderivative)
         return self._append(Generator(self._next_gid(), name,
-                                      Primitive(f.rf, None, anti)))
+                                      Primitive(f, None, anti)))
 
     def log_ext(self, name: str, h) -> "Tower":
         self._check_name(name)
         h = self._coerce_below(h)
-        if h.is_zero():
-            raise InvalidDefiningData("log of zero")
-        integrand = (self.derive(FULL_D, h) / h).rf
+        if h.is_zero() or h == 1:
+            raise InvalidDefiningData(f"log of {h}")
+        integrand = self.derive(FULL_D, h) / h
         return self._append(Generator(self._next_gid(), name,
-                                      Primitive(integrand, LogTag(h.rf))))
+                                      Primitive(integrand, LogTag(h))))
 
     def exp_ext(self, name: str, v) -> "Tower":
         self._check_name(name)
         v = self._coerce_below(v)
-        return self._append(Generator(self._next_gid(), name,
-                                      Exponential(v.rf)))
+        if v.is_zero():
+            raise InvalidDefiningData("exp of 0")
+        return self._append(Generator(self._next_gid(), name, Exponential(v)))
 
     def lambertw(self, name: str, v) -> "Tower":
         self._check_name(name)
         v = self._coerce_below(v)
         if v.is_zero():
             raise InvalidDefiningData("lambertw of zero")
-        return self._append(Generator(self._next_gid(), name, LambertW(v.rf)))
+        return self._append(Generator(self._next_gid(), name, LambertW(v)))
 
     def sqrt_ext(self, name: str, radicand) -> "Tower":
         self._check_name(name)
@@ -395,7 +415,7 @@ class Tower:
                 raise InvalidDefiningData(
                     f"radicand {q} is the square of a rational")
         return self._append(Generator(self._next_gid(), name,
-                                      AlgebraicSqrt(r.rf)))
+                                      AlgebraicSqrt(r)))
 
     def elliptic(self, name: str, v, a, b) -> "Tower":
         """Adjoin an elliptic-function pair (theta, theta_q)."""
@@ -409,13 +429,10 @@ class Tower:
                     f"curve coefficient {label} must be constant")
         gid = self._next_gid()
         qgid = gid + 1
-        theta = RatFunc.var(gid)
-        cubic = quotient("-", quotient("^", theta, 3),
-                         quotient("*", a.rf, theta))
-        radicand = self._nf(*quotient("-", cubic, b.rf))
-        return self._append(
-            Generator(gid, name, EllipticFunction(v.rf, a.rf, b.rf, qgid)),
-            Generator(qgid, qname, AlgebraicSqrt(radicand, companion_of=gid)))
+        t = self._append(Generator(gid, name, EllipticFunction(v, a, b, qgid)))
+        theta = t[name]
+        return t._append(Generator(qgid, qname, AlgebraicSqrt(
+            theta ** 3 - a * theta - b, companion_of=gid)))
 
     def ellint(self, name: str, kind: int, p, q, c=None) -> "Tower":
         """Adjoin a tagged elliptic-integral primitive of kind 1, 2 or 3."""
@@ -442,10 +459,9 @@ class Tower:
             if pole.is_zero():
                 raise InvalidDefiningData("pole coincides with the argument")
             integrand = dp / (pole * q)
-        tag = EllIntegralTag(kind, p.rf, q.rf, c.rf if kind == 3 else None,
-                             a.rf, b.rf)
+        tag = EllIntegralTag(kind, p, q, c if kind == 3 else None, a, b)
         return self._append(Generator(self._next_gid(), name,
-                                      Primitive(integrand.rf, tag)))
+                                      Primitive(integrand, tag)))
 
     def _resolve_cubic(self, p: Element, q: Element):
         """Find constants a, b with q^2 = p^3 - a*p - b, or reject."""
@@ -453,14 +469,13 @@ class Tower:
         if pgid is None:
             raise InvalidDefiningData(
                 "cannot recover curve constants: argument is not a generator")
-        e = (p ** 3 - q ** 2).rf  # should equal a*p + b
-        if e.den.deg_in(pgid) or e.num.deg_in(pgid) > 1:
+        lin = ((pgid, 1),)  # the monomial p
+        nums, dens = (p ** 3 - q ** 2).slices((pgid,))  # should be a*p + b
+        if list(dens) != [MONO_ONE] or not nums.keys() <= {lin, MONO_ONE}:
             raise InvalidDefiningData("coordinates do not satisfy a monic "
                                       "depressed cubic relation")
-        groups = e.num.split_by((pgid,))
-        zero = MultiPoly.zero()
-        a = Element(self, self._nf(groups.get(((pgid, 1),), zero), e.den))
-        b = Element(self, self._nf(groups.get(MONO_ONE, zero), e.den))
+        a, b = (nums.get(m, self.zero()) / dens[MONO_ONE]
+                for m in (lin, MONO_ONE))
         if not (a.is_constant() and b.is_constant()):
             raise InvalidDefiningData("recovered curve coefficients are not "
                                       "constant")
@@ -505,7 +520,7 @@ class Tower:
         def compute(gid: int, kind) -> RatFunc:
             if isinstance(kind, AlgebraicSqrt):
                 # s^2 = r gives h(s) = h(r) / (2 s).
-                num, den = _diff_rf(kind.radicand, get)
+                num, den = _diff_rf(kind.radicand.rf, get)
                 return self._nf(num, den * MultiPoly.var(gid).scale(2))
             return image(gid, kind, get)
 
@@ -551,22 +566,23 @@ class Tower:
     def _full_image(self, gid: int, kind, get) -> RatFunc:
         """D theta for a generator that is not a square root."""
         if isinstance(kind, BaseVar):
-            return kind.deriv
+            return kind.deriv.rf
         if isinstance(kind, ConstParam):
             return _RF_ZERO
         if isinstance(kind, Primitive):
-            return kind.integrand
+            return kind.integrand.rf
         if isinstance(kind, Exponential):
-            num, den = _diff_rf(kind.v, get)
+            num, den = _diff_rf(kind.v.rf, get)
             return self._nf(num * MultiPoly.var(gid), den)
         if isinstance(kind, EllipticFunction):
-            num, den = _diff_rf(kind.v, get)
+            num, den = _diff_rf(kind.v.rf, get)
             return self._nf(num * MultiPoly.var(kind.companion), den)
         if isinstance(kind, LambertW):
-            num, den = _diff_rf(kind.v, get)
+            v = kind.v.rf
+            num, den = _diff_rf(v, get)
             theta = MultiPoly.var(gid)
-            return self._nf(num * theta * kind.v.den,
-                            den * kind.v.num * (theta + MultiPoly.one()))
+            return self._nf(num * theta * v.den,
+                            den * v.num * (theta + MultiPoly.one()))
         raise UnsupportedHandle(f"unknown kind {kind!r}")
 
     def _nf(self, num: MultiPoly, den: MultiPoly) -> RatFunc:
@@ -730,6 +746,25 @@ def _diff_rf(rf: RatFunc, get):
         return dn, dd
     en, ed = _diff_poly(rf.den, get)
     return dn * ed * rf.den - rf.num * en * dd, dd * ed * rf.den * rf.den
+
+
+def _data(kind) -> list:
+    """A kind's type and fields, a tag opened and an element read as its
+    RatFunc: what two generators of one id share when they are the same.
+    No comparison of these reaches back into a payload's own tower."""
+    data = [type(kind)]
+    for v in vars(kind).values():
+        data += (_data(v) if isinstance(v, (LogTag, EllIntegralTag))
+                 else [getattr(v, "rf", v)])
+    return data
+
+
+def _data_gids(kind) -> set:
+    """Ids of the generators that a kind's defining data uses, an elliptic
+    function's companion included."""
+    gids = {kind.companion} if isinstance(kind, EllipticFunction) else set()
+    return gids.union(*(v.gens() for v in _data(kind)
+                        if isinstance(v, RatFunc)))
 
 
 def _x_image(gen: Generator) -> RatFunc:

@@ -153,7 +153,7 @@ def test_criterion_7_reduction_regressions():
     (coeff, term), = out.terms
     assert (coeff - 1).is_zero()
     assert isinstance(term, LogPhi) and (term.v - t2["x"]).is_zero()
-    assert verify_liouville(t2, t2.wrap(f.rf), out)
+    assert verify_liouville(t2, t2.coerce(f), out)
     _budget(started, 5.0, "regression (a)")
 
     # (b) exponential
@@ -165,7 +165,7 @@ def test_criterion_7_reduction_regressions():
     t2, out = reduce_top(t, f, form)
     assert not out.terms
     assert (out.v0 - (t2["x"] ** 2 / 2 + t2["x"])).is_zero()
-    assert verify_liouville(t2, t2.wrap(f.rf), out)
+    assert verify_liouville(t2, t2.coerce(f), out)
     _budget(started, 5.0, "regression (b)")
 
     # (c) quadratic extension
@@ -183,7 +183,7 @@ def test_criterion_7_reduction_regressions():
     assert (coeff - Fraction(1, 2)).is_zero()
     want = (t2["x"] - 1) / (t2["x"] + 1)
     assert (term.v - want).is_zero() or (term.v + want).is_zero()
-    assert verify_liouville(t2, t2.wrap(f.rf), out)
+    assert verify_liouville(t2, t2.coerce(f), out)
     _budget(started, 5.0, "regression (c)")
 
     # (d) tagged third-kind elliptic integral
@@ -195,7 +195,7 @@ def test_criterion_7_reduction_regressions():
     t2, out = reduce_top(t, f, LiouvilleForm(t["P"]))
     (coeff, term), = out.terms
     assert isinstance(term, WPhi) and term.kind == 3
-    assert verify_liouville(t2, t2.wrap(f.rf), out)
+    assert verify_liouville(t2, t2.coerce(f), out)
     _budget(started, 5.0, "regression (d)")
 
 
@@ -263,7 +263,7 @@ def test_criterion_8_random_form_round_trips():
         steps = reduce(t, f, form)
         assert steps, f"case {i} did not reduce"
         for step in steps:
-            ok = verify_liouville(step.tower, step.tower.wrap(f.rf), step.form)
+            ok = verify_liouville(step.tower, step.tower.coerce(f), step.form)
             assert ok, f"case {i} drifted"
         total_steps += len(steps)
     assert total_steps >= 50

@@ -390,6 +390,25 @@ def test_square_constant_radicand_maps_to_error(tower_file, form_file,
     assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
 
 
+@pytest.mark.parametrize("gen, integrand, v0, msg", [
+    ("exp(0)", "x/(g-1)", "x^2/(2*(g-1))", "exp of 0"),
+    ("log(1)", "x/g", "x", "log of 1"),
+], ids=["exp-0", "log-1"])
+def test_exp_of_0_and_log_of_1_map_to_error(tower_file, form_file, capsys,
+                                           gen, integrand, v0, msg):
+    # g - 1 = exp(0) - 1 and log(1) are 0; read as generators, x/(g-1)
+    # verified PASS against v0 = x^2/(2*(g-1))
+    argv = ["verify", tower_file(X_ONLY + f"gen g = {gen}\n"),
+            "--integrand", integrand, "--form", form_file(f"v0 = {v0}")]
+    assert main(argv) == 2
+    err = f"error: invalid defining data: {msg}\n"
+    assert capsys.readouterr() == ("", err)
+    assert main(argv + ["--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["residues"]) == (
+        "ERROR", [f"invalid defining data: {msg}"])
+
+
 @pytest.mark.parametrize("expr, column", [("x^" + "9" * 5000, 3),
                                           ("9" * 5000 + "*x", 1)],
                          ids=["exponent", "factor"])
@@ -544,6 +563,29 @@ def test_reduce_two_steps_through_sqrt(tower_file, form_file, capsys):
     assert rc == 0
     assert "# step 2" in out
     assert "step 2: top generator now x, verified" in out
+
+
+def test_reduce_keeps_a_constant_above_the_consumed_log(tower_file,
+                                                      form_file, capsys):
+    # the reduced tower x, m is no prefix of x, g, m
+    rc = main(["reduce", tower_file(X_ONLY + "gen g = log(x)\nconst m\n"),
+               "--integrand", "m/x", "--form", form_file("v0 = m*g")])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "# step 1\nv0 = 0\nterm m * log(x)\n"
+        "step 1: top generator now m, verified\nPASS\n")
+
+
+def test_reduce_refuses_to_strand_defining_data(tower_file, form_file,
+                                               capsys):
+    # h = exp(g1 - g2) is constant and stays, but its data uses g2
+    text = X_ONLY + "gen g1 = log(x)\ngen g2 = log(x)\ngen h = exp(g1 - g2)\n"
+    rc = main(["reduce", tower_file(text), "--integrand", "1/x",
+               "--form", form_file("v0 = g2")])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", "error: element does not live in the expected field: "
+        "cannot drop g2: the defining data of h uses it\n")
 
 
 # -- abel ---------------------------------------------------------------------

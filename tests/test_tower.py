@@ -389,11 +389,61 @@ def test_sqrt_of_a_rational_square_is_refused(q):
         t.sqrt_ext("s", nonsquare)
 
 
-def test_wrap_rejects_foreign_gids():
+def test_exp_of_0_and_log_of_1_are_refused():
+    # exp(0) = 1 and log(1) = 0, so g - 1 or g would be a nonzero zero
+    t = Tower.base().var("x")
+    with pytest.raises(InvalidDefiningData, match="exp of 0"):
+        t.exp_ext("g", 0)
+    with pytest.raises(InvalidDefiningData, match="exp of 0"):
+        t.exp_ext("g", t["x"] - t["x"])
+    with pytest.raises(InvalidDefiningData, match="log of 1"):
+        t.log_ext("g", t["x"] / t["x"])
+    t.exp_ext("g", 1)
+    t.log_ext("g", 2)
+
+
+def test_coerce_rejects_foreign_gids():
+    # down into a sub-tower only what uses none of the generators left out
     t = Tower.base().var("x")
     taller = t.exp_ext("t", t["x"])
     with pytest.raises(FieldMismatch):
-        t.wrap(taller["t"].rf)
+        t.coerce(taller["t"])
+    assert t.coerce(taller["x"] + 1) == t["x"] + 1
+
+
+def test_coerce_never_reads_an_unrelated_tower():
+    # m of the other tower has x's generator id 0; it is not x
+    t = Tower.base().var("x")
+    with pytest.raises(FieldMismatch):
+        t.coerce(Tower.base().const("m")["m"])
+
+
+def test_coerce_moves_into_a_sub_tower_that_is_no_prefix():
+    # dropping g keeps the constant m above it; m*x moves down and up
+    t = Tower.base().var("x")
+    t = t.log_ext("g", t["x"]).const("m")
+    down = t.drop_gens({t.gen_of("g").gid})
+    assert [g.name for g in down.generators] == ["x", "m"]
+    mx = down.coerce(t["m"] * t["x"])
+    assert mx.tower is down and mx == down["m"] * down["x"]
+    assert t.coerce(mx) == t["m"] * t["x"]
+    with pytest.raises(FieldMismatch):
+        down.coerce(t["g"] * t["m"])
+    # neither tower is the other with generators left out
+    with pytest.raises(FieldMismatch):
+        down.coerce(Tower.base().var("x").const("n")["x"])
+
+
+def test_drop_gens_refuses_to_strand_defining_data():
+    # h = exp(g1 - g2) is a constant, but its defining data uses g2
+    t = Tower.base().var("x")
+    t = t.log_ext("g1", t["x"]).log_ext("g2", t["x"])
+    t = t.exp_ext("h", t["g1"] - t["g2"])
+    with pytest.raises(FieldMismatch,
+                       match="cannot drop g2: the defining data of h uses"):
+        t.drop_gens({t.gen_of("g2").gid})
+    assert [g.name for g in t.drop_gens({t.gen_of("h").gid}).generators] \
+        == ["x", "g1", "g2"]
 
 
 def test_derive_lifts_prefix_elements():
@@ -510,7 +560,10 @@ def exp_log_towers(draw, root=False):
             break
         name = f"g{k}"
         if draw(st.booleans()):
-            g = adjoin(name, "exp_ext", poly(exp_atoms))
+            arg = poly(exp_atoms)
+            # the tower refuses exp(0), as test_exp_of_0_and_log_of_1 pins
+            assume(not arg.is_zero())
+            g = adjoin(name, "exp_ext", arg)
             exp_atoms.append(g)
         else:
             arg = poly(atoms)
