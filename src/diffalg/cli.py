@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import errors, poly
-from .curves import check_abel_identity
+from .curves import ABEL_KINDS, check_abel_identity
 from .dsl import parse_expr, parse_form, parse_tower, print_form
 from .liouville import form_derivative, reduce, verify_liouville
 from .tower import (FULL_D, CommutingX, PartialD, _X_KINDS)
@@ -217,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("abel", parents=[common],
                        help="verify an addition identity for elliptic integrals")
-    a.add_argument("--kind", required=True, choices=("f", "e", "pi", "w1"))
+    a.add_argument("--kind", required=True, choices=ABEL_KINDS)
     a.set_defaults(func=_cmd_abel)
 
     n = sub.add_parser("trnorm", parents=[common],

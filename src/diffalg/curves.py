@@ -5,7 +5,7 @@ y^2 = (1-x^2)(1-m*x^2) with the sn/cn-dn addition law, and monic
 depressed Weierstrass cubics y^2 = x^3 - a*x - b with the chord-tangent
 law.  On top of the group laws sit the pieces needed to push elliptic
 integrands through point addition: the third-kind log argument, the
-second-kind corrections, and the four differential addition identities
+second-kind corrections, and the five differential addition identities
 checked under both coordinate partials.
 
 The phi shapes are defined once, as lazy parts: a numerator over a bag
@@ -554,12 +554,16 @@ def _under_partials(t: Tower, v0: Element, terms) -> list:
             for label in ("x1", "x2")]
 
 
+ABEL_KINDS = ("f", "e", "pi", "w1", "w2")
+
+
 def check_abel_identity(kind: str) -> AbelReport:
     """Verify one addition identity under both coordinate partials.
 
-    Kinds: "f" and "e" and "pi" run on the symbolic Legendre tower,
-    "w1" on the symbolic Weierstrass tower.  Everything stays exact;
-    the verdict is per-derivation reduction to zero.
+    Kinds (ABEL_KINDS): "f" and "e" and "pi" run on the symbolic Legendre
+    tower, "w1" and "w2" on the symbolic Weierstrass tower, "w2" with the
+    correction x1 Dx1/y1 + x2 Dx2/y2 - x3 Dx3/y3 = D(2 lambda).  Everything
+    stays exact; the verdict is per-derivation reduction to zero.
     """
     kind = kind.lower()
     if kind in ("f", "e", "pi"):
@@ -570,18 +574,21 @@ def check_abel_identity(kind: str) -> AbelReport:
         lkind = {"f": 1, "e": 2, "pi": 3}[kind]
         terms = _addition_terms(
             lambda p: LPhi(lkind, p.x, p.y, curve.m, prm), p1, p2, p3)
-    elif kind == "w1":
+    elif kind in ("w1", "w2"):
         t = _weierstrass_tower()
         curve = WeierstrassCurve(t["a"], t["b"])
         p1, p2, p3 = _symbolic_sum(t, curve, weierstrass_add)
+        wkind = int(kind[1])
         terms = _addition_terms(
-            lambda p: WPhi(1, p.x, p.y, curve.a, curve.b), p1, p2, p3)
+            lambda p: WPhi(wkind, p.x, p.y, curve.a, curve.b), p1, p2, p3)
     else:
         raise InvalidDefiningData(f"unknown identity kind {kind!r}")
 
     v0 = t.zero()
     if kind == "e":
         v0 = -abel_e_correction(curve, p1, p2)
+    elif kind == "w2":
+        v0 = -weierstrass_e_correction(curve, p1, p2)
     elif kind == "pi":
         # + (a/(2 delta)) * (D num/num - D den/den) of the log argument
         fnum, fden = _abel_f_parts(prm, p1, p2, p3)
@@ -589,15 +596,3 @@ def check_abel_identity(kind: str) -> AbelReport:
         terms += [(scale, LogPhi(fnum)), (-scale, LogPhi(fden))]
     rows = _under_partials(t, v0, terms)
     return AbelReport(kind, tuple(rows), all(zero for _, zero in rows))
-
-
-def check_w2_chord_identity() -> bool:
-    """Oracle for the second-kind Weierstrass correction:
-    x1 Dx1/y1 + x2 Dx2/y2 - x3 Dx3/y3 - D(2 lambda) = 0."""
-    t = _weierstrass_tower()
-    curve = WeierstrassCurve(t["a"], t["b"])
-    p1, p2, p3 = _symbolic_sum(t, curve, weierstrass_add)
-    terms = _addition_terms(
-        lambda p: WPhi(2, p.x, p.y, curve.a, curve.b), p1, p2, p3)
-    v0 = -weierstrass_e_correction(curve, p1, p2)
-    return all(zero for _, zero in _under_partials(t, v0, terms))

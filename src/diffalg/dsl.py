@@ -8,9 +8,12 @@ Tower documents are line-oriented:
     let u = x*t + 1     # named shorthand, usable in later lines; no
                         # later declaration may take its name
 
-Extension kinds: int(g), log(h), exp(v), lambertw(v), sqrt(r),
-ellfun(v, a, b) which also adds the companion NAME_q, and
-ellint(k, p, q[, c]) for the three elliptic integral kinds.
+The extension kinds, the Tower constructor each calls and the arguments
+it takes are tower.GEN_KINDS: int(g[, G]), a primitive of g with an
+optional recorded antiderivative G; log(h), exp(v), lambertw(v), sqrt(r);
+ellfun(v, a, b), which also adds the companion NAME_q; and
+ellint(k, p, q[, c]) for the three elliptic integral kinds.  Each gen line
+prints back through tower.gen_args.
 
 Form documents declare v0 and phi terms:
 
@@ -34,22 +37,18 @@ printed text reproduces the same tower, bindings, and form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import TERM_KINDS, make_term, term_args
 from .errors import DiffAlgError, NameClash, ParseError
 from .liouville import LiouvilleForm
 from .ratfunc import RatFunc, normal_form, quotient, reduce_powers
-from .tower import (AlgebraicSqrt, BaseVar, ConstParam, Element,
-                    EllipticFunction, EllIntegralTag, Exponential, LambertW,
-                    LogTag, Primitive, Tower)
-
-_KINDS = ("int", "log", "exp", "lambertw", "sqrt", "ellfun", "ellint")
+from .tower import GEN_KINDS, BaseVar, ConstParam, Element, Tower, gen_args
 
 _OPS = "+-*/^(),=;"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME, INT, OP, NL, EOF
     text: str
     line: int
@@ -327,27 +326,16 @@ def parse_tower(text: str) -> TowerDoc:
 
 def _parse_gen(ts: _Stream, t: Tower, env: dict, name: Token) -> Tower:
     kind = ts.expect("NAME")
-    if kind.text not in _KINDS:
+    if kind.text not in GEN_KINDS:
         raise ParseError(f"unknown extension kind {kind.text!r}",
                          kind.line, kind.col)
-    if kind.text == "ellint":
-        k, *args = _parse_args(ts, env, t,
-                               lambda: _int_value(ts.expect("INT")))
-        if len(args) not in (2, 3):
-            raise ParseError("ellint takes kind, p, q and optionally c",
-                             kind.line, kind.col)
-        return t.ellint(name.text, k, *args)
-    args = _parse_args(ts, env, t)
-    single = {"int": t.primitive, "log": t.log_ext, "exp": t.exp_ext,
-              "lambertw": t.lambertw, "sqrt": t.sqrt_ext}
-    if kind.text in single:
-        if len(args) != 1:
-            raise ParseError(f"{kind.text} takes one argument",
-                             kind.line, kind.col)
-        return single[kind.text](name.text, args[0])
-    if len(args) != 3:
-        raise ParseError("ellfun takes v, a, b", kind.line, kind.col)
-    return t.elliptic(name.text, *args)
+    make, takes = GEN_KINDS[kind.text]
+    first = (lambda: _int_value(ts.expect("INT"))) if takes[0] == "k" else None
+    args = _parse_args(ts, env, t, first)
+    least = takes.split("[")[0].count(",") + 1
+    if not least <= len(args) <= takes.count(",") + 1:
+        raise ParseError(f"{kind.text} takes {takes}", kind.line, kind.col)
+    return make(t, name.text, *args)
 
 
 def _parse_args(ts: _Stream, env: dict, t: Tower, first=None) -> list:
@@ -375,26 +363,9 @@ def print_tower(doc: TowerDoc) -> str:
             lines.append(f"const {g.name}")
         elif isinstance(k, BaseVar):
             lines.append(f"var {g.name} = d/dx {k.deriv}")
-        elif isinstance(k, Primitive):
-            if isinstance(k.tag, LogTag):
-                lines.append(f"gen {g.name} = log({k.tag.h})")
-            elif isinstance(k.tag, EllIntegralTag):
-                tag = k.tag
-                args = ", ".join(str(e) for e in (tag.kind, tag.p, tag.q,
-                                                  tag.c) if e is not None)
-                lines.append(f"gen {g.name} = ellint({args})")
-            else:
-                lines.append(f"gen {g.name} = int({k.integrand})")
-        elif isinstance(k, Exponential):
-            lines.append(f"gen {g.name} = exp({k.v})")
-        elif isinstance(k, LambertW):
-            lines.append(f"gen {g.name} = lambertw({k.v})")
-        elif isinstance(k, EllipticFunction):
-            lines.append(f"gen {g.name} = ellfun({k.v}, {k.a}, {k.b})")
-        elif isinstance(k, AlgebraicSqrt):
-            if k.companion_of is None:
-                lines.append(f"gen {g.name} = sqrt({k.radicand})")
-            # companions are implied by their ellfun line
+        elif decl := gen_args(k):  # a companion comes with its ellfun line
+            kind, args = decl
+            lines.append(f"gen {g.name} = {kind}({', '.join(map(str, args))})")
     for name, e in doc.bindings.items():
         lines.append(f"let {name} = {e}")
     return "\n".join(lines) + "\n"

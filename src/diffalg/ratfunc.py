@@ -20,20 +20,18 @@ view MultiPoly.fold_squares; this module reads no monomials.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ZeroDenominator
 from .poly import MultiPoly, poly_divexact, poly_gcd
 
 
-class RatFunc:
-    """num/den, gcd-reduced, denominator monic."""
+class RatFunc(NamedTuple):
+    """num/den, gcd-reduced, denominator monic; unpacks as the pair.  The
+    constructor trusts its input; ratfunc_normalize takes raw pairs."""
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly):
-        # Trusted constructor; ratfunc_normalize takes raw input.
-        self.num = num
-        self.den = den
+    num: MultiPoly
+    den: MultiPoly
 
     @staticmethod
     def const(q) -> "RatFunc":
@@ -54,19 +52,6 @@ class RatFunc:
 
     def gens(self) -> set:
         return self.num.gens() | self.den.gens()
-
-    def __iter__(self):  # unpacks as the pair (num, den)
-        return iter((self.num, self.den))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RatFunc)
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self.num!r}, {self.den!r})"
 
 
 def quotient(op: str, a, b):

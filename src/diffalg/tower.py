@@ -358,26 +358,31 @@ class Tower:
             raise CyclicDefinition("defining data does not live in the "
                                    "tower below") from None
 
-    def _append(self, *gens: Generator) -> "Tower":
-        return Tower(self.generators + gens)
+    def _adjoin(self, name: str, kind) -> "Tower":
+        """This tower with one more generator, under the next id."""
+        return Tower(self.generators
+                     + (Generator(self._next_gid(), name, kind),))
 
     def const(self, name: str) -> "Tower":
         self._check_name(name)
-        return self._append(Generator(self._next_gid(), name, ConstParam()))
+        return self._adjoin(name, ConstParam())
 
     def var(self, name: str, deriv=1) -> "Tower":
         self._check_name(name)
-        d = self._coerce_below(deriv)
-        return self._append(Generator(self._next_gid(), name, BaseVar(d)))
+        return self._adjoin(name, BaseVar(self._coerce_below(deriv)))
 
     def primitive(self, name: str, integrand, antiderivative=None) -> "Tower":
+        """Adjoin theta with D theta = integrand.  A recorded antiderivative
+        G, which lets a reduction remove theta, must have D G = integrand."""
         self._check_name(name)
         f = self._coerce_below(integrand)
         anti = None
         if antiderivative is not None:
             anti = self._coerce_below(antiderivative)
-        return self._append(Generator(self._next_gid(), name,
-                                      Primitive(f, None, anti)))
+            if self.derive(FULL_D, anti) != f:
+                raise InvalidDefiningData(
+                    f"{anti} is not an antiderivative of {f}")
+        return self._adjoin(name, Primitive(f, None, anti))
 
     def log_ext(self, name: str, h) -> "Tower":
         self._check_name(name)
@@ -385,22 +390,21 @@ class Tower:
         if h.is_zero() or h == 1:
             raise InvalidDefiningData(f"log of {h}")
         integrand = self.derive(FULL_D, h) / h
-        return self._append(Generator(self._next_gid(), name,
-                                      Primitive(integrand, LogTag(h))))
+        return self._adjoin(name, Primitive(integrand, LogTag(h)))
 
     def exp_ext(self, name: str, v) -> "Tower":
         self._check_name(name)
         v = self._coerce_below(v)
         if v.is_zero():
             raise InvalidDefiningData("exp of 0")
-        return self._append(Generator(self._next_gid(), name, Exponential(v)))
+        return self._adjoin(name, Exponential(v))
 
     def lambertw(self, name: str, v) -> "Tower":
         self._check_name(name)
         v = self._coerce_below(v)
         if v.is_zero():
             raise InvalidDefiningData("lambertw of zero")
-        return self._append(Generator(self._next_gid(), name, LambertW(v)))
+        return self._adjoin(name, LambertW(v))
 
     def sqrt_ext(self, name: str, radicand) -> "Tower":
         self._check_name(name)
@@ -414,8 +418,7 @@ class Tower:
                              for n in (q.numerator, q.denominator)):
                 raise InvalidDefiningData(
                     f"radicand {q} is the square of a rational")
-        return self._append(Generator(self._next_gid(), name,
-                                      AlgebraicSqrt(r)))
+        return self._adjoin(name, AlgebraicSqrt(r))
 
     def elliptic(self, name: str, v, a, b) -> "Tower":
         """Adjoin an elliptic-function pair (theta, theta_q)."""
@@ -428,11 +431,10 @@ class Tower:
                 raise InvalidDefiningData(
                     f"curve coefficient {label} must be constant")
         gid = self._next_gid()
-        qgid = gid + 1
-        t = self._append(Generator(gid, name, EllipticFunction(v, a, b, qgid)))
+        t = self._adjoin(name, EllipticFunction(v, a, b, gid + 1))
         theta = t[name]
-        return t._append(Generator(qgid, qname, AlgebraicSqrt(
-            theta ** 3 - a * theta - b, companion_of=gid)))
+        return t._adjoin(qname, AlgebraicSqrt(theta ** 3 - a * theta - b,
+                                              companion_of=gid))
 
     def ellint(self, name: str, kind: int, p, q, c=None) -> "Tower":
         """Adjoin a tagged elliptic-integral primitive of kind 1, 2 or 3."""
@@ -460,8 +462,7 @@ class Tower:
                 raise InvalidDefiningData("pole coincides with the argument")
             integrand = dp / (pole * q)
         tag = EllIntegralTag(kind, p, q, c if kind == 3 else None, a, b)
-        return self._append(Generator(self._next_gid(), name,
-                                      Primitive(integrand, tag)))
+        return self._adjoin(name, Primitive(integrand, tag))
 
     def _resolve_cubic(self, p: Element, q: Element):
         """Find constants a, b with q^2 = p^3 - a*p - b, or reject."""
@@ -670,6 +671,47 @@ class Tower:
         lhs = self.derive(FULL_D, n) / n
         rhs = self.trace(gen, self.derive(FULL_D, e) / e)
         return (lhs - rhs).is_zero()
+
+
+# --------------------------------------------------------------------------
+# Generator declarations: each gen kind of the tower language, the Tower
+# constructor it calls and the arguments that constructor takes after the
+# name.  Arguments in brackets may be left out; k is an integer literal,
+# every other argument an element.  gen_args is the inverse.
+
+GEN_KINDS = {
+    "int": (Tower.primitive, "g[, G]"),
+    "log": (Tower.log_ext, "h"),
+    "exp": (Tower.exp_ext, "v"),
+    "lambertw": (Tower.lambertw, "v"),
+    "sqrt": (Tower.sqrt_ext, "r"),
+    "ellfun": (Tower.elliptic, "v, a, b"),
+    "ellint": (Tower.ellint, "k, p, q[, c]"),
+}
+
+
+def gen_args(kind) -> tuple | None:
+    """(name, arguments) of the gen declaration whose GEN_KINDS constructor
+    makes this kind; None for a constant, a base variable and an elliptic
+    function's companion, which no gen declaration of their own makes."""
+    if isinstance(kind, Primitive):
+        tag = kind.tag
+        if isinstance(tag, LogTag):
+            return "log", [tag.h]
+        if isinstance(tag, EllIntegralTag):
+            name, args = "ellint", [tag.kind, tag.p, tag.q, tag.c]
+        else:
+            name, args = "int", [kind.integrand, kind.antiderivative]
+        return name, [e for e in args if e is not None]  # left out: None
+    if isinstance(kind, Exponential):
+        return "exp", [kind.v]
+    if isinstance(kind, LambertW):
+        return "lambertw", [kind.v]
+    if isinstance(kind, EllipticFunction):
+        return "ellfun", [kind.v, kind.a, kind.b]
+    if isinstance(kind, AlgebraicSqrt) and kind.companion_of is None:
+        return "sqrt", [kind.radicand]
+    return None
 
 
 @dataclass(frozen=True)

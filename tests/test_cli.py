@@ -576,6 +576,28 @@ def test_reduce_keeps_a_constant_above_the_consumed_log(tower_file,
         "step 1: top generator now m, verified\nPASS\n")
 
 
+def test_reduce_through_a_recorded_antiderivative(tower_file, form_file,
+                                                 capsys):
+    tower = tower_file(X_ONLY + "gen th = int(x^2, x^3/3)\n")
+    rc = main(["reduce", tower, "--integrand", "x^2",
+               "--form", form_file("v0 = th")])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "# step 1\nv0 = 1/3*x^3\nstep 1: top generator now x, verified\n"
+        "PASS\n")
+
+
+def test_wrong_antiderivative_maps_to_error(tower_file, form_file, capsys):
+    argv = ["reduce", tower_file(X_ONLY + "gen th = int(x^2, x)\n"),
+            "--integrand", "x^2", "--form", form_file("v0 = th")]
+    msg = "invalid defining data: x is not an antiderivative of x^2"
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {msg}\n")
+    assert main(argv + ["--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
+
+
 def test_reduce_refuses_to_strand_defining_data(tower_file, form_file,
                                                capsys):
     # h = exp(g1 - g2) is constant and stays, but its data uses g2
@@ -591,7 +613,7 @@ def test_reduce_refuses_to_strand_defining_data(tower_file, form_file,
 # -- abel ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["f", "w1"])
+@pytest.mark.parametrize("kind", ["f", "w1", "w2"])
 def test_abel_kinds(kind, capsys):
     rc = main(["abel", "--kind", kind])
     out = capsys.readouterr().out

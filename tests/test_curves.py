@@ -17,7 +17,7 @@ from diffalg import curves
 from diffalg.curves import (CurvePoint, LegendreCurve, LPhi, ThirdKindParam,
                             WeierstrassCurve, abel_a0, abel_e_correction,
                             abel_log_argument, check_abel_identity,
-                            check_w2_chord_identity, chord_slope,
+                            chord_slope,
                             legendre_add, phi_sum_is_zero, weierstrass_add,
                             weierstrass_e_correction, _abel_f_parts, _clear,
                             _coprime_basis, _legendre_tower, _Part,
@@ -158,7 +158,7 @@ def test_doubled_second_kind_correction_fails():
 
 def test_w2_correction_normalization():
     # pins the 2*lambda normalization used by the reduction engine
-    assert check_w2_chord_identity()
+    assert check_abel_identity("w2").passed
     t, curve, p1, p2 = weierstrass_setup()
     w = weierstrass_e_correction(curve, p1, p2)
     assert (w - 2 * chord_slope(p1, p2)).is_zero()

@@ -5,16 +5,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, note, settings
+from hypothesis import strategies as st
 
 from diffalg import poly
 from diffalg.dsl import (TowerDoc, parse_expr, parse_form, parse_tower,
                          print_form, print_tower, tokenize)
-from diffalg.errors import (DiffAlgError, FieldMismatch, NameClash,
-                            ParseError, ZeroDenominator)
+from diffalg.errors import (DiffAlgError, FieldMismatch,
+                            InvalidDefiningData, NameClash, ParseError,
+                            ZeroDenominator)
 from diffalg.fmt import format_ratfunc
 from diffalg.liouville import (LiouvilleForm, LogPhi, LPhi, WPhi,
                                form_derivative, verify_liouville)
-from diffalg.tower import FULL_D, Tower
+from diffalg.tower import FULL_D, GEN_KINDS, Tower
 
 X_ONLY = "var x = d/dx 1\n"
 
@@ -222,6 +225,19 @@ def test_parse_tower_unknown_extension_kind():
     assert "cosh" in e.value.message
 
 
+@pytest.mark.parametrize("call, takes", [
+    ("int(x, x, x)", "g[, G]"), ("log(x, x)", "h"), ("exp(x, x)", "v"),
+    ("lambertw(x, 1)", "v"), ("sqrt(x, x)", "r"),
+    ("ellfun(x, 1)", "v, a, b"), ("ellint(1, x)", "k, p, q[, c]"),
+    ("ellint(3, x, x, 1, 1)", "k, p, q[, c]"),
+])
+def test_parse_tower_gen_arity(call, takes):
+    with pytest.raises(ParseError) as e:
+        parse_tower(X_ONLY + "gen g = " + call)
+    assert e.value.message == f"{call.split('(')[0]} takes {takes}"
+    assert (e.value.line, e.value.column) == (2, 9)
+
+
 TOWER_CORPUS = [
     X_ONLY.rstrip(),
     X_ONLY + "gen t = exp(1/x^2)",
@@ -234,6 +250,7 @@ TOWER_CORPUS = [
      "gen E = ellint(2, p, p_q)"),
     X_ONLY + "gen w = lambertw(x)\ngen s = sqrt(w + x)",
     X_ONLY + "gen f = int(x^2 + 1)",
+    X_ONLY + "gen f = int(x^2 + 1, 1/3*x^3 + x)",
     "const m\nvar x = d/dx m + 2\ngen th = log(x)",
 ]
 
@@ -262,6 +279,65 @@ def test_tower_round_trip(text):
     assert set(doc.bindings) == set(doc2.bindings)
     for name in doc.bindings:
         assert doc.bindings[name].rf == doc2.bindings[name].rf
+
+
+@st.composite
+def tower_docs(draw):
+    """Two or three gen draws over every kind of GEN_KINDS above const a, b
+    and var x, each generator's data drawn over the generators before it,
+    and up to two let bindings.  An int draw records an antiderivative
+    half the time; an ellint draw first adds an ellfun for its p and q."""
+    t = Tower.base().const("a").const("b").var("x")
+
+    def element(t):
+        atoms = [t[g.name] for g in t.generators]
+        e = t.lit(draw(st.integers(-2, 2)))
+        for _ in range(draw(st.integers(1, 2))):
+            term = draw(st.integers(-3, 3)) or 1
+            for _ in range(draw(st.integers(1, 2))):
+                term = term * draw(st.sampled_from(atoms))
+            e = e + term
+        if draw(st.booleans()):
+            e = e / (t["x"] + draw(st.integers(1, 3)))
+        return e
+
+    for i in range(draw(st.integers(2, 3))):
+        name = f"g{i}"
+        kind = draw(st.sampled_from(sorted(GEN_KINDS)))
+        try:
+            if kind == "int" and draw(st.booleans()):
+                anti = element(t)
+                t = t.primitive(name, t.derive(FULL_D, anti), anti)
+            elif kind in ("ellfun", "ellint"):
+                p = name if kind == "ellfun" else f"p{i}"
+                ab = draw(st.sampled_from([(t["a"], t["b"]), (1, 2),
+                                           (t["a"], 0)]))
+                t = t.elliptic(p, element(t), *ab)
+                if kind == "ellint":
+                    k = draw(st.integers(1, 3))
+                    c = [draw(st.sampled_from([2, t["a"]]))] if k == 3 else []
+                    t = t.ellint(name, k, t[p], t[p + "_q"], *c)
+            else:
+                make, _ = GEN_KINDS[kind]
+                t = make(t, name, element(t))
+        except InvalidDefiningData:  # a zero, log(1) or a square radicand
+            assume(False)
+    bindings = {f"u{j}": element(t) for j in range(draw(st.integers(0, 2)))}
+    return TowerDoc(t, bindings)
+
+
+@given(tower_docs())
+@settings(max_examples=100, deadline=None)
+def test_random_tower_round_trip(doc):
+    # the printed document parses back to the same tower, generator by
+    # generator with the same defining data, and prints the same again
+    printed = print_tower(doc)
+    note(printed)
+    doc2 = parse_tower(printed)
+    assert doc.tower._holds(doc2.tower) and doc2.tower._holds(doc.tower)
+    assert print_tower(doc2) == printed
+    assert ({k: v.rf for k, v in doc2.bindings.items()}
+            == {k: v.rf for k, v in doc.bindings.items()})
 
 
 # -- form documents -----------------------------------------------------------

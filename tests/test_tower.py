@@ -402,6 +402,17 @@ def test_exp_of_0_and_log_of_1_are_refused():
     t.log_ext("g", 2)
 
 
+def test_primitive_refuses_a_wrong_antiderivative():
+    # D x = 1, not x^2: once accepted, reduce_top later failed its
+    # self-check with this value
+    t = Tower.base().var("x")
+    x = t["x"]
+    with pytest.raises(InvalidDefiningData,
+                       match="x is not an antiderivative of x\\^2"):
+        t.primitive("th", x ** 2, antiderivative=x)
+    t.primitive("th", x ** 2, antiderivative=x ** 3 / 3 + 5)
+
+
 def test_coerce_rejects_foreign_gids():
     # down into a sub-tower only what uses none of the generators left out
     t = Tower.base().var("x")
