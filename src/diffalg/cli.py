@@ -181,6 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-degree", type=positive_int, default=512,
                         metavar="N",
                         help="abort any polynomial above this total degree")
+    expr_help = ("an expression; give one that starts with '-' after '=', "
+                 "as in -e=-x or --integrand=-1/x")
 
     p = argparse.ArgumentParser(
         prog="diffalg",
@@ -191,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("derive", parents=[common],
                        help="differentiate an expression over a tower")
     d.add_argument("tower", help="tower document path")
-    d.add_argument("-e", "--expr", required=True)
+    d.add_argument("-e", "--expr", required=True, help=expr_help)
     d.add_argument("--wrt", default="D", metavar="D|X:NAME|partial:NAME")
     d.set_defaults(func=_cmd_derive)
 
@@ -203,14 +205,16 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", parents=[common],
                        help="check that a form differentiates to the integrand")
     v.add_argument("tower")
-    v.add_argument("--integrand", required=True, metavar="EXPR")
+    v.add_argument("--integrand", required=True, metavar="EXPR",
+                   help=expr_help)
     v.add_argument("--form", required=True, metavar="FORMFILE")
     v.set_defaults(func=_cmd_verify)
 
     r = sub.add_parser("reduce", parents=[common],
                        help="push a verified form down the tower")
     r.add_argument("tower")
-    r.add_argument("--integrand", required=True, metavar="EXPR")
+    r.add_argument("--integrand", required=True, metavar="EXPR",
+                   help=expr_help)
     r.add_argument("--form", required=True, metavar="FORMFILE")
     r.add_argument("--steps", type=positive_int, default=None, metavar="N")
     r.set_defaults(func=_cmd_reduce)
@@ -225,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     n.add_argument("tower")
     n.add_argument("--gen", required=True, metavar="NAME",
                    help="square-root generator to conjugate")
-    n.add_argument("-e", "--expr", required=True)
+    n.add_argument("-e", "--expr", required=True, help=expr_help)
     n.set_defaults(func=_cmd_trnorm)
     return p
 

@@ -13,12 +13,15 @@ of denominator factors.  phi_sum_is_zero, the zero test that the Abel
 identities and liouville.verify_liouville share, clears
 D_h(v0) + sum c_i phi(h v_i, v_i) - f once over the least common multiple
 of its denominators, power-reduces the single big numerator and tests it
-for zero.  The lcm is taken over a pairwise coprime basis of the
-denominator factors, so gcds run only between those small factors, never
-on the big numerator.  That is orders of magnitude cheaper than canonical
-arithmetic and just as conclusive.  phi_sum turns the same cleared sum
-into a canonical value with one normal_form.  Both refuse a phi whose
-denominator holds a zero divisor, which clearing would multiply through.
+for zero.  The parts join a running sum, lightest denominator first, and
+each join lifts the sum and the part only by the factors the other holds,
+so where partial sums cancel, each full-size product is formed once.  The
+lcm is taken over a pairwise coprime basis of the denominator factors, so
+gcds run only between those small factors, never on the big numerator.
+That is orders of magnitude cheaper than canonical arithmetic and just as
+conclusive.  phi_sum turns the same cleared sum into a canonical value
+with one normal_form.  Both refuse a phi whose denominator holds a zero
+divisor, which clearing would multiply through.
 """
 
 from __future__ import annotations
@@ -210,7 +213,8 @@ def abel_log_argument(curve: LegendreCurve, prm: ThirdKindParam,
 # --------------------------------------------------------------------------
 # Lazy sums of quotients: each part is a numerator polynomial over a bag
 # of denominator factor polynomials.  Zero testing clears the least common
-# multiple of the parts' denominators, factored over a coprime basis, and
+# multiple of the parts' denominators, factored over a coprime basis, as a
+# running sum that takes the lightest denominator first, then
 # power-reduces once.
 
 
@@ -303,10 +307,13 @@ def _clear(parts, rels):
     """The sum of the parts as (num, den, common): it equals num over
     den times the product of b^k over common, with num power-reduced.
     common is the least common multiple of the parts' denominators over
-    a coprime basis, so a factor shared by parts is cleared once."""
+    a coprime basis, so a factor shared by parts is cleared once.  The
+    parts join a running sum, lightest denominator first (terms times
+    exponent over the basis factors; ties keep their order): the sum is
+    lifted only by the factors a part brings, and the part only by those
+    it lacks, so where partial sums cancel no full-size product repeats."""
     parts = [p for p in parts if not p.num.is_zero()]
     over = _coprime_basis(f for p in parts for f in p.dens)
-    common: Counter = Counter()
     scaled = []
     for p in parts:
         unit, exps = Fraction(1), Counter()
@@ -315,16 +322,19 @@ def _clear(parts, rels):
             unit *= u ** k
             for b, j in e.items():
                 exps[b] += j * k
-        common |= exps  # the largest power of each basis element
         scaled.append((p.num if unit == 1 else p.num.scale(1 / unit), exps))
+    scaled.sort(key=lambda s: sum(len(b.terms) * k for b, k in s[1].items()))
     one = MultiPoly.one()
-    total_num, total_den = MultiPoly.zero(), one
+    total_num, total_den, common = MultiPoly.zero(), one, Counter()
     for piece, exps in scaled:
+        for b in (exps - common).elements():
+            total_num, d = reduce_powers(total_num * b, one, rels)
+            total_den = total_den * d
         pden = one
-        for b, k in (common - exps).items():
-            for _ in range(k):
-                piece, d = reduce_powers(piece * b, one, rels)
-                pden = pden * d
+        for b in (common - exps).elements():
+            piece, d = reduce_powers(piece * b, one, rels)
+            pden = pden * d
+        common |= exps  # the largest power of each basis element
         # piece/pden joins total_num/total_den
         total_num = total_num * pden + piece * total_den
         total_den = total_den * pden

@@ -476,6 +476,27 @@ def test_derive_uses_bindings(tower_file, capsys):
     assert out.replace(" ", "") in ("2*x+1", "1+2*x")
 
 
+def test_expression_starting_with_minus_goes_after_equals(
+        tower_file, form_file, capsys):
+    # argparse takes "-x" after "-e" for an option, so the expression is
+    # joined to its flag, as the help texts say
+    tower = tower_file(X_ONLY)
+    with pytest.raises(SystemExit) as exc:
+        main(["derive", tower, "-e", "-x"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert main(["derive", tower, "-e=-x"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "-1"
+    rc = main(["verify", tower, "--integrand=-1/x",
+               "--form", form_file("v0 = 0\nterm -1 * log(x)")])
+    assert rc == 0
+    assert "PASS" in capsys.readouterr().out
+    for sub in ("derive", "verify", "reduce", "trnorm"):
+        with pytest.raises(SystemExit):
+            main([sub, "-h"])
+        assert "--integrand=-1/x" in capsys.readouterr().out
+
+
 # -- check-lie ----------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 import sympy
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipj
 
-from diffalg import curves
+from diffalg import curves, poly
 from diffalg.curves import (CurvePoint, LegendreCurve, LPhi, ThirdKindParam,
                             WeierstrassCurve, abel_a0, abel_e_correction,
                             abel_log_argument, check_abel_identity,
@@ -21,12 +21,12 @@ from diffalg.curves import (CurvePoint, LegendreCurve, LPhi, ThirdKindParam,
                             legendre_add, phi_sum_is_zero, weierstrass_add,
                             weierstrass_e_correction, _abel_f_parts, _clear,
                             _coprime_basis, _legendre_tower, _Part,
-                            _weierstrass_tower)
+                            _product, _weierstrass_tower)
 from diffalg.errors import (DegenerateChord, DegenerateDenominator,
                             InvalidDefiningData)
 from diffalg.poly import MONO_ONE, MultiPoly, poly_gcd
 from diffalg.ratfunc import normal_form
-from diffalg.tower import PartialD, Tower
+from diffalg.tower import Element, PartialD, Tower
 
 
 def legendre_setup():
@@ -338,6 +338,72 @@ def test_clear_holds_each_shared_factor_once():
     half = MultiPoly.const(Fraction(1, 2))
     assert (normal_form(num, den * p * q, t.rels)
             == normal_form(x + z + q + half * q, p * q, t.rels))
+
+
+def _two_root_tower():
+    t = Tower.base().var("x")
+    t = t.sqrt_ext("y", t["x"] ** 2 + 1)
+    return t.sqrt_ext("w", 1 / (t["x"] + 2))  # w^2 folds over x + 2
+
+
+TWO_ROOTS = _two_root_tower()
+
+
+@st.composite
+def lazy_parts(draw, t, cancel):
+    """2-4 parts over t.  With cancel, each drawn part comes back negated,
+    as -1 = -(x + 2) * w^2, which only folding undoes, so the sum is 0;
+    without, one part has a pole at x = -3, which no other part has."""
+    x, y, w = (t[n].rf.num for n in ("x", "y", "w"))
+    one, c = MultiPoly.one(), MultiPoly.const
+    pool = [x, x + c(2), x.scale(2) - one, x * x + one, y + x, w + one]
+    parts = []
+    for _ in range(draw(st.integers(1, 2 if cancel else 3))):
+        dens: Counter = Counter()
+        for f in draw(st.lists(st.sampled_from(pool), max_size=2)):
+            dens[f] += draw(st.integers(1, 2))
+        parts.append(_Part(draw(small_polys(3)), dens))
+    if cancel:
+        minus_one = -(x + c(2)) * w * w
+        return parts + [_Part(p.num * minus_one, p.dens) for p in parts]
+    return parts + [_Part(one, Counter({x + c(3): 1}))]
+
+
+@pytest.mark.parametrize("cancel", [True, False])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_clear_is_order_independent(cancel, data):
+    # the running sum joins the parts in an order of its own; whatever
+    # order they come in, it clears the same lcm to the value that the
+    # canonical term-by-term sum gives
+    t = TWO_ROOTS
+    parts = data.draw(lazy_parts(t, cancel))
+    want = sum((Element(t, normal_form(p.num, _product(p.dens), t.rels))
+                for p in parts), t.zero())
+    assert want.is_zero() == cancel
+    commons = []
+    for order in permutations(parts):
+        num, den, common = _clear(order, t.rels)
+        commons.append(common)
+        assert normal_form(num, den * _product(common), t.rels) == want.rf
+    assert all(common == commons[0] for common in commons)
+
+
+@pytest.mark.parametrize("kind, most", [("f", 868), ("e", 3816),
+                                        ("w1", 1206), ("pi", 200_000)])
+def test_abel_clearing_work_is_pinned(kind, most, monkeypatch):
+    # term pairs over every polynomial product of the identity; pi took
+    # 329,179 when each part was lifted to the full lcm on its own
+    pairs = []
+    mul = poly._dict_mul
+
+    def counted(a, b, deg):
+        pairs.append(len(a) * len(b))
+        return mul(a, b, deg)
+
+    monkeypatch.setattr(poly, "_dict_mul", counted)
+    assert check_abel_identity(kind).passed
+    assert sum(pairs) <= most
 
 
 def test_basis_split_that_does_not_divide_raises(monkeypatch):
