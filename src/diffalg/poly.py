@@ -46,10 +46,12 @@ key hands it each step's leading term, so no step rescans the remainder
 (Monagan & Pearce 2007, CASC).
 
 GCDs run on the integer term dicts (the denominator is a unit over Q).
-A modular certificate first proves most coprime pairs coprime.  The
-heuristic gcd GCDHEU then evaluates at large integers, takes integer
-gcds and reads the candidate back from xi-adic digits, and accepts it
-only when it divides both inputs exactly.  When GCDHEU gives up (a few
+A modular certificate (_certify_coprime) first proves most coprime
+pairs coprime from their univariate images mod a prime, read off the
+packed monomials through power tables.  The heuristic gcd GCDHEU then
+evaluates at large integers, takes integer gcds, reads the candidate
+back from xi-adic digits, and accepts it only when it divides both
+inputs exactly.  When GCDHEU gives up (a few
 evaluation points, or a fixed bit budget on the evaluated coefficients),
 recursive content/primitive-part elimination by pseudo-remainders over
 the last variable gives the exact answer.  Every recursive content gcd
@@ -626,45 +628,54 @@ def _content_over(p: dict, vars_out: set) -> dict:
     return _pos_lc(_fold_gcd(list(_split_by(p, vars_out).values())))
 
 
-# Coprimality certificate: evaluate all variables but one at random points
-# mod a large prime.  If the leading degree in the kept variable survives
-# for both polynomials and the univariate images are coprime, the true gcd
-# has degree zero in that variable.  Holding for every shared variable this
-# proves the gcd is an integer, so the expensive pseudo-remainder sequence
-# can be skipped.  Failure of the certificate is never trusted; we just
-# fall through to the full computation.
+# Coprimality certificate, in front of GCDHEU: set every generator but v
+# to a random point mod a large prime.  If the leading coefficient in v
+# survives in both polynomials and their images in Z_P[v] are coprime,
+# the gcd has degree zero in v; holding for every shared generator, it
+# is an integer and GCDHEU is skipped.  A failure is never trusted.  The
+# images are read off the packed monomials: each term indexes one power
+# table per generator with its shifted field, and both operands share
+# the tables, each as long as its generator's field in their OR.
 
 _CERT_PRIME = (1 << 61) - 1
 _cert_seed = 0x5EED
 
 
-def _eval_uni_mod(p: dict, v: int, vals: dict) -> list | None:
-    """Image of p in Z_P[v] at vals; None if the leading coeff drops."""
+def _power_tables(vals: dict, both: int) -> list:
+    """One (shift, table) pair per generator g of vals; the table holds
+    vals[g]^e mod P for e up to g's field in the monomial OR both."""
     P = _CERT_PRIME
-    shift = v * W
-    degv = _deg_in(p, v)
-    coeffs = [0] * (degv + 1)
-    cache: dict = {}
+    out = []
+    for g, x in vals.items():
+        tab = [1] * ((both >> g * W & _FIELD) + 1)
+        for e in range(1, len(tab)):
+            tab[e] = tab[e - 1] * x % P
+        out.append((g * W, tab))
+    return out
+
+
+def _eval_uni_mod(p: dict, v: int, tabs: list) -> list | None:
+    """Image of p in Z_P[v], with the other generators set by tabs, one
+    (shift, power table) pair each; None if the leading coeff drops."""
+    vshift = v * W
+    u: dict = {}
     for m, c in p.items():
-        d = (m >> shift) & _FIELD
-        acc = c % P
-        for key in mono_items(m - (d << shift)):
-            pw = cache.get(key)
-            if pw is None:
-                g, e = key
-                pw = cache[key] = pow(vals[g], e, P)
-            acc = acc * pw % P
-        coeffs[d] = (coeffs[d] + acc) % P
-    if coeffs[degv] == 0:
+        for shift, tab in tabs:
+            c *= tab[m >> shift & _FIELD]
+        d = m >> vshift & _FIELD
+        u[d] = u.get(d, 0) + c
+    P = _CERT_PRIME
+    top = max(u)
+    if u[top] % P == 0:
         return None
-    return coeffs
+    return [u.get(d, 0) % P for d in range(top + 1)]
 
 
 def _uni_gcd_is_const(a: list, b: list) -> bool:
     """True when gcd of the univariate images over Z_P is constant."""
     P = _CERT_PRIME
     while len(b) > 1:
-        inv = pow(b[-1], P - 2, P)
+        inv = pow(b[-1], -1, P)
         r = a[:]
         db = len(b) - 1
         while len(r) - 1 >= db:
@@ -683,26 +694,28 @@ def _uni_gcd_is_const(a: list, b: list) -> bool:
 
 
 def _certify_coprime(p: dict, q: dict, shared: set) -> bool:
+    """True only when coprime images in each shared generator prove
+    gcd(p, q) an integer: fixed-seed points, three tries per generator."""
+    up, uq = _union(p), _union(q)
+    gens = shared | _gens_of(p) | _gens_of(q)
     rng = random.Random(_cert_seed)
     for v in shared:
-        done = False
         for _ in range(3):
-            vals = {g: rng.randrange(2, 1 << 30)
-                    for g in (shared | _gens_of(p) | _gens_of(q)) if g != v}
-            up = _eval_uni_mod(p, v, vals)
-            if up is None:
+            vals = {g: rng.randrange(2, 1 << 30) for g in gens if g != v}
+            tabs = _power_tables(vals, up | uq)
+            ip = _eval_uni_mod(p, v, [t for t in tabs if up >> t[0] & _FIELD])
+            if ip is None:
                 continue
-            uq = _eval_uni_mod(q, v, vals)
-            if uq is None:
+            iq = _eval_uni_mod(q, v, [t for t in tabs if uq >> t[0] & _FIELD])
+            if iq is None:
                 continue
-            if len(up) < len(uq):
-                up, uq = uq, up
-            if _uni_gcd_is_const(up, uq):
-                done = True
+            if len(ip) < len(iq):
+                ip, iq = iq, ip
+            if _uni_gcd_is_const(ip, iq):
                 break
             return False  # shared root found: almost surely a real factor
-        if not done:
-            return False
+        else:
+            return False  # the leading coefficient dropped three times
     return True
 
 

@@ -139,6 +139,61 @@ def test_mul_inverse(a, b):
     assert op("*", a, op("/", b, a)) == b
 
 
+# -- ratfunc_normalize against sympy's cancel, over two or three generators -
+#
+# Every gcd of the engine takes the modular coprimality certificate first:
+# a hit answers at once, a miss goes on to GCDHEU.  A planted common factor
+# makes the misses; the reduced pair must be sympy's, with the denominator
+# made monic in the engine's graded-lex order (later generators rank
+# higher, so the sympy generators are listed latest first).
+
+NORM_GENS = sympy.symbols("x0:3")
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def polys_over(draw, nvars, max_terms=4):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = tuple((g, e) for g in range(nvars)
+                     if (e := draw(st.integers(0, 2))))
+        terms[mono] = terms.get(mono, 0) + draw(fractions)
+    return MultiPoly.from_dict({m: c for m, c in terms.items() if c})
+
+
+@st.composite
+def raw_quotients(draw):
+    """(num, den, nvars): a raw pair over 2-3 generators, half of them with
+    a planted nonconstant common factor."""
+    nvars = draw(st.integers(2, 3))
+    num, den = draw(polys_over(nvars)), draw(polys_over(nvars))
+    if draw(st.booleans()):
+        h = draw(polys_over(nvars, max_terms=3).filter(
+            lambda h: not h.is_const()))
+        num, den = num * h, den * h
+    return num, den, nvars
+
+
+def norm_sympy(p: MultiPoly, nvars: int) -> sympy.Poly:
+    gens = NORM_GENS[:nvars][::-1]
+    return sympy.Poly(p.evaluate(dict(enumerate(NORM_GENS))), *gens,
+                      domain="QQ")
+
+
+@given(raw_quotients())
+@settings(max_examples=100, deadline=None)
+def test_normalize_matches_sympy_cancel(case):
+    num, den, nvars = case
+    if den.is_zero():
+        return
+    got = ratfunc_normalize(num, den)
+    want_num, want_den = norm_sympy(num, nvars).cancel(norm_sympy(den, nvars),
+                                                       include=True)
+    lc = want_den.LC(order="grlex")
+    assert norm_sympy(got.den, nvars) * lc == want_den
+    assert norm_sympy(got.num, nvars) * lc == want_num
+
+
 # -- the power reduction against sympy, over towers of two or three roots ---
 #
 # sympy's expand and together cannot decide zero for quotients of nested
