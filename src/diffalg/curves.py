@@ -56,9 +56,8 @@ class LegendreCurve:
     __slots__ = ("m",)
 
     def __init__(self, m: Element):
-        for bad, what in ((0, "0"), (1, "1")):
-            if (m - bad).is_zero():
-                raise InvalidDefiningData(f"modulus m = {what} is degenerate")
+        if m == 0 or m == 1:
+            raise InvalidDefiningData(f"modulus m = {m} is degenerate")
         self.m = m
 
     def rhs(self, x: Element) -> Element:
@@ -67,7 +66,7 @@ class LegendreCurve:
     def contains(self, p: CurvePoint) -> bool:
         if p.at_infinity:
             return False
-        return (p.y * p.y - self.rhs(p.x)).is_zero()
+        return p.y * p.y == self.rhs(p.x)
 
     def identity(self, tower: Tower) -> CurvePoint:
         return CurvePoint(tower.zero(), tower.one())
@@ -91,7 +90,7 @@ class WeierstrassCurve:
     def contains(self, p: CurvePoint) -> bool:
         if p.at_infinity:
             return True
-        return (p.y * p.y - self.rhs(p.x)).is_zero()
+        return p.y * p.y == self.rhs(p.x)
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,7 @@ class ThirdKindParam:
 
     def validate(self, m: Element) -> None:
         a = self.a
-        rel = self.delta * self.delta - (1 - a * a) * (1 - m * a * a)
-        if not rel.is_zero():
+        if self.delta * self.delta != (1 - a * a) * (1 - m * a * a):
             raise InvalidDefiningData(
                 "delta^2 = (1-a^2)(1-m a^2) fails in the tower")
 
@@ -134,10 +132,10 @@ def weierstrass_add(curve: WeierstrassCurve, p1: CurvePoint,
     if p2.at_infinity:
         return p1
     x1, y1, x2, y2 = p1.x, p1.y, p2.x, p2.y
-    if (x1 - x2).is_zero():
-        if (y1 + y2).is_zero():
+    if x1 == x2:
+        if y1 == -y2:
             return CurvePoint.infinity()
-        if (y1 - y2).is_zero():
+        if y1 == y2:
             if y1.is_zero():
                 return CurvePoint.infinity()
             lam = (3 * x1 * x1 - curve.a) / (2 * y1)
@@ -382,8 +380,7 @@ class WPhi:
         for name in ("a", "b"):
             if not getattr(self, name).is_constant():
                 raise InvalidDefiningData(f"curve parameter {name} not constant")
-        rel = self.q * self.q - (self.v ** 3 - self.a * self.v - self.b)
-        if not rel.is_zero():
+        if self.q * self.q != self.v ** 3 - self.a * self.v - self.b:
             raise InvalidDefiningData("q^2 = v^3 - a v - b fails")
         if self.kind == 3:
             if self.c is None:
@@ -411,8 +408,7 @@ class LPhi:
             raise InvalidDefiningData(f"L-kind {self.kind} out of range")
         if not self.m.is_constant():
             raise InvalidDefiningData("modulus m not constant")
-        rel = self.y * self.y - (1 - self.v ** 2) * (1 - self.m * self.v ** 2)
-        if not rel.is_zero():
+        if self.y * self.y != (1 - self.v ** 2) * (1 - self.m * self.v ** 2):
             raise InvalidDefiningData("y^2 = (1-v^2)(1-m v^2) fails")
         if self.kind == 3:
             if self.prm is None:

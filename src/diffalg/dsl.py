@@ -167,7 +167,7 @@ def _parse_expr(ts: _Stream, env: dict, t: Tower,
 
 def _parse_binary(ts: _Stream, env: dict, t: Tower, step: bool,
                   min_prec: int, stop: bool):
-    left = _parse_unary(ts, env, t, step, stop)
+    left = _parse_unary(ts, env, t, step)
     while True:
         tok = ts.peek()
         if tok.kind != "OP" or tok.text not in _BINARY:
@@ -198,18 +198,18 @@ def _settle(v, t: Tower, full: bool, product: bool = True):
     return reduce_powers(*v, t.rels) if product and t.rels else v
 
 
-def _parse_unary(ts: _Stream, env: dict, t: Tower, step: bool, stop: bool):
+def _parse_unary(ts: _Stream, env: dict, t: Tower, step: bool):
     tok = ts.peek()
     if tok.kind == "OP" and tok.text == "-":
         ts.next()
-        v = _parse_unary(ts, env, t, step, stop)
+        v = _parse_unary(ts, env, t, step)
         num, den = v
         return RatFunc(-num, den) if isinstance(v, RatFunc) else (-num, den)
-    return _parse_power(ts, env, t, step, stop)
+    return _parse_power(ts, env, t, step)
 
 
-def _parse_power(ts: _Stream, env: dict, t: Tower, step: bool, stop: bool):
-    base = _parse_atom(ts, env, t, step, stop)
+def _parse_power(ts: _Stream, env: dict, t: Tower, step: bool):
+    base = _parse_atom(ts, env, t, step)
     tok = ts.peek()
     if tok.kind == "OP" and tok.text == "^":
         ts.next()
@@ -218,7 +218,7 @@ def _parse_power(ts: _Stream, env: dict, t: Tower, step: bool, stop: bool):
     return base
 
 
-def _parse_atom(ts: _Stream, env: dict, t: Tower, step: bool, stop: bool):
+def _parse_atom(ts: _Stream, env: dict, t: Tower, step: bool):
     tok = ts.next()
     if tok.kind == "INT":
         return RatFunc.const(_int_value(tok))

@@ -105,8 +105,7 @@ def check_step1(t: Tower, term: PhiTerm, k) -> bool:
     """X phi(Dv, v) = D phi(Xv, v) for the commuting derivation at k."""
     handle = CommutingX(t.gen_of(k).gid)
     lhs = t.derive(handle, phi_eval(t, term, FULL_D))
-    rhs = t.derive(FULL_D, phi_eval(t, term, handle))
-    return (lhs - rhs).is_zero()
+    return lhs == t.derive(FULL_D, phi_eval(t, term, handle))
 
 
 # --------------------------------------------------------------------------
@@ -272,7 +271,7 @@ def _conj_point(t: Tower, s, v: Element, y: Element):
 
 
 def _cancels(p: CurvePoint, pc: CurvePoint) -> bool:
-    return (pc.x - p.x).is_zero() and (pc.y + p.y).is_zero()
+    return pc.x == p.x and pc.y == -p.y
 
 
 def reduce_algebraic(t: Tower, s, f: Element, form: LiouvilleForm) -> LiouvilleForm:

@@ -8,9 +8,16 @@ generator id -> radicand r.  Each radicand is a normal form over the
 strictly earlier part of the tower, so rewriting a later generator can
 only surface earlier ones.  normal_form rewrites an element
 so that every such g appears with exponent at most one in the numerator
-and not at all in the denominator (conjugate rationalization).  Under the
-declared-nonsquare convention this representative is unique, so equality
-and zero tests are plain structural comparisons.
+and not at all in the denominator (conjugate rationalization).
+
+Two normal forms n1/d1 and n2/d2 are compared structurally.  That rests
+on unique factorization in the polynomial ring alone: their difference
+has the numerator n1*d2 - n2*d1, already multilinear over a denominator
+free of relation generators, so it normalizes to 0 exactly when
+n1*d2 = n2*d1, which for gcd-reduced pairs with monic denominators means
+n1 = n2 and d1 = d2.  That distinct normal forms are distinct values
+needs more: the declared-nonsquare convention, under which the products
+of distinct relation generators are independent over the field below.
 
 reduce_powers, the power reduction of every caller (normal_form, the lazy
 clearing of curves and the parser), folds g^2 -> r through the polynomial

@@ -606,31 +606,30 @@ class Tower:
         below = self.derive(BelowD(gen.gid), e)
         dtheta = self.derive(FULL_D, self.element(gen.name))
         partial = self.derive(PartialD(gen.gid), e)
-        return (lhs - below - dtheta * partial).is_zero()
+        return lhs == below + dtheta * partial
 
     def check_lie_closed(self, k) -> "CommutationReport":
         """Residues of (D X - X D) on every generator of the tower."""
         gen = self.gen_of(k)
         handle = CommutingX(gen.gid)
         rows = []
-        ok = True
         for g in self.generators:
             ge = self.element(g.name)
             res = (self.derive(FULL_D, self.derive(handle, ge))
                    - self.derive(handle, self.derive(FULL_D, ge)))
-            if not res.is_zero():
-                ok = False
             rows.append((g.name, res))
-        return CommutationReport(tuple(rows), ok)
+        return CommutationReport(tuple(rows),
+                                 all(res.is_zero() for _, res in rows))
 
     def check_der_comm(self, xh, yh, p: Element, psi) -> bool:
         """X((Yp) psi(p)) - Y((Xp) psi(p)) = ([X,Y]p) psi(p)."""
         psi_p = psi.realize(self, p)
         xp = self.derive(xh, p)
         yp = self.derive(yh, p)
-        lhs = (self.derive(xh, yp * psi_p) - self.derive(yh, xp * psi_p))
+        xy = self.derive(xh, yp * psi_p)
+        yx = self.derive(yh, xp * psi_p)
         bracket = self.derive(xh, yp) - self.derive(yh, xp)
-        return (lhs - bracket * psi_p).is_zero()
+        return xy == yx + bracket * psi_p
 
     # -- trace and norm ---------------------------------------------------
 
@@ -669,8 +668,7 @@ class Tower:
             raise ZeroElement("log-derivative of zero")
         n = self.norm(gen, e)
         lhs = self.derive(FULL_D, n) / n
-        rhs = self.trace(gen, self.derive(FULL_D, e) / e)
-        return (lhs - rhs).is_zero()
+        return lhs == self.trace(gen, self.derive(FULL_D, e) / e)
 
 
 # --------------------------------------------------------------------------
@@ -748,8 +746,7 @@ class PsiSqrtCubic:
     q: Element
 
     def realize(self, tower: Tower, p: Element) -> Element:
-        rel = self.q * self.q - (p ** 3 - p * self.a - self.b)
-        if not rel.is_zero():
+        if self.q * self.q != p ** 3 - p * self.a - self.b:
             raise PsiNotRealizable(
                 "q^2 = p^3 - a*p - b does not hold in the tower")
         return tower.one() / self.q

@@ -482,3 +482,58 @@ def test_certificate_decisions_on_the_abel_identities(monkeypatch, kinds,
     for kind in kinds:
         assert check_abel_identity(kind).passed
     assert (seen.count(True), seen.count(False)) == (hits, misses)
+
+
+# -- gcd branches that the identities above never reach -----------------------
+
+# P x0^2 y + x0 + 1: its leading coefficient in x0 vanishes mod P at every
+# point, so each certificate try on x0 is skipped
+DROPS = MultiPoly.const(P) * X * X * Y + X + ONE
+
+
+def images_seen(monkeypatch) -> list:
+    seen = []
+    image = poly._eval_uni_mod
+    monkeypatch.setattr(poly, "_eval_uni_mod",
+                        lambda *args: seen.append(image(*args)) or seen[-1])
+    return seen
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_certificate_declines_when_the_leading_coefficient_drops(monkeypatch,
+                                                                first):
+    # the dropping operand first or second: three tries skipped, then the
+    # for-else declines, and GCDHEU decides
+    q = X * X - Y
+    a, b = (DROPS, q) if first else (q, DROPS)
+    seen = images_seen(monkeypatch)
+    assert not poly._certify_coprime(a.terms, b.terms, {0})
+    images = seen if first else seen[1::2]
+    assert images == [None] * 3 and len(seen) == (3 if first else 6)
+    assert poly_gcd(a, b) == ONE
+
+
+@given(polys(nvars=2))
+@settings(max_examples=30, deadline=None)
+def test_gcd_stays_exact_when_the_certificate_declines(h):
+    if h.is_const():
+        return
+    for a, b in ((DROPS * h, (X + Y) * h), ((X - ONE) * h, DROPS * h)):
+        got, want = poly_gcd(a, b), sympy.gcd(to_sympy(a), to_sympy(b))
+        assert to_sympy(got).monic() == want.monic()
+
+
+@pytest.mark.parametrize("p, q", [
+    # x1 only in p: p is projected to its content over x1 first
+    ((X + ONE) * (Y + MultiPoly.const(2)),
+     (X + ONE) * (X + MultiPoly.const(3))),
+    # x1 only in q
+    ((X - ONE) * (X + ONE), (X - ONE) * (Y * Y + X)),
+    # coprime in x0: the pseudo-remainder turns x0-free, content 2 is left
+    ((X * X + ONE).scale(Fraction(2)), (X + ONE).scale(Fraction(2))),
+    # the same inside the shared ring of x0 and x1
+    (X * X * Y + ONE, X * Y + Y + ONE),
+])
+def test_prs_gcd_branches_match_sympy(p, q):
+    got = to_sympy(poly._monic(poly._prs_gcd(p.terms, q.terms)))
+    assert got.monic() == sympy.gcd(to_sympy(p), to_sympy(q)).monic()

@@ -13,7 +13,8 @@ from diffalg.cli import main
 from diffalg.dsl import parse_expr, parse_tower
 from diffalg.errors import (CyclicDefinition, FieldMismatch,
                             InvalidDefiningData, NameClash, NotQuadratic,
-                            PsiNotRealizable, UnsupportedHandle, ZeroElement)
+                            PsiNotRealizable, UnsupportedHandle,
+                            ZeroDenominator, ZeroElement)
 from diffalg.tower import (BelowD, CommutingX, FULL_D, PartialD, PsiRational,
                            PsiSqrtCubic, Tower)
 
@@ -502,6 +503,76 @@ def test_derivation_additive(te):
     lhs = t.derive(FULL_D, e1 + e2)
     rhs = t.derive(FULL_D, e1) + t.derive(FULL_D, e2)
     assert (lhs - rhs).is_zero()
+
+
+# -- equality of normal forms is structural ------------------------------------
+
+# y2 = sqrt(4x) is +-2 y1, so y2 - 2*y1 and y2 + 2*y1 are nonzero elements
+# whose product is 0
+ZERO_DIVISOR_TOWER = parse_tower("""\
+const m
+var x = d/dx 1
+gen y1 = sqrt(x)
+gen y2 = sqrt(4*x)
+gen s = sqrt(y1 + x + m)
+""").tower
+
+
+@st.composite
+def element_pairs(draw):
+    """(a, b, same): b is a built another way (same True), a over x + k
+    (same unless a is 0), a moved by a nonzero zero divisor (same False)
+    or another drawn element (same None).  Denominators have at most two
+    terms: dividing by longer ones over three roots can take seconds."""
+    t = ZERO_DIVISOR_TOWER
+    atoms = [t[name] for name in ("m", "x", "y1", "y2", "s")]
+
+    def poly(terms=3):
+        e = t.lit(draw(ints))
+        for _ in range(draw(st.integers(1, terms))):
+            term = t.lit(draw(ints))
+            for a in draw(st.lists(st.sampled_from(atoms), max_size=2)):
+                term = term * a
+            e = e + term
+        return e
+
+    def element():
+        return poly() / poly(1)
+
+    zd = t["y2"] - 2 * t["y1"]
+    try:
+        a = element()
+        how = draw(st.sampled_from(["times", "plus", "split", "annihilated",
+                                    "other", "shifted", "divided"]))
+        if how == "times":
+            c = poly(1)
+            return a, a * c / c, True
+        if how == "plus":
+            c = element()
+            return a, (a + c) - c, True
+        if how == "split":  # (n1 + n2)/d as n1/d + n2/d
+            n1, n2, d = poly(), poly(), poly(1)
+            return (n1 + n2) / d, n1 / d + n2 / d, True
+        if how == "annihilated":
+            return a, a + zd * (t["y2"] + 2 * t["y1"]) * element(), True
+        if how == "other":
+            return a, element(), None
+        if how == "divided":  # most often the same numerator
+            return a, a / (t["x"] + draw(st.integers(1, 3))), a.is_zero()
+        return a, a + zd * draw(st.sampled_from(atoms)), False
+    except ZeroDenominator:  # a drawn denominator was 0 or a zero divisor
+        assume(False)
+
+
+@given(element_pairs())
+@settings(max_examples=150, deadline=None)
+def test_equality_is_the_zero_test_of_the_difference(pair):
+    # a normal form is unique as a pair of polynomials, so comparing two
+    # of them decides what normalizing their difference would
+    a, b, same = pair
+    assert (a == b) == (a - b).is_zero()
+    if same is not None:
+        assert (a == b) == same
 
 
 # -- sympy as an independent oracle for D ------------------------------------
