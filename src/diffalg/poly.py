@@ -698,7 +698,8 @@ def _certify_coprime(p: dict, q: dict, shared: set) -> bool:
     gcd(p, q) an integer: fixed-seed points, three tries per generator."""
     up, uq = _union(p), _union(q)
     gens = shared | _gens_of(p) | _gens_of(q)
-    rng = random.Random(_cert_seed)
+    # one generator draws no point, so it needs no seeded generator
+    rng = random.Random(_cert_seed) if len(gens) > 1 else None
     for v in shared:
         for _ in range(3):
             vals = {g: rng.randrange(2, 1 << 30) for g in gens if g != v}

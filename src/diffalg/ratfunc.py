@@ -2,7 +2,8 @@
 
 A RatFunc is a pair of polynomials with gcd 1 and a monic denominator,
 and has no arithmetic: Element and the parser apply quotient, the one
-copy of the quotient rules on raw (num, den) pairs.  The quadratic
+copy of the quotient rules on raw (num, den) pairs, which cancels a
+shared denominator before it multiplies.  The quadratic
 relations g^2 = r of the algebraic generators are a plain dict rels,
 generator id -> radicand r.  Each radicand is a normal form over the
 strictly earlier part of the tower, so rewriting a later generator can
@@ -63,22 +64,28 @@ class RatFunc(NamedTuple):
 
 def quotient(op: str, a, b):
     """a op b as a raw (num, den) pair, b a pair or for ^ an integer: the
-    quotient rules of Element and the parser, written once."""
+    quotient rules of Element and the parser, written once.  Equal
+    denominators of + - / cancel first, found by ==, not a gcd (Henrici;
+    Knuth, TAOCP vol. 2, 4.5.1).  That is exact: every denominator that
+    reaches here is free of relation generators, so it is no zero
+    divisor, and normal forms are unique."""
     an, ad = a
     if op == "^":
         if b < 0 and an.is_zero():
             raise ZeroDenominator("negative power of zero")
         return (an ** b, ad ** b) if b >= 0 else (ad ** -b, an ** -b)
     bn, bd = b
-    if op == "+":
-        return an * bd + bn * ad, ad * bd
-    if op == "-":
-        return an * bd - bn * ad, ad * bd
     if op == "*":
         return an * bn, ad * bd
-    if bn.is_zero():
-        raise ZeroDenominator("division by zero element")
-    return an * bd, ad * bn
+    if op == "/":
+        if bn.is_zero():
+            raise ZeroDenominator("division by zero element")
+        return (an, bn) if ad == bd else (an * bd, ad * bn)
+    if ad == bd:
+        return (an + bn if op == "+" else an - bn), ad
+    if op == "+":
+        return an * bd + bn * ad, ad * bd
+    return an * bd - bn * ad, ad * bd
 
 
 def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:

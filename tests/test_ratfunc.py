@@ -42,6 +42,22 @@ def test_normalize_zero_numerator():
     assert got.den == ONE
 
 
+# -- a shared denominator cancels before anything is multiplied ------------
+
+# free of relation generators, as every denominator that reaches quotient
+D = X * X + X.scale(3) + ONE
+
+
+def test_shared_denominator_cancels():
+    a, b = X + ONE, X * S - ONE
+    assert quotient("+", (a, D), (b, D)) == (a + b, D)
+    assert quotient("-", (a, D), (b, D)) == (a - b, D)
+    assert quotient("/", (a, D), (b, D)) == (a, b)
+    assert quotient("*", (a, D), (b, D)) == (a * b, D * D)
+    with pytest.raises(ZeroDenominator, match="division by zero element"):
+        quotient("/", (a, D), (MultiPoly.zero(), D))
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDenominator):
         ratfunc_normalize(ONE, MultiPoly.zero())
@@ -253,23 +269,24 @@ def root_tower(shape: list) -> Tower:
     return t
 
 
+def tower_poly(draw, t: Tower, max_terms: int) -> MultiPoly:
+    """Up to max_terms terms over t's generators, with root exponents up
+    to 5, so a fold may take g^4 out at once."""
+    p = MultiPoly.zero()
+    gids = [g.gid for g in t.generators]
+    for _ in range(draw(st.integers(1, max_terms))):
+        mono = tuple((g, draw(st.integers(0, 5 if g in t.rels else 2)))
+                     for g in gids)
+        p = p + MultiPoly.from_dict({mono: draw(ints.filter(bool))})
+    return p
+
+
 @st.composite
 def root_tower_fractions(draw):
-    """A tower of ROOT_TOWERS and a raw num/den pair over it with root
-    exponents up to 5, so a fold may take g^4 out at once."""
+    """A tower of ROOT_TOWERS and a raw num/den pair over it."""
     t = root_tower(draw(st.sampled_from(ROOT_TOWERS)))
-    gids = [g.gid for g in t.generators]
-
-    def poly(max_terms):
-        p = MultiPoly.zero()
-        for _ in range(draw(st.integers(1, max_terms))):
-            mono = tuple((g, draw(st.integers(0, 5 if g in t.rels else 2)))
-                         for g in gids)
-            p = p + MultiPoly.from_dict({mono: draw(ints.filter(bool))})
-        return p
-
-    den = poly(2) if draw(st.booleans()) else ONE
-    return t, poly(4), den
+    den = tower_poly(draw, t, 2) if draw(st.booleans()) else ONE
+    return t, tower_poly(draw, t, 4), den
 
 
 @given(root_tower_fractions())
@@ -344,3 +361,60 @@ def test_fold_near_the_exponent_field_limit():
     # x^(3 * half) * s is past the field: refused, never wrapped
     with pytest.raises(DegreeOverflow, match="exponent field"):
         top.fold_squares({1: (X ** 3, ONE)})
+
+
+# -- the cancelled quotient rules against the cross-multiplied ones --------
+#
+# Over towers of square roots, with a planted denominator D free of the
+# relation generators, cancelling D first must give the same normal form,
+# and the same ZeroDenominator, as multiplying it through.  In ZD_SHAPE
+# y2 - 2*y1 is a zero divisor, (y2 - 2*y1)(y2 + 2*y1) = 4x - 4x, so a
+# divisor that holds it is refused both ways.
+
+ZD_SHAPE = [("y1", lambda t: t["x"]), ("y2", lambda t: 4 * t["x"])]
+
+
+def cross_multiplied(op: str, a, b):
+    """+, - and / before equal denominators cancelled: D goes into both
+    sides, and the normal form must find it again by a gcd."""
+    (an, ad), (bn, bd) = a, b
+    if op == "+":
+        return an * bd + bn * ad, ad * bd
+    if op == "-":
+        return an * bd - bn * ad, ad * bd
+    if bn.is_zero():
+        raise ZeroDenominator("division by zero element")
+    return an * bd, ad * bn
+
+
+@st.composite
+def shared_denominator_cases(draw):
+    """(tower, op, p, q, D, planted): p/D op q/D, where planted says that
+    q holds the zero divisor y2 - 2*y1."""
+    planted = draw(st.booleans())
+    t = root_tower(ZD_SHAPE if planted
+                   else draw(st.sampled_from(ROOT_TOWERS + [ZD_SHAPE])))
+    p, q = tower_poly(draw, t, 3), tower_poly(draw, t, 3)
+    if planted:
+        q = q * (t["y2"] - 2 * t["y1"]).rf.num
+    d = X * X.scale(draw(ints.filter(bool))) + X.scale(draw(ints)) \
+        + MultiPoly.const(draw(ints))
+    return t, draw(st.sampled_from("+-/")), p, q, d, planted
+
+
+def normalized(rule, op, a, b, rels):
+    try:
+        return normal_form(*rule(op, a, b), rels)
+    except ZeroDenominator:
+        return ZeroDenominator
+
+
+@given(shared_denominator_cases())
+@settings(max_examples=100, deadline=None)
+def test_cancelled_shared_denominator_matches_cross_multiplying(case):
+    t, o, p, q, d, planted = case
+    a, b = (p, d), (q, d)
+    got = normalized(quotient, o, a, b, t.rels)
+    assert got == normalized(cross_multiplied, o, a, b, t.rels)
+    if planted and o == "/":
+        assert got is ZeroDenominator
