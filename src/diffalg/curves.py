@@ -9,8 +9,9 @@ second-kind corrections, and the five differential addition identities
 checked under both coordinate partials.
 
 The phi shapes are defined once, as lazy parts: a numerator over a bag
-of denominator factors.  phi_sum_is_zero, the zero test that the Abel
-identities and liouville.verify_liouville share, clears
+of denominator factors; log terms enter as one part c Dp/p per
+polynomial factor p of their arguments.  phi_sum_is_zero, the zero test
+that the Abel identities and liouville.verify_liouville share, clears
 D_h(v0) + sum c_i phi(h v_i, v_i) - f once over the least common multiple
 of its denominators, power-reduces the single big numerator and tests it
 for zero.  The parts join a running sum, lightest denominator first, and
@@ -36,7 +37,7 @@ from .errors import (DegenerateChord, DegenerateDenominator,
                      InvalidDefiningData, ZeroDenominator)
 from .poly import MultiPoly, poly_divexact, poly_gcd
 from .ratfunc import normal_form, rationalize, reduce_powers
-from .tower import Element, PartialD, Tower
+from .tower import Element, PartialD, Tower, _diff_poly, _diff_rf
 
 
 @dataclass(frozen=True)
@@ -210,10 +211,10 @@ def abel_log_argument(curve: LegendreCurve, prm: ThirdKindParam,
 
 # --------------------------------------------------------------------------
 # Lazy sums of quotients: each part is a numerator polynomial over a bag
-# of denominator factor polynomials.  Zero testing clears the least common
-# multiple of the parts' denominators, factored over a coprime basis, as a
-# running sum that takes the lightest denominator first, then
-# power-reduces once.
+# of denominator factor polynomials, with no normal form of its own.  Zero
+# testing clears the least common multiple of the parts' denominators,
+# factored over a coprime basis, as a running sum that takes the lightest
+# denominator first, then power-reduces once.
 
 
 class _Part(NamedTuple):
@@ -221,25 +222,31 @@ class _Part(NamedTuple):
     dens: Counter   # Counter of MultiPoly factors
 
 
-def _part(numel: Element, *dens: Element) -> _Part:
-    """numel / product(dens), denominators kept factored; numel's own
-    denominator is one more factor of the bag.  Clearing multiplies
-    through by every factor, so unless numel is 0 a factor that is a zero
-    divisor modulo the square-root relations raises ZeroDenominator."""
-    num = numel.rf.num
-    bag: Counter = Counter({numel.rf.den: 1})
+def _part(nums, *dens: Element) -> _Part:
+    """product(nums) / product(dens), denominators kept factored: the
+    nums' numerators multiply raw and their denominators join the bag.
+    Clearing multiplies through by every factor, so unless the numerator
+    is 0 a factor that is a zero divisor modulo the square-root relations
+    raises ZeroDenominator."""
+    num, bag = nums[0].rf.num, Counter(e.rf.den for e in nums)
+    for e in nums[1:]:
+        num = num * e.rf.num
     for d in dens:
         if d.rf.num.is_zero():
             raise ZeroDenominator("division by zero element")
         bag[d.rf.num] += 1
         if not (d.rf.den.is_const() and d.rf.den.const_value() == 1):
             num = num * d.rf.den
-    rels = numel.tower.rels
     if not num.is_zero():
-        for f in bag:
-            if not f.gens().isdisjoint(rels):
-                rationalize(MultiPoly.one(), f, rels)
+        _guard(bag, nums[0].tower.rels)
     return _Part(num, bag)
+
+
+def _guard(factors, rels) -> None:
+    """Raise ZeroDenominator if a factor is a zero divisor modulo rels."""
+    for f in factors:
+        if not f.gens().isdisjoint(rels):
+            rationalize(MultiPoly.one(), f, rels)
 
 
 def _split(a: MultiPoly, g: MultiPoly) -> list:
@@ -456,24 +463,22 @@ def make_term(name: str, elements) -> PhiTerm:
     return LPhi(int(name[1:]), v, y, m, ThirdKindParam(*pole) if pole else None)
 
 
-def phi_part(t: Tower, term: PhiTerm, h) -> _Part:
-    """phi(hv, v) as a lazy part: the handle's derivative of v in the
+def phi_part(t: Tower, term: WPhi | LPhi, h) -> _Part:
+    """phi(hv, v) of an elliptic shape as a lazy part: D_h(v) in the
     first slot, the shape's denominator factors kept apart."""
     w = t.derive(h, term.v)
-    if isinstance(term, LogPhi):
-        return _part(w, term.v)
     if isinstance(term, WPhi):
         if term.kind == 1:
-            return _part(w, term.q)
+            return _part([w], term.q)
         if term.kind == 2:
-            return _part(term.v * w, term.q)
-        return _part(w, term.v - term.c, term.q)
+            return _part([term.v, w], term.q)
+        return _part([w], term.v - term.c, term.q)
     if term.kind == 1:
-        return _part(w, term.y)
+        return _part([w], term.y)
     if term.kind == 2:
-        return _part((1 - term.m * term.v ** 2) * w, term.y)
+        return _part([1 - term.m * term.v ** 2, w], term.y)
     a = term.prm.a
-    return _part(w, 1 - term.v ** 2 / (a * a), term.y)
+    return _part([w], 1 - term.v ** 2 / (a * a), term.y)
 
 
 def _product(bag: Counter) -> MultiPoly:
@@ -481,22 +486,46 @@ def _product(bag: Counter) -> MultiPoly:
 
 
 def _phi_parts(t: Tower, h, v0: Element, terms, f) -> list:
-    parts = []
+    """The lazy parts of D_h(v0) + sum c * phi(h v, v) - f.  A log term
+    c log(n/d) adds c to factor n and -c to d; each factor p whose sum c is
+    not 0 gives one part c Dp/p, Dp raw.  The zero-divisor guard runs per
+    log term, before the merge, so coefficients that cancel do not skip it."""
+    get, rels = t._dget(h), t.rels
+    parts, logs = [], {}  # logs: p -> ([signed coefficients], raw Dp)
     for c, term in terms:
-        p = phi_part(t, term, h)
         c = t.coerce(c)
-        parts.append(_Part(p.num * c.rf.num, p.dens + Counter({c.rf.den: 1})))
-    return parts + [_part(t.derive(h, v0)), _part(-t.coerce(f))]
+        if not isinstance(term, LogPhi):
+            p = phi_part(t, term, h)
+            parts.append(_Part(p.num * c.rf.num, p.dens + Counter([c.rf.den])))
+            continue
+        n, d = term.v.rf
+        if n.is_zero():
+            raise ZeroDenominator("division by zero element")
+        for p in (n, d):
+            if p not in logs:
+                logs[p] = ([], _diff_poly(p, get))
+        if not (logs[n][1][0].is_zero() and logs[d][1][0].is_zero()):
+            _guard((n, d), rels)
+        logs[n][0].append(c)
+        logs[d][0].append(-c)
+    for p, (cs, (dn, dd)) in logs.items():
+        c = sum(cs[1:], cs[0])
+        if not (dn.is_zero() or c.is_zero()):
+            parts.append(_Part(c.rf.num * dn, Counter((p, c.rf.den, dd))))
+    dn, dd = _diff_rf(t.coerce(v0).rf, get)
+    fn, fd = t.coerce(f).rf
+    return parts + [_Part(dn, Counter([dd])), _Part(-fn, Counter([fd]))]
 
 
 def phi_sum_is_zero(t: Tower, h, v0: Element, terms, f=0) -> bool:
     """Whether D_h(v0) + sum c * phi(h v, v) - f is zero in t.
 
     terms holds (c, phi term) pairs.  Every summand stays a lazy part,
-    so the test builds no canonical sum; its gcds run only between
-    denominator factors, never on the big numerator.  A zero divisor in
-    the denominator of a phi that is not 0 raises ZeroDenominator, also
-    where c or the whole sum is 0.
+    the log terms merged per factor, so the test builds no canonical sum;
+    its gcds run only between denominator factors, never on the big
+    numerator.  A zero divisor in the denominator of a phi that is not 0,
+    or in a log argument with a factor of nonzero derivative, raises
+    ZeroDenominator, also where c, a merged c or the whole sum is 0.
     """
     return _sum_reduces_to_zero(_phi_parts(t, h, v0, terms, f), t.rels)
 

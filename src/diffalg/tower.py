@@ -30,7 +30,7 @@ from .errors import (CyclicDefinition, DiffAlgError, FieldMismatch,
                      PsiNotRealizable, UnsupportedHandle, ZeroDenominator,
                      ZeroElement)
 from .poly import MONO_ONE, MultiPoly, get_degree_limit
-from .ratfunc import RatFunc, normal_form, quotient
+from .ratfunc import RatFunc, normal_form, quotient, reduce_powers
 
 # --------------------------------------------------------------------------
 # Extension kinds.  A payload is the Element that Tower.coerce made of
@@ -149,7 +149,11 @@ class Element:
         return self.rf.num.is_zero()
 
     def is_constant(self) -> bool:
-        return self.tower.derive(FULL_D, self).is_zero()
+        # D e = 0 exactly when its raw numerator power-reduces to 0, as the
+        # raw denominator is free of relation generators: no normal form
+        t = self.tower
+        num, den = _diff_rf(self.rf, t._dget(FULL_D))
+        return reduce_powers(num, den, t.rels)[0].is_zero()
 
     def used_gids(self) -> set:
         return self.rf.gens()

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffalg import liouville
-from diffalg.curves import ThirdKindParam, phi_part
+from diffalg import liouville, poly
+from diffalg.curves import ThirdKindParam, phi_part, phi_sum
 from diffalg.errors import (FieldMismatch, FNotBelow, IntegrandNotReducible,
                             InvalidDefiningData, NonConstantCoefficient,
                             NotConstant, PartNotBelow, UnsupportedHandle,
@@ -180,18 +180,26 @@ def test_lazy_verify_matches_canonical_residual(form):
 
 
 def _canonical_part(t, part):
-    """A lazy part as one canonical element, the reference for phi_eval."""
+    """A lazy part as one canonical element."""
     den = MultiPoly.one()
     for f, k in part.dens.items():
         den = den * f ** k
     return Element(t, normal_form(part.num, den, t.rels))
 
 
+def _canonical_phi(t, term, h):
+    """phi(hv, v) as one canonical element, the reference for phi_eval:
+    a log term has no lazy part of its own, so it is D_h(v)/v."""
+    if isinstance(term, LogPhi):
+        return t.derive(h, term.v) / term.v
+    return _canonical_part(t, phi_part(t, term, h))
+
+
 def _term_by_term(t, h, form):
     """D_h(v0) + sum c * phi(h v, v), summed one canonical term at a time."""
     total = t.derive(h, form.v0)
     for coeff, term in form.terms:
-        total = total + coeff * _canonical_part(t, phi_part(t, term, h))
+        total = total + coeff * _canonical_phi(t, term, h)
     return total
 
 
@@ -206,14 +214,54 @@ def test_canonical_values_match_term_by_term_sums(form):
         h = CommutingX(t.gen_of(name).gid)
         for handle in (FULL_D, h):
             for _, term in form.terms:
-                assert phi_eval(t, term, handle) == _canonical_part(
-                    t, phi_part(t, term, handle))
+                assert phi_eval(t, term, handle) == _canonical_phi(
+                    t, term, handle)
         want = _term_by_term(t, h, form)
         if want.is_constant():
             assert x_constant(t, form, name) == want
         else:
             with pytest.raises(NotConstant):
                 x_constant(t, form, name)
+
+
+@st.composite
+def shared_factor_logs(draw):
+    """Log terms over p^i q^j r^k, i, j, k in {-1, 0, 1}, for three
+    binomials p, q, r (log(p/q), log(q*r), log(1/p), ...), and a copy of
+    one term scaled by -1 or -1/2, which cancels it in full or in part,
+    or by 1/3."""
+    t = _MIXED
+    atoms = (t["x"], t["E"], t["L"], t["y"], t["L"] * t["y"])
+    pool = [draw(small) + draw(st.sampled_from([1, 2])) * atom
+            for atom in draw(st.permutations(atoms))[:3]]
+    coeffs = st.sampled_from([1, -1, Fraction(1, 2), Fraction(-2, 3), 2])
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        exps = draw(st.lists(st.sampled_from([1, -1, 0]), min_size=3,
+                             max_size=3).filter(any))
+        v = t.one()
+        for p, k in zip(pool, exps):
+            v = v * p ** k
+        terms.append((draw(coeffs), LogPhi(v)))
+    c, term = terms[draw(st.integers(0, len(terms) - 1))]
+    share = draw(st.sampled_from([-1, Fraction(-1, 2), Fraction(1, 3)]))
+    terms.append((share * c, term))
+    return LiouvilleForm(draw(small) * t["x"], draw(st.permutations(terms)))
+
+
+@given(shared_factor_logs())
+@settings(max_examples=25, deadline=None)
+def test_log_terms_merge_per_factor(form):
+    # each log term enters as +c on the numerator of its argument and -c on
+    # the denominator, summed per polynomial factor; the merged sum must be
+    # the canonical one built term by term, under every handle
+    t = _MIXED
+    want = _term_by_term(t, FULL_D, form)
+    assert verify_liouville(t, want, form)
+    assert not verify_liouville(t, want + t["x"], form)
+    for h in (FULL_D, CommutingX(t.gen_of("E").gid),
+              CommutingX(t.gen_of("L").gid)):
+        assert phi_sum(t, h, form.v0, form.terms) == _term_by_term(t, h, form)
 
 
 def test_coefficients_must_be_constant():
@@ -709,6 +757,29 @@ def test_reduce_algebraic_l3_log_correction(monkeypatch):
     assert any(isinstance(term, LPhi) and term.kind == 3
                for _, term in out.terms)
     assert any(isinstance(term, LogPhi) for _, term in out.terms)
+
+
+def test_l3_reduction_work_is_pinned(monkeypatch):
+    # term pairs over every polynomial product of the reduction that the
+    # l3_pushdown benchmark times, its self-check included; it took 70,228
+    # when each log term entered as the quotient rule's D(v)/v over d^2
+    t, prm = _l3_tower()
+    m, x, y, s = t["m"], t["x"], t["y"], t["s"]
+    form = LiouvilleForm(t.zero(),
+                         [(Fraction(1, 2), LPhi(3, x + s, y, m, prm)),
+                          (Fraction(1, 2), LPhi(3, x - s, y, m, prm))])
+    f = form_derivative(t, form)
+    pairs = []
+    mul = poly._dict_mul
+
+    def counted(a, b, deg):
+        pairs.append(len(a) * len(b))
+        return mul(a, b, deg)
+
+    monkeypatch.setattr(poly, "_dict_mul", counted)
+    steps = reduce(t, f, form)
+    assert len(steps) == 1
+    assert sum(pairs) <= 35_500
 
 
 def test_reduce_algebraic_pushes_each_orbit_once_in_order(monkeypatch):

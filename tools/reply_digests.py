@@ -1,6 +1,7 @@
 """Count and SHA-256 of the CLI replies on the benchmark's documents.
 
     python3 tools/reply_digests.py
+    python3 tools/reply_digests.py --check tools/reply_digests.expected
 
 The engine is imported from ``src/`` and the documents from
 ``perfbench/workloads.py``, which is only read, both beside this file.
@@ -12,11 +13,18 @@ varies from run to run.  The sets are the ``cli_roundtrip`` documents
 of seeds 1-3, ``abel --kind K`` for every kind, and the printed form of
 the ``l3_pushdown`` reduction step.  A change that claims to keep every
 reply byte-identical shows the same lines as its parent.
+
+With ``--check FILE`` the lines are compared with FILE, and any
+difference is printed and makes the exit status 1.  The checked-in
+``reply_digests.expected`` holds the lines of the current engine; a
+change that alters a reply on purpose rewrites it and says why.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -77,7 +85,16 @@ def digest(name: str, replies: list) -> str:
     return f"{name}: {len(replies)} replies, sha256 {h.hexdigest()}"
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Count and SHA-256 of the CLI "
+                                 "replies on the benchmark's documents.")
+    ap.add_argument("--check", metavar="FILE",
+                    help="compare with FILE and exit 1 on any difference")
+    args = ap.parse_args(argv)
+    want = None
+    if args.check is not None:
+        with open(args.check) as fh:
+            want = fh.read().splitlines()
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     from diffalg.curves import ABEL_KINDS
 
@@ -95,7 +112,12 @@ def main() -> int:
                                 [reply(a, as_json, workdir) for a in abel]))
     lines.append(digest("l3_pushdown print_form", [l3_form_text()]))
     print("\n".join(lines))
-    return 0
+    if want is None:
+        return 0
+    diff = list(difflib.unified_diff(want, lines, args.check, "this run",
+                                     lineterm=""))
+    print("\n".join(diff) if diff else f"same as {args.check}")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
