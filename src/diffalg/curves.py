@@ -21,8 +21,7 @@ lcm is taken over a pairwise coprime basis of the denominator factors, so
 gcds run only between those small factors, never on the big numerator.
 That is orders of magnitude cheaper than canonical arithmetic and just as
 conclusive.  phi_sum turns the same cleared sum into a canonical value
-with one normal_form.  Both refuse a phi whose denominator holds a zero
-divisor, which clearing would multiply through.
+with one normal_form.  Both take terms that passed check_divisors.
 """
 
 from __future__ import annotations
@@ -224,29 +223,15 @@ class _Part(NamedTuple):
 
 def _part(nums, *dens: Element) -> _Part:
     """product(nums) / product(dens), denominators kept factored: the
-    nums' numerators multiply raw and their denominators join the bag.
-    Clearing multiplies through by every factor, so unless the numerator
-    is 0 a factor that is a zero divisor modulo the square-root relations
-    raises ZeroDenominator."""
+    nums' numerators multiply raw and their denominators join the bag."""
     num, bag = nums[0].rf.num, Counter(e.rf.den for e in nums)
     for e in nums[1:]:
         num = num * e.rf.num
     for d in dens:
-        if d.rf.num.is_zero():
-            raise ZeroDenominator("division by zero element")
         bag[d.rf.num] += 1
         if not (d.rf.den.is_const() and d.rf.den.const_value() == 1):
             num = num * d.rf.den
-    if not num.is_zero():
-        _guard(bag, nums[0].tower.rels)
     return _Part(num, bag)
-
-
-def _guard(factors, rels) -> None:
-    """Raise ZeroDenominator if a factor is a zero divisor modulo rels."""
-    for f in factors:
-        if not f.gens().isdisjoint(rels):
-            rationalize(MultiPoly.one(), f, rels)
 
 
 def _split(a: MultiPoly, g: MultiPoly) -> list:
@@ -463,22 +448,37 @@ def make_term(name: str, elements) -> PhiTerm:
     return LPhi(int(name[1:]), v, y, m, ThirdKindParam(*pole) if pole else None)
 
 
+def phi_shape(term: PhiTerm) -> tuple:
+    """(factors, divisors) with phi(w, v) = w * prod(factors) /
+    prod(divisors): the one list of what each shape divides by."""
+    if isinstance(term, LogPhi):
+        return [], [term.v]
+    if isinstance(term, WPhi):
+        if term.kind == 3:
+            return [], [term.v - term.c, term.q]
+        return [term.v] * (term.kind - 1), [term.q]
+    if term.kind == 3:
+        a = term.prm.a
+        return [], [1 - term.v ** 2 / (a * a), term.y]
+    return ([1 - term.m * term.v ** 2] if term.kind == 2 else []), [term.y]
+
+
+def check_divisors(term: PhiTerm, rels: dict) -> None:
+    """Raise ZeroDenominator if the term divides by 0 or by a zero divisor
+    modulo the square-root relations rels.  A canonical denominator holds
+    no relation generator, so each divisor's numerator is what to check."""
+    for d in phi_shape(term)[1]:
+        if d.rf.num.is_zero():
+            raise ZeroDenominator("division by zero element")
+        if not d.rf.num.gens().isdisjoint(rels):
+            rationalize(MultiPoly.one(), d.rf.num, rels)
+
+
 def phi_part(t: Tower, term: WPhi | LPhi, h) -> _Part:
     """phi(hv, v) of an elliptic shape as a lazy part: D_h(v) in the
-    first slot, the shape's denominator factors kept apart."""
-    w = t.derive(h, term.v)
-    if isinstance(term, WPhi):
-        if term.kind == 1:
-            return _part([w], term.q)
-        if term.kind == 2:
-            return _part([term.v, w], term.q)
-        return _part([w], term.v - term.c, term.q)
-    if term.kind == 1:
-        return _part([w], term.y)
-    if term.kind == 2:
-        return _part([1 - term.m * term.v ** 2, w], term.y)
-    a = term.prm.a
-    return _part([w], 1 - term.v ** 2 / (a * a), term.y)
+    first slot, the shape's divisors kept apart."""
+    factors, divisors = phi_shape(term)
+    return _part([*factors, t.derive(h, term.v)], *divisors)
 
 
 def _product(bag: Counter) -> MultiPoly:
@@ -488,9 +488,8 @@ def _product(bag: Counter) -> MultiPoly:
 def _phi_parts(t: Tower, h, v0: Element, terms, f) -> list:
     """The lazy parts of D_h(v0) + sum c * phi(h v, v) - f.  A log term
     c log(n/d) adds c to factor n and -c to d; each factor p whose sum c is
-    not 0 gives one part c Dp/p, Dp raw.  The zero-divisor guard runs per
-    log term, before the merge, so coefficients that cancel do not skip it."""
-    get, rels = t._dget(h), t.rels
+    not 0 gives one part c Dp/p, Dp raw."""
+    get = t._dget(h)
     parts, logs = [], {}  # logs: p -> ([signed coefficients], raw Dp)
     for c, term in terms:
         c = t.coerce(c)
@@ -499,13 +498,9 @@ def _phi_parts(t: Tower, h, v0: Element, terms, f) -> list:
             parts.append(_Part(p.num * c.rf.num, p.dens + Counter([c.rf.den])))
             continue
         n, d = term.v.rf
-        if n.is_zero():
-            raise ZeroDenominator("division by zero element")
         for p in (n, d):
             if p not in logs:
                 logs[p] = ([], _diff_poly(p, get))
-        if not (logs[n][1][0].is_zero() and logs[d][1][0].is_zero()):
-            _guard((n, d), rels)
         logs[n][0].append(c)
         logs[d][0].append(-c)
     for p, (cs, (dn, dd)) in logs.items():
@@ -523,16 +518,16 @@ def phi_sum_is_zero(t: Tower, h, v0: Element, terms, f=0) -> bool:
     terms holds (c, phi term) pairs.  Every summand stays a lazy part,
     the log terms merged per factor, so the test builds no canonical sum;
     its gcds run only between denominator factors, never on the big
-    numerator.  A zero divisor in the denominator of a phi that is not 0,
-    or in a log argument with a factor of nonzero derivative, raises
-    ZeroDenominator, also where c, a merged c or the whole sum is 0.
+    numerator.  Clearing multiplies through by every divisor, so the
+    terms must have passed check_divisors, as a LiouvilleForm's have.
     """
     return _sum_reduces_to_zero(_phi_parts(t, h, v0, terms, f), t.rels)
 
 
 def phi_sum(t: Tower, h, v0: Element, terms, f=0) -> Element:
     """D_h(v0) + sum c * phi(h v, v) - f as a canonical element: the
-    same cleared sum as phi_sum_is_zero, put in normal form once."""
+    same cleared sum as phi_sum_is_zero, put in normal form once, with
+    the same precondition on the terms."""
     num, den, common = _clear(_phi_parts(t, h, v0, terms, f), t.rels)
     return Element(t, normal_form(num, den * _product(common), t.rels))
 
@@ -629,5 +624,8 @@ def check_abel_identity(kind: str) -> AbelReport:
         fnum, fden = _abel_f_parts(prm, p1, p2, p3)
         scale = prm.a / (2 * prm.delta)
         terms += [(scale, LogPhi(fnum)), (-scale, LogPhi(fden))]
+    # no check_divisors: the towers adjoin square roots of radicands in
+    # distinct variables x1, x2, and one constant radicand in the free
+    # parameters a and m, so they hold no zero divisor
     rows = _under_partials(t, v0, terms)
     return AbelReport(kind, tuple(rows), all(zero for _, zero in rows))

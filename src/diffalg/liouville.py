@@ -33,9 +33,9 @@ from fractions import Fraction
 
 from .curves import (CurvePoint, LegendreCurve, LogPhi, LPhi, PhiTerm,
                      WeierstrassCurve, WPhi, abel_e_correction,
-                     abel_log_argument, legendre_add, make_term, phi_sum,
-                     phi_sum_is_zero, term_args, weierstrass_add,
-                     weierstrass_e_correction)
+                     abel_log_argument, check_divisors, legendre_add,
+                     make_term, phi_sum, phi_sum_is_zero, term_args,
+                     weierstrass_add, weierstrass_e_correction)
 from .errors import (FNotBelow, IntegrandNotReducible, NonConstantCoefficient,
                      NotConstant, PartNotBelow, SelfCheckFailed,
                      UnsupportedHandle, UnsupportedTermKind)
@@ -52,7 +52,8 @@ def _map_term(term: PhiTerm, move) -> PhiTerm:
 
 
 class LiouvilleForm:
-    """v0 plus constant-coefficient phi terms over one tower."""
+    """v0 plus constant-coefficient phi terms over one tower.  Each term
+    is validated once, here, its divisors by check_divisors."""
 
     __slots__ = ("tower", "v0", "terms")
 
@@ -68,6 +69,7 @@ class LiouvilleForm:
                     f"term coefficient {coeff} is not a constant")
             term = _map_term(term, t.coerce)
             term.validate()
+            check_divisors(term, t.rels)
             checked.append((coeff, term))
         self.terms = tuple(checked)
 

@@ -355,7 +355,8 @@ ZD_LOG = "term 1 * log(y2 - 2*y1)\n"
     # the two denominators multiply to 0 in the common denominator
     ("0", ZD_LOG + "term 1 * log(y2 + 2*y1)\n", "0"),
     # the two coefficients of the factor y2 - 2*y1 sum to 0, which drops
-    # it from the cleared sum, but each term is guarded before they merge
+    # it from the cleared sum, but each term is checked when the form is
+    # built, before they merge
     ("0", ZD_LOG + "term -1 * log(y2 - 2*y1)\n", "0"),
 ], ids=["sum", "log", "cleared-0", "cleared", "coeff-0-sum-0", "coeff-0",
         "two-logs", "cancelling-pair"])
@@ -380,21 +381,28 @@ def test_verify_zero_divisor_log_stays_error(tower_file, form_file, capsys,
 
 def test_constant_zero_divisor_log_stays_error(tower_file, form_file,
                                                capsys):
-    # 2*ya - yb = 2 sqrt(2) - sqrt(8) is a constant zero divisor, so its
-    # own derivative is 0; the derivative of the log's denominator x is
-    # not, and the guard must still refuse the term.  Guarded only where
-    # a factor's own derivative is not 0, the form read PASS
-    tower = tower_file(X_ONLY + "gen ya = sqrt(2)\ngen yb = sqrt(8)\n")
-    form = form_file("v0 = 0\nterm 1 * log((2*ya - yb)/x)\n")
+    # 2*ya - yb = 2 sqrt(2) - sqrt(8) is a constant zero divisor: its
+    # derivative is 0, and so is D(v) in the w3 term's numerator, so no
+    # part of a lazy sum has it in its denominator; the form must still
+    # refuse each term by its divisors when it is built
+    roots = X_ONLY + "gen ya = sqrt(2)\ngen yb = sqrt(8)\n"
     msg = ("division by a zero denominator: "
            "denominator is a zero divisor modulo the relations")
-    for command in ("verify", "reduce"):
-        argv = [command, tower, "--integrand=-1/x", "--form", form]
-        assert main(argv) == 2
-        assert capsys.readouterr() == ("", f"error: {msg}\n")
-        assert main(argv + ["--json"]) == 2
-        rep = json.loads(capsys.readouterr().out)
-        assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
+    for let, form, integrand in [
+        ("", "v0 = 0\nterm 1 * log((2*ya - yb)/x)\n", "-1/x"),
+        ("", "v0 = x\nterm 1 * log(2*ya - yb)\n", "1"),
+        ("let v = 2*ya - yb\n",
+         "v0 = x\nterm 1 * w3(v, 1, 0, v^3 - 1, 0)\n", "1"),
+    ]:
+        tower, form = tower_file(roots + let), form_file(form)
+        for command in ("verify", "reduce"):
+            argv = [command, tower, f"--integrand={integrand}", "--form",
+                    form]
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {msg}\n")
+            assert main(argv + ["--json"]) == 2
+            rep = json.loads(capsys.readouterr().out)
+            assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
 
 
 def test_square_constant_radicand_maps_to_error(tower_file, form_file,

@@ -118,10 +118,42 @@ def test_verify_refuses_zero_divisor_log():
     t = Tower.base().var("x")
     t = t.sqrt_ext("y1", t["x"]).sqrt_ext("y2", 4 * t["x"])
     y1, y2 = t["y1"], t["y2"]
-    form = LiouvilleForm(t.zero(), [(1, LogPhi(y2 - 2 * y1))])
     with pytest.raises(ZeroDenominator, match="^denominator is a zero "
                        "divisor modulo the relations$"):
+        form = LiouvilleForm(t.zero(), [(1, LogPhi(y2 - 2 * y1))])
         verify_liouville(t, 1 / (2 * t["x"]) + y2 + 2 * y1, form)
+
+
+ZERO = "^division by zero element$"
+ZERO_DIVISOR = "^denominator is a zero divisor modulo the relations$"
+
+
+@pytest.mark.parametrize("make, msg", [
+    (lambda t, z: LogPhi(z), ZERO_DIVISOR),
+    # q of w1, the pole v - c of w3, y of l1, the pole 1 - v^2/a^2 of l3
+    (lambda t, z: WPhi(1, t.one(), t.zero(), t.zero(), t.one()), ZERO),
+    (lambda t, z: WPhi(1, t.zero(), z, t.zero(), -z * z), ZERO_DIVISOR),
+    (lambda t, z: WPhi(3, t.lit(2), t.one(), t.zero(), t.lit(7), t.lit(2)),
+     ZERO),
+    (lambda t, z: WPhi(3, z, t.one(), t.zero(), z ** 3 - 1, t.zero()),
+     ZERO_DIVISOR),
+    (lambda t, z: LPhi(1, t.one(), t.zero(), t.lit(2)), ZERO),
+    (lambda t, z: LPhi(1, 1 + z, 1 - (1 + z) ** 2, t.one()), ZERO_DIVISOR),
+    (lambda t, z: LPhi(3, t.lit(2), t.lit(-3), t.one(),
+                       ThirdKindParam(t.lit(2), t.lit(3))), ZERO),
+    (lambda t, z: LPhi(3, 2 + z, 1 - (2 + z) ** 2, t.one(),
+                       ThirdKindParam(t.lit(2), t.lit(3))), ZERO_DIVISOR),
+], ids=["log", "w1-q-0", "w1-q", "w3-pole-0", "w3-pole", "l1-y-0", "l1-y",
+        "l3-pole-0", "l3-pole"])
+def test_form_refuses_each_shapes_zero_divisor(make, msg):
+    # z = 2 sqrt(2) - sqrt(8) is a nonzero zero divisor, and so is z times
+    # a unit; each term satisfies its shape's relations, so validate
+    # passes, and the form refuses it by its divisors
+    t = Tower.base().var("x").sqrt_ext("ya", 2).sqrt_ext("yb", 8)
+    term = make(t, 2 * t["ya"] - t["yb"])
+    term.validate()
+    with pytest.raises(ZeroDenominator, match=msg):
+        LiouvilleForm(t["x"], [(1, term)])
 
 
 # -- the lazy zero test agrees with the canonical residual --------------------

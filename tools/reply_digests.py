@@ -1,4 +1,5 @@
-"""Count and SHA-256 of the CLI replies on the benchmark's documents.
+"""Count and SHA-256 of the CLI replies on the benchmark's documents
+and on forms that divide by a zero divisor.
 
     python3 tools/reply_digests.py
     python3 tools/reply_digests.py --check tools/reply_digests.expected
@@ -10,9 +11,11 @@ of all of them in order.  A reply is the exit code, standard output and
 standard error of one in-process ``cli.main`` call, as text and again
 with ``--json``, whose report drops ``timing_ms``, the one field that
 varies from run to run.  The sets are the ``cli_roundtrip`` documents
-of seeds 1-3, ``abel --kind K`` for every kind, and the printed form of
-the ``l3_pushdown`` reduction step.  A change that claims to keep every
-reply byte-identical shows the same lines as its parent.
+of seeds 1-3, ``abel --kind K`` for every kind, ``verify`` and
+``reduce`` on the forms of ``ZERO_DIVISOR_DOCS``, which divide by 0 or
+by a zero divisor, and the printed form of the ``l3_pushdown``
+reduction step.  A change that claims to keep every reply
+byte-identical shows the same lines as its parent.
 
 With ``--check FILE`` the lines are compared with FILE, and any
 difference is printed and makes the exit status 1.  The checked-in
@@ -34,6 +37,28 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
+
+# (tower, form, integrand).  y2 - 2*y1 and 2*ya - yb are nonzero zero
+# divisors: (y2 - 2*y1)(y2 + 2*y1) = 0 and (2*ya - yb)(2*ya + yb) = 0.
+_ROOTS = ("var x = d/dx 1\ngen L = log(x)\ngen y1 = sqrt(x)\n"
+          "gen y2 = sqrt(4*x)\n")
+_CONST_ROOTS = "var x = d/dx 1\ngen ya = sqrt(2)\ngen yb = sqrt(8)\n"
+_ZD_LOG = "term 1 * log(y2 - 2*y1)\n"
+_CLEARED = "v0 = -L/2 + (2/3)*x*(y2 + 2*y1)\n"
+ZERO_DIVISOR_DOCS = [
+    (_ROOTS, "v0 = 0\n" + _ZD_LOG, "1/(2*x) + y2 + 2*y1"),
+    (_ROOTS, "v0 = 0\n" + _ZD_LOG, "1/(2*x)"),
+    (_ROOTS, _CLEARED + _ZD_LOG, "0"),
+    (_ROOTS, _CLEARED + _ZD_LOG, "y2 + 2*y1"),
+    (_ROOTS, "v0 = 0\nterm 0 * log(y2 - 2*y1)\n", "0"),
+    (_ROOTS, "v0 = x\nterm 0 * log(y2 - 2*y1)\n", "1"),
+    (_ROOTS, "v0 = 0\n" + _ZD_LOG + "term 1 * log(y2 + 2*y1)\n", "0"),
+    (_ROOTS, "v0 = 0\n" + _ZD_LOG + "term -1 * log(y2 - 2*y1)\n", "0"),
+    (_CONST_ROOTS, "v0 = 0\nterm 1 * log((2*ya - yb)/x)\n", "-1/x"),
+    (_CONST_ROOTS, "v0 = x\nterm 1 * log(2*ya - yb)\n", "1"),
+    (_CONST_ROOTS + "let v = 2*ya - yb\n",
+     "v0 = x\nterm 1 * w3(v, 1, 0, v^3 - 1, 0)\n", "1"),
+]
 
 
 def reply(argv: list, as_json: bool, workdir: str) -> str:
@@ -66,6 +91,21 @@ def cli_argvs(seed: int, workdir: str) -> list:
     finally:
         workloads.run_cli = run_cli
     return seen
+
+
+def zero_divisor_argvs(workdir: str) -> list:
+    """verify and reduce on each document of ZERO_DIVISOR_DOCS, written
+    to workdir."""
+    argvs = []
+    for i, (tower, form, integrand) in enumerate(ZERO_DIVISOR_DOCS):
+        paths = [os.path.join(workdir, f"zd{i}.{ext}")
+                 for ext in ("tower", "form")]
+        for path, text in zip(paths, (tower, form)):
+            with open(path, "w") as fh:
+                fh.write(text)
+        argvs += [[command, paths[0], f"--integrand={integrand}",
+                   "--form", paths[1]] for command in ("verify", "reduce")]
+    return argvs
 
 
 def l3_form_text() -> str:
@@ -107,9 +147,11 @@ def main(argv=None) -> int:
                     f"cli_roundtrip seed {seed} {label}",
                     [reply(a, as_json, workdir) for a in argvs]))
         abel = [["abel", "--kind", k] for k in ABEL_KINDS]
-        for as_json, label in ((False, "text"), (True, "json")):
-            lines.append(digest(f"abel {label}",
-                                [reply(a, as_json, workdir) for a in abel]))
+        zd = zero_divisor_argvs(workdir)
+        for name, argvs in (("abel", abel), ("zero_divisor", zd)):
+            for as_json, label in ((False, "text"), (True, "json")):
+                lines.append(digest(f"{name} {label}", [
+                    reply(a, as_json, workdir) for a in argvs]))
     lines.append(digest("l3_pushdown print_form", [l3_form_text()]))
     print("\n".join(lines))
     if want is None:
