@@ -1,4 +1,4 @@
-"""Elliptic curve group laws, the phi shapes, and the one zero test.
+"""Elliptic curve group laws and the one zero test of phi sums.
 
 Two curve shapes are supported: the Legendre quartic
 y^2 = (1-x^2)(1-m*x^2) with the sn/cn-dn addition law, and monic
@@ -8,20 +8,21 @@ integrands through point addition: the third-kind log argument, the
 second-kind corrections, and the five differential addition identities
 checked under both coordinate partials.
 
-The phi shapes are defined once, as lazy parts: a numerator over a bag
-of denominator factors; log terms enter as one part c Dp/p per
-polynomial factor p of their arguments.  phi_sum_is_zero, the zero test
-that the Abel identities and liouville.verify_liouville share, clears
-D_h(v0) + sum c_i phi(h v_i, v_i) - f once over the least common multiple
-of its denominators, power-reduces the single big numerator and tests it
-for zero.  The parts join a running sum, lightest denominator first, and
-each join lifts the sum and the part only by the factors the other holds,
-so where partial sums cancel, each full-size product is formed once.  The
-lcm is taken over a pairwise coprime basis of the denominator factors, so
-gcds run only between those small factors, never on the big numerator.
-That is orders of magnitude cheaper than canonical arithmetic and just as
-conclusive.  phi_sum turns the same cleared sum into a canonical value
-with one normal_form.  Both take terms that passed check_divisors.
+The phi terms of phi.py become lazy parts here: a numerator over a bag
+of denominator factors read off phi_shape; a log term enters as one
+part c Dp/p per polynomial factor p of its argument.  phi_sum_is_zero,
+the zero test that the Abel identities and liouville.verify_liouville
+share, clears D_h(v0) + sum c_i phi(h v_i, v_i) - f once over the least
+common multiple of its denominators, power-reduces the single big
+numerator and tests it for zero.  The parts join a running sum, lightest
+denominator first, and each join lifts the sum and the part only by the
+factors the other holds, so where partial sums cancel, each full-size
+product is formed once.  The lcm is taken over a pairwise coprime basis
+of the denominator factors, so gcds run only between those small
+factors, never on the big numerator.  That is orders of magnitude
+cheaper than canonical arithmetic and just as conclusive.  phi_sum turns
+the same cleared sum into a canonical value with one normal_form.  Both
+take terms that passed phi.check_term.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from typing import NamedTuple
 from .errors import (DegenerateChord, DegenerateDenominator,
                      InvalidDefiningData, ZeroDenominator)
 from .poly import MultiPoly, poly_divexact, poly_gcd
-from .ratfunc import normal_form, rationalize, reduce_powers
+from .phi import LogPhi, LPhi, ThirdKindParam, WPhi, phi_shape
+from .ratfunc import normal_form, reduce_powers
 from .tower import Element, PartialD, Tower, _diff_poly, _diff_rf
 
 
@@ -91,21 +93,6 @@ class WeierstrassCurve:
         if p.at_infinity:
             return True
         return p.y * p.y == self.rhs(p.x)
-
-
-@dataclass(frozen=True)
-class ThirdKindParam:
-    """Pole data for third-kind integrands: constant a and
-    delta = sqrt((1-a^2)(1-m*a^2)) realized in the tower."""
-
-    a: Element
-    delta: Element
-
-    def validate(self, m: Element) -> None:
-        a = self.a
-        if self.delta * self.delta != (1 - a * a) * (1 - m * a * a):
-            raise InvalidDefiningData(
-                "delta^2 = (1-a^2)(1-m a^2) fails in the tower")
 
 
 def legendre_add(curve: LegendreCurve, p1: CurvePoint,
@@ -338,142 +325,6 @@ def _sum_reduces_to_zero(parts, rels) -> bool:
     return _clear(parts, rels)[0].is_zero()
 
 
-# --------------------------------------------------------------------------
-# The phi shapes: logarithmic derivatives and the six elliptic integrands.
-
-
-@dataclass(frozen=True)
-class LogPhi:
-    """phi(w, v) = w/v."""
-
-    v: Element
-
-    def validate(self) -> None:
-        if self.v.is_zero():
-            raise InvalidDefiningData("log argument is zero")
-
-
-@dataclass(frozen=True)
-class WPhi:
-    """Weierstrass integrands on q^2 = v^3 - a v - b.
-
-    kind 1: w/q; kind 2: v*w/q; kind 3: w/((v-c)q)."""
-
-    kind: int
-    v: Element
-    q: Element
-    a: Element
-    b: Element
-    c: Element | None = None
-
-    def validate(self) -> None:
-        if self.kind not in (1, 2, 3):
-            raise InvalidDefiningData(f"W-kind {self.kind} out of range")
-        for name in ("a", "b"):
-            if not getattr(self, name).is_constant():
-                raise InvalidDefiningData(f"curve parameter {name} not constant")
-        if self.q * self.q != self.v ** 3 - self.a * self.v - self.b:
-            raise InvalidDefiningData("q^2 = v^3 - a v - b fails")
-        if self.kind == 3:
-            if self.c is None:
-                raise InvalidDefiningData("third kind needs a pole c")
-            if not self.c.is_constant():
-                raise InvalidDefiningData("pole c not constant")
-        elif self.c is not None:
-            raise InvalidDefiningData("pole c only belongs to the third kind")
-
-
-@dataclass(frozen=True)
-class LPhi:
-    """Legendre integrands on y^2 = (1-v^2)(1-m v^2).
-
-    kind 1: w/y; kind 2: (1-m v^2)w/y; kind 3: w/((1-v^2/a^2)y)."""
-
-    kind: int
-    v: Element
-    y: Element
-    m: Element
-    prm: ThirdKindParam | None = None
-
-    def validate(self) -> None:
-        if self.kind not in (1, 2, 3):
-            raise InvalidDefiningData(f"L-kind {self.kind} out of range")
-        if not self.m.is_constant():
-            raise InvalidDefiningData("modulus m not constant")
-        if self.y * self.y != (1 - self.v ** 2) * (1 - self.m * self.v ** 2):
-            raise InvalidDefiningData("y^2 = (1-v^2)(1-m v^2) fails")
-        if self.kind == 3:
-            if self.prm is None:
-                raise InvalidDefiningData("third kind needs pole data")
-            if not self.prm.a.is_constant():
-                raise InvalidDefiningData("pole a not constant")
-            self.prm.validate(self.m)
-        elif self.prm is not None:
-            raise InvalidDefiningData("pole data only belongs to the third kind")
-
-
-PhiTerm = LogPhi | WPhi | LPhi
-
-# The one phi-term layout: each kind's document name and the elements it
-# takes, in order.  The parser and the printer read and write terms only
-# through term_args and make_term; the reducer moves and scans a term's
-# elements through them.
-TERM_KINDS = {
-    "log": "one argument",
-    "w1": "v, q, a, b", "w2": "v, q, a, b", "w3": "v, q, a, b, c",
-    "l1": "v, y, m", "l2": "v, y, m", "l3": "v, y, m, a, delta",
-}
-
-
-def term_args(term: PhiTerm) -> tuple:
-    """(name, elements): the term's document name and its elements in
-    the order of TERM_KINDS; the inverse of make_term."""
-    if isinstance(term, LogPhi):
-        return "log", [term.v]
-    if isinstance(term, WPhi):
-        pole = [] if term.c is None else [term.c]
-        return f"w{term.kind}", [term.v, term.q, term.a, term.b] + pole
-    pole = [] if term.prm is None else [term.prm.a, term.prm.delta]
-    return f"l{term.kind}", [term.v, term.y, term.m] + pole
-
-
-def make_term(name: str, elements) -> PhiTerm:
-    """The term that term_args reads back as (name, elements).  The pole
-    data follows the elements given, so validate judges the kind."""
-    if name == "log":
-        return LogPhi(*elements)
-    if name[0] == "w":
-        return WPhi(int(name[1:]), *elements)
-    v, y, m, *pole = elements
-    return LPhi(int(name[1:]), v, y, m, ThirdKindParam(*pole) if pole else None)
-
-
-def phi_shape(term: PhiTerm) -> tuple:
-    """(factors, divisors) with phi(w, v) = w * prod(factors) /
-    prod(divisors): the one list of what each shape divides by."""
-    if isinstance(term, LogPhi):
-        return [], [term.v]
-    if isinstance(term, WPhi):
-        if term.kind == 3:
-            return [], [term.v - term.c, term.q]
-        return [term.v] * (term.kind - 1), [term.q]
-    if term.kind == 3:
-        a = term.prm.a
-        return [], [1 - term.v ** 2 / (a * a), term.y]
-    return ([1 - term.m * term.v ** 2] if term.kind == 2 else []), [term.y]
-
-
-def check_divisors(term: PhiTerm, rels: dict) -> None:
-    """Raise ZeroDenominator if the term divides by 0 or by a zero divisor
-    modulo the square-root relations rels.  A canonical denominator holds
-    no relation generator, so each divisor's numerator is what to check."""
-    for d in phi_shape(term)[1]:
-        if d.rf.num.is_zero():
-            raise ZeroDenominator("division by zero element")
-        if not d.rf.num.gens().isdisjoint(rels):
-            rationalize(MultiPoly.one(), d.rf.num, rels)
-
-
 def phi_part(t: Tower, term: WPhi | LPhi, h) -> _Part:
     """phi(hv, v) of an elliptic shape as a lazy part: D_h(v) in the
     first slot, the shape's divisors kept apart."""
@@ -519,7 +370,7 @@ def phi_sum_is_zero(t: Tower, h, v0: Element, terms, f=0) -> bool:
     the log terms merged per factor, so the test builds no canonical sum;
     its gcds run only between denominator factors, never on the big
     numerator.  Clearing multiplies through by every divisor, so the
-    terms must have passed check_divisors, as a LiouvilleForm's have.
+    terms must have passed phi.check_term, as a LiouvilleForm's have.
     """
     return _sum_reduces_to_zero(_phi_parts(t, h, v0, terms, f), t.rels)
 
@@ -624,7 +475,7 @@ def check_abel_identity(kind: str) -> AbelReport:
         fnum, fden = _abel_f_parts(prm, p1, p2, p3)
         scale = prm.a / (2 * prm.delta)
         terms += [(scale, LogPhi(fnum)), (-scale, LogPhi(fden))]
-    # no check_divisors: the towers adjoin square roots of radicands in
+    # no check_term: the towers adjoin square roots of radicands in
     # distinct variables x1, x2, and one constant radicand in the free
     # parameters a and m, so they hold no zero divisor
     rows = _under_partials(t, v0, terms)

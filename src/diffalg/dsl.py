@@ -12,7 +12,8 @@ The extension kinds, the Tower constructor each calls and the arguments
 it takes are tower.GEN_KINDS: int(g[, G]), a primitive of g with an
 optional recorded antiderivative G; log(h), exp(v), lambertw(v), sqrt(r);
 ellfun(v, a, b), which also adds the companion NAME_q; and
-ellint(k, p, q[, c]) for the three elliptic integral kinds.  Each gen line
+ellint(k, p, q[, c]) for the three elliptic integral kinds; a log or
+ellint generator is checked as the phi term it integrates.  Each gen line
 prints back through tower.gen_args.
 
 Form documents declare v0 and phi terms:
@@ -21,7 +22,7 @@ Form documents declare v0 and phi terms:
     term 1/2 * log((x-1)/(x+1))
     term m * l2(v, y, m)
 
-The term kinds and the elements each takes are curves.TERM_KINDS.
+The term kinds and the elements each takes are phi.TERM_KINDS.
 
 Expressions use +, -, *, /, ^ with non-negative integer exponents.
 Each is folded as one raw quotient by ratfunc.quotient and normalized
@@ -39,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .curves import TERM_KINDS, make_term, term_args
 from .errors import DiffAlgError, NameClash, ParseError
 from .liouville import LiouvilleForm
+from .phi import TERM_KINDS, make_term, term_args
 from .ratfunc import RatFunc, normal_form, quotient, reduce_powers
 from .tower import GEN_KINDS, BaseVar, ConstParam, Element, Tower, gen_args
 

@@ -3,12 +3,12 @@
 A Liouville form D(v0) + sum c_i * phi(D v_i, v_i) certifies an integral
 in finite terms.  The phi shapes are logarithmic derivatives and the six
 elliptic integrands (three kinds on each curve model); they are defined
-once in curves.py and re-exported here.  The engine can verify a form
-against an integrand, and reduce it down a tower one extension at a time.
-Verification is the lazy zero test curves.phi_sum_is_zero, the same one
-the Abel identities use.  The canonical values form_derivative, phi_eval
-and x_constant are that same cleared sum, put in normal form once by
-curves.phi_sum.
+once, as the terms of phi.py, and re-exported here.  The engine can
+verify a form against an integrand, and reduce it down a tower one
+extension at a time.  Verification is the lazy zero test
+curves.phi_sum_is_zero, the same one the Abel identities use.  The
+canonical values form_derivative, phi_eval and x_constant are that same
+cleared sum, put in normal form once by curves.phi_sum.
 
 Reduction rests on one identity: if theta is the top extension with
 commuting derivation X, then D = BelowD + w*X on everything in sight,
@@ -31,18 +31,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import (CurvePoint, LegendreCurve, LogPhi, LPhi, PhiTerm,
-                     WeierstrassCurve, WPhi, abel_e_correction,
-                     abel_log_argument, check_divisors, legendre_add,
-                     make_term, phi_sum, phi_sum_is_zero, term_args,
-                     weierstrass_add, weierstrass_e_correction)
+from .curves import (CurvePoint, LegendreCurve, WeierstrassCurve,
+                     abel_e_correction, abel_log_argument, legendre_add,
+                     phi_sum, phi_sum_is_zero, weierstrass_add,
+                     weierstrass_e_correction)
 from .errors import (FNotBelow, IntegrandNotReducible, NonConstantCoefficient,
                      NotConstant, PartNotBelow, SelfCheckFailed,
                      UnsupportedHandle, UnsupportedTermKind)
+from .phi import (LogPhi, LPhi, PhiTerm, WPhi, check_term, make_term,
+                  term_args)
 from .poly import MONO_ONE
 from .tower import (_X_KINDS, FULL_D, AlgebraicSqrt, BaseVar, CommutingX,
-                    ConstParam, Element, EllipticFunction, EllIntegralTag,
-                    Exponential, Generator, LogTag, Primitive, Tower)
+                    ConstParam, Element, EllipticFunction, Exponential,
+                    Generator, Primitive, Tower)
 
 
 def _map_term(term: PhiTerm, move) -> PhiTerm:
@@ -53,7 +54,7 @@ def _map_term(term: PhiTerm, move) -> PhiTerm:
 
 class LiouvilleForm:
     """v0 plus constant-coefficient phi terms over one tower.  Each term
-    is validated once, here, its divisors by check_divisors."""
+    is checked once, here, by phi.check_term."""
 
     __slots__ = ("tower", "v0", "terms")
 
@@ -68,8 +69,7 @@ class LiouvilleForm:
                 raise NonConstantCoefficient(
                     f"term coefficient {coeff} is not a constant")
             term = _map_term(term, t.coerce)
-            term.validate()
-            check_divisors(term, t.rels)
+            check_term(term, t.rels)
             checked.append((coeff, term))
         self.terms = tuple(checked)
 
@@ -236,12 +236,8 @@ def reduce_top(t: Tower, f: Element, form: LiouvilleForm):
     kind = target.kind
     if not c.is_zero():
         if isinstance(kind, Primitive):
-            tag = kind.tag
-            if isinstance(tag, LogTag):
-                new_terms.append((c, LogPhi(tag.h)))
-            elif isinstance(tag, EllIntegralTag):
-                new_terms.append((c, WPhi(tag.kind, tag.p, tag.q, tag.a,
-                                          tag.b, tag.c)))
+            if kind.tag is not None:
+                new_terms.append((c, kind.tag))
             elif kind.antiderivative is not None:
                 v0 = v0 + c * kind.antiderivative
             else:

@@ -1,11 +1,11 @@
 """Differential field towers over Q and their derivations.
 
 A tower is a sequence of generators, each declared with an extension
-kind: explicit base variables, constant parameters, primitives (with
-optional log / elliptic-integral provenance tags), exponentials,
-elliptic-function pairs, Lambert-style solutions of w*e^w = v, and
-square roots.  Derivatives of a generator may mention earlier
-generators only, so each derivation is defined generator by generator.
+kind: explicit base variables, constant parameters, primitives (log and
+elliptic-integral ones tagged with the phi term they integrate),
+exponentials, elliptic-function pairs, Lambert-style solutions of
+w*e^w = v, and square roots.  A generator's derivative may mention only
+earlier ones, so each derivation is defined generator by generator.
 
 Besides the full derivation D the tower offers, per generator where it
 makes sense, the commuting derivation X that kills the field below, the
@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 from . import fmt
 from .errors import (CyclicDefinition, DiffAlgError, FieldMismatch,
                      InvalidDefiningData, NameClash, NotQuadratic,
                      PsiNotRealizable, UnsupportedHandle, ZeroDenominator,
                      ZeroElement)
+from .phi import LogPhi, WPhi, check_term, phi_shape
 from .poly import MONO_ONE, MultiPoly, get_degree_limit
 from .ratfunc import RatFunc, normal_form, quotient, reduce_powers
 
@@ -49,24 +50,9 @@ class ConstParam:
 
 
 @dataclass(frozen=True)
-class LogTag:
-    h: Element
-
-
-@dataclass(frozen=True)
-class EllIntegralTag:
-    kind: int  # 1, 2 or 3
-    p: Element
-    q: Element
-    c: Element | None
-    a: Element
-    b: Element
-
-
-@dataclass(frozen=True)
 class Primitive:
     integrand: Element
-    tag: object | None = None
+    tag: LogPhi | WPhi | None = None  # the phi term integrated, if any
     antiderivative: Element | None = None
 
 
@@ -393,8 +379,7 @@ class Tower:
         h = self._coerce_below(h)
         if h.is_zero() or h == 1:
             raise InvalidDefiningData(f"log of {h}")
-        integrand = self.derive(FULL_D, h) / h
-        return self._adjoin(name, Primitive(integrand, LogTag(h)))
+        return self._tagged(name, LogPhi(h))
 
     def exp_ext(self, name: str, v) -> "Tower":
         self._check_name(name)
@@ -441,35 +426,26 @@ class Tower:
                                               companion_of=gid))
 
     def ellint(self, name: str, kind: int, p, q, c=None) -> "Tower":
-        """Adjoin a tagged elliptic-integral primitive of kind 1, 2 or 3."""
+        """Adjoin the primitive of WPhi(kind, p, q, a, b, c), with a and b
+        read off q^2 = p^3 - a*p - b."""
         self._check_name(name)
-        if kind not in (1, 2, 3):
-            raise InvalidDefiningData("elliptic integral kind must be 1, 2, 3")
         p, q = self._coerce_below(p), self._coerce_below(q)
-        if q.is_zero():
-            raise InvalidDefiningData("zero curve coordinate")
-        if kind == 3:
-            if c is None:
-                raise InvalidDefiningData("third kind needs a pole constant")
-            c = self._coerce_below(c)
-            if not c.is_constant():
-                raise InvalidDefiningData("pole parameter must be constant")
         a, b = self._resolve_cubic(p, q)
-        dp = self.derive(FULL_D, p)
-        if kind == 1:
-            integrand = dp / q
-        elif kind == 2:
-            integrand = p * dp / q
-        else:
-            pole = p - c
-            if pole.is_zero():
-                raise InvalidDefiningData("pole coincides with the argument")
-            integrand = dp / (pole * q)
-        tag = EllIntegralTag(kind, p, q, c if kind == 3 else None, a, b)
-        return self._adjoin(name, Primitive(integrand, tag))
+        c = None if c is None else self._coerce_below(c)
+        return self._tagged(name, WPhi(kind, p, q, a, b, c))
+
+    def _tagged(self, name: str, tag) -> "Tower":
+        """Adjoin theta with D theta = phi(D v, v) for the phi term tag:
+        D(v) * prod(factors) / prod(divisors), by phi.phi_shape.  The tag
+        is checked by phi.check_term, as a form's term is."""
+        check_term(tag, self.rels)
+        factors, (den, *divisors) = phi_shape(tag)
+        integrand = prod(factors, start=self.derive(FULL_D, tag.v))
+        return self._adjoin(name, Primitive(
+            integrand / prod(divisors, start=den), tag))
 
     def _resolve_cubic(self, p: Element, q: Element):
-        """Find constants a, b with q^2 = p^3 - a*p - b, or reject."""
+        """Read a, b with q^2 = p^3 - a*p - b off p and q, or reject."""
         pgid = _single_var(p.rf)
         if pgid is None:
             raise InvalidDefiningData(
@@ -479,12 +455,8 @@ class Tower:
         if list(dens) != [MONO_ONE] or not nums.keys() <= {lin, MONO_ONE}:
             raise InvalidDefiningData("coordinates do not satisfy a monic "
                                       "depressed cubic relation")
-        a, b = (nums.get(m, self.zero()) / dens[MONO_ONE]
-                for m in (lin, MONO_ONE))
-        if not (a.is_constant() and b.is_constant()):
-            raise InvalidDefiningData("recovered curve coefficients are not "
-                                      "constant")
-        return a, b
+        return tuple(nums.get(m, self.zero()) / dens[MONO_ONE]
+                     for m in (lin, MONO_ONE))
 
     # -- derivations ----------------------------------------------------
 
@@ -698,10 +670,10 @@ def gen_args(kind) -> tuple | None:
     function's companion, which no gen declaration of their own makes."""
     if isinstance(kind, Primitive):
         tag = kind.tag
-        if isinstance(tag, LogTag):
-            return "log", [tag.h]
-        if isinstance(tag, EllIntegralTag):
-            name, args = "ellint", [tag.kind, tag.p, tag.q, tag.c]
+        if isinstance(tag, LogPhi):
+            return "log", [tag.v]
+        if isinstance(tag, WPhi):
+            name, args = "ellint", [tag.kind, tag.v, tag.q, tag.c]
         else:
             name, args = "int", [kind.integrand, kind.antiderivative]
         return name, [e for e in args if e is not None]  # left out: None
@@ -797,7 +769,7 @@ def _data(kind) -> list:
     No comparison of these reaches back into a payload's own tower."""
     data = [type(kind)]
     for v in vars(kind).values():
-        data += (_data(v) if isinstance(v, (LogTag, EllIntegralTag))
+        data += (_data(v) if isinstance(v, (LogPhi, WPhi))
                  else [getattr(v, "rf", v)])
     return data
 

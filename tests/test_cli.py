@@ -649,6 +649,20 @@ def test_wrong_antiderivative_maps_to_error(tower_file, form_file, capsys):
     assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
 
 
+def test_pole_on_a_first_kind_ellint_maps_to_error(tower_file, capsys):
+    # the pole c belongs to the third kind only; it was once dropped, and
+    # D F printed PASS as if the declaration read ellint(1, p, p_q)
+    tower = tower_file("const a, b, c\n" + X_ONLY + "gen p = ellfun(x, a, b)\n"
+                       "gen F = ellint(1, p, p_q, c)\n")
+    argv = ["derive", tower, "-e", "F"]
+    msg = "invalid defining data: pole c only belongs to the third kind"
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {msg}\n")
+    assert main(argv + ["--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
+
+
 def test_reduce_refuses_to_strand_defining_data(tower_file, form_file,
                                                capsys):
     # h = exp(g1 - g2) is constant and stays, but its data uses g2

@@ -69,6 +69,44 @@ def test_phi_eval_w1_matches_generator_integrand():
     assert (got - t.derive(FULL_D, t["F"])).is_zero()
 
 
+def _log_of(h):
+    def build():
+        t = Tower.base().var("x")
+        t = t.sqrt_ext("y", t["x"])
+        return t.log_ext("g", h(t))
+    return build
+
+
+def _ellint_of(kind):
+    def build():
+        t = Tower.base().const("a").const("b").const("c").var("x")
+        t = t.elliptic("p", t["x"], t["a"], t["b"])
+        c = [t["c"]] if kind == 3 else []
+        return t.ellint("g", kind, t["p"], t["p_q"], *c)
+    return build
+
+
+@pytest.mark.parametrize("build", [
+    _log_of(lambda t: t["x"]), _log_of(lambda t: t["x"] ** 2 + 1),
+    _log_of(lambda t: t["y"] + t["x"]), _log_of(lambda t: t.lit(2)),
+    _ellint_of(1), _ellint_of(2), _ellint_of(3),
+], ids=["log-x", "log-x2+1", "log-y+x", "log-2", "ellint-1", "ellint-2",
+        "ellint-3"])
+def test_a_tag_is_the_phi_term_its_generator_integrates(build):
+    # D g by Element arithmetic equals the lazy phi sum of g's tag, and a
+    # reduction through g hands the tag down as its term
+    t = build()
+    g = t.gen_of("g")
+    tag = g.kind.tag
+    assert t.derive(FULL_D, t["g"]) == phi_eval(t, tag, FULL_D)
+    if t["g"].is_constant():
+        return  # log(2): a reduction passes over constants
+    t2, out = reduce_top(t, t.derive(FULL_D, t["g"]), LiouvilleForm(t["g"]))
+    assert [gen.gid for gen in t2.generators] == [
+        gen.gid for gen in t.generators if gen.gid != g.gid]
+    assert out.v0.is_zero() and out.terms == ((1, tag),)
+
+
 def test_form_derivative_worked_integral():
     t = Tower.base().var("x")
     t = t.exp_ext("t", 1 / t["x"] ** 2)

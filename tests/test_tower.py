@@ -372,12 +372,33 @@ def test_invalid_defining_data():
         t.sqrt_ext("s", 0)
     with pytest.raises(InvalidDefiningData):
         t.elliptic("p", t["x"], t["x"], 1)  # a must be constant
-    with pytest.raises(InvalidDefiningData):
+    with pytest.raises(InvalidDefiningData, match="monic depressed cubic"):
         t.ellint("E", 4, t["x"], t["x"])
     ab = Tower.base().const("a").const("b").var("x")
     ab = ab.elliptic("p", ab["x"], ab["a"], ab["b"])
-    with pytest.raises(InvalidDefiningData):
+    with pytest.raises(InvalidDefiningData, match="third kind needs a pole c"):
         ab.ellint("P", 3, ab["p"], ab["p_q"])  # third kind needs the pole
+    # an ellint is checked as the form term WPhi(kind, p, q, a, b, c) is
+    p, q = ab["p"], ab["p_q"]
+    with pytest.raises(InvalidDefiningData, match="W-kind 4 out of range"):
+        ab.ellint("E", 4, p, q)
+    with pytest.raises(InvalidDefiningData, match="pole c not constant"):
+        ab.ellint("P", 3, p, q, ab["x"])
+    with pytest.raises(InvalidDefiningData,
+                       match="pole c only belongs to the third kind"):
+        ab.ellint("F", 1, p, q, ab["a"])
+    with pytest.raises(InvalidDefiningData, match="monic depressed cubic"):
+        ab.ellint("F", 1, p, 0)  # q = 0
+    lx = t.log_ext("L", t["x"])
+    lx = lx.sqrt_ext("s", lx["x"] ** 3 - lx["L"] * lx["x"])
+    with pytest.raises(InvalidDefiningData,
+                       match="curve parameter a not constant"):
+        lx.ellint("F", 1, lx["x"], lx["s"])
+    # p a constant c on c^3 - a c - b: the pole c meets p
+    cc = ab.const("c")
+    cc = cc.sqrt_ext("r", cc["c"] ** 3 - cc["a"] * cc["c"] - cc["b"])
+    with pytest.raises(ZeroDenominator, match="division by zero element"):
+        cc.ellint("P", 3, cc["c"], cc["r"], cc["c"])
 
 
 @pytest.mark.parametrize("q", [4, Fraction(9, 16), Fraction(1, 25), 1])

@@ -1,5 +1,5 @@
-"""Count and SHA-256 of the CLI replies on the benchmark's documents
-and on forms that divide by a zero divisor.
+"""Count and SHA-256 of the CLI replies on the benchmark's documents,
+on forms that divide by a zero divisor and on elliptic-integral towers.
 
     python3 tools/reply_digests.py
     python3 tools/reply_digests.py --check tools/reply_digests.expected
@@ -13,8 +13,13 @@ with ``--json``, whose report drops ``timing_ms``, the one field that
 varies from run to run.  The sets are the ``cli_roundtrip`` documents
 of seeds 1-3, ``abel --kind K`` for every kind, ``verify`` and
 ``reduce`` on the forms of ``ZERO_DIVISOR_DOCS``, which divide by 0 or
-by a zero divisor, and the printed form of the ``l3_pushdown``
-reduction step.  A change that claims to keep every reply
+by a zero divisor, the printed form of the ``l3_pushdown`` reduction
+step, and the ``ellint`` sets: ``derive``, ``check-lie`` and ``reduce``
+on the tower ``ELLINT_TOWER``, which holds an elliptic-integral
+primitive of each kind and a log over their curve, the tower printed,
+parsed and printed again, and ``derive`` on each declaration of
+``MALFORMED_ELLINT`` added to that tower, all of which must be
+refused.  A change that claims to keep every reply
 byte-identical shows the same lines as its parent.
 
 With ``--check FILE`` the lines are compared with FILE, and any
@@ -60,6 +65,21 @@ ZERO_DIVISOR_DOCS = [
      "v0 = x\nterm 1 * w3(v, 1, 0, v^3 - 1, 0)\n", "1"),
 ]
 
+# Each elliptic-integral kind and a log over the curve p, p_q.
+ELLINT_TOWER = ("const a, b, c\nvar x = d/dx 1\ngen p = ellfun(x, a, b)\n"
+                "gen F = ellint(1, p, p_q)\ngen E = ellint(2, p, p_q)\n"
+                "gen P = ellint(3, p, p_q, c)\ngen L = log(x^2 + p)\n")
+ELLINT_FORM = "v0 = F + E + P + L\n"
+MALFORMED_ELLINT = [
+    "gen G = ellint(4, p, p_q)",  # no such kind
+    "gen G = ellint(3, p, p_q)",  # the third kind without its pole
+    "gen G = ellint(3, p, p_q, x)",  # a pole that is not constant
+    "gen G = ellint(1, p, p_q, c)",  # a pole on the first kind
+    "gen G = ellint(1, p, 0)",  # q = 0
+    "gen s = sqrt(x^3 - L*x)\ngen G = ellint(1, x, s)",  # a = L
+    "gen r = sqrt(c^3 - a*c - b)\ngen G = ellint(3, c, r, c)",  # pole = p
+]
+
 
 def reply(argv: list, as_json: bool, workdir: str) -> str:
     """One call's exit code, stdout and stderr, the work directory's path
@@ -93,19 +113,52 @@ def cli_argvs(seed: int, workdir: str) -> list:
     return seen
 
 
+def write(workdir: str, name: str, text: str) -> str:
+    """The path of workdir/name, written with text."""
+    path = os.path.join(workdir, name)
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
 def zero_divisor_argvs(workdir: str) -> list:
     """verify and reduce on each document of ZERO_DIVISOR_DOCS, written
     to workdir."""
     argvs = []
     for i, (tower, form, integrand) in enumerate(ZERO_DIVISOR_DOCS):
-        paths = [os.path.join(workdir, f"zd{i}.{ext}")
-                 for ext in ("tower", "form")]
-        for path, text in zip(paths, (tower, form)):
-            with open(path, "w") as fh:
-                fh.write(text)
+        paths = [write(workdir, f"zd{i}.tower", tower),
+                 write(workdir, f"zd{i}.form", form)]
         argvs += [[command, paths[0], f"--integrand={integrand}",
                    "--form", paths[1]] for command in ("verify", "reduce")]
     return argvs
+
+
+def ellint_argvs(workdir: str) -> tuple:
+    """(valid, malformed): derive, check-lie and reduce on ELLINT_TOWER,
+    the reduction's integrand the derivative of ELLINT_FORM's v0, and
+    derive on each declaration of MALFORMED_ELLINT added to the tower."""
+    from diffalg.dsl import parse_form, parse_tower
+    from diffalg.tower import FULL_D
+
+    tower = write(workdir, "ellint.tower", ELLINT_TOWER)
+    form = write(workdir, "ellint.form", ELLINT_FORM)
+    t = parse_tower(ELLINT_TOWER).tower
+    integrand = t.derive(FULL_D, parse_form(ELLINT_FORM, t).v0)
+    valid = [["derive", tower, "-e", e] for e in ("F", "E", "P", "L")]
+    valid += [["check-lie", tower],
+              ["reduce", tower, f"--integrand={integrand}", "--form", form]]
+    malformed = [["derive", write(workdir, f"bad{i}.tower",
+                                  ELLINT_TOWER + decl + "\n"), "-e", "x"]
+                 for i, decl in enumerate(MALFORMED_ELLINT)]
+    return valid, malformed
+
+
+def ellint_round_trip() -> str:
+    """ELLINT_TOWER printed, then parsed and printed again."""
+    from diffalg.dsl import parse_tower, print_tower
+
+    once = print_tower(parse_tower(ELLINT_TOWER))
+    return once + "\0" + print_tower(parse_tower(once))
 
 
 def l3_form_text() -> str:
@@ -148,11 +201,15 @@ def main(argv=None) -> int:
                     [reply(a, as_json, workdir) for a in argvs]))
         abel = [["abel", "--kind", k] for k in ABEL_KINDS]
         zd = zero_divisor_argvs(workdir)
-        for name, argvs in (("abel", abel), ("zero_divisor", zd)):
+        ellint, malformed = ellint_argvs(workdir)
+        for name, argvs in (("abel", abel), ("zero_divisor", zd),
+                            ("ellint", ellint),
+                            ("ellint malformed", malformed)):
             for as_json, label in ((False, "text"), (True, "json")):
                 lines.append(digest(f"{name} {label}", [
                     reply(a, as_json, workdir) for a in argvs]))
     lines.append(digest("l3_pushdown print_form", [l3_form_text()]))
+    lines.append(digest("ellint print_tower", [ellint_round_trip()]))
     print("\n".join(lines))
     if want is None:
         return 0
