@@ -243,7 +243,7 @@ def _coprime_basis(factors) -> dict:
     for f in factors:
         if f in units:
             continue
-        u = units[f] = f.leading()[1]
+        u = units[f] = f.lead_coeff()
         if not f.is_const():
             monics[f] = f if u == 1 else f.scale(1 / u)
     basis: dict = {}  # b -> its generators

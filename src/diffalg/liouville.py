@@ -260,8 +260,7 @@ def log_canonical(e: Element) -> Element:
     """Normalize a log argument's sign; D log is insensitive to it."""
     if e.rf.num.is_zero():
         return e
-    _, lc = e.rf.num.leading()
-    return -e if lc < 0 else e
+    return -e if e.rf.num.lead_coeff() < 0 else e
 
 
 def _conj_point(t: Tower, s, v: Element, y: Element):

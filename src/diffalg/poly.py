@@ -48,14 +48,17 @@ key hands it each step's leading term, so no step rescans the remainder
 GCDs run on the integer term dicts (the denominator is a unit over Q).
 A modular certificate (_certify_coprime) first proves most coprime
 pairs coprime from their univariate images mod a prime, read off the
-packed monomials through power tables.  The heuristic gcd GCDHEU then
-evaluates at large integers, takes integer gcds, reads the candidate
-back from xi-adic digits, and accepts it only when it divides both
-inputs exactly.  When GCDHEU gives up (a few
-evaluation points, or a fixed bit budget on the evaluated coefficients),
-recursive content/primitive-part elimination by pseudo-remainders over
-the last variable gives the exact answer.  Every recursive content gcd
-takes the same route.
+packed monomials through power tables.  It stops at the first
+generators C whose coprime images leave p or q a nonzero coefficient
+over C free of the other shared generators: the gcd, free of C, divides
+that coefficient, so it is an integer.  Most pairs need one image per
+operand.  The heuristic gcd GCDHEU then evaluates at large integers,
+takes integer gcds, reads the candidate back from xi-adic digits, and
+accepts it only when it divides both inputs exactly.  When GCDHEU gives
+up (a few evaluation points, or a fixed bit budget on the evaluated
+coefficients), recursive content/primitive-part elimination by
+pseudo-remainders over the last variable gives the exact answer.  Every
+recursive content gcd takes the same route.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from contextvars import ContextVar, Token
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from math import gcd as int_gcd
 from math import isqrt, lcm
 from operator import or_
@@ -407,6 +411,10 @@ class MultiPoly:
         m = _lead(self.terms)
         return tuple(mono_items(m)), Fraction(self.terms[m], self.den)
 
+    def lead_coeff(self) -> Fraction:
+        """The coefficient of the leading term, without its monomial."""
+        return Fraction(self.terms[_lead(self.terms)], self.den)
+
     def _plus(self, sign: int, other: "MultiPoly") -> "MultiPoly":
         """self + sign * other."""
         if not other.terms:
@@ -629,16 +637,42 @@ def _content_over(p: dict, vars_out: set) -> dict:
 
 
 # Coprimality certificate, in front of GCDHEU: set every generator but v
-# to a random point mod a large prime.  If the leading coefficient in v
+# to a point mod a large prime.  If the leading coefficient in v
 # survives in both polynomials and their images in Z_P[v] are coprime,
-# the gcd has degree zero in v; holding for every shared generator, it
-# is an integer and GCDHEU is skipped.  A failure is never trusted.  The
-# images are read off the packed monomials: each term indexes one power
-# table per generator with its shifted field, and both operands share
-# the tables, each as long as its generator's field in their OR.
+# the gcd has degree zero in v: taken primitive over Z (Gauss's lemma),
+# its leading coefficient in v divides theirs, so its image keeps its
+# degree and divides both images (Geddes, Czapor & Labahn 1992, ch. 7).
+# The stop rule: once the certified generators C leave p or q a nonzero
+# coefficient over C that holds no uncertified shared generator, the gcd
+# is an integer and GCDHEU is skipped.  The gcd lives in the shared
+# generators outside C and divides that coefficient, whose generators
+# are disjoint from its own, so it is a constant.  A generator that
+# settles it on its own is certified first, alone; over one shared
+# generator no stop test runs.  A failure is never trusted.  The images
+# are read off the packed monomials: each term indexes one power table
+# per generator with its shifted field, and both operands share the
+# tables, each as long as its generator's field in their OR.
 
 _CERT_PRIME = (1 << 61) - 1
 _cert_seed = 0x5EED
+
+
+def _seeded_points():
+    """The certificate's points, in draw order, from a fresh generator."""
+    rng = random.Random(_cert_seed)
+    while True:
+        yield rng.randrange(2, 1 << 30)
+
+
+# the first draws, taken once: a call over n generators takes at most
+# 3(n - 1) per shared generator, more than these only past nine
+_CERT_POINTS = tuple(islice(_seeded_points(), 256))
+
+
+def _cert_points():
+    """The same points as _seeded_points, the first from _CERT_POINTS."""
+    yield from _CERT_POINTS
+    yield from islice(_seeded_points(), len(_CERT_POINTS), None)
 
 
 def _power_tables(vals: dict, both: int) -> list:
@@ -693,16 +727,37 @@ def _uni_gcd_is_const(a: list, b: list) -> bool:
     return b[0] != 0
 
 
+def _settles(p: dict, q: dict, cmask: int, rmask: int) -> bool:
+    """The stop rule: True when p or q has a nonzero coefficient over the
+    generators of cmask that holds none of rmask's, that is, a monomial in
+    cmask that only terms free of rmask carry."""
+    for r in (p, q):
+        tied = {m & cmask for m in r if m & rmask}
+        if any(m & cmask not in tied for m in r if not m & rmask):
+            return True
+    return False
+
+
 def _certify_coprime(p: dict, q: dict, shared: set) -> bool:
-    """True only when coprime images in each shared generator prove
-    gcd(p, q) an integer: fixed-seed points, three tries per generator."""
+    """True only when coprime images prove gcd(p, q) an integer: fixed
+    points, three tries per generator, in turn until the stop rule holds
+    or every shared generator is certified."""
     up, uq = _union(p), _union(q)
     gens = shared | _gens_of(p) | _gens_of(q)
-    # one generator draws no point, so it needs no seeded generator
-    rng = random.Random(_cert_seed) if len(gens) > 1 else None
-    for v in shared:
+    points = _cert_points()
+    order, cmask, rest = shared, 0, 0
+    if len(shared) > 1:
+        masks = {g: _FIELD << g * W for g in shared}
+        every = sum(masks.values())
+        alone = next((g for g in shared
+                      if _settles(p, q, masks[g], every - masks[g])), None)
+        if alone is None:
+            rest = every  # no generator settles alone: test from two on
+        else:
+            order = (alone,)
+    for v in order:
         for _ in range(3):
-            vals = {g: rng.randrange(2, 1 << 30) for g in gens if g != v}
+            vals = {g: next(points) for g in gens if g != v}
             tabs = _power_tables(vals, up | uq)
             ip = _eval_uni_mod(p, v, [t for t in tabs if up >> t[0] & _FIELD])
             if ip is None:
@@ -717,6 +772,10 @@ def _certify_coprime(p: dict, q: dict, shared: set) -> bool:
             return False  # shared root found: almost surely a real factor
         else:
             return False  # the leading coefficient dropped three times
+        if rest:
+            cmask, rest = cmask | masks[v], rest - masks[v]
+            if rest and cmask != masks[v] and _settles(p, q, cmask, rest):
+                return True
     return True
 
 

@@ -99,7 +99,7 @@ def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
         if not g.is_const():
             num = poly_divexact(num, g)
             den = poly_divexact(den, g)
-    _, lc = den.leading()
+    lc = den.lead_coeff()
     if lc != 1:
         num = num.scale(1 / lc)
         den = den.scale(1 / lc)

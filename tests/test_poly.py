@@ -1,7 +1,9 @@
 """Sparse multivariate polynomials: arithmetic, gcd, degree guard."""
 
+import random
 import threading
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 import sympy
@@ -450,6 +452,14 @@ def gens_of(p: MultiPoly) -> set:
     return poly._gens_of(p.terms)
 
 
+def images_seen(monkeypatch) -> list:
+    seen = []
+    image = poly._eval_uni_mod
+    monkeypatch.setattr(poly, "_eval_uni_mod",
+                        lambda *args: seen.append(image(*args)) or seen[-1])
+    return seen
+
+
 @given(polys(max_terms=4, nvars=3), polys(max_terms=4, nvars=3),
        polys(max_terms=3, nvars=3))
 @settings(max_examples=80, deadline=None)
@@ -461,6 +471,59 @@ def test_certificate_refuses_a_planted_common_factor(p, q, h):
     assert not poly._certify_coprime(a.terms, b.terms, shared)
 
 
+def test_certificate_goes_past_an_image_that_misses_the_factor(monkeypatch):
+    # p = (w + 1)(v + 1), q = (w + 1)(v + 2), v = x0 and w = x1: the image
+    # in v is coprime, but every coefficient over {v} holds w, so the stop
+    # rule must not fire, and the image in w finds the root -1
+    w1 = Y + ONE
+    p, q = w1 * (X + ONE), w1 * (X + MultiPoly.const(2))
+    seen = images_seen(monkeypatch)
+    assert not poly._certify_coprime(p.terms, q.terms, {0, 1})
+    assert len(seen) == 4
+    assert poly_gcd(p, q) == w1
+
+
+@st.composite
+def free_of_v(draw, max_terms=3):
+    """A polynomial in x1 and x2 only, free of v = x0."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = tuple((g, e) for g in (1, 2) if (e := draw(exps)))
+        terms[mono] = terms.get(mono, 0) + draw(coeffs)
+    return MultiPoly.from_dict({m: c for m, c in terms.items() if c})
+
+
+@st.composite
+def monic_in_v(draw):
+    """v^d plus lower powers of v = x0 over coefficients free of v."""
+    d = draw(st.integers(1, 2))
+    p = MultiPoly.var(0, d)
+    for k in range(d):
+        p = p + draw(free_of_v()) * MultiPoly.var(0, k)
+    return p
+
+
+@given(monic_in_v(), monic_in_v(), free_of_v())
+@settings(max_examples=80, deadline=None)
+def test_certificate_refuses_a_factor_free_of_the_first_generator(p, q, h):
+    # p and q are coprime and monic in v, so their images in v are coprime
+    # and keep their leading coefficient; the stop rule alone keeps the
+    # certificate from a hit on (p*h, q*h)
+    if h.is_const() or not sympy.gcd(to_sympy(p), to_sympy(q)).is_ground:
+        return
+    a, b = p * h, q * h
+    shared = gens_of(a) & gens_of(b)
+    assert not poly._certify_coprime(a.terms, b.terms, shared)
+
+
+def test_certificate_points_are_the_seeded_draws():
+    # past the drawn-once tuple too
+    rng = random.Random(poly._cert_seed)
+    n = len(poly._CERT_POINTS) + 40
+    assert (list(islice(poly._cert_points(), n))
+            == [rng.randrange(2, 1 << 30) for _ in range(n)])
+
+
 @given(polys(max_terms=4, nvars=3), polys(max_terms=4, nvars=3))
 @settings(max_examples=120, deadline=None)
 def test_certificate_hits_only_coprime_pairs(p, q):
@@ -469,22 +532,26 @@ def test_certificate_hits_only_coprime_pairs(p, q):
         assert sympy.gcd(to_sympy(p), to_sympy(q)).is_ground
 
 
-@pytest.mark.parametrize("kinds, hits, misses",
-                         [(("f", "e", "w1"), 46, 5), (("pi",), 89, 3)],
+@pytest.mark.parametrize("kinds, hits, misses, images",
+                         [(("f", "e", "w1"), 46, 5, 104),
+                          (("pi",), 89, 3, 226)],
                          ids=["f-e-w1", "pi"])
 def test_certificate_decisions_on_the_abel_identities(monkeypatch, kinds,
-                                                     hits, misses):
+                                                     hits, misses, images):
     # pins every hit and miss, so a change to the image kernel, the seed or
-    # the draw order shows here before it shows in the benchmark counts.
+    # the draw order shows here before it shows in the benchmark counts,
+    # and the images they took, so a stop rule that stops later shows too.
     # pi's two log arguments share their denominator, whose coefficients
     # cancel when the log terms merge per factor, so it never reaches a gcd
     seen = []
     certify = poly._certify_coprime
     monkeypatch.setattr(poly, "_certify_coprime",
                         lambda *args: seen.append(certify(*args)) or seen[-1])
+    taken = images_seen(monkeypatch)
     for kind in kinds:
         assert check_abel_identity(kind).passed
     assert (seen.count(True), seen.count(False)) == (hits, misses)
+    assert len(taken) == images
 
 
 # -- gcd branches that the identities above never reach -----------------------
@@ -492,14 +559,6 @@ def test_certificate_decisions_on_the_abel_identities(monkeypatch, kinds,
 # P x0^2 y + x0 + 1: its leading coefficient in x0 vanishes mod P at every
 # point, so each certificate try on x0 is skipped
 DROPS = MultiPoly.const(P) * X * X * Y + X + ONE
-
-
-def images_seen(monkeypatch) -> list:
-    seen = []
-    image = poly._eval_uni_mod
-    monkeypatch.setattr(poly, "_eval_uni_mod",
-                        lambda *args: seen.append(image(*args)) or seen[-1])
-    return seen
 
 
 @pytest.mark.parametrize("first", [True, False])
