@@ -743,7 +743,8 @@ def _certify_coprime(p: dict, q: dict, shared: set) -> bool:
     points, three tries per generator, in turn until the stop rule holds
     or every shared generator is certified."""
     up, uq = _union(p), _union(q)
-    gens = shared | _gens_of(p) | _gens_of(q)
+    gp, gq = ({g for g, _ in mono_items(u)} for u in (up, uq))  # as _gens_of
+    gens = shared | gp | gq
     points = _cert_points()
     order, cmask, rest = shared, 0, 0
     if len(shared) > 1:

@@ -6,6 +6,7 @@ elliptic-integral ones tagged with the phi term they integrate),
 exponentials, elliptic-function pairs, Lambert-style solutions of
 w*e^w = v, and square roots.  A generator's derivative may mention only
 earlier ones, so each derivation is defined generator by generator.
+Every constructor ends in Tower._adjoin, which refuses a taken name.
 
 Besides the full derivation D the tower offers, per generator where it
 makes sense, the commuting derivation X that kills the field below, the
@@ -13,9 +14,11 @@ formal partial, and the below-the-cut derivation that annihilates a
 chosen generator and its companions.  Each handle reads one memoized
 table of generator derivatives, filled bottom-up by one rule: a square
 root s of r gets h(s) = h(r)/(2s) under every handle h, and any other
-generator takes the handle's image.  A table serves one degree limit
-and keeps each failed entry's error.  Each derivative is built as one
-raw quotient and put in normal form once, modulo the square roots.
+generator takes the handle's image.  On an X-kind generator theta,
+D = D_below + w X, so D theta = w * X theta reads X's image.  A table
+serves one degree limit and keeps each failed entry's error.  Each
+derivative is built as one raw quotient and put in normal form once,
+modulo the square roots.
 """
 
 from __future__ import annotations
@@ -222,9 +225,7 @@ class Element:
 
     def conj(self, s) -> "Element":
         """Image under the square-root sign flip s -> -s."""
-        gen = self.tower.gen_of(s)
-        if not isinstance(gen.kind, AlgebraicSqrt):
-            raise NotQuadratic(f"{gen.name} is not a square-root generator")
+        gen = self.tower._sqrt_gen(s)
         return Element(self.tower, RatFunc(self.rf.num.conj_gen(gen.gid),
                                            self.rf.den.conj_gen(gen.gid)))
 
@@ -333,10 +334,6 @@ class Tower:
     def _next_gid(self) -> int:
         return max((g.gid for g in self.generators), default=-1) + 1
 
-    def _check_name(self, name: str) -> None:
-        if name in self._by_name:
-            raise NameClash(f"generator {name!r} already declared")
-
     def _coerce_below(self, value) -> Element:
         """Defining data goes in through coerce: a rational, or an element
         that coerce moves into this tower.  A raw RatFunc is refused."""
@@ -349,22 +346,22 @@ class Tower:
                                    "tower below") from None
 
     def _adjoin(self, name: str, kind) -> "Tower":
-        """This tower with one more generator, under the next id."""
+        """This tower with one more generator, under the next id.  Every
+        constructor ends here, so this is where a taken name is refused."""
+        if name in self._by_name:
+            raise NameClash(f"generator {name!r} already declared")
         return Tower(self.generators
                      + (Generator(self._next_gid(), name, kind),))
 
     def const(self, name: str) -> "Tower":
-        self._check_name(name)
         return self._adjoin(name, ConstParam())
 
     def var(self, name: str, deriv=1) -> "Tower":
-        self._check_name(name)
         return self._adjoin(name, BaseVar(self._coerce_below(deriv)))
 
     def primitive(self, name: str, integrand, antiderivative=None) -> "Tower":
         """Adjoin theta with D theta = integrand.  A recorded antiderivative
         G, which lets a reduction remove theta, must have D G = integrand."""
-        self._check_name(name)
         f = self._coerce_below(integrand)
         anti = None
         if antiderivative is not None:
@@ -375,28 +372,24 @@ class Tower:
         return self._adjoin(name, Primitive(f, None, anti))
 
     def log_ext(self, name: str, h) -> "Tower":
-        self._check_name(name)
         h = self._coerce_below(h)
         if h.is_zero() or h == 1:
             raise InvalidDefiningData(f"log of {h}")
         return self._tagged(name, LogPhi(h))
 
     def exp_ext(self, name: str, v) -> "Tower":
-        self._check_name(name)
         v = self._coerce_below(v)
         if v.is_zero():
             raise InvalidDefiningData("exp of 0")
         return self._adjoin(name, Exponential(v))
 
     def lambertw(self, name: str, v) -> "Tower":
-        self._check_name(name)
         v = self._coerce_below(v)
         if v.is_zero():
             raise InvalidDefiningData("lambertw of zero")
         return self._adjoin(name, LambertW(v))
 
     def sqrt_ext(self, name: str, radicand) -> "Tower":
-        self._check_name(name)
         r = self._coerce_below(radicand)
         if r.is_zero():
             raise InvalidDefiningData("square root of zero")
@@ -411,9 +404,6 @@ class Tower:
 
     def elliptic(self, name: str, v, a, b) -> "Tower":
         """Adjoin an elliptic-function pair (theta, theta_q)."""
-        self._check_name(name)
-        qname = name + "_q"
-        self._check_name(qname)
         v, a, b = (self._coerce_below(e) for e in (v, a, b))
         for label, e in (("a", a), ("b", b)):
             if not e.is_constant():
@@ -422,13 +412,12 @@ class Tower:
         gid = self._next_gid()
         t = self._adjoin(name, EllipticFunction(v, a, b, gid + 1))
         theta = t[name]
-        return t._adjoin(qname, AlgebraicSqrt(theta ** 3 - a * theta - b,
-                                              companion_of=gid))
+        return t._adjoin(name + "_q", AlgebraicSqrt(
+            theta ** 3 - a * theta - b, companion_of=gid))
 
     def ellint(self, name: str, kind: int, p, q, c=None) -> "Tower":
         """Adjoin the primitive of WPhi(kind, p, q, a, b, c), with a and b
         read off q^2 = p^3 - a*p - b."""
-        self._check_name(name)
         p, q = self._coerce_below(p), self._coerce_below(q)
         a, b = self._resolve_cubic(p, q)
         c = None if c is None else self._coerce_below(c)
@@ -521,7 +510,7 @@ class Tower:
                     f"no commuting derivation for generator {kgen.name!r} "
                     f"of kind {type(kgen.kind).__name__}")
             else:
-                at_k = _x_image(kgen)
+                at_k = _x_image(k, kgen.kind)
             return lambda gid, kind, get: at_k if gid == k else _RF_ZERO
         if isinstance(handle, BelowD):
             # D below theta_j, 0 at theta_j and on constants, undefined
@@ -541,26 +530,23 @@ class Tower:
         raise UnsupportedHandle(f"unknown handle {handle!r}")
 
     def _full_image(self, gid: int, kind, get) -> RatFunc:
-        """D theta for a generator that is not a square root."""
+        """D theta for a generator that is not a square root.  An X-kind
+        takes w * X theta: a primitive its integrand (X theta = 1), any
+        other the raw product of w = D v (D v / v for lambertw) and X theta."""
         if isinstance(kind, BaseVar):
             return kind.deriv.rf
         if isinstance(kind, ConstParam):
             return _RF_ZERO
         if isinstance(kind, Primitive):
             return kind.integrand.rf
-        if isinstance(kind, Exponential):
-            num, den = _diff_rf(kind.v.rf, get)
-            return self._nf(num * MultiPoly.var(gid), den)
-        if isinstance(kind, EllipticFunction):
-            num, den = _diff_rf(kind.v.rf, get)
-            return self._nf(num * MultiPoly.var(kind.companion), den)
+        if not isinstance(kind, _X_KINDS):
+            raise UnsupportedHandle(f"unknown kind {kind!r}")
+        v = kind.v.rf
+        num, den = _diff_rf(v, get)
         if isinstance(kind, LambertW):
-            v = kind.v.rf
-            num, den = _diff_rf(v, get)
-            theta = MultiPoly.var(gid)
-            return self._nf(num * theta * v.den,
-                            den * v.num * (theta + MultiPoly.one()))
-        raise UnsupportedHandle(f"unknown kind {kind!r}")
+            num, den = num * v.den, den * v.num
+        x = _x_image(gid, kind)
+        return self._nf(num * x.num, den * x.den)
 
     def _nf(self, num: MultiPoly, den: MultiPoly) -> RatFunc:
         return normal_form(num, den, self.rels)
@@ -782,16 +768,15 @@ def _data_gids(kind) -> set:
                         if isinstance(v, RatFunc)))
 
 
-def _x_image(gen: Generator) -> RatFunc:
+def _x_image(gid: int, kind) -> RatFunc:
     """X theta for the commuting derivation at an X-kind generator."""
-    kind = gen.kind
     if isinstance(kind, Primitive):
         return _RF_ONE
     if isinstance(kind, Exponential):
-        return RatFunc.var(gen.gid)
+        return RatFunc.var(gid)
     if isinstance(kind, EllipticFunction):
         return RatFunc.var(kind.companion)
-    theta = MultiPoly.var(gen.gid)
+    theta = MultiPoly.var(gid)
     return RatFunc(theta, theta + MultiPoly.one())  # coprime, monic
 
 

@@ -87,6 +87,21 @@ def test_let_name_taken_by_later_gen_exits_2(tower_file, capsys):
     assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
 
 
+@pytest.mark.parametrize("gen, msg", [
+    ("exp(x)", "name is already bound: generator 'x' already declared"),
+    ("log(0)", "invalid defining data: log of 0"),
+], ids=["taken-name", "data-before-name"])
+def test_gen_reusing_a_name_exits_2(tower_file, capsys, gen, msg):
+    # the defining data are checked before the name, so a gen that reuses
+    # a name with invalid data reports the data
+    path = tower_file(X_ONLY + f"gen x = {gen}\n")
+    assert main(["derive", path, "-e", "x"]) == 2
+    assert capsys.readouterr() == ("", f"error: {msg}\n")
+    assert main(["derive", path, "-e", "x", "--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     rc = main(["derive", str(tmp_path / "absent.tower"), "-e", "x"])
     assert rc == 2
@@ -614,6 +629,20 @@ def test_reduce_two_steps_through_sqrt(tower_file, form_file, capsys):
     assert rc == 0
     assert "# step 2" in out
     assert "step 2: top generator now x, verified" in out
+
+
+def test_reduce_through_an_elliptic_pair(tower_file, form_file, capsys):
+    # the companion p_q routes to p, and one step consumes both
+    tower = tower_file("const a, b\n" + X_ONLY + "gen p = ellfun(x, a, b)\n")
+    argv = ["reduce", tower, "--integrand", "1", "--form",
+            form_file("v0 = x")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "# step 1\nv0 = x\nstep 1: top generator now x, verified\nPASS\n")
+    assert main(argv + ["--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["output"], rep["residues"]) == (
+        "PASS", "# step 1\nv0 = x", ["step 1: top generator now x, verified"])
 
 
 def test_reduce_keeps_a_constant_above_the_consumed_log(tower_file,

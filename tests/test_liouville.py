@@ -966,6 +966,18 @@ def test_reduce_driver_max_steps():
     assert len(steps) == 1
 
 
+def test_reduce_driver_consumes_an_elliptic_pair():
+    # the companion p_q on top routes to p, and one step removes both
+    t = Tower.base().const("a").const("b").var("x")
+    t = t.elliptic("p", t["x"], t["a"], t["b"])
+    f, form = t.one(), LiouvilleForm(t["x"])
+    steps = reduce(t, f, form)
+    assert len(steps) == 1
+    t2 = steps[0].tower
+    assert [g.name for g in t2.generators] == ["a", "b", "x"]
+    assert verify_liouville(t2, t2.coerce(f), steps[0].form)
+
+
 def test_two_derivation_constants_commute():
     # the x_constant weights of two commuting X handles annihilate each other
     t = Tower.base().const("m").var("x")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffalg.errors import DegreeOverflow, ZeroDenominator
@@ -238,11 +238,14 @@ def point_images(rels: dict) -> list:
 
 
 def agree(a, b, images) -> bool:
-    """The raw (num, den) pairs a and b take the same value at each of
-    images, up to rounding far below the 60 digits."""
+    """The raw (num, den) pairs a and b are equal at each of images, up to
+    rounding far below the 60 digits: na*db = nb*da, cross-multiplied, so
+    a denominator that vanishes at a point (a rationalizing conjugate can)
+    divides by nothing."""
+    (na, da), (nb, db) = a, b
     for image in images:
-        va, vb = (num.evaluate(image) / den.evaluate(image)
-                  for num, den in (a, b))
+        va, vb = (p.evaluate(image) * q.evaluate(image)
+                  for p, q in ((na, db), (nb, da)))
         if abs(va - vb) > 1e-40 * (1 + abs(va)):
             return False
     return True
@@ -289,7 +292,16 @@ def root_tower_fractions(draw):
     return t, tower_poly(draw, t, 4), den
 
 
+def conjugate_vanishing_at_a_point():
+    """1/(3*y*z^4 + 2*x^2) over ROOT_TOWERS[1]: y = 2/3 at x = 13/5, so
+    its normal form, over (x + 1)(3y - 2), reads 0/0 at that point."""
+    t = root_tower(ROOT_TOWERS[1])
+    y, z = (MultiPoly.var(t.gen_of(n).gid) for n in "yz")
+    return t, ONE, (y * z ** 4).scale(3) + (X ** 2).scale(2)
+
+
 @given(root_tower_fractions())
+@example(conjugate_vanishing_at_a_point())
 @settings(max_examples=40, deadline=None)
 def test_reduction_matches_sympy(case):
     t, num, den = case

@@ -15,8 +15,8 @@ from diffalg.errors import (CyclicDefinition, FieldMismatch,
                             InvalidDefiningData, NameClash, NotQuadratic,
                             PsiNotRealizable, UnsupportedHandle,
                             ZeroDenominator, ZeroElement)
-from diffalg.tower import (BelowD, CommutingX, FULL_D, PartialD, PsiRational,
-                           PsiSqrtCubic, Tower)
+from diffalg.tower import (BelowD, CommutingX, FULL_D, LambertW, PartialD,
+                           PsiRational, PsiSqrtCubic, Tower)
 
 
 def exp_inv_square():
@@ -101,6 +101,26 @@ def test_commuting_x_exponential():
     # X = theta d/dtheta, so X(t^2) = 2 t^2 and X kills the base
     assert (t.derive(h, th ** 2) - 2 * th ** 2).is_zero()
     assert t.derive(h, t["x"]).is_zero()
+
+
+@pytest.mark.parametrize("make", [
+    lambda t: t.exp_ext("th", 1 / t["x"]),
+    lambda t: t.elliptic("th", t["x"], t["a"], t["b"]),
+    lambda t: t.lambertw("th", t["x"]),
+], ids=["exp", "ellfun", "lambertw"])
+def test_full_derivative_is_w_times_the_commuting_image(make):
+    # D = D_below + w X on theta, so D theta = w X theta, with w = D v
+    # (D v / v for lambertw)
+    t = make(Tower.base().const("a").const("b").var("x"))
+    gen = t.gen_of("th")
+    v = gen.kind.v
+    w = t.derive(FULL_D, v)
+    if isinstance(gen.kind, LambertW):
+        w = w / v
+    th = t["th"]
+    x_theta = t.derive(CommutingX(gen.gid), th)
+    assert not x_theta.is_zero()
+    assert t.derive(FULL_D, th) == w * x_theta
 
 
 def test_partial_and_below():
@@ -305,6 +325,14 @@ def test_trace_requires_sqrt_generator():
         t.trace("t", t["x"])
 
 
+def test_conj_requires_sqrt_generator():
+    # one square-root check, Tower._sqrt_gen's, with its message
+    t = exp_inv_square()
+    with pytest.raises(NotQuadratic,
+                       match="^'t' is not a square-root generator$"):
+        t["x"].conj("t")
+
+
 def test_trace_rejects_higher_elements():
     t = sqrt_tower(lambda x: x)
     t = t.exp_ext("t", t["x"])
@@ -326,12 +354,38 @@ def test_reflected_operators_refuse_floats(op):
         op(1.5, t["x"])
 
 
-def test_name_clash():
+def elliptic_base():
+    """a, b, x and the elliptic pair p, p_q = ellfun(x, a, b)."""
+    t = Tower.base().const("a").const("b").var("x")
+    return t.elliptic("p", t["x"], t["a"], t["b"])
+
+
+@pytest.mark.parametrize("declare, name", [
+    (lambda t: t.const("x"), "x"),
+    (lambda t: t.var("x"), "x"),
+    (lambda t: t.primitive("x", t["x"]), "x"),
+    (lambda t: t.log_ext("x", t["x"]), "x"),
+    (lambda t: t.exp_ext("x", t["x"]), "x"),
+    (lambda t: t.lambertw("x", t["x"]), "x"),
+    (lambda t: t.sqrt_ext("x", t["x"]), "x"),
+    (lambda t: t.elliptic("x", t["x"], t["a"], t["b"]), "x"),
+    (lambda t: t.const("u_q").elliptic("u", t["x"], t["a"], t["b"]), "u_q"),
+    (lambda t: t.ellint("x", 1, t["p"], t["p_q"]), "x"),
+], ids=["const", "var", "primitive", "log_ext", "exp_ext", "lambertw",
+        "sqrt_ext", "elliptic", "elliptic_q", "ellint"])
+def test_every_constructor_refuses_a_taken_name(declare, name):
+    # the one name check sits in Tower._adjoin, where every constructor ends
+    with pytest.raises(NameClash,
+                       match=f"^generator '{name}' already declared$"):
+        declare(elliptic_base())
+
+
+def test_invalid_data_is_reported_before_a_taken_name():
+    # the data are checked first, and the name when the generator is
+    # adjoined
     t = Tower.base().var("x")
-    with pytest.raises(NameClash):
-        t.var("x")
-    with pytest.raises(NameClash):
-        t.elliptic("x", t["x"], 1, 2)  # would need x and x_q
+    with pytest.raises(InvalidDefiningData, match="^log of 0$"):
+        t.log_ext("x", 0)
 
 
 def test_defining_data_must_be_below():
@@ -370,6 +424,8 @@ def test_invalid_defining_data():
         t.log_ext("l", 0)
     with pytest.raises(InvalidDefiningData):
         t.sqrt_ext("s", 0)
+    with pytest.raises(InvalidDefiningData, match="lambertw of zero"):
+        t.lambertw("w", 0)
     with pytest.raises(InvalidDefiningData):
         t.elliptic("p", t["x"], t["x"], 1)  # a must be constant
     with pytest.raises(InvalidDefiningData, match="monic depressed cubic"):
