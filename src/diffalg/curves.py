@@ -6,7 +6,10 @@ depressed Weierstrass cubics y^2 = x^3 - a*x - b with the chord-tangent
 law.  On top of the group laws sit the pieces needed to push elliptic
 integrands through point addition: the third-kind log argument, the
 second-kind corrections, and the five differential addition identities
-checked under both coordinate partials.
+checked under both coordinate partials.  Both models take one Abel step,
+here and in liouville.reduce_algebraic: phi at p1 and p2 becomes phi at
+p1 + p2 under the model's group law, the second kind adds a rational
+correction and the Legendre third kind a log term.
 
 The phi terms of phi.py become lazy parts here: a numerator over a bag
 of denominator factors read off phi_shape; a log term enters as one
@@ -34,9 +37,10 @@ from math import prod
 from typing import NamedTuple
 
 from .errors import (DegenerateChord, DegenerateDenominator,
-                     InvalidDefiningData, ZeroDenominator)
+                     InvalidDefiningData)
 from .poly import MultiPoly, poly_divexact, poly_gcd
-from .phi import LogPhi, LPhi, ThirdKindParam, WPhi, phi_shape
+from .phi import (LogPhi, LPhi, ThirdKindParam, WPhi, make_term,
+                  phi_shape)
 from .ratfunc import normal_form, reduce_powers
 from .tower import Element, PartialD, Tower, _diff_poly, _diff_rf
 
@@ -190,8 +194,6 @@ def abel_log_argument(curve: LegendreCurve, prm: ThirdKindParam,
                       p3: CurvePoint) -> Element:
     """f with Pi'(x1) + Pi'(x2) - Pi'(x3) = -(a/(2 delta)) Df/f."""
     num, den = _abel_f_parts(prm, p1, p2, p3)
-    if den.is_zero():
-        raise ZeroDenominator("log argument denominator vanishes")
     return num / den
 
 
@@ -417,17 +419,6 @@ def _weierstrass_tower():
     return t
 
 
-def _symbolic_sum(t: Tower, curve, add):
-    """The two generic points of t and their sum under add."""
-    p1 = CurvePoint(t["x1"], t["y1"])
-    p2 = CurvePoint(t["x2"], t["y2"])
-    return p1, p2, add(curve, p1, p2)
-
-
-def _addition_terms(shape, p1, p2, p3) -> list:
-    return [(1, shape(p1)), (1, shape(p2)), (-1, shape(p3))]
-
-
 def _under_partials(t: Tower, v0: Element, terms) -> list:
     """(label, zero) for the identity under d/dx1 and d/dx2."""
     return [(f"d/d{label}",
@@ -436,6 +427,8 @@ def _under_partials(t: Tower, v0: Element, terms) -> list:
 
 
 ABEL_KINDS = ("f", "e", "pi", "w1", "w2")
+# the phi term each identity adds at p1, p2 and p3 = p1 + p2
+_IDENTITY_TERMS = {"f": "l1", "e": "l2", "pi": "l3", "w1": "w1", "w2": "w2"}
 
 
 def check_abel_identity(kind: str) -> AbelReport:
@@ -446,32 +439,29 @@ def check_abel_identity(kind: str) -> AbelReport:
     correction x1 Dx1/y1 + x2 Dx2/y2 - x3 Dx3/y3 = D(2 lambda).  Everything
     stays exact; the verdict is per-derivation reduction to zero.
     """
-    kind = kind.lower()
-    if kind in ("f", "e", "pi"):
-        t = _legendre_tower(with_pole=(kind == "pi"))
-        curve = LegendreCurve(t["m"])
-        p1, p2, p3 = _symbolic_sum(t, curve, legendre_add)
-        prm = ThirdKindParam(t["a"], t["delta"]) if kind == "pi" else None
-        lkind = {"f": 1, "e": 2, "pi": 3}[kind]
-        terms = _addition_terms(
-            lambda p: LPhi(lkind, p.x, p.y, curve.m, prm), p1, p2, p3)
-    elif kind in ("w1", "w2"):
-        t = _weierstrass_tower()
-        curve = WeierstrassCurve(t["a"], t["b"])
-        p1, p2, p3 = _symbolic_sum(t, curve, weierstrass_add)
-        wkind = int(kind[1])
-        terms = _addition_terms(
-            lambda p: WPhi(wkind, p.x, p.y, curve.a, curve.b), p1, p2, p3)
-    else:
+    name = _IDENTITY_TERMS.get(kind.lower())
+    if name is None:
         raise InvalidDefiningData(f"unknown identity kind {kind!r}")
-
+    if name[0] == "w":
+        t = _weierstrass_tower()
+        data = [t["a"], t["b"]]
+        curve, add, e_correction = (WeierstrassCurve(*data), weierstrass_add,
+                                    weierstrass_e_correction)
+    else:
+        t = _legendre_tower(with_pole=(name == "l3"))
+        data = [t["m"], t["a"], t["delta"]] if name == "l3" else [t["m"]]
+        curve, add, e_correction = (LegendreCurve(data[0]), legendre_add,
+                                    abel_e_correction)
+    p1, p2 = CurvePoint(t["x1"], t["y1"]), CurvePoint(t["x2"], t["y2"])
+    p3 = add(curve, p1, p2)
+    terms = [(c, make_term(name, [p.x, p.y, *data]))
+             for c, p in ((1, p1), (1, p2), (-1, p3))]
     v0 = t.zero()
-    if kind == "e":
-        v0 = -abel_e_correction(curve, p1, p2)
-    elif kind == "w2":
-        v0 = -weierstrass_e_correction(curve, p1, p2)
-    elif kind == "pi":
+    if name[1] == "2":
+        v0 = -e_correction(curve, p1, p2)
+    elif name == "l3":
         # + (a/(2 delta)) * (D num/num - D den/den) of the log argument
+        prm = ThirdKindParam(*data[1:])
         fnum, fden = _abel_f_parts(prm, p1, p2, p3)
         scale = prm.a / (2 * prm.delta)
         terms += [(scale, LogPhi(fnum)), (-scale, LogPhi(fden))]
@@ -479,4 +469,5 @@ def check_abel_identity(kind: str) -> AbelReport:
     # distinct variables x1, x2, and one constant radicand in the free
     # parameters a and m, so they hold no zero divisor
     rows = _under_partials(t, v0, terms)
-    return AbelReport(kind, tuple(rows), all(zero for _, zero in rows))
+    return AbelReport(kind.lower(), tuple(rows),
+                      all(zero for _, zero in rows))

@@ -20,8 +20,12 @@ below-part is realized by rewriting each piece, the w-part by one
 appended term whose shape depends on theta's kind.
 
 Quadratic extensions reduce by averaging a form with its conjugate:
-log arguments become norms, curve points add to their conjugates with
-the Abel corrections supplying the rational and logarithmic remainders.
+log arguments become norms, and a curve term takes one step on either
+model.  A pair whose conjugate only negates y drops, since every curve
+phi is odd in y; otherwise the point adds to its conjugate under the
+model's group law, the second kind puts its correction into v0, the
+Legendre third kind adds a log term, and the Weierstrass third kind is
+refused.
 Every reduction self-checks by re-verifying the result and fails hard
 rather than return a form whose derivative drifted.
 """
@@ -263,14 +267,6 @@ def log_canonical(e: Element) -> Element:
     return -e if e.rf.num.lead_coeff() < 0 else e
 
 
-def _conj_point(t: Tower, s, v: Element, y: Element):
-    return CurvePoint(v, y), CurvePoint(v.conj(s), y.conj(s))
-
-
-def _cancels(p: CurvePoint, pc: CurvePoint) -> bool:
-    return pc.x == p.x and pc.y == -p.y
-
-
 def reduce_algebraic(t: Tower, s, f: Element, form: LiouvilleForm) -> LiouvilleForm:
     """Push the form through the top quadratic extension by averaging
     with its conjugate: v0 to trace/2, logs to norms, curve terms to the
@@ -312,39 +308,31 @@ def reduce_algebraic(t: Tower, s, f: Element, form: LiouvilleForm) -> LiouvilleF
         if isinstance(term, LogPhi):
             new_terms.append((chalf, LogPhi(log_canonical(t.norm(s, term.v)))))
             continue
-        if isinstance(term, WPhi):
-            if term.kind == 3:
-                raise UnsupportedTermKind(
-                    "third-kind Weierstrass terms do not push through "
-                    "a quadratic extension")
-            p, pc = _conj_point(t, s, term.v, term.q)
-            if _cancels(p, pc):
-                continue
-            curve = WeierstrassCurve(term.a, term.b)
-            p3 = weierstrass_add(curve, p, pc)
-            if p3.at_infinity:
-                continue
-            if term.kind == 2:
-                v0 = v0 + chalf * weierstrass_e_correction(curve, p, pc)
-            new_terms.append(
-                (chalf, WPhi(term.kind, p3.x, p3.y, term.a, term.b)))
-            continue
-        # Legendre kinds
-        p, pc = _conj_point(t, s, term.v, term.y)
-        if _cancels(p, pc):
-            continue
-        curve = LegendreCurve(term.m)
-        p3 = legendre_add(curve, p, pc)
-        if term.kind == 2:
-            v0 = v0 + chalf * abel_e_correction(curve, p, pc)
-        elif term.kind == 3:
+        name, (v, y, *data) = term_args(term)
+        if name == "w3":
+            raise UnsupportedTermKind(
+                "third-kind Weierstrass terms do not push through "
+                "a quadratic extension")
+        p, pc = CurvePoint(v, y), CurvePoint(v.conj(s), y.conj(s))
+        if pc.x == p.x and pc.y == -p.y:
+            continue  # every curve phi is odd in y: the pair cancels
+        if name[0] == "w":
+            curve, add, e_correction = (
+                WeierstrassCurve(*data), weierstrass_add,
+                weierstrass_e_correction)
+        else:
+            curve, add, e_correction = (
+                LegendreCurve(data[0]), legendre_add, abel_e_correction)
+        p3 = add(curve, p, pc)  # not at infinity: that pair cancelled
+        if name[1] == "2":
+            v0 = v0 + chalf * e_correction(curve, p, pc)
+        elif name == "l3":
             prm = term.prm
             arg = abel_log_argument(curve, prm, p, pc, p3)
             lc = -coeff * prm.a / (4 * prm.delta)
             if not lc.is_zero():
                 new_terms.append((lc, LogPhi(log_canonical(arg))))
-        new_terms.append(
-            (chalf, LPhi(term.kind, p3.x, p3.y, term.m, term.prm)))
+        new_terms.append((chalf, make_term(name, [p3.x, p3.y, *data])))
 
     return _move_down(t.drop_gens({gen.gid}), f, v0, new_terms)
 

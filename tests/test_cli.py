@@ -454,6 +454,30 @@ def test_exp_of_0_and_log_of_1_map_to_error(tower_file, form_file, capsys,
         "ERROR", [f"invalid defining data: {msg}"])
 
 
+ELLFUN = "const a, b\n" + X_ONLY + "gen p = ellfun(x, a, b)\n"
+L_CURVE = "const m\n" + X_ONLY + "gen y = sqrt((1 - x^2)*(1 - m*x^2))\n"
+
+
+@pytest.mark.parametrize("tower, term, msg", [
+    (X_ONLY, "log(0)", "log argument is zero"),
+    (ELLFUN, "w1(x, p_q, a, b)", "q^2 = v^3 - a v - b fails"),
+    (L_CURVE, "l1(x, y, x)", "modulus m not constant"),
+    (L_CURVE, "l1(x, x, m)", "y^2 = (1-v^2)(1-m v^2) fails"),
+    (L_CURVE, "l3(x, y, m, x, 1)", "pole a not constant"),
+], ids=["log-0", "w1-off-curve", "l1-modulus", "l1-off-curve", "l3-pole"])
+def test_invalid_curve_term_maps_to_error(tower_file, form_file, capsys,
+                                          tower, term, msg):
+    # each term is refused by its shape's validate when the form is built
+    argv = ["verify", tower_file(tower), "--integrand", "0", "--form",
+            form_file(f"v0 = 0\nterm 1 * {term}\n")]
+    msg = f"invalid defining data: {msg}"
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {msg}\n")
+    assert main(argv + ["--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
+
+
 @pytest.mark.parametrize("expr, column", [("x^" + "9" * 5000, 3),
                                           ("9" * 5000 + "*x", 1)],
                          ids=["exponent", "factor"])

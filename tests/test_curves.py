@@ -142,6 +142,12 @@ def test_abel_identity(kind):
     assert len(rep.residues) == 2  # both coordinate derivations
 
 
+def test_abel_identity_kind_is_read_case_blind_and_checked():
+    assert check_abel_identity("W1").kind == "w1"
+    with pytest.raises(InvalidDefiningData,
+                       match="^unknown identity kind 'g'$"):
+        check_abel_identity("g")
+
 def test_doubled_second_kind_correction_fails():
     # phi(p1) + phi(p2) - phi(p3) = D(g) holds with v0 = -g, and the same
     # shared zero test must reject v0 = -2g under each partial.

@@ -47,6 +47,24 @@ def test_out_of_range_kind_reaches_validate():
         LiouvilleForm(t.zero(), [(1, WPhi(1, p, q, a, b, m))])
 
 
+
+def test_pole_data_belongs_to_the_third_kind_only():
+    # the form grammar's arity check refuses these documents before the
+    # terms are built, so the refusals are reached from the library
+    t = Tower.base().const("m").const("pa").var("x")
+    m, pa, x = t["m"], t["pa"], t["x"]
+    t = t.sqrt_ext("y", (1 - x ** 2) * (1 - m * x ** 2))
+    t = t.sqrt_ext("delta", (1 - pa ** 2) * (1 - m * pa ** 2))
+    x, y, m = t["x"], t["y"], t["m"]
+    prm = ThirdKindParam(t["pa"], t["delta"])
+    with pytest.raises(InvalidDefiningData,
+                       match="^third kind needs pole data$"):
+        LiouvilleForm(t.zero(), [(1, LPhi(3, x, y, m))])
+    with pytest.raises(InvalidDefiningData,
+                       match="^pole data only belongs to the third kind$"):
+        LiouvilleForm(t.zero(), [(1, LPhi(1, x, y, m, prm))])
+    LiouvilleForm(t.zero(), [(1, LPhi(3, x, y, m, prm))])
+
 def test_phi_eval_log():
     t = Tower.base().var("x")
     got = phi_eval(t, LogPhi(t["x"]), FULL_D)
@@ -671,6 +689,16 @@ def test_reduce_algebraic_needs_the_top_root():
         reduce_algebraic(t, t.gen_of("p_q").gid, t["x"], LiouvilleForm(t["x"]))
 
 
+def test_reduce_algebraic_refuses_an_integrand_in_the_root():
+    # the driver stops at the integrand's floor before this check, so it
+    # is reached from the library
+    t = Tower.base().var("x")
+    t = t.sqrt_ext("s", t["x"] ** 2 + 1)
+    f, form = t["x"] / t["s"], LiouvilleForm(t["s"])
+    assert verify_liouville(t, f, form)
+    with pytest.raises(FNotBelow, match="^integrand involves s$"):
+        reduce_algebraic(t, t.gen_of("s").gid, f, form)
+
 def legendre_pushdown_tower():
     """Conjugate points x +- s on one Legendre curve.
 
@@ -897,6 +925,22 @@ def test_reduce_algebraic_weierstrass_cancellation():
     assert not out.terms
     assert out.v0.is_zero()
 
+
+def test_reduce_algebraic_legendre_cancellation():
+    # as on the cubic: v is s-free and y is s itself, so the conjugate
+    # point is the negation and the pair drops entirely
+    t = Tower.base().const("m").var("x")
+    m, x = t["m"], t["x"]
+    t = t.sqrt_ext("s", (1 - x ** 2) * (1 - m * x ** 2))
+    m, x, s = t["m"], t["x"], t["s"]
+    sgid = t.gen_of("s").gid
+    form = LiouvilleForm(t.zero(), [(Fraction(1, 2), LPhi(1, x, s, m)),
+                                    (Fraction(1, 2), LPhi(1, x, -s, m))])
+    f = form_derivative(t, form)
+    assert f.is_zero()
+    out = reduce_algebraic(t, sgid, f, form)
+    assert not out.terms
+    assert out.v0.is_zero()
 
 def test_reduce_algebraic_legendre_identity_point():
     # conjugate first-kind points (s, y), (-s, y) sum to the identity

@@ -19,7 +19,8 @@ on the tower ``ELLINT_TOWER``, which holds an elliptic-integral
 primitive of each kind and a log over their curve, the tower printed,
 parsed and printed again, and ``derive`` on each declaration of
 ``MALFORMED_ELLINT`` added to that tower, all of which must be
-refused.  A change that claims to keep every reply
+refused, and ``reduce`` on each conjugate pair of curve terms of
+``CURVE_PAIRS``.  A change that claims to keep every reply
 byte-identical shows the same lines as its parent.
 
 With ``--check FILE`` the lines are compared with FILE, and any
@@ -78,6 +79,41 @@ MALFORMED_ELLINT = [
     "gen G = ellint(1, p, 0)",  # q = 0
     "gen s = sqrt(x^3 - L*x)\ngen G = ellint(1, x, s)",  # a = L
     "gen r = sqrt(c^3 - a*c - b)\ngen G = ellint(3, c, r, c)",  # pole = p
+]
+
+# Conjugate pairs of curve terms over a square root s on top, from the
+# pushdown towers of tests/test_liouville.py: the points x + s and x - s
+# share one s-free curve coordinate, y on the Legendre quartic, q on the
+# Weierstrass cubic.  Each entry is (tower, form); the integrand is the
+# form's derivative.
+_L_CURVE = ("var x = d/dx 1\nlet e = (1 + m)/(2*m)\nlet r = e - x^2\n"
+            "gen y = sqrt((1 - e)*(1 - m*e) + 4*m*x^2*r)\n")
+_L_TOWER = "const m\n" + _L_CURVE + "gen s = sqrt(r)\n"
+_L3_TOWER = ("const m, pa\n" + _L_CURVE
+             + "gen delta = sqrt((1 - pa^2)*(1 - m*pa^2))\ngen s = sqrt(r)\n")
+_W_TOWER = ("const a, b\nvar x = d/dx 1\ngen q = sqrt(-8*x^3 + 2*a*x - b)\n"
+            "gen s = sqrt(a - 3*x^2)\n")
+
+
+def _pair(kind: str, rest: str) -> str:
+    return (f"v0 = 0\nterm 1/2 * {kind}(x + s, {rest})\n"
+            f"term 1/2 * {kind}(x - s, {rest})\n")
+
+
+CURVE_PAIRS = [
+    (_W_TOWER, _pair("w1", "q, a, b")),
+    (_W_TOWER, _pair("w2", "q, a, b")),
+    (_L_TOWER, _pair("l1", "y, m")),
+    (_L_TOWER, _pair("l2", "y, m")),
+    (_L3_TOWER, _pair("l3", "y, m, pa, delta")),
+    # the curve coordinate is s itself: the conjugate point is the
+    # negation, and the pair cancels
+    ("const a, b\nvar x = d/dx 1\ngen s = sqrt(x^3 - a*x - b)\n",
+     "v0 = 0\nterm 1/2 * w1(x, s, a, b)\nterm 1/2 * w1(x, -s, a, b)\n"),
+    ("const m\nvar x = d/dx 1\ngen s = sqrt((1 - x^2)*(1 - m*x^2))\n",
+     "v0 = 0\nterm 1/2 * l1(x, s, m)\nterm 1/2 * l1(x, -s, m)\n"),
+    # the third Weierstrass kind does not push through: refused
+    (_W_TOWER + "const c\n", _pair("w3", "q, a, b, c")),
 ]
 
 
@@ -153,6 +189,22 @@ def ellint_argvs(workdir: str) -> tuple:
     return valid, malformed
 
 
+def curve_pair_argvs(workdir: str) -> list:
+    """reduce on each document of CURVE_PAIRS, written to workdir, the
+    integrand computed as ellint_argvs computes it."""
+    from diffalg.dsl import parse_form, parse_tower
+    from diffalg.liouville import form_derivative
+
+    argvs = []
+    for i, (tower, form) in enumerate(CURVE_PAIRS):
+        doc = parse_tower(tower)
+        f = form_derivative(doc.tower, parse_form(form, doc.tower, doc.bindings))
+        argvs.append(["reduce", write(workdir, f"pair{i}.tower", tower),
+                      f"--integrand={f}", "--form",
+                      write(workdir, f"pair{i}.form", form)])
+    return argvs
+
+
 def ellint_round_trip() -> str:
     """ELLINT_TOWER printed, then parsed and printed again."""
     from diffalg.dsl import parse_tower, print_tower
@@ -204,7 +256,8 @@ def main(argv=None) -> int:
         ellint, malformed = ellint_argvs(workdir)
         for name, argvs in (("abel", abel), ("zero_divisor", zd),
                             ("ellint", ellint),
-                            ("ellint malformed", malformed)):
+                            ("ellint malformed", malformed),
+                            ("curve_pairs", curve_pair_argvs(workdir))):
             for as_json, label in ((False, "text"), (True, "json")):
                 lines.append(digest(f"{name} {label}", [
                     reply(a, as_json, workdir) for a in argvs]))
