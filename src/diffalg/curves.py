@@ -6,10 +6,11 @@ depressed Weierstrass cubics y^2 = x^3 - a*x - b with the chord-tangent
 law.  On top of the group laws sit the pieces needed to push elliptic
 integrands through point addition: the third-kind log argument, the
 second-kind corrections, and the five differential addition identities
-checked under both coordinate partials.  Both models take one Abel step,
-here and in liouville.reduce_algebraic: phi at p1 and p2 becomes phi at
-p1 + p2 under the model's group law, the second kind adds a rational
-correction and the Legendre third kind a log term.
+checked under both coordinate partials, the second by the exchange
+(x1, y1) <-> (x2, y2) where that is a symmetry.  Both models take one
+Abel step, here and in liouville.reduce_algebraic: phi at p1 and p2
+becomes phi at p1 + p2 under the model's group law, the second kind adds
+a rational correction and the Legendre third kind a log term.
 
 The phi terms of phi.py become lazy parts here: a numerator over a bag
 of denominator factors read off phi_shape; a log term enters as one
@@ -40,9 +41,10 @@ from .errors import (DegenerateChord, DegenerateDenominator,
                      InvalidDefiningData)
 from .poly import MultiPoly, poly_divexact, poly_gcd
 from .phi import (LogPhi, LPhi, ThirdKindParam, WPhi, make_term,
-                  phi_shape)
+                  phi_shape, term_args)
 from .ratfunc import normal_form, reduce_powers
-from .tower import Element, PartialD, Tower, _diff_poly, _diff_rf
+from .tower import (AlgebraicSqrt, ConstParam, Element, PartialD, Tower,
+                    _diff_poly, _diff_rf)
 
 
 @dataclass(frozen=True)
@@ -388,7 +390,8 @@ def phi_sum(t: Tower, h, v0: Element, terms, f=0) -> Element:
 # --------------------------------------------------------------------------
 # Symbolic verification towers and the identity checks.  Each identity
 # phi(p1) + phi(p2) - phi(p3) + D(v0) + (log terms) = 0 for p3 = p1 + p2
-# is tested under both coordinate partials.
+# is tested under d/dx1; the d/dx2 row copies that verdict where the
+# exchange of p1 and p2 is proved a symmetry, and is tested otherwise.
 
 
 @dataclass(frozen=True)
@@ -396,6 +399,7 @@ class AbelReport:
     kind: str
     residues: tuple  # (label, zero: bool)
     passed: bool
+    by_exchange: tuple  # labels of the rows copied by x1 <-> x2
 
 
 def _legendre_tower(with_pole: bool):
@@ -419,11 +423,59 @@ def _weierstrass_tower():
     return t
 
 
-def _under_partials(t: Tower, v0: Element, terms) -> list:
-    """(label, zero) for the identity under d/dx1 and d/dx2."""
-    return [(f"d/d{label}",
-             phi_sum_is_zero(t, PartialD(t.gen_of(label).gid), v0, terms))
-            for label in ("x1", "x2")]
+def _exchange_fixes(t: Tower, v0: Element, terms) -> bool:
+    """Whether the exchange sigma: (x1, y1) <-> (x2, y2) is an automorphism
+    of t that fixes the form.  On t: every generator keeps its kind, sigma
+    maps the radicand of each square root to that of its image, and every
+    generator that sigma fixes is a constant or a square root.  On the
+    form: sigma fixes v0 and maps the table {term: summed coefficient}
+    onto itself, coefficients included.  Each test is == on canonical
+    values."""
+    pairs = [(t.gen_of(a).gid, t.gen_of(b).gid)
+             for a, b in (("x1", "x2"), ("y1", "y2"))]
+    ids = dict(pairs + [(h, g) for g, h in pairs])
+
+    def sigma(e) -> Element:
+        return t.coerce(e).swap(*pairs)
+
+    for g in t.generators:
+        image = t.gen_of(ids.get(g.gid, g.gid)).kind
+        if type(image) is not type(g.kind):
+            return False
+        if isinstance(image, AlgebraicSqrt):
+            if sigma(g.kind.radicand) != t.coerce(image.radicand):
+                return False
+        elif g.gid not in ids and not isinstance(image, ConstParam):
+            return False
+    table: dict = {}
+    for c, term in terms:
+        c = t.coerce(c)
+        table[term] = table[term] + c if term in table else c
+    for term, c in table.items():
+        name, args = term_args(term)
+        if table.get(make_term(name, [sigma(e) for e in args])) != sigma(c):
+            return False
+    return sigma(v0) == v0
+
+
+def _under_partials(t: Tower, v0: Element, terms) -> tuple:
+    """The rows (label, zero) of the identity under d/dx1 and d/dx2, and
+    the labels of the rows that the exchange sigma decided.
+
+    sigma: (x1, y1) <-> (x2, y2) fixes Q and the constants, and
+    sigma d/dx1 = d/dx2 sigma on every generator: on x1 and x2 by the
+    definition of PartialD, on a square root s of r by h(s) = h(r)/(2s).
+    So when sigma is an automorphism of t that fixes the form
+    (_exchange_fixes), the d/dx2 sum is sigma of the d/dx1 sum, and sigma
+    is injective: the d/dx2 row copies the d/dx1 verdict, PASS and FAIL
+    alike.  Otherwise it takes its own zero test.
+    """
+    h1, h2 = (PartialD(t.gen_of(label).gid) for label in ("x1", "x2"))
+    zero = phi_sum_is_zero(t, h1, v0, terms)
+    if _exchange_fixes(t, v0, terms):
+        return [("d/dx1", zero), ("d/dx2", zero)], ("d/dx2",)
+    return [("d/dx1", zero),
+            ("d/dx2", phi_sum_is_zero(t, h2, v0, terms))], ()
 
 
 ABEL_KINDS = ("f", "e", "pi", "w1", "w2")
@@ -437,7 +489,11 @@ def check_abel_identity(kind: str) -> AbelReport:
     Kinds (ABEL_KINDS): "f" and "e" and "pi" run on the symbolic Legendre
     tower, "w1" and "w2" on the symbolic Weierstrass tower, "w2" with the
     correction x1 Dx1/y1 + x2 Dx2/y2 - x3 Dx3/y3 = D(2 lambda).  Everything
-    stays exact; the verdict is per-derivation reduction to zero.
+    stays exact; the verdict is per-derivation reduction to zero.  The
+    group law commutes, so the exchange sigma: (x1, y1) <-> (x2, y2) maps
+    the d/dx1 sum onto the d/dx2 sum; where _under_partials proves sigma
+    an automorphism of the tower that fixes the form, the d/dx2 row copies
+    the d/dx1 verdict, and the report's by_exchange names it.
     """
     name = _IDENTITY_TERMS.get(kind.lower())
     if name is None:
@@ -468,6 +524,6 @@ def check_abel_identity(kind: str) -> AbelReport:
     # no check_term: the towers adjoin square roots of radicands in
     # distinct variables x1, x2, and one constant radicand in the free
     # parameters a and m, so they hold no zero divisor
-    rows = _under_partials(t, v0, terms)
+    rows, by_exchange = _under_partials(t, v0, terms)
     return AbelReport(kind.lower(), tuple(rows),
-                      all(zero for _, zero in rows))
+                      all(zero for _, zero in rows), by_exchange)

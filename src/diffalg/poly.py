@@ -515,6 +515,15 @@ class MultiPoly:
                           for m, c in self.terms.items()},
                          self.den, self._deg)
 
+    def swap_gens(self, g: int, h: int) -> "MultiPoly":
+        """Substitute g <-> h: exchange the two exponent fields."""
+        sg, sh = g * W, h * W
+        out = {}
+        for m, c in self.terms.items():
+            d = ((m >> sg) & _FIELD) - ((m >> sh) & _FIELD)
+            out[m - (d << sg) + (d << sh)] = c
+        return MultiPoly(out, self.den, self._deg)
+
     def split_by(self, gids) -> dict:
         """Map each monomial in gids -> polynomial coefficient (gids removed)."""
         return {tuple(mono_items(k)): _make(d, self.den)

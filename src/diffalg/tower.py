@@ -229,6 +229,20 @@ class Element:
         return Element(self.tower, RatFunc(self.rf.num.conj_gen(gen.gid),
                                            self.rf.den.conj_gen(gen.gid)))
 
+    def swap(self, *pairs) -> "Element":
+        """Image under the permutation that exchanges the generators of
+        each pair (g, h) of ids, both square roots or neither.  Then the
+        numerator stays multilinear in the roots, the denominator free of
+        them and coprime to it; only the leading term of the denominator
+        can move, so it is made monic again."""
+        num, den = self.rf
+        for g, h in pairs:
+            num, den = num.swap_gens(g, h), den.swap_gens(g, h)
+        lc = den.lead_coeff()
+        if lc != 1:
+            num, den = num.scale(1 / lc), den.scale(1 / lc)
+        return Element(self.tower, RatFunc(num, den))
+
     def __str__(self) -> str:
         return fmt.format_ratfunc(self.rf, self.tower.name_of)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import diffalg
-from diffalg import cli, errors, poly
+from diffalg import cli, errors, liouville, poly
 from diffalg.cli import ERROR_MESSAGES, main
 
 X_ONLY = "var x = d/dx 1\n"
@@ -611,6 +611,24 @@ def test_reduce_rejects_wrong_form(tower_file, form_file, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "input form does not differentiate to f" in out
+
+
+def test_reduce_refuses_a_step_that_drifts(tower_file, form_file, capsys,
+                                           monkeypatch):
+    # a rewrite that adds x to v0 changes the form's derivative by 1, so
+    # the step's own re-verification refuses it before it is returned
+    rewrite = liouville._rewrite_v0
+    monkeypatch.setattr(liouville, "_rewrite_v0",
+                        lambda t, v0, sgids: rewrite(t, v0, sgids) + t["x"])
+    argv = ["reduce", tower_file(LOG_TOWER), "--integrand", "1/x",
+            "--form", form_file("v0 = th")]
+    msg = ("reduced form failed re-verification: "
+           "reduced form derivative drifted")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {msg}\n")
+    assert main(argv + ["--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
 
 
 def test_reduce_nothing_to_do(tower_file, form_file, capsys):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from scipy.special import ellipj
 
 from diffalg import curves, poly
-from diffalg.curves import (CurvePoint, LegendreCurve, LPhi, ThirdKindParam,
+from diffalg.curves import (ABEL_KINDS, CurvePoint, LegendreCurve, LogPhi,
+                            LPhi, ThirdKindParam,
                             WeierstrassCurve, abel_a0, abel_e_correction,
                             abel_log_argument, check_abel_identity,
                             chord_slope,
@@ -130,6 +131,13 @@ def test_chord_slope_degenerate():
         chord_slope(p1, p1)
 
 
+def test_abel_e_correction_refuses_a_degenerate_chord():
+    # p1 + p1: x1*y1 - x1*y1 = 0 is refused before it divides
+    t, curve, p1, _ = legendre_setup()
+    with pytest.raises(DegenerateChord, match=r"^x1\*y2 - x2\*y1 = 0$"):
+        abel_e_correction(curve, p1, p1)
+
+
 # -- Abel identities -----------------------------------------------------------
 
 
@@ -168,6 +176,160 @@ def test_w2_correction_normalization():
     t, curve, p1, p2 = weierstrass_setup()
     w = weierstrass_e_correction(curve, p1, p2)
     assert (w - 2 * chord_slope(p1, p2)).is_zero()
+
+
+# -- the exchange sigma: (x1, y1) <-> (x2, y2) -------------------------------
+
+
+def exchange(t):
+    """sigma on the elements of t."""
+    pairs = [(t.gen_of(a).gid, t.gen_of(b).gid)
+             for a, b in (("x1", "x2"), ("y1", "y2"))]
+    return lambda e: t.coerce(e).swap(*pairs)
+
+
+def partials(t):
+    return [PartialD(t.gen_of(label).gid) for label in ("x1", "x2")]
+
+
+def direct_rows(t, v0, terms):
+    return [(f"d/d{label}", phi_sum_is_zero(t, h, v0, terms))
+            for label, h in zip(("x1", "x2"), partials(t))]
+
+
+@st.composite
+def tower_elements(draw, t):
+    """A small polynomial in the generators of t over one in those that
+    are no square root, so no draw has to rationalize."""
+    gens = [t[g.name] for g in t.generators]
+    below = [t[g.name] for g in t.generators if g.gid not in t.rels]
+
+    def poly(gens):
+        out = t.lit(draw(st.integers(-2, 2)))
+        for _ in range(draw(st.integers(1, 3))):
+            mono = t.lit(draw(st.integers(1, 3)))
+            for g in draw(st.lists(st.sampled_from(gens), max_size=3)):
+                mono = mono * g
+            out = out + mono
+        return out
+
+    num, den = poly(gens), poly(below)
+    return num / (den if not den.is_zero() else den + 1)
+
+
+@pytest.mark.parametrize("tower", [lambda: _legendre_tower(with_pole=True),
+                                   _weierstrass_tower],
+                         ids=["legendre", "weierstrass"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_exchange_is_an_automorphism_that_swaps_the_partials(tower, data):
+    t = tower()
+    sigma, (h1, h2) = exchange(t), partials(t)
+    e, f = data.draw(tower_elements(t)), data.draw(tower_elements(t))
+    img = sigma(e)
+    assert img.rf == normal_form(*img.rf, t.rels)  # canonical as it is
+    assert sigma(img) == e
+    assert sigma(e + f) == img + sigma(f)
+    assert sigma(e * f) == img * sigma(f)
+    assert sigma(t.derive(h1, e)) == t.derive(h2, img)
+
+
+def test_exchange_makes_the_denominator_monic_again():
+    t = _weierstrass_tower()
+    x1, x2 = t["x1"], t["x2"]
+    # x1 + 2 x2 is x2 + x1/2 made monic; its image x2 + 2 x1 leads with 1
+    assert exchange(t)(1 / (x1 + 2 * x2)) == 1 / (x2 + 2 * x1)
+
+
+def spy_identity(monkeypatch, shift=None):
+    """Run check_abel_identity with v0 + shift(t) in place of v0; the
+    (t, v0, terms) it tested land in the list returned."""
+    seen, under = [], curves._under_partials
+
+    def spy(t, v0, terms):
+        if shift is not None:
+            v0 = v0 + shift(t)
+        seen.append((t, v0, terms))
+        return under(t, v0, terms)
+
+    monkeypatch.setattr(curves, "_under_partials", spy)
+    return seen
+
+
+def test_exchange_leaves_a_v0_it_moves_to_the_direct_row(monkeypatch):
+    # D_x1(x2) = 0 but D_x2(x2) = 1: sigma does not fix v0 = x2, so the
+    # d/dx2 row is tested on its own and fails
+    spy_identity(monkeypatch, lambda t: t["x2"])
+    rep = check_abel_identity("f")
+    assert rep.residues == (("d/dx1", True), ("d/dx2", False))
+    assert not rep.passed and rep.by_exchange == ()
+
+
+def test_exchange_copies_a_nonzero_row(monkeypatch):
+    # sigma fixes v0 = x1 + x2, so d/dx2 copies the nonzero d/dx1 row,
+    # as the direct test agrees
+    seen = spy_identity(monkeypatch, lambda t: t["x1"] + t["x2"])
+    rep = check_abel_identity("f")
+    assert rep.residues == (("d/dx1", False), ("d/dx2", False))
+    assert not rep.passed and rep.by_exchange == ("d/dx2",)
+    assert direct_rows(*seen[0]) == list(rep.residues)
+
+
+@pytest.mark.parametrize("kind", ABEL_KINDS)
+def test_exchange_row_matches_the_direct_test(monkeypatch, kind):
+    seen = spy_identity(monkeypatch)
+    rep = check_abel_identity(kind)
+    assert rep.passed and rep.by_exchange == ("d/dx2",)
+    assert direct_rows(*seen[0]) == list(rep.residues)
+
+
+def legendre_rhs(x, m):
+    return (1 - x * x) * (1 - m * x * x)
+
+
+def log_root_form(t):
+    """log y1 + log y2 - log(r(x1))/2 - log(r(x2))/2: sigma maps it onto
+    itself, and D_x1 of it is 0 when y1 is the square root of r(x1)."""
+    m, c = t["m"], Fraction(-1, 2)
+    return t.zero(), [(1, LogPhi(t["y1"])), (1, LogPhi(t["y2"])),
+                      (c, LogPhi(legendre_rhs(t["x1"], m))),
+                      (c, LogPhi(legendre_rhs(t["x2"], m)))]
+
+
+def two_roots(r2=None, y2_var=False, extra=False):
+    """m, x1, x2, y1 = sqrt(r(x1)), then y2 = sqrt(r2(x2)), r2 = r by
+    default, or a base variable y2; extra adds a base variable z."""
+    t = Tower.base().const("m").var("x1").var("x2")
+    if extra:
+        t = t.var("z")
+    t = t.sqrt_ext("y1", legendre_rhs(t["x1"], t["m"]))
+    if y2_var:
+        return t.var("y2")
+    return t.sqrt_ext("y2", (r2 or legendre_rhs)(t["x2"], t["m"]))
+
+
+@pytest.mark.parametrize("t, rows", [
+    # sigma(r1) = r(x2) is not the radicand r(x2)(1 + x2^2) of y2
+    (two_roots(r2=lambda x, m: legendre_rhs(x, m) * (1 + x * x)),
+     [("d/dx1", True), ("d/dx2", False)]),
+    # sigma would swap the square root y1 with the variable y2
+    (two_roots(y2_var=True), [("d/dx1", True), ("d/dx2", False)]),
+    # sigma fixes z, which is no constant
+    (two_roots(extra=True), [("d/dx1", True), ("d/dx2", True)]),
+], ids=["radicand", "kind", "extra"])
+def test_exchange_needs_an_automorphism_of_the_tower(t, rows):
+    v0, terms = log_root_form(t)
+    assert curves._under_partials(t, v0, terms) == (rows, ())
+    assert direct_rows(t, v0, terms) == rows
+
+
+def test_exchange_needs_the_terms_to_map_onto_themselves():
+    # sigma sends log x2 to log x1, which the form lacks
+    t = _legendre_tower(with_pole=False)
+    rows = [("d/dx1", True), ("d/dx2", False)]
+    terms = [(1, LogPhi(t["x2"]))]
+    assert curves._under_partials(t, t.zero(), terms) == (rows, ())
+    assert direct_rows(t, t.zero(), terms) == rows
 
 
 def test_abel_f_properties():
@@ -395,14 +557,16 @@ def test_clear_is_order_independent(cancel, data):
     assert all(common == commons[0] for common in commons)
 
 
-@pytest.mark.parametrize("kind, most", [("f", 620), ("e", 3430),
-                                        ("w1", 840), ("w2", 3180),
-                                        ("pi", 99_100)])
+@pytest.mark.parametrize("kind, most", [("f", 334), ("e", 1680),
+                                        ("w1", 445), ("w2", 1616),
+                                        ("pi", 49_708)],
+                         ids=["f", "e", "w1", "w2", "pi"])
 def test_abel_clearing_work_is_pinned(kind, most, monkeypatch):
     # term pairs over every polynomial product of the identity; pi took
     # 329,179 when each part was lifted to the full lcm on its own,
-    # 119,107 while each log term entered as D(v)/v over d^2, and 106,201
-    # while every lazy sum rationalized its terms' divisors again
+    # 119,107 while each log term entered as D(v)/v over d^2, 106,201
+    # while every lazy sum rationalized its terms' divisors again, and
+    # 99,067 while the d/dx2 row took its own zero test
     pairs = []
     mul = poly._dict_mul
 

@@ -533,8 +533,8 @@ def test_certificate_hits_only_coprime_pairs(p, q):
 
 
 @pytest.mark.parametrize("kinds, hits, misses, images",
-                         [(("f", "e", "w1"), 46, 5, 104),
-                          (("pi",), 89, 3, 226)],
+                         [(("f", "e", "w1"), 28, 3, 64),
+                          (("pi",), 49, 2, 124)],
                          ids=["f-e-w1", "pi"])
 def test_certificate_decisions_on_the_abel_identities(monkeypatch, kinds,
                                                      hits, misses, images):
