@@ -3,14 +3,14 @@
 Two curve shapes are supported: the Legendre quartic
 y^2 = (1-x^2)(1-m*x^2) with the sn/cn-dn addition law, and monic
 depressed Weierstrass cubics y^2 = x^3 - a*x - b with the chord-tangent
-law.  On top of the group laws sit the pieces needed to push elliptic
-integrands through point addition: the third-kind log argument, the
-second-kind corrections, and the five differential addition identities
-checked under both coordinate partials, the second by the exchange
-(x1, y1) <-> (x2, y2) where that is a symmetry.  Both models take one
-Abel step, here and in liouville.reduce_algebraic: phi at p1 and p2
-becomes phi at p1 + p2 under the model's group law, the second kind adds
-a rational correction and the Legendre third kind a log term.
+law.  On top of the group laws sits Abel's addition theorem, stated
+once for both models by abel_step: phi at p1 and p2 becomes phi at
+p1 + p2 under the model's group law, the second kind adds a rational
+correction and the Legendre third kind a log term.  The five
+differential addition identities check that statement at symbolic
+points under both coordinate partials, the second by the exchange
+(x1, y1) <-> (x2, y2) where that is a symmetry, and
+liouville.reduce_algebraic applies it to a point and its conjugate.
 
 The phi terms of phi.py become lazy parts here: a numerator over a bag
 of denominator factors read off phi_shape; a log term enters as one
@@ -40,8 +40,8 @@ from typing import NamedTuple
 from .errors import (DegenerateChord, DegenerateDenominator,
                      InvalidDefiningData)
 from .poly import MultiPoly, poly_divexact, poly_gcd
-from .phi import (LogPhi, LPhi, ThirdKindParam, WPhi, make_term,
-                  phi_shape, term_args)
+from .phi import (TERM_KINDS, LogPhi, LPhi, ThirdKindParam, WPhi,
+                  make_term, phi_shape, term_args)
 from .ratfunc import normal_form, reduce_powers
 from .tower import (AlgebraicSqrt, ConstParam, Element, PartialD, Tower,
                     _diff_poly, _diff_rf)
@@ -129,8 +129,6 @@ def weierstrass_add(curve: WeierstrassCurve, p1: CurvePoint,
         if y1 == -y2:
             return CurvePoint.infinity()
         if y1 == y2:
-            if y1.is_zero():
-                return CurvePoint.infinity()
             lam = (3 * x1 * x1 - curve.a) / (2 * y1)
         else:
             raise InvalidDefiningData(
@@ -142,61 +140,47 @@ def weierstrass_add(curve: WeierstrassCurve, p1: CurvePoint,
     return CurvePoint(x3, y3)
 
 
-def chord_slope(p1: CurvePoint, p2: CurvePoint) -> Element:
-    """(y2 - y1)/(x2 - x1) for distinct-x points."""
-    dx = p2.x - p1.x
-    if dx.is_zero():
-        raise DegenerateChord("points share their x coordinate")
-    return (p2.y - p1.y) / dx
+def abel_step(name: str, data, p1: CurvePoint, p2: CurvePoint):
+    """Abel's addition theorem for the curve phi term name: (p3, w, log).
 
+    name is l1, l2, l3, w1 or w2, and data the term's elements after v
+    and y (m; m, a, delta; or a, b).  With phi(p) = phi(D x, x) at
+    p = (x, y) and p3 = p1 + p2 under the model's group law,
 
-def weierstrass_e_correction(curve: WeierstrassCurve, p1: CurvePoint,
-                             p2: CurvePoint) -> Element:
-    """w with x1 Dx1/y1 + x2 Dx2/y2 - x3 Dx3/y3 = D(w).
+        phi(p1) + phi(p2) = phi(p3) + D(w) + c D log(num/den),
 
-    The normalization (twice the chord slope) is pinned by the symbolic
-    identity check in the test suite before this path is trusted.
+    where log = (c, num, den) for the Legendre third kind and None
+    otherwise.  w is 0 but for the second kind: twice the chord slope
+    lambda on the cubic, m(x1^3 x2 - x1 x2^3)/(x1 y2 - x2 y1) on the
+    quartic.  On the third kind c = -a/(2 delta), and with
+    a0 = (x2^3 y1 - x1^3 y2)/(x1 y2 - x2 y1) the log argument is
+    (a0 a + a^3 + x1 x2 x3 delta)/(a0 a + a^3 - x1 x2 x3 delta).
+    check_abel_identity verifies each statement on symbolic points, and
+    liouville.reduce_algebraic applies it to a point and its conjugate.
     """
-    return 2 * chord_slope(p1, p2)
-
-
-def _chord_denominator(p1: CurvePoint, p2: CurvePoint) -> Element:
-    d = p1.x * p2.y - p2.x * p1.y
-    if d.is_zero():
+    x1, y1, x2, y2 = p1.x, p1.y, p2.x, p2.y
+    w = x1.tower.zero()
+    if name[0] == "w":
+        p3 = weierstrass_add(WeierstrassCurve(*data), p1, p2)
+        if name == "w2":
+            dx = x2 - x1
+            if dx.is_zero():
+                raise DegenerateChord("points share their x coordinate")
+            w = 2 * ((y2 - y1) / dx)
+        return p3, w, None
+    m = data[0]
+    p3 = legendre_add(LegendreCurve(m), p1, p2)
+    if name == "l1":
+        return p3, w, None
+    chord = x1 * y2 - x2 * y1
+    if chord.is_zero():
         raise DegenerateChord("x1*y2 - x2*y1 = 0")
-    return d
-
-
-def abel_a0(p1: CurvePoint, p2: CurvePoint) -> Element:
-    """(x2^3 y1 - x1^3 y2)/(x1 y2 - x2 y1)."""
-    den = _chord_denominator(p1, p2)
-    return (p2.x ** 3 * p1.y - p1.x ** 3 * p2.y) / den
-
-
-def abel_e_correction(curve: LegendreCurve, p1: CurvePoint,
-                      p2: CurvePoint) -> Element:
-    """g = m(x1^3 x2 - x1 x2^3)/(x1 y2 - x2 y1)."""
-    den = _chord_denominator(p1, p2)
-    x1, x2 = p1.x, p2.x
-    return curve.m * (x1 ** 3 * x2 - x1 * x2 ** 3) / den
-
-
-def _abel_f_parts(prm: ThirdKindParam, p1: CurvePoint, p2: CurvePoint,
-                  p3: CurvePoint):
-    """Numerator and denominator of the third-kind log argument."""
-    a0 = abel_a0(p1, p2)
-    a = prm.a
-    core = a0 * a + a ** 3
-    tail = p1.x * p2.x * p3.x * prm.delta
-    return core + tail, core - tail
-
-
-def abel_log_argument(curve: LegendreCurve, prm: ThirdKindParam,
-                      p1: CurvePoint, p2: CurvePoint,
-                      p3: CurvePoint) -> Element:
-    """f with Pi'(x1) + Pi'(x2) - Pi'(x3) = -(a/(2 delta)) Df/f."""
-    num, den = _abel_f_parts(prm, p1, p2, p3)
-    return num / den
+    if name == "l2":
+        return p3, m * (x1 ** 3 * x2 - x1 * x2 ** 3) / chord, None
+    a, delta = data[1:]
+    core = (x2 ** 3 * y1 - x1 ** 3 * y2) / chord * a + a ** 3
+    tail = x1 * x2 * p3.x * delta
+    return p3, w, (-a / (2 * delta), core + tail, core - tail)
 
 
 # --------------------------------------------------------------------------
@@ -487,9 +471,10 @@ def check_abel_identity(kind: str) -> AbelReport:
     """Verify one addition identity under both coordinate partials.
 
     Kinds (ABEL_KINDS): "f" and "e" and "pi" run on the symbolic Legendre
-    tower, "w1" and "w2" on the symbolic Weierstrass tower, "w2" with the
-    correction x1 Dx1/y1 + x2 Dx2/y2 - x3 Dx3/y3 = D(2 lambda).  Everything
-    stays exact; the verdict is per-derivation reduction to zero.  The
+    tower, "w1" and "w2" on the symbolic Weierstrass tower.  The identity
+    is abel_step's statement at p1 = (x1, y1) and p2 = (x2, y2), with
+    v0 = -w and the log terms moved to the left.  Everything stays exact;
+    the verdict is per-derivation reduction to zero.  The
     group law commutes, so the exchange sigma: (x1, y1) <-> (x2, y2) maps
     the d/dx1 sum onto the d/dx2 sum; where _under_partials proves sigma
     an automorphism of the tower that fixes the form, the d/dx2 row copies
@@ -498,32 +483,20 @@ def check_abel_identity(kind: str) -> AbelReport:
     name = _IDENTITY_TERMS.get(kind.lower())
     if name is None:
         raise InvalidDefiningData(f"unknown identity kind {kind!r}")
-    if name[0] == "w":
-        t = _weierstrass_tower()
-        data = [t["a"], t["b"]]
-        curve, add, e_correction = (WeierstrassCurve(*data), weierstrass_add,
-                                    weierstrass_e_correction)
-    else:
-        t = _legendre_tower(with_pole=(name == "l3"))
-        data = [t["m"], t["a"], t["delta"]] if name == "l3" else [t["m"]]
-        curve, add, e_correction = (LegendreCurve(data[0]), legendre_add,
-                                    abel_e_correction)
+    t = (_weierstrass_tower() if name[0] == "w"
+         else _legendre_tower(with_pole=(name == "l3")))
+    data = [t[g] for g in TERM_KINDS[name].split(", ")[2:]]
     p1, p2 = CurvePoint(t["x1"], t["y1"]), CurvePoint(t["x2"], t["y2"])
-    p3 = add(curve, p1, p2)
+    p3, w, log = abel_step(name, data, p1, p2)
     terms = [(c, make_term(name, [p.x, p.y, *data]))
              for c, p in ((1, p1), (1, p2), (-1, p3))]
-    v0 = t.zero()
-    if name[1] == "2":
-        v0 = -e_correction(curve, p1, p2)
-    elif name == "l3":
-        # + (a/(2 delta)) * (D num/num - D den/den) of the log argument
-        prm = ThirdKindParam(*data[1:])
-        fnum, fden = _abel_f_parts(prm, p1, p2, p3)
-        scale = prm.a / (2 * prm.delta)
-        terms += [(scale, LogPhi(fnum)), (-scale, LogPhi(fden))]
+    if log is not None:
+        # the log split in two keeps num/den out of normal form
+        c, num, den = log
+        terms += [(-c, LogPhi(num)), (c, LogPhi(den))]
     # no check_term: the towers adjoin square roots of radicands in
     # distinct variables x1, x2, and one constant radicand in the free
     # parameters a and m, so they hold no zero divisor
-    rows, by_exchange = _under_partials(t, v0, terms)
+    rows, by_exchange = _under_partials(t, -w, terms)
     return AbelReport(kind.lower(), tuple(rows),
                       all(zero for _, zero in rows), by_exchange)

@@ -20,12 +20,11 @@ below-part is realized by rewriting each piece, the w-part by one
 appended term whose shape depends on theta's kind.
 
 Quadratic extensions reduce by averaging a form with its conjugate:
-log arguments become norms, and a curve term takes one step on either
-model.  A pair whose conjugate only negates y drops, since every curve
-phi is odd in y; otherwise the point adds to its conjugate under the
-model's group law, the second kind puts its correction into v0, the
-Legendre third kind adds a log term, and the Weierstrass third kind is
-refused.
+log arguments become norms, and a curve term takes one step of Abel's
+addition theorem, curves.abel_step.  A pair whose conjugate only negates
+y drops, since every curve phi is odd in y; otherwise the point adds to
+its conjugate, the correction w goes into v0, the Legendre third kind's
+log term joins the form, and the Weierstrass third kind is refused.
 Every reduction self-checks by re-verifying the result and fails hard
 rather than return a form whose derivative drifted.
 """
@@ -35,10 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import (CurvePoint, LegendreCurve, WeierstrassCurve,
-                     abel_e_correction, abel_log_argument, legendre_add,
-                     phi_sum, phi_sum_is_zero, weierstrass_add,
-                     weierstrass_e_correction)
+from .curves import CurvePoint, abel_step, phi_sum, phi_sum_is_zero
 from .errors import (FNotBelow, IntegrandNotReducible, NonConstantCoefficient,
                      NotConstant, PartNotBelow, SelfCheckFailed,
                      UnsupportedHandle, UnsupportedTermKind)
@@ -316,22 +312,12 @@ def reduce_algebraic(t: Tower, s, f: Element, form: LiouvilleForm) -> LiouvilleF
         p, pc = CurvePoint(v, y), CurvePoint(v.conj(s), y.conj(s))
         if pc.x == p.x and pc.y == -p.y:
             continue  # every curve phi is odd in y: the pair cancels
-        if name[0] == "w":
-            curve, add, e_correction = (
-                WeierstrassCurve(*data), weierstrass_add,
-                weierstrass_e_correction)
-        else:
-            curve, add, e_correction = (
-                LegendreCurve(data[0]), legendre_add, abel_e_correction)
-        p3 = add(curve, p, pc)  # not at infinity: that pair cancelled
-        if name[1] == "2":
-            v0 = v0 + chalf * e_correction(curve, p, pc)
-        elif name == "l3":
-            prm = term.prm
-            arg = abel_log_argument(curve, prm, p, pc, p3)
-            lc = -coeff * prm.a / (4 * prm.delta)
-            if not lc.is_zero():
-                new_terms.append((lc, LogPhi(log_canonical(arg))))
+        # p3 is not at infinity: that pair cancelled
+        p3, w, log = abel_step(name, data, p, pc)
+        v0 = v0 + chalf * w
+        if log is not None:
+            c, num, den = log
+            new_terms.append((chalf * c, LogPhi(log_canonical(num / den))))
         new_terms.append((chalf, make_term(name, [p3.x, p3.y, *data])))
 
     return _move_down(t.drop_gens({gen.gid}), f, v0, new_terms)

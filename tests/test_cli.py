@@ -631,6 +631,41 @@ def test_reduce_refuses_a_step_that_drifts(tower_file, form_file, capsys,
     assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
 
 
+# w2 and w3 (pole 0) on q^2 = p^3 - a p cancel the X-image of q/p:
+# X(q/p) = p/2 + a/(2p), so the form's X-constant is 0 and its integrand 0
+V0_OVER_P = ("v0 = p_q/p\nterm -1/2 * w2(p, p_q, a, 0)\n"
+             "term -a/2 * w3(p, p_q, a, 0, 0)\n")
+# on the singular cubic q^2 = (v - 3)^2 (v + 6), v = u^2 - 6 and
+# q = u(u^2 - 9) at u = x*th; X = th d/dth takes w2 to 2u + 6u/(u^2 - 9),
+# which v0 = -2u and the log cancel: X-constant 0, integrand 0
+V0_TIMES_X = ("v0 = -2*x*th\n"
+              "term 1 * w2(x^2*th^2 - 6, x*th*(x^2*th^2 - 9), 27, -54)\n"
+              "term 1 * log((x*th + 3)/(x*th - 3))\n")
+
+
+@pytest.mark.parametrize("tower, f, form, msg", [
+    (ELLFUN, "1", "v0 = 0\nterm 1 * w1(p, p_q, a, b)\n",
+     "curve-term payload involves the top extension"),
+    ("const a\n" + X_ONLY + "gen p = ellfun(x, a, 0)\n", "0", V0_OVER_P,
+     "v0 denominator involves the top extension"),
+    (X_ONLY + "gen th = exp(x)\n", "0", V0_TIMES_X,
+     "v0 has a non-constant coefficient on the top extension"),
+], ids=["curve-term", "v0-denominator", "v0-coefficient"])
+def test_reduce_refuses_a_part_on_the_top_extension(tower_file, form_file,
+                                                    capsys, tower, f, form,
+                                                    msg):
+    # the form verifies and its X-constant is constant, but a part of it
+    # cannot be rewritten below the top generator
+    argv = ["reduce", tower_file(tower), "--integrand", f,
+            "--form", form_file(form)]
+    msg = f"form part does not reduce below the extension: {msg}"
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {msg}\n")
+    assert main(argv + ["--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
+
+
 def test_reduce_nothing_to_do(tower_file, form_file, capsys):
     tower = X_ONLY + "gen t = exp(1/x^2)"
     rc = main(["reduce", tower_file(tower),

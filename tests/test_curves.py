@@ -7,6 +7,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -15,12 +16,9 @@ from scipy.special import ellipj
 
 from diffalg import curves, poly
 from diffalg.curves import (ABEL_KINDS, CurvePoint, LegendreCurve, LogPhi,
-                            LPhi, ThirdKindParam,
-                            WeierstrassCurve, abel_a0, abel_e_correction,
-                            abel_log_argument, check_abel_identity,
-                            chord_slope,
-                            legendre_add, phi_sum_is_zero, weierstrass_add,
-                            weierstrass_e_correction, _abel_f_parts, _clear,
+                            LPhi, ThirdKindParam, WeierstrassCurve,
+                            abel_step, check_abel_identity, legendre_add,
+                            phi_sum_is_zero, weierstrass_add, _clear,
                             _coprime_basis, _legendre_tower, _Part,
                             _product, _weierstrass_tower)
 from diffalg.errors import (DegenerateChord, DegenerateDenominator,
@@ -60,6 +58,8 @@ def test_legendre_identity_point():
     t, curve, p1, _ = legendre_setup()
     e = curve.identity(t)
     assert curve.contains(e)
+    # the quartic model's identity is (0, 1), and infinity is no point
+    assert curve.contains(CurvePoint.infinity()) is False
     q = legendre_add(curve, p1, e)
     assert (q.x - p1.x).is_zero() and (q.y - p1.y).is_zero()
 
@@ -126,16 +126,18 @@ def test_weierstrass_same_x_mismatch_rejected():
 
 
 def test_chord_slope_degenerate():
+    # p1 + p1 on the cubic: the w2 chord slope has no run
     t, curve, p1, _ = weierstrass_setup()
-    with pytest.raises(DegenerateChord):
-        chord_slope(p1, p1)
+    with pytest.raises(DegenerateChord,
+                       match="^points share their x coordinate$"):
+        abel_step("w2", [curve.a, curve.b], p1, p1)
 
 
 def test_abel_e_correction_refuses_a_degenerate_chord():
     # p1 + p1: x1*y1 - x1*y1 = 0 is refused before it divides
     t, curve, p1, _ = legendre_setup()
     with pytest.raises(DegenerateChord, match=r"^x1\*y2 - x2\*y1 = 0$"):
-        abel_e_correction(curve, p1, p1)
+        abel_step("l2", [curve.m], p1, p1)
 
 
 # -- Abel identities -----------------------------------------------------------
@@ -160,10 +162,10 @@ def test_doubled_second_kind_correction_fails():
     # phi(p1) + phi(p2) - phi(p3) = D(g) holds with v0 = -g, and the same
     # shared zero test must reject v0 = -2g under each partial.
     t, curve, p1, p2 = legendre_setup()
-    p3 = legendre_add(curve, p1, p2)
+    p3, g, log = abel_step("l2", [curve.m], p1, p2)
+    assert log is None
     terms = [(c, LPhi(2, p.x, p.y, curve.m))
              for c, p in ((1, p1), (1, p2), (-1, p3))]
-    g = abel_e_correction(curve, p1, p2)
     for label in ("x1", "x2"):
         h = PartialD(t.gen_of(label).gid)
         assert phi_sum_is_zero(t, h, -g, terms)
@@ -174,8 +176,9 @@ def test_w2_correction_normalization():
     # pins the 2*lambda normalization used by the reduction engine
     assert check_abel_identity("w2").passed
     t, curve, p1, p2 = weierstrass_setup()
-    w = weierstrass_e_correction(curve, p1, p2)
-    assert (w - 2 * chord_slope(p1, p2)).is_zero()
+    p3, w, log = abel_step("w2", [curve.a, curve.b], p1, p2)
+    assert log is None and p3 == weierstrass_add(curve, p1, p2)
+    assert w == 2 * (p2.y - p1.y) / (p2.x - p1.x)
 
 
 # -- the exchange sigma: (x1, y1) <-> (x2, y2) -------------------------------
@@ -332,44 +335,41 @@ def test_exchange_needs_the_terms_to_map_onto_themselves():
     assert direct_rows(t, t.zero(), terms) == rows
 
 
+def l3_step(t, p1, p2, delta=None):
+    data = [t["m"], t["a"], t["delta"] if delta is None else delta]
+    p3, w, (c, num, den) = abel_step("l3", data, p1, p2)
+    assert w == 0
+    return p3, c, num, den
+
+
 def test_abel_f_properties():
     t = _legendre_tower(with_pole=True)
-    curve = LegendreCurve(t["m"])
-    prm = ThirdKindParam(t["a"], t["delta"])
-    prm.validate(t["m"])
+    ThirdKindParam(t["a"], t["delta"]).validate(t["m"])
     p1 = CurvePoint(t["x1"], t["y1"])
     p2 = CurvePoint(t["x2"], t["y2"])
-    p3 = legendre_add(curve, p1, p2)
-    num, den = _abel_f_parts(prm, p1, p2, p3)
+    p3, c, num, den = l3_step(t, p1, p2)
+    assert c == -t["a"] / (2 * t["delta"])
 
-    # swapping the points leaves f unchanged
-    n2, d2 = _abel_f_parts(prm, p2, p1, p3)
+    # swapping the points leaves p3, c and f = num/den unchanged, since
+    # a0 = (x2^3 y1 - x1^3 y2)/(x1 y2 - x2 y1) is symmetric
+    q3, c2, n2, d2 = l3_step(t, p2, p1)
+    assert (q3, c2) == (p3, c)
     assert (num * d2 - n2 * den).is_zero()
 
-    # delta -> -delta inverts f
-    neg = ThirdKindParam(t["a"], -t["delta"])
-    n3, d3 = _abel_f_parts(neg, p1, p2, p3)
-    assert (num * n3 - den * d3).is_zero() or (num * d3 - den * n3).is_zero()
-    # specifically num<->den swap
+    # delta -> -delta swaps num and den, so it inverts f and negates c
+    q3, c3, n3, d3 = l3_step(t, p1, p2, -t["delta"])
+    assert (q3, c3) == (p3, -c)
     assert (n3 - den).is_zero() and (d3 - num).is_zero()
 
 
 def test_abel_f_trivial_at_origin():
-    # x3 = 0 kills the delta tail, so f = 1
+    # p2 = -p1 puts p3 at the identity (0, 1), where x3 = 0 kills the
+    # delta tail, so f = 1
     t = _legendre_tower(with_pole=True)
-    prm = ThirdKindParam(t["a"], t["delta"])
     p1 = CurvePoint(t["x1"], t["y1"])
-    p2 = CurvePoint(t["x2"], t["y2"])
-    origin = CurvePoint(t.zero(), t.one())
-    num, den = _abel_f_parts(prm, p1, p2, origin)
+    p3, _, num, den = l3_step(t, p1, CurvePoint(-t["x1"], t["y1"]))
+    assert p3 == CurvePoint(t.zero(), t.one())
     assert (num - den).is_zero()
-
-
-def test_abel_a0_symmetric():
-    t, curve, p1, p2 = weierstrass_setup()
-    a01 = abel_a0(p1, p2)
-    a02 = abel_a0(p2, p1)
-    assert (a01 - a02).is_zero()
 
 
 def test_third_kind_param_validation():
@@ -422,6 +422,59 @@ def test_symbolic_add_evaluates_numerically():
     x3 = float(p3.x.rf.num.evaluate(vals)) / float(p3.x.rf.den.evaluate(vals))
     want, _ = sn_point(u + v, m)
     assert math.isclose(x3, want, abs_tol=1e-7)
+
+
+# Abel's theorem integrated from the origin, where p3 = (0, 1), w = 0 and
+# num/den = 1: with x = sn(u), y = cn(u) dn(u), phi(p) = phi(D x, x)
+# integrates to I(x), the incomplete integral of the term's kind at
+# asin(x), so I(x1) + I(x2) - I(x3) = w + c log(num/den).  Every x stays
+# below the pole a, where the third-kind integral is real.
+ELLIPTIC_INTEGRALS = {
+    "l1": lambda phi, m, a: mpmath.ellipf(phi, m),
+    "l2": lambda phi, m, a: mpmath.ellipe(phi, m),
+    "l3": lambda phi, m, a: mpmath.ellippi(1 / a ** 2, phi, m),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELLIPTIC_INTEGRALS))
+@mpmath.workdps(40)
+def test_abel_step_matches_the_elliptic_integrals(name):
+    rng = random.Random(20261019)
+    t = _legendre_tower(with_pole=(name == "l3"))
+    data = [t["m"], t["a"], t["delta"]] if name == "l3" else [t["m"]]
+    p3, w, log = abel_step(name, data, CurvePoint(t["x1"], t["y1"]),
+                           CurvePoint(t["x2"], t["y2"]))
+    integral = ELLIPTIC_INTEGRALS[name]
+    for m, a in (((1, 3), (9, 10)), ((3, 5), (19, 20))):
+        m, a = (mpmath.mpf(n) / d for n, d in (m, a))
+        vals = {t.gen_of("m").gid: m}
+        if name == "l3":
+            vals[t.gen_of("a").gid] = a
+            vals[t.gen_of("delta").gid] = mpmath.sqrt((1 - a * a)
+                                                      * (1 - m * a * a))
+        for _ in range(3):
+            u1 = mpmath.mpf(rng.uniform(0.05, 0.25))
+            u2 = mpmath.mpf(rng.uniform(0.3, 0.5))
+            for i, u in (("1", u1), ("2", u2)):
+                sn, cn, dn = (mpmath.ellipfun(f, u, m=m)
+                              for f in ("sn", "cn", "dn"))
+                vals[t.gen_of("x" + i).gid] = sn
+                vals[t.gen_of("y" + i).gid] = cn * dn
+
+            def ev(e):
+                return e.rf.num.evaluate(vals) / e.rf.den.evaluate(vals)
+
+            xs = [vals[t.gen_of("x1").gid], vals[t.gen_of("x2").gid],
+                  ev(p3.x)]
+            assert max(xs) < a
+            assert abs(xs[2] - mpmath.ellipfun("sn", u1 + u2, m=m)) < 1e-35
+            lhs = sum(s * integral(mpmath.asin(x), m, a)
+                      for s, x in zip((1, 1, -1), xs))
+            rhs = ev(w)
+            if log is not None:
+                c, num, den = log
+                rhs += ev(c) * mpmath.log(ev(num) / ev(den))
+            assert abs(lhs - rhs) < 1e-30, (name, float(m), u1, u2)
 
 
 # -- clearing over a coprime basis -------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffalg import liouville, poly
+from diffalg import curves, liouville, poly
 from diffalg.curves import ThirdKindParam, phi_part, phi_sum
 from diffalg.errors import (FieldMismatch, FNotBelow, IntegrandNotReducible,
                             InvalidDefiningData, NonConstantCoefficient,
@@ -699,6 +699,22 @@ def test_reduce_algebraic_refuses_an_integrand_in_the_root():
     with pytest.raises(FNotBelow, match="^integrand involves s$"):
         reduce_algebraic(t, t.gen_of("s").gid, f, form)
 
+
+def test_reduce_top_refuses_a_tower_with_no_transcendental():
+    # a base variable is the floor of reduction, so nothing is on top
+    t = Tower.base().var("x")
+    with pytest.raises(UnsupportedHandle,
+                       match="^no reducible transcendental on top$"):
+        reduce_top(t, t.one(), LiouvilleForm(t["x"]))
+
+
+def test_reduce_of_a_tower_of_constants_takes_no_step():
+    # every generator is skipped as constant, down to the empty base
+    t = Tower.base().const("c")
+    t = t.sqrt_ext("r", t["c"] + 1)
+    assert reduce(t, t.zero(), LiouvilleForm(t["r"])) == []
+
+
 def legendre_pushdown_tower():
     """Conjugate points x +- s on one Legendre curve.
 
@@ -824,17 +840,17 @@ def _l3_tower():
 
 
 def _count_abel_calls(monkeypatch) -> dict:
-    """Count legendre_add and abel_log_argument at their liouville
-    bindings, which reduce_algebraic calls."""
-    calls = {"legendre_add": 0, "abel_log_argument": 0}
-    for name in calls:
-        fn = getattr(liouville, name)
+    """Count curves.legendre_add, which abel_step calls, and abel_step at
+    its liouville binding, which reduce_algebraic calls."""
+    calls = {"legendre_add": 0, "abel_step": 0}
+    for module, name in ((curves, "legendre_add"), (liouville, "abel_step")):
+        fn = getattr(module, name)
 
         def counted(*args, fn=fn, name=name):
             calls[name] += 1
             return fn(*args)
 
-        monkeypatch.setattr(liouville, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -850,7 +866,7 @@ def test_reduce_algebraic_l3_log_correction(monkeypatch):
     calls = _count_abel_calls(monkeypatch)
     out = reduce_algebraic(t, sgid, f, form)
     # the two terms are one conjugate pair, pushed once
-    assert calls == {"legendre_add": 1, "abel_log_argument": 1}
+    assert calls == {"legendre_add": 1, "abel_step": 1}
     assert verify_liouville(out.tower, out.tower.coerce(f), out)
     assert any(isinstance(term, LPhi) and term.kind == 3
                for _, term in out.terms)
@@ -897,7 +913,7 @@ def test_reduce_algebraic_pushes_each_orbit_once_in_order(monkeypatch):
     assert (f - f.conj(sgid)).is_zero()
     calls = _count_abel_calls(monkeypatch)
     out = reduce_algebraic(t, sgid, f, form)
-    assert calls == {"legendre_add": 1, "abel_log_argument": 1}
+    assert calls == {"legendre_add": 1, "abel_step": 1}
     assert verify_liouville(out.tower, out.tower.coerce(f), out)
     down = out.tower.coerce
     correction = down(-t["pa"] / (4 * t["delta"]))

@@ -5,18 +5,22 @@
 
 As a plugin, it installs a ``sys.settrace`` line tracer on the modules
 of ``src/diffalg`` at each test's setup, call and teardown, since
-hypothesis resets the trace function, and at session end writes the
-executed lines to ``linecov.json`` in the current directory, one sorted
-list per module.  Frames of any other file are not traced.  The traced
-suite runs several times slower than the plain one.
+hypothesis resets the trace function, and at session end writes
+``linecov.json`` in the current directory: for each module, the SHA-256
+of its source at session start and the sorted list of its executed
+lines.  Frames of any
+other file are not traced.  The traced suite runs several times slower
+than the plain one.
 
 ``--report [FILE]`` reads that file (``linecov.json`` by default) and
 prints the statement lines of function bodies, docstrings excluded,
 that ran in no test: first their count, then one ``path:line: source``
 line each.  A statement counts when its first line holds bytecode, so
 ``global`` and the like are left out.  Module and class bodies run at
-import and are not listed.  The report always exits 0; it informs and
-gates nothing.
+import and are not listed.  A module whose source no longer has the
+recorded hash has changed since the traced run, so its line numbers no
+longer hold: the report names it instead of listing its lines.  The
+report always exits 0; it informs and gates nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import ast
 import glob
+import hashlib
 import json
 import os
 import sys
@@ -39,10 +44,16 @@ def _modules() -> dict:
             for p in sorted(glob.glob(os.path.join(SRC, "*.py")))}
 
 
+def _digest(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
 # -- plugin -------------------------------------------------------------------
 
 _MODULES = _modules()
 _seen: dict = {}   # relative path -> set of executed lines
+_digests: dict = {}  # relative path -> SHA-256 of the source traced
 _names: dict = {}  # co_filename -> relative path, or None when not watched
 
 
@@ -67,6 +78,10 @@ def _trace(frame, event, arg):
     return local(frame, event, arg)
 
 
+def pytest_sessionstart(session):
+    _digests.update({rel: _digest(real) for real, rel in _MODULES.items()})
+
+
 def pytest_runtest_setup(item):
     sys.settrace(_trace)
 
@@ -82,8 +97,8 @@ def pytest_runtest_teardown(item):
 def pytest_sessionfinish(session):
     sys.settrace(None)
     with open(OUT, "w") as f:
-        json.dump({rel: sorted(lines) for rel, lines in sorted(_seen.items())},
-                  f)
+        json.dump({rel: {"sha256": digest, "lines": sorted(_seen.get(rel, ()))}
+                   for rel, digest in _digests.items()}, f)
 
 
 # -- report -------------------------------------------------------------------
@@ -114,16 +129,21 @@ def body_lines(path: str) -> set:
     return (lines - docs) & _code_lines(compile(text, path, "exec"))
 
 
-def report(executed: dict) -> list:
-    """(relative path, line, source) of each body line never executed."""
-    out = []
+def report(executed: dict) -> tuple:
+    """(missed, changed): (relative path, line, source) of each body line
+    never executed, and the relative path of each module whose source
+    does not have the hash recorded beside its lines."""
+    missed, changed = [], []
     for real, rel in _MODULES.items():
+        entry = executed.get(rel)
+        if not isinstance(entry, dict) or entry["sha256"] != _digest(real):
+            changed.append(rel)
+            continue
         with open(real) as f:
             source = f.read().splitlines()
-        ran = set(executed.get(rel, ()))
-        out += [(rel, n, source[n - 1].strip())
-                for n in sorted(body_lines(real) - ran)]
-    return out
+        missed += [(rel, n, source[n - 1].strip())
+                   for n in sorted(body_lines(real) - set(entry["lines"]))]
+    return missed, changed
 
 
 def main(argv=None) -> int:
@@ -134,9 +154,14 @@ def main(argv=None) -> int:
                     help=f"read FILE (default {OUT}) and list the lines")
     args = ap.parse_args(argv)
     with open(args.report) as f:
-        missed = report(json.load(f))
+        missed, changed = report(json.load(f))
+    skipped = (f"; {len(changed)} modules changed since the traced run are "
+               f"not counted" if changed else "")
     print(f"{len(missed)} statement lines of function bodies in src/diffalg "
-          f"ran in no test")
+          f"ran in no test{skipped}")
+    for rel in changed:
+        print(f"{rel}: changed since the traced run; its lines are not "
+              f"listed")
     for rel, n, text in missed:
         print(f"{rel}:{n}: {text}")
     return 0
