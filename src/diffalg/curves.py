@@ -154,7 +154,10 @@ def abel_step(name: str, data, p1: CurvePoint, p2: CurvePoint):
     lambda on the cubic, m(x1^3 x2 - x1 x2^3)/(x1 y2 - x2 y1) on the
     quartic.  On the third kind c = -a/(2 delta), and with
     a0 = (x2^3 y1 - x1^3 y2)/(x1 y2 - x2 y1) the log argument is
-    (a0 a + a^3 + x1 x2 x3 delta)/(a0 a + a^3 - x1 x2 x3 delta).
+    (a0 a + a^3 + x1 x2 x3 delta)/(a0 a + a^3 - x1 x2 x3 delta), whose
+    numerator times denominator is (x1^2 - a^2)(x2^2 - a^2)(a^2 - x3^2)
+    on the curve: one of them is 0 only when a point lies on the pole
+    x = +-a, where a term at p1 or p2 is refused and p3 is refused here.
     check_abel_identity verifies each statement on symbolic points, and
     liouville.reduce_algebraic applies it to a point and its conjugate.
     """
@@ -180,7 +183,11 @@ def abel_step(name: str, data, p1: CurvePoint, p2: CurvePoint):
     a, delta = data[1:]
     core = (x2 ** 3 * y1 - x1 ** 3 * y2) / chord * a + a ** 3
     tail = x1 * x2 * p3.x * delta
-    return p3, w, (-a / (2 * delta), core + tail, core - tail)
+    num, den = core + tail, core - tail
+    if num.is_zero() or den.is_zero():
+        raise DegenerateDenominator("the sum point lies on the third-kind "
+                                    "pole x = +-a")
+    return p3, w, (-a / (2 * delta), num, den)
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,8 @@ Form documents declare v0 and phi terms:
 
 The term kinds and the elements each takes are phi.TERM_KINDS.
 
-Expressions use +, -, *, /, ^ with non-negative integer exponents.
+Expressions use +, -, *, /, ^ with non-negative integer exponents; a
+leading minus applies after the power, so -x^2 is -(x^2).
 Each is folded as one raw quotient by ratfunc.quotient and normalized
 once, at its end; only square-root powers are reduced on the way, and a
 division by an expression in a square root (a possible zero divisor) is
@@ -57,49 +58,45 @@ class Token(NamedTuple):
 
 
 def tokenize(text: str) -> list[Token]:
+    # The character classes are disjoint, so the tests run most frequent
+    # first; a column is the offset from the start of the line, bol.
     toks: list[Token] = []
-    line, col = 1, 1
+    append = toks.append
+    line, bol = 1, 0
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch == "\n":
-            toks.append(Token("NL", "\n", line, col))
+        if ch in _OPS:
+            append(Token("OP", ch, line, i - bol + 1))
             i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
+        elif ch == " ":
             i += 1
-            col += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
+        elif "0" <= ch <= "9":
+            j = i + 1
             while j < n and "0" <= text[j] <= "9":
                 j += 1
-            toks.append(Token("INT", text[i:j], line, col))
-            col += j - i
+            append(Token("INT", text[i:j], line, i - bol + 1))
             i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(Token("NAME", text[i:j], line, col))
-            col += j - i
+            append(Token("NAME", text[i:j], line, i - bol + 1))
             i = j
-            continue
-        if ch in _OPS:
-            toks.append(Token("OP", ch, line, col))
+        elif ch == "\n":
+            append(Token("NL", "\n", line, i - bol + 1))
             i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+            line, bol = line + 1, i
+        elif ch in "\t\r":
+            i += 1
+        elif ch == "#":
+            i = text.find("\n", i)
+            if i < 0:
+                i = n
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line,
+                             i - bol + 1)
+    append(Token("EOF", "", line, i - bol + 1))
     return toks
 
 
@@ -123,12 +120,13 @@ class _Stream:
         return tok
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
             raise ParseError(f"expected {want!r}, found {tok.text!r}",
                              tok.line, tok.col)
-        return self.next()
+        self.pos += 1  # no caller expects EOF, so this never passes it
+        return tok
 
     def skip_newlines(self) -> None:
         while self.peek().kind == "NL":
@@ -146,7 +144,8 @@ def _int_value(tok: Token) -> int:
 
 
 # --------------------------------------------------------------------------
-# Expressions: precedence climbing; an atom is a RatFunc, an operation a pair.
+# Expressions: precedence climbing over operands, each read by index from
+# the token list; an atom is a RatFunc, an operation a pair.
 
 _BINARY = {"+": 10, "-": 10, "*": 20, "/": 20}
 
@@ -168,19 +167,18 @@ def _parse_expr(ts: _Stream, env: dict, t: Tower,
 
 def _parse_binary(ts: _Stream, env: dict, t: Tower, step: bool,
                   min_prec: int, stop: bool):
-    left = _parse_unary(ts, env, t, step)
+    left = _parse_operand(ts, env, t, step)
+    toks = ts.toks
     while True:
-        tok = ts.peek()
-        if tok.kind != "OP" or tok.text not in _BINARY:
+        tok = toks[ts.pos]
+        prec = _BINARY.get(tok.text)  # only an OP token has such a text
+        if prec is None or prec < min_prec:
             return left
-        if (stop and tok.text == "*" and ts.peek(1).kind == "NAME"
-                and ts.peek(1).text in TERM_KINDS
-                and ts.peek(2).text == "("):
+        if (stop and tok.text == "*" and toks[ts.pos + 1].kind == "NAME"
+                and toks[ts.pos + 1].text in TERM_KINDS
+                and toks[ts.pos + 2].text == "("):
             return left  # the * belongs to "term coeff * phikind(...)"
-        prec = _BINARY[tok.text]
-        if prec < min_prec:
-            return left
-        ts.next()
+        ts.pos += 1
         right = _parse_binary(ts, env, t, step, prec + 1, stop)
         divisor, _ = right  # one in a square root may be a zero divisor
         full = step or tok.text == "/" and bool(
@@ -199,40 +197,36 @@ def _settle(v, t: Tower, full: bool, product: bool = True):
     return reduce_powers(*v, t.rels) if product and t.rels else v
 
 
-def _parse_unary(ts: _Stream, env: dict, t: Tower, step: bool):
-    tok = ts.peek()
-    if tok.kind == "OP" and tok.text == "-":
-        ts.next()
-        v = _parse_unary(ts, env, t, step)
-        num, den = v
-        return RatFunc(-num, den) if isinstance(v, RatFunc) else (-num, den)
-    return _parse_power(ts, env, t, step)
-
-
-def _parse_power(ts: _Stream, env: dict, t: Tower, step: bool):
-    base = _parse_atom(ts, env, t, step)
-    tok = ts.peek()
-    if tok.kind == "OP" and tok.text == "^":
-        ts.next()
-        v = quotient("^", base, _int_value(ts.expect("INT")))
-        return _settle(v, t, step)
-    return base
-
-
-def _parse_atom(ts: _Stream, env: dict, t: Tower, step: bool):
-    tok = ts.next()
+def _parse_operand(ts: _Stream, env: dict, t: Tower, step: bool):
+    """An operand: minus signs, an atom, then at most one ^ INT; the
+    signs apply after the power, so -x^2 is -(x^2)."""
+    toks = ts.toks
+    tok = toks[ts.pos]
+    negate = False
+    while tok.text == "-":  # only an OP token has this text
+        negate = not negate
+        ts.pos += 1
+        tok = toks[ts.pos]
+    if tok.kind not in ("INT", "NAME") and tok.text != "(":
+        raise ParseError(f"expected an expression, found {tok.text!r}",
+                         tok.line, tok.col)
+    ts.pos += 1
     if tok.kind == "INT":
-        return RatFunc.const(_int_value(tok))
-    if tok.kind == "NAME":
+        v = RatFunc.const(_int_value(tok))
+    elif tok.kind == "NAME":
         if tok.text not in env:
             raise ParseError(f"unknown name {tok.text!r}", tok.line, tok.col)
-        return t.coerce(env[tok.text]).rf
-    if tok.kind == "OP" and tok.text == "(":
-        inner = _parse_binary(ts, env, t, step, 0, False)
+        v = t.coerce(env[tok.text]).rf
+    else:
+        v = _parse_binary(ts, env, t, step, 0, False)
         ts.expect("OP", ")")
-        return inner
-    raise ParseError(f"expected an expression, found {tok.text!r}",
-                     tok.line, tok.col)
+    if toks[ts.pos].text == "^":
+        ts.pos += 1
+        v = _settle(quotient("^", v, _int_value(ts.expect("INT"))), t, step)
+    if negate:
+        num, den = v
+        v = RatFunc(-num, den) if isinstance(v, RatFunc) else (-num, den)
+    return v
 
 
 def parse_expr(text: str, t: Tower, bindings: dict | None = None) -> Element:

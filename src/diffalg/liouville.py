@@ -258,8 +258,6 @@ def reduce_top(t: Tower, f: Element, form: LiouvilleForm):
 
 def log_canonical(e: Element) -> Element:
     """Normalize a log argument's sign; D log is insensitive to it."""
-    if e.rf.num.is_zero():
-        return e
     return -e if e.rf.num.lead_coeff() < 0 else e
 
 

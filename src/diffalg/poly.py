@@ -11,6 +11,8 @@ when it is nonnegative with every guard bit clear.
 Coefficients.  A polynomial is a term dict, monomial -> nonzero int, over
 one positive denominator `den` shared by all terms and coprime to their
 content.  That pair is canonical, so == and hash are polynomial equality.
+No value is changed in place, so MultiPoly.one() is one shared unit:
+p * one(), one() * p, p ** 1 and a fold with no square are p itself.
 
 Order.  Terms are ordered graded-lexicographically with later generators
 ranking higher, so the leading term of x + y is y whenever y was adjoined
@@ -338,8 +340,8 @@ def _make(terms: dict, den: int = 1, deg: int | None = None) -> "MultiPoly":
 
 
 class MultiPoly:
-    """Immutable-by-convention sparse polynomial over the rationals:
-    integer terms over one shared denominator."""
+    """Sparse polynomial over the rationals, integer terms over one shared
+    denominator; never changed in place, so one() is one shared unit."""
 
     __slots__ = ("terms", "den", "_deg", "_hash")
 
@@ -368,14 +370,14 @@ class MultiPoly:
 
     @staticmethod
     def const(q) -> "MultiPoly":
-        q = q if isinstance(q, Fraction) else Fraction(q)
+        q = q if isinstance(q, (int, Fraction)) else Fraction(q)
         if not q:
             return MultiPoly.zero()
         return MultiPoly({0: q.numerator}, q.denominator, 0)
 
     @staticmethod
     def one() -> "MultiPoly":
-        return MultiPoly({0: 1}, 1, 0)
+        return _ONE
 
     @staticmethod
     def var(gid: int, exp: int = 1) -> "MultiPoly":
@@ -444,6 +446,8 @@ class MultiPoly:
         return MultiPoly(_dict_neg(self.terms), self.den, self._deg)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
+        if self is _ONE or other is _ONE:
+            return other if self is _ONE else self
         a, b = self.terms, other.terms
         if not a or not b:
             return MultiPoly.zero()
@@ -464,11 +468,10 @@ class MultiPoly:
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise ValueError("negative power on a polynomial")
-        result = MultiPoly.one()
-        base = self
+        result, base = _ONE, self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is _ONE else result * base
             k >>= 1
             if k:
                 base = base * base
@@ -543,7 +546,7 @@ class MultiPoly:
         """
         squares = sum((_FIELD - 1) << (g * W) for g in rels)
         todo = _union(self.terms) & squares if squares else 0
-        num, den = self, MultiPoly.one()
+        num, den = self, _ONE
         while todo:
             gid = (todo.bit_length() - 1) // W
             squares &= (1 << (gid * W)) - 1  # the earlier fields
@@ -572,6 +575,9 @@ class MultiPoly:
                 v = v * values[g] ** e
             total = v if total is None else total + v
         return 0 if total is None else total
+
+
+_ONE = MultiPoly({0: 1}, 1, 0)
 
 
 def _int_content(p: dict) -> int:

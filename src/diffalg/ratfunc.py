@@ -107,9 +107,14 @@ def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
 
 
 def reduce_powers(num: MultiPoly, den: MultiPoly, rels: dict):
-    """Power-reduce numerator and denominator; returns a raw (num, den)."""
+    """Power-reduce numerator and denominator; returns a raw (num, den),
+    the operands themselves when nothing folds."""
+    if not rels:
+        return num, den
     n1, d1 = num.fold_squares(rels)
     n2, d2 = den.fold_squares(rels)
+    if n1 is num and n2 is den:  # nothing folded: d1 and d2 are the unit
+        return num, den
     return n1 * d2, n2 * d1
 
 

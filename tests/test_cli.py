@@ -197,6 +197,17 @@ def test_max_degree_sees_each_normalized_operand(tower_file, capsys, expr,
     assert (rep["verdict"], rep["output"]) == ("PASS", output)
 
 
+@pytest.mark.parametrize("expr", ["((x^3 + x) - x^3)^4",
+                                  "(x*(x^2 + 1) - x^3)^4"])
+def test_max_degree_after_a_cancelling_sum(tower_file, capsys, expr):
+    # the difference has degree 1, though both operands have degree 3, so
+    # its fourth power stays within the limit; a product's degree is
+    # cached when it is formed, so the second one subtracts two cached 3s
+    argv = ["derive", tower_file(X_ONLY), "--max-degree", "4", "-e", expr]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("4*x^3\nPASS\n", "")
+
+
 ROOT_TOWER = X_ONLY + "gen s = sqrt(x^3 - x)\n"
 ZD_TOWER = X_ONLY + "gen y = sqrt(x^2)\n"  # (y - x)(y + x) = 0
 OVERFLOW = "intermediate degree exceeded --max-degree: product degree "
@@ -664,6 +675,34 @@ def test_reduce_refuses_a_part_on_the_top_extension(tower_file, form_file,
     assert main(argv + ["--json"]) == 2
     rep = json.loads(capsys.readouterr().out)
     assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
+
+
+# Q = (s, y) lies on Y^2 = (1 - X^2)(1 + 9 X^2), and s -> -s takes it to
+# -Q; R = (1/3, 4/3) is a rational point with x(2R) = 4/5.  So the pair
+# Q + R, -Q + R sums to 2R, on the pole x = +-a of l3 for a = +-4/5,
+# where delta = 39/25.  At a = 4/5 the log argument's denominator is 0,
+# at a = -4/5 its numerator.
+POLE_TOWER = X_ONLY + "gen y = sqrt(-9*x^2 + 8*x + 1)\ngen s = sqrt(x)\n"
+POLE_PAIR = [("(4/3*s + 1/3*y)/(x + 1)",
+              "(-26/3*x*s - 4/3*x*y + 2*s + 4/3*y)/(x^2 + 2*x + 1)"),
+             ("(-4/3*s + 1/3*y)/(x + 1)",
+              "(26/3*x*s - 4/3*x*y - 2*s + 4/3*y)/(x^2 + 2*x + 1)")]
+
+
+@pytest.mark.parametrize("a", ["4/5", "-4/5"])
+def test_reduce_refuses_a_sum_point_on_the_third_kind_pole(
+        tower_file, form_file, capsys, a):
+    form = "v0 = 0\n" + "".join(f"term 1/2 * l3({v}, {y}, -9, {a}, 39/25)\n"
+                                for v, y in POLE_PAIR)
+    argv = ["reduce", tower_file(POLE_TOWER), "--integrand",
+            "(1600/15129)/(x^2 - 15842/15129*x + 14161/136161)",
+            "--form", form_file(form)]
+    msg = ("addition law denominator vanishes: the sum point lies on the "
+           "third-kind pole x = +-a")
+    assert main(["verify"] + argv[1:]) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {msg}\n")
 
 
 def test_reduce_nothing_to_do(tower_file, form_file, capsys):

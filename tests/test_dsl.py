@@ -65,6 +65,32 @@ def test_tokenize_takes_only_ascii_digits(text):
     assert (e.value.line, e.value.column) == (1, 3)
 
 
+@given(st.text(alphabet="ab_7é09 \t\r\n#+-*/^(),=;", max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_tokens_are_the_maximal_runs_at_their_positions(text):
+    # each token's text sits at its (line, column), a NAME or INT run is
+    # never followed by a character it could take, every character that
+    # is not blank or in a comment is in a token, and EOF follows the text
+    toks = tokenize(text)
+    lines = text.split("\n")
+    covered = set()
+    for tok in toks[:-1]:
+        row = lines[tok.line - 1] + "\n "  # a blank follows the last line
+        start = tok.col - 1
+        assert row[start:start + len(tok.text)] == tok.text
+        after = row[start + len(tok.text)]
+        if tok.kind == "NAME":
+            assert not (after.isalnum() or after == "_")
+        if tok.kind == "INT":
+            assert not "0" <= after <= "9"
+        covered.update((tok.line, start + k) for k in range(len(tok.text)))
+    for i, row in enumerate(lines):
+        code = row.split("#")[0]
+        assert all((i + 1, k) in covered
+                   for k, ch in enumerate(code) if ch not in " \t\r")
+    assert tuple(toks[-1]) == ("EOF", "", len(lines), len(lines[-1]) + 1)
+
+
 # -- expressions -------------------------------------------------------------
 
 

@@ -924,6 +924,14 @@ def test_reduce_algebraic_pushes_each_orbit_once_in_order(monkeypatch):
     assert out.terms[3][1] == LogPhi(down(x))
 
 
+def test_log_canonical_makes_the_leading_coefficient_positive():
+    t = Tower.base().var("x")
+    x = t["x"]
+    assert log_canonical(-(x + 1)) == x + 1
+    assert log_canonical(x + 1) == x + 1
+    assert log_canonical(-2 / (x - 3)) == 2 / (x - 3)
+
+
 def test_reduce_algebraic_weierstrass_cancellation():
     # v is s-free and the curve coordinate is s itself, so the conjugate
     # point is the negation and the pair drops entirely

@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffalg import poly
+from diffalg import cli, poly
 from diffalg.curves import check_abel_identity
 from diffalg.errors import DegreeOverflow
 from diffalg.poly import (MONO_ONE, MultiPoly, get_degree_limit,
@@ -102,6 +102,49 @@ def test_split_by_one_generator():
     parts = p.split_by((0,))
     assert set(parts) == {((0, 2),), ((0, 1),), MONO_ONE}
     assert all(part == Y for part in parts.values())
+
+
+# -- the shared unit, its short-circuits and the cached degree ----------------
+
+
+def test_products_with_the_unit_return_the_other_operand():
+    p = X * Y + ONE
+    assert ONE is MultiPoly.one()
+    assert p * ONE is p and ONE * p is p
+    assert p ** 1 is p
+    assert p ** 0 is ONE and MultiPoly.var(3, 0) is ONE
+    assert p ** 5 == p * p * p * p * p
+
+
+def test_the_unit_is_unchanged_after_use(tmp_path, capsys):
+    assert check_abel_identity("f").passed
+    tower, form = tmp_path / "t.tower", tmp_path / "f.form"
+    tower.write_text("var x = d/dx 1\ngen s = sqrt(x)\n")
+    form.write_text("v0 = s\nterm 1 * log(x)\n")
+    assert cli.main(["verify", str(tower), "--integrand", "1/(2*s) + 1/x",
+                     "--form", str(form)]) == 0
+    assert "PASS" in capsys.readouterr().out
+    unit = MultiPoly.one()
+    assert (unit.terms, unit.den, unit.degree()) == ({0: 1}, 1, 0)
+
+
+def test_degree_after_a_cancelling_sum_is_recomputed():
+    a, b = X * X + X, X * X
+    assert (a.degree(), b.degree()) == (2, 2)  # both cached before the sum
+    assert (a - b).degree() == 1
+    assert (a + Y ** 3 - Y ** 3).degree() == 2
+    assert (a + Y).degree() == 2  # the larger degree cannot cancel
+
+
+def test_refusals_of_the_layout():
+    with pytest.raises(ValueError, match="negative power on a polynomial"):
+        X ** -1
+    with pytest.raises(ValueError, match="negative exponent in a monomial"):
+        MultiPoly.from_dict({((0, -1),): 1})
+    assert repr(MultiPoly.zero()) == "MultiPoly(0)"
+    with pytest.raises(ZeroDivisionError,
+                       match="division by the zero polynomial"):
+        poly_divexact(X, MultiPoly.zero())
 
 
 def test_degree_limit_guard():

@@ -272,14 +272,16 @@ def root_tower(shape: list) -> Tower:
     return t
 
 
-def tower_poly(draw, t: Tower, max_terms: int) -> MultiPoly:
+def tower_poly(draw, t: Tower, max_terms: int,
+               root_top: int = 5) -> MultiPoly:
     """Up to max_terms terms over t's generators, with root exponents up
-    to 5, so a fold may take g^4 out at once."""
+    to root_top, so a fold may take g^4 out at once; with root_top 1
+    there is no square to fold."""
     p = MultiPoly.zero()
     gids = [g.gid for g in t.generators]
     for _ in range(draw(st.integers(1, max_terms))):
-        mono = tuple((g, draw(st.integers(0, 5 if g in t.rels else 2)))
-                     for g in gids)
+        mono = tuple((g, draw(st.integers(0, root_top if g in t.rels
+                                          else 2))) for g in gids)
         p = p + MultiPoly.from_dict({mono: draw(ints.filter(bool))})
     return p
 
@@ -318,6 +320,40 @@ def test_reduction_matches_sympy(case):
         assert nf.num.deg_in(g) <= 1 and nf.den.deg_in(g) == 0
     assert agree((n, d), (num, den), images)
     assert agree(nf, (num, den), images)
+
+
+@st.composite
+def fold_cases(draw):
+    """A tower of ROOT_TOWERS, whether its pair may hold squares, and a
+    raw num/den pair over it."""
+    t = root_tower(draw(st.sampled_from(ROOT_TOWERS)))
+    squares = draw(st.booleans())
+    top = 5 if squares else 1
+    den = tower_poly(draw, t, 2, top) if draw(st.booleans()) else ONE
+    return t, squares, tower_poly(draw, t, 4, top), den
+
+
+def normal_or_refused(num, den, rels):
+    try:
+        return normal_form(num, den, rels)
+    except ZeroDenominator:
+        return ZeroDenominator
+
+
+@given(fold_cases())
+@settings(max_examples=60, deadline=None)
+def test_normal_form_matches_cross_multiplying_the_folds(case):
+    # a fold with no square hands its operand back over the unit, and
+    # reduce_powers then forms no product; either way the normal form is
+    # that of the folded parts cross-multiplied
+    t, squares, num, den = case
+    (n1, d1), (n2, d2) = num.fold_squares(t.rels), den.fold_squares(t.rels)
+    if not squares:
+        assert n1 is num and n2 is den and d1 is d2 is ONE
+        got = reduce_powers(num, den, t.rels)
+        assert got[0] is num and got[1] is den
+    assert (normal_or_refused(num, den, t.rels)
+            == normal_or_refused(n1 * d2, n2 * d1, t.rels))
 
 
 def test_nested_radicand_folds_again():
