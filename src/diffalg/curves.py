@@ -1,9 +1,9 @@
 """Elliptic curve group laws and the one zero test of phi sums.
 
-Two curve shapes are supported: the Legendre quartic
-y^2 = (1-x^2)(1-m*x^2) with the sn/cn-dn addition law, and monic
-depressed Weierstrass cubics y^2 = x^3 - a*x - b with the chord-tangent
-law.  On top of the group laws sits Abel's addition theorem, stated
+The two curve models, each stated once with its nonsingularity by its
+class in phi.py and re-exported here, add points by the sn/cn-dn law on
+the Legendre quartic and the chord-tangent law on the Weierstrass
+cubic.  On top of the group laws sits Abel's addition theorem, stated
 once for both models by abel_step: phi at p1 and p2 becomes phi at
 p1 + p2 under the model's group law, the second kind adds a rational
 correction and the Legendre third kind a log term.  The five
@@ -40,65 +40,12 @@ from typing import NamedTuple
 from .errors import (DegenerateChord, DegenerateDenominator,
                      InvalidDefiningData)
 from .poly import MultiPoly, poly_divexact, poly_gcd
-from .phi import (TERM_KINDS, LogPhi, LPhi, ThirdKindParam, WPhi,
-                  make_term, phi_shape, term_args)
+from .phi import (TERM_KINDS, CurvePoint, LegendreCurve, LogPhi, LPhi,
+                  ThirdKindParam, WeierstrassCurve, WPhi, make_term,
+                  phi_shape, term_args)
 from .ratfunc import normal_form, reduce_powers
 from .tower import (AlgebraicSqrt, ConstParam, Element, PartialD, Tower,
                     _diff_poly, _diff_rf)
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    x: Element | None
-    y: Element | None
-    at_infinity: bool = False
-
-    @staticmethod
-    def infinity() -> "CurvePoint":
-        return CurvePoint(None, None, True)
-
-
-class LegendreCurve:
-    """y^2 = (1 - x^2)(1 - m x^2); identity element (0, 1)."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, m: Element):
-        if m == 0 or m == 1:
-            raise InvalidDefiningData(f"modulus m = {m} is degenerate")
-        self.m = m
-
-    def rhs(self, x: Element) -> Element:
-        return (1 - x * x) * (1 - self.m * x * x)
-
-    def contains(self, p: CurvePoint) -> bool:
-        if p.at_infinity:
-            return False
-        return p.y * p.y == self.rhs(p.x)
-
-    def identity(self, tower: Tower) -> CurvePoint:
-        return CurvePoint(tower.zero(), tower.one())
-
-
-class WeierstrassCurve:
-    """y^2 = x^3 - a*x - b; identity element at infinity."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: Element, b: Element):
-        disc = 4 * a ** 3 - 27 * b ** 2
-        if disc.is_zero():
-            raise InvalidDefiningData("singular cubic: 4a^3 - 27b^2 = 0")
-        self.a = a
-        self.b = b
-
-    def rhs(self, x: Element) -> Element:
-        return x ** 3 - self.a * x - self.b
-
-    def contains(self, p: CurvePoint) -> bool:
-        if p.at_infinity:
-            return True
-        return p.y * p.y == self.rhs(p.x)
 
 
 def legendre_add(curve: LegendreCurve, p1: CurvePoint,
@@ -398,16 +345,18 @@ def _legendre_tower(with_pole: bool):
     if with_pole:
         t = t.const("a")
     t = t.var("x1").var("x2")
-    m = t["m"]
-    t = t.sqrt_ext("y1", (1 - t["x1"] ** 2) * (1 - m * t["x1"] ** 2))
-    t = t.sqrt_ext("y2", (1 - t["x2"] ** 2) * (1 - m * t["x2"] ** 2))
+    curve = LegendreCurve(t["m"])
+    t = t.sqrt_ext("y1", curve.rhs(t["x1"]))
+    t = t.sqrt_ext("y2", curve.rhs(t["x2"]))
     if with_pole:
-        a = t["a"]
-        t = t.sqrt_ext("delta", (1 - a ** 2) * (1 - m * a ** 2))
+        t = t.sqrt_ext("delta", curve.rhs(t["a"]))
     return t
 
 
 def _weierstrass_tower():
+    # the radicands are written out, not read from WeierstrassCurve.rhs:
+    # abel_step builds the curve of the identity, and a second one here
+    # would form the discriminant again inside the pinned work
     t = Tower.base().const("a").const("b").var("x1").var("x2")
     t = t.sqrt_ext("y1", t["x1"] ** 3 - t["a"] * t["x1"] - t["b"])
     t = t.sqrt_ext("y2", t["x2"] ** 3 - t["a"] * t["x2"] - t["b"])

@@ -143,22 +143,15 @@ def _top_gids(gen: Generator) -> set:
 def _rewrite_v0(t: Tower, v0: Element, sgids: set) -> Element:
     """Keep the part of v0 with zero BelowD-loss: the monomial-free slice.
 
-    Top-generator monomials with constant coefficients differentiate to
-    zero under BelowD and are dropped; anything else cannot be realized
-    below and is an error.
+    The top-generator monomials are dropped.  reduce_top refuses a curve
+    term that touches theta, and where only log terms do, the constant
+    X-image that x_constant found makes each coefficient constant, so
+    BelowD kills the monomial.
     """
     nums, dens = v0.slices(sgids)
     if list(dens) != [MONO_ONE]:
         raise PartNotBelow("v0 denominator involves the top extension")
-    den = dens[MONO_ONE]
-    below = nums.pop(MONO_ONE, t.zero())
-    # Each dropped top-monomial's coefficient over the common
-    # denominator must be a constant.
-    for coeff in nums.values():
-        if not (coeff / den).is_constant():
-            raise PartNotBelow(
-                "v0 has a non-constant coefficient on the top extension")
-    return below / den
+    return nums.get(MONO_ONE, t.zero()) / dens[MONO_ONE]
 
 
 def _rewrite_log(v: Element, sgids: set) -> Element | None:

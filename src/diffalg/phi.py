@@ -1,13 +1,17 @@
-"""The phi terms: each shape of a Liouville form, defined once.
+"""The two curve models and the phi terms, each defined once.
 
 A Liouville form D(v0) + sum c_i phi(D v_i, v_i) sums shapes phi(w, v):
 the logarithmic derivative w/v and six elliptic integrands, three kinds
-on the Weierstrass cubic and three on the Legendre quartic.  A term uses
-tower elements only through their arithmetic, so this module sits below
-the tower.  Forms hold terms, curves.py builds each term's lazy part from
-phi_shape, and the tower tags a log or elliptic-integral primitive with
-the term it integrates, D theta = phi(D v, v).  check_term is the one
-check of a term, for a form's terms and the tags alike.
+on the Weierstrass cubic and three on the Legendre quartic.  A curve
+class states its model's equation, constant coefficients and
+nonsingularity, and every curve term, ellfun generator and Abel
+identity reads its curve from it, so a degenerate curve is refused where
+it enters.  A term uses tower elements only through their arithmetic,
+so this module sits below the tower.  Forms hold terms, curves.py builds
+each term's lazy part from phi_shape, and the tower tags a log or
+elliptic-integral primitive with the term it integrates,
+D theta = phi(D v, v).  check_term is the one check of a term, for a
+form's terms and the tags alike.
 """
 
 from __future__ import annotations
@@ -20,6 +24,67 @@ from .ratfunc import rationalize
 
 
 @dataclass(frozen=True)
+class CurvePoint:
+    x: Element | None
+    y: Element | None
+    at_infinity: bool = False
+
+    @staticmethod
+    def infinity() -> "CurvePoint":
+        return CurvePoint(None, None, True)
+
+
+class LegendreCurve:
+    """y^2 = (1 - x^2)(1 - m x^2) for a constant m other than 0 and 1;
+    identity element (0, 1)."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m: Element):
+        if not m.is_constant():
+            raise InvalidDefiningData("modulus m not constant")
+        if m == 0 or m == 1:
+            raise InvalidDefiningData(f"modulus m = {m} is degenerate")
+        self.m = m
+
+    def rhs(self, x: Element) -> Element:
+        return (1 - x ** 2) * (1 - self.m * x ** 2)
+
+    def contains(self, p: CurvePoint) -> bool:
+        if p.at_infinity:
+            return False
+        return p.y * p.y == self.rhs(p.x)
+
+    def identity(self, tower: Tower) -> CurvePoint:
+        return CurvePoint(tower.zero(), tower.one())
+
+
+class WeierstrassCurve:
+    """y^2 = x^3 - a*x - b for constants a, b with 4a^3 - 27b^2 != 0;
+    identity element at infinity."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Element, b: Element):
+        for name, e in (("a", a), ("b", b)):
+            if not e.is_constant():
+                raise InvalidDefiningData(
+                    f"curve parameter {name} not constant")
+        if (4 * a ** 3 - 27 * b ** 2).is_zero():
+            raise InvalidDefiningData("singular cubic: 4a^3 - 27b^2 = 0")
+        self.a = a
+        self.b = b
+
+    def rhs(self, x: Element) -> Element:
+        return x ** 3 - self.a * x - self.b
+
+    def contains(self, p: CurvePoint) -> bool:
+        if p.at_infinity:
+            return True
+        return p.y * p.y == self.rhs(p.x)
+
+
+@dataclass(frozen=True)
 class ThirdKindParam:
     """Pole data for third-kind integrands: constant a and
     delta = sqrt((1-a^2)(1-m*a^2)) realized in the tower."""
@@ -28,8 +93,7 @@ class ThirdKindParam:
     delta: Element
 
     def validate(self, m: Element) -> None:
-        a = self.a
-        if self.delta * self.delta != (1 - a * a) * (1 - m * a * a):
+        if not LegendreCurve(m).contains(CurvePoint(self.a, self.delta)):
             raise InvalidDefiningData(
                 "delta^2 = (1-a^2)(1-m a^2) fails in the tower")
 
@@ -61,10 +125,8 @@ class WPhi:
     def validate(self) -> None:
         if self.kind not in (1, 2, 3):
             raise InvalidDefiningData(f"W-kind {self.kind} out of range")
-        for name in ("a", "b"):
-            if not getattr(self, name).is_constant():
-                raise InvalidDefiningData(f"curve parameter {name} not constant")
-        if self.q * self.q != self.v ** 3 - self.a * self.v - self.b:
+        if not WeierstrassCurve(self.a, self.b).contains(
+                CurvePoint(self.v, self.q)):
             raise InvalidDefiningData("q^2 = v^3 - a v - b fails")
         if self.kind == 3:
             if self.c is None:
@@ -90,9 +152,7 @@ class LPhi:
     def validate(self) -> None:
         if self.kind not in (1, 2, 3):
             raise InvalidDefiningData(f"L-kind {self.kind} out of range")
-        if not self.m.is_constant():
-            raise InvalidDefiningData("modulus m not constant")
-        if self.y * self.y != (1 - self.v ** 2) * (1 - self.m * self.v ** 2):
+        if not LegendreCurve(self.m).contains(CurvePoint(self.v, self.y)):
             raise InvalidDefiningData("y^2 = (1-v^2)(1-m v^2) fails")
         if self.kind == 3:
             if self.prm is None:

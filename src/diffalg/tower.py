@@ -32,7 +32,7 @@ from .errors import (CyclicDefinition, DiffAlgError, FieldMismatch,
                      InvalidDefiningData, NameClash, NotQuadratic,
                      PsiNotRealizable, UnsupportedHandle, ZeroDenominator,
                      ZeroElement)
-from .phi import LogPhi, WPhi, check_term, phi_shape
+from .phi import LogPhi, WeierstrassCurve, WPhi, check_term, phi_shape
 from .poly import MONO_ONE, MultiPoly, get_degree_limit
 from .ratfunc import RatFunc, normal_form, quotient, reduce_powers
 
@@ -417,17 +417,14 @@ class Tower:
         return self._adjoin(name, AlgebraicSqrt(r))
 
     def elliptic(self, name: str, v, a, b) -> "Tower":
-        """Adjoin an elliptic-function pair (theta, theta_q)."""
+        """Adjoin an elliptic-function pair (theta, theta_q) on the
+        nonsingular curve theta_q^2 = theta^3 - a theta - b."""
         v, a, b = (self._coerce_below(e) for e in (v, a, b))
-        for label, e in (("a", a), ("b", b)):
-            if not e.is_constant():
-                raise InvalidDefiningData(
-                    f"curve coefficient {label} must be constant")
+        curve = WeierstrassCurve(a, b)
         gid = self._next_gid()
         t = self._adjoin(name, EllipticFunction(v, a, b, gid + 1))
-        theta = t[name]
-        return t._adjoin(name + "_q", AlgebraicSqrt(
-            theta ** 3 - a * theta - b, companion_of=gid))
+        return t._adjoin(name + "_q", AlgebraicSqrt(curve.rhs(t[name]),
+                                                    companion_of=gid))
 
     def ellint(self, name: str, kind: int, p, q, c=None) -> "Tower":
         """Adjoin the primitive of WPhi(kind, p, q, a, b, c), with a and b

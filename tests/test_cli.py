@@ -475,10 +475,20 @@ L_CURVE = "const m\n" + X_ONLY + "gen y = sqrt((1 - x^2)*(1 - m*x^2))\n"
     (L_CURVE, "l1(x, y, x)", "modulus m not constant"),
     (L_CURVE, "l1(x, x, m)", "y^2 = (1-v^2)(1-m v^2) fails"),
     (L_CURVE, "l3(x, y, m, x, 1)", "pole a not constant"),
-], ids=["log-0", "w1-off-curve", "l1-modulus", "l1-off-curve", "l3-pole"])
+    (X_ONLY + "gen th = exp(x)\n",
+     "w2(x^2*th^2 - 6, x*th*(x^2*th^2 - 9), 27, -54)",
+     "singular cubic: 4a^3 - 27b^2 = 0"),
+    (X_ONLY + "gen y = sqrt(1 - x^2)\n", "l1(x, y, 0)",
+     "modulus m = 0 is degenerate"),
+    (X_ONLY, "l1(x, 1 - x^2, 1)", "modulus m = 1 is degenerate"),
+], ids=["log-0", "w1-off-curve", "l1-modulus", "l1-off-curve", "l3-pole",
+        "w2-singular", "l1-m-0", "l1-m-1"])
 def test_invalid_curve_term_maps_to_error(tower_file, form_file, capsys,
                                           tower, term, msg):
-    # each term is refused by its shape's validate when the form is built
+    # each term is refused by its shape's validate when the form is built;
+    # the last three lie on curves that are not elliptic, the cubic
+    # (v - 3)^2 (v + 6) and the quartic at m = 0 and m = 1, and verified
+    # PASS against their integrands before their curve was checked
     argv = ["verify", tower_file(tower), "--integrand", "0", "--form",
             form_file(f"v0 = 0\nterm 1 * {term}\n")]
     msg = f"invalid defining data: {msg}"
@@ -648,19 +658,22 @@ V0_OVER_P = ("v0 = p_q/p\nterm -1/2 * w2(p, p_q, a, 0)\n"
              "term -a/2 * w3(p, p_q, a, 0, 0)\n")
 # on the singular cubic q^2 = (v - 3)^2 (v + 6), v = u^2 - 6 and
 # q = u(u^2 - 9) at u = x*th; X = th d/dth takes w2 to 2u + 6u/(u^2 - 9),
-# which v0 = -2u and the log cancel: X-constant 0, integrand 0
+# which v0 = -2u and the log cancel: X-constant 0, integrand 0.  A
+# dropped top monomial of v0 would have the coefficient -2x, but the w2
+# term is refused when the form is built: its curve is not elliptic.
 V0_TIMES_X = ("v0 = -2*x*th\n"
               "term 1 * w2(x^2*th^2 - 6, x*th*(x^2*th^2 - 9), 27, -54)\n"
               "term 1 * log((x*th + 3)/(x*th - 3))\n")
+NOT_BELOW = "form part does not reduce below the extension: "
+SINGULAR = "invalid defining data: singular cubic: 4a^3 - 27b^2 = 0"
 
 
 @pytest.mark.parametrize("tower, f, form, msg", [
     (ELLFUN, "1", "v0 = 0\nterm 1 * w1(p, p_q, a, b)\n",
-     "curve-term payload involves the top extension"),
+     NOT_BELOW + "curve-term payload involves the top extension"),
     ("const a\n" + X_ONLY + "gen p = ellfun(x, a, 0)\n", "0", V0_OVER_P,
-     "v0 denominator involves the top extension"),
-    (X_ONLY + "gen th = exp(x)\n", "0", V0_TIMES_X,
-     "v0 has a non-constant coefficient on the top extension"),
+     NOT_BELOW + "v0 denominator involves the top extension"),
+    (X_ONLY + "gen th = exp(x)\n", "0", V0_TIMES_X, SINGULAR),
 ], ids=["curve-term", "v0-denominator", "v0-coefficient"])
 def test_reduce_refuses_a_part_on_the_top_extension(tower_file, form_file,
                                                     capsys, tower, f, form,
@@ -669,7 +682,6 @@ def test_reduce_refuses_a_part_on_the_top_extension(tower_file, form_file,
     # cannot be rewritten below the top generator
     argv = ["reduce", tower_file(tower), "--integrand", f,
             "--form", form_file(form)]
-    msg = f"form part does not reduce below the extension: {msg}"
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {msg}\n")
     assert main(argv + ["--json"]) == 2
@@ -801,6 +813,27 @@ def test_pole_on_a_first_kind_ellint_maps_to_error(tower_file, capsys):
                        "gen F = ellint(1, p, p_q, c)\n")
     argv = ["derive", tower, "-e", "F"]
     msg = "invalid defining data: pole c only belongs to the third kind"
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {msg}\n")
+    assert main(argv + ["--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
+
+
+@pytest.mark.parametrize("decl, name, msg", [
+    # v^3 - 3v - 2 = (v + 1)^2 (v - 2): the pair built, and derive
+    # answered p_q
+    ("gen p = ellfun(x, 3, 2)", "p", "singular cubic: 4a^3 - 27b^2 = 0"),
+    # (x + c, s) lies on s^2 = p^3 - p, but ellint reads a and b off
+    # q^2 = p^3 - a p - b only where p is a single generator
+    ("const c\ngen s = sqrt((x + c)^3 - (x + c))\n"
+     "gen G = ellint(1, x + c, s)", "G",
+     "cannot recover curve constants: argument is not a generator"),
+], ids=["ellfun-singular", "ellint-compound"])
+def test_refused_curve_generator_maps_to_error(tower_file, capsys, decl,
+                                               name, msg):
+    argv = ["derive", tower_file(X_ONLY + decl + "\n"), "-e", name]
+    msg = f"invalid defining data: {msg}"
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {msg}\n")
     assert main(argv + ["--json"]) == 2

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -16,7 +17,7 @@ from scipy.special import ellipj
 
 from diffalg import curves, poly
 from diffalg.curves import (ABEL_KINDS, CurvePoint, LegendreCurve, LogPhi,
-                            LPhi, ThirdKindParam, WeierstrassCurve,
+                            LPhi, ThirdKindParam, WeierstrassCurve, WPhi,
                             abel_step, check_abel_identity, legendre_add,
                             phi_sum_is_zero, weierstrass_add, _clear,
                             _coprime_basis, _legendre_tower, _Part,
@@ -52,6 +53,39 @@ def test_curve_constructors_reject_degenerate():
         LegendreCurve(t.lit(1))
     with pytest.raises(InvalidDefiningData):
         WeierstrassCurve(t.lit(3), t.lit(2))  # 4*27 - 27*4 = 0
+
+
+# degenerate data, "x" for the base variable: two singular cubics, a
+# coefficient that is not constant, and the moduli where the quartic has
+# a square factor
+@pytest.mark.parametrize("model, data", [
+    (WeierstrassCurve, (3, 2)), (WeierstrassCurve, (0, 0)),
+    (WeierstrassCurve, (1, "x")), (LegendreCurve, (0,)),
+    (LegendreCurve, (1,)), (LegendreCurve, ("x",)),
+], ids=["w-node", "w-cusp", "w-b", "l-m-0", "l-m-1", "l-m"])
+def test_terms_and_generators_refuse_what_their_curve_refuses(model, data):
+    t = Tower.base().var("x")
+    x = t["x"]
+    data = [x if d == "x" else t.lit(d) for d in data]
+    with pytest.raises(InvalidDefiningData) as refused:
+        model(*data)
+    match = f"^{re.escape(str(refused.value))}$"
+    if model is WeierstrassCurve:
+        a, b = data
+        with pytest.raises(InvalidDefiningData, match=match):
+            t.elliptic("p", x, a, b)
+        u = t.sqrt_ext("q", x ** 3 - a * x - b)  # (x, q) is on the curve
+        for kind in (1, 2):
+            with pytest.raises(InvalidDefiningData, match=match):
+                WPhi(kind, x, u["q"], a, b).validate()
+    else:
+        m, = data
+        u = t.sqrt_ext("y", (1 - x ** 2) * (1 - m * x ** 2))
+        for kind in (1, 2):
+            with pytest.raises(InvalidDefiningData, match=match):
+                LPhi(kind, x, u["y"], m).validate()
+        with pytest.raises(InvalidDefiningData, match=match):
+            ThirdKindParam(t.lit(2), t.lit(3)).validate(m)
 
 
 def test_legendre_identity_point():
@@ -475,6 +509,58 @@ def test_abel_step_matches_the_elliptic_integrals(name):
                 c, num, den = log
                 rhs += ev(c) * mpmath.log(ev(num) / ev(den))
             assert abs(lhs - rhs) < 1e-30, (name, float(m), u1, u2)
+
+
+# The Weierstrass half.  On y^2 = x^3 - 7x - 6 = (x - 3)(x + 1)(x + 2),
+# with roots e1 > e2 > e3, the point (wp(u), wp'(u)/2) for the
+# Weierstrass function of g2 = 4a and g3 = 4b, where wp(u) = e3 +
+# (e1 - e3)/sn^2(u sqrt(e1 - e3), (e2 - e3)/(e1 - e3)), adds as u does,
+# and phi(p) integrates to the integral of 2 (w1) or of 2 wp (w2) in u.
+# So with u2 fixed, w(u1, u2) - w(u1', u2) is that integral over
+# [u1', u1] minus the one over [u1' + u2, u1 + u2].  Every u stays inside
+# (0, 2 omega), the real period, clear of the lattice.
+WEIERSTRASS_INTEGRANDS = {"w1": lambda wp: 2, "w2": lambda wp: 2 * wp}
+
+
+@pytest.mark.parametrize("name", sorted(WEIERSTRASS_INTEGRANDS))
+@mpmath.workdps(40)
+def test_abel_step_matches_the_weierstrass_functions(name):
+    rng = random.Random(20261020)
+    t = _weierstrass_tower()
+    p3, w, log = abel_step(name, [t["a"], t["b"]],
+                           CurvePoint(t["x1"], t["y1"]),
+                           CurvePoint(t["x2"], t["y2"]))
+    assert log is None
+    e1, e2, e3 = 3, -1, -2
+    lam, k2 = mpmath.sqrt(e1 - e3), mpmath.mpf(e2 - e3) / (e1 - e3)
+
+    def point(u):
+        sn, cn, dn = (mpmath.ellipfun(f, u * lam, m=k2)
+                      for f in ("sn", "cn", "dn"))
+        return e3 + lam ** 2 / sn ** 2, -lam ** 3 * cn * dn / sn ** 3
+
+    def integral(start, end):
+        return mpmath.quad(
+            lambda u: WEIERSTRASS_INTEGRANDS[name](point(u)[0]), [start, end])
+
+    vals = {t.gen_of("a").gid: 7, t.gen_of("b").gid: 6}
+
+    def ev(e, u1, u2):
+        for i, u in (("1", u1), ("2", u2)):
+            x, y = point(u)
+            assert abs(y * y - (x ** 3 - 7 * x - 6)) < 1e-30
+            vals[t.gen_of("x" + i).gid], vals[t.gen_of("y" + i).gid] = x, y
+        return e.rf.num.evaluate(vals) / e.rf.den.evaluate(vals)
+
+    for _ in range(3):
+        u1s, u1 = (mpmath.mpf(rng.uniform(0.15, 0.45)) for _ in range(2))
+        u2 = mpmath.mpf(rng.uniform(0.3, 0.5))
+        x3, y3 = point(u1 + u2)
+        assert abs(ev(p3.x, u1, u2) - x3) < 1e-35
+        assert abs(ev(p3.y, u1, u2) - y3) < 1e-35
+        lhs = ev(w, u1, u2) - ev(w, u1s, u2)
+        rhs = integral(u1s, u1) - integral(u1s + u2, u1 + u2)
+        assert abs(rhs - lhs) < 1e-30, (name, u1s, u1, u2)
 
 
 # -- clearing over a coprime basis -------------------------------------------

@@ -193,12 +193,15 @@ ZERO_DIVISOR = "^denominator is a zero divisor modulo the relations$"
      ZERO),
     (lambda t, z: WPhi(3, z, t.one(), t.zero(), z ** 3 - 1, t.zero()),
      ZERO_DIVISOR),
+    # l1 at v = 2 with y = z; l3 with m = 7/3 and the pole a = 2, where
+    # delta = 5, at v = 2 and at v = 2 - z^2/16, whose pole factor
+    # 1 - v^2/4 is z^2 (1/16 - z^2/1024)
     (lambda t, z: LPhi(1, t.one(), t.zero(), t.lit(2)), ZERO),
-    (lambda t, z: LPhi(1, 1 + z, 1 - (1 + z) ** 2, t.one()), ZERO_DIVISOR),
-    (lambda t, z: LPhi(3, t.lit(2), t.lit(-3), t.one(),
-                       ThirdKindParam(t.lit(2), t.lit(3))), ZERO),
-    (lambda t, z: LPhi(3, 2 + z, 1 - (2 + z) ** 2, t.one(),
-                       ThirdKindParam(t.lit(2), t.lit(3))), ZERO_DIVISOR),
+    (lambda t, z: LPhi(1, t.lit(2), z, (3 + z * z) / 12), ZERO_DIVISOR),
+    (lambda t, z: LPhi(3, t.lit(2), t.lit(5), t.lit(Fraction(7, 3)),
+                       ThirdKindParam(t.lit(2), t.lit(5))), ZERO),
+    (lambda t, z: LPhi(3, 2 - z * z / 16, 5 - z * z / 8, t.lit(Fraction(7, 3)),
+                       ThirdKindParam(t.lit(2), t.lit(5))), ZERO_DIVISOR),
 ], ids=["log", "w1-q-0", "w1-q", "w3-pole-0", "w3-pole", "l1-y-0", "l1-y",
         "l3-pole-0", "l3-pole"])
 def test_form_refuses_each_shapes_zero_divisor(make, msg):

@@ -271,6 +271,16 @@ def test_der_comm_sqrt_cubic_weight():
         psi.realize(t, t["x"])  # x is not the curve coordinate
 
 
+def test_rational_weight_refuses_a_pole_at_p_and_a_varying_coefficient():
+    t = Tower.base().var("x")
+    with pytest.raises(ZeroDenominator,
+                       match="^weight denominator vanishes at p$"):
+        PsiRational(num=(1,), den=(-1, 1)).realize(t, t.one())  # 1/(u - 1)
+    with pytest.raises(InvalidDefiningData,
+                       match="^weight coefficients must be constant$"):
+        PsiRational(num=(t["x"],), den=(1,)).realize(t, t["x"])
+
+
 # -- trace, norm, log-derivative ----------------------------------------------
 
 

@@ -8,9 +8,12 @@ of ``src/diffalg`` at each test's setup, call and teardown, since
 hypothesis resets the trace function, and at session end writes
 ``linecov.json`` in the current directory: for each module, the SHA-256
 of its source at session start and the sorted list of its executed
-lines.  Frames of any
-other file are not traced.  The traced suite runs several times slower
-than the plain one.
+lines, and under ``tracer_dropped`` the node id of each test whose call
+ended without the tracer installed.  The interpreter drops a trace
+function that raises, as it does at a ``RecursionError`` raised inside
+it, so the lines such a test ran after the drop are not recorded.
+Frames of any other file are not traced.  The traced suite runs several
+times slower than the plain one.
 
 ``--report [FILE]`` reads that file (``linecov.json`` by default) and
 prints the statement lines of function bodies, docstrings excluded,
@@ -19,7 +22,9 @@ line each.  A statement counts when its first line holds bytecode, so
 ``global`` and the like are left out.  Module and class bodies run at
 import and are not listed.  A module whose source no longer has the
 recorded hash has changed since the traced run, so its line numbers no
-longer hold: the report names it instead of listing its lines.  The
+longer hold: the report names it instead of listing its lines.  It then
+names the tests that dropped the tracer: a listed line may have run in
+one of them after the drop, so it is unknown, not unreached.  The
 report always exits 0; it informs and gates nothing.
 """
 
@@ -33,9 +38,12 @@ import json
 import os
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "diffalg")
 OUT = "linecov.json"
+DROPPED = "tracer_dropped"
 
 
 def _modules() -> dict:
@@ -55,6 +63,7 @@ _MODULES = _modules()
 _seen: dict = {}   # relative path -> set of executed lines
 _digests: dict = {}  # relative path -> SHA-256 of the source traced
 _names: dict = {}  # co_filename -> relative path, or None when not watched
+_dropped: list = []  # node ids of the tests that ended without the tracer
 
 
 def _watched(filename: str):
@@ -86,8 +95,12 @@ def pytest_runtest_setup(item):
     sys.settrace(_trace)
 
 
+@pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item):
     sys.settrace(_trace)
+    yield
+    if sys.gettrace() is not _trace:
+        _dropped.append(item.nodeid)
 
 
 def pytest_runtest_teardown(item):
@@ -97,8 +110,10 @@ def pytest_runtest_teardown(item):
 def pytest_sessionfinish(session):
     sys.settrace(None)
     with open(OUT, "w") as f:
-        json.dump({rel: {"sha256": digest, "lines": sorted(_seen.get(rel, ()))}
-                   for rel, digest in _digests.items()}, f)
+        json.dump({**{rel: {"sha256": digest,
+                            "lines": sorted(_seen.get(rel, ()))}
+                      for rel, digest in _digests.items()},
+                   DROPPED: _dropped}, f)
 
 
 # -- report -------------------------------------------------------------------
@@ -154,7 +169,9 @@ def main(argv=None) -> int:
                     help=f"read FILE (default {OUT}) and list the lines")
     args = ap.parse_args(argv)
     with open(args.report) as f:
-        missed, changed = report(json.load(f))
+        executed = json.load(f)
+    missed, changed = report(executed)
+    dropped = executed.get(DROPPED, [])
     skipped = (f"; {len(changed)} modules changed since the traced run are "
                f"not counted" if changed else "")
     print(f"{len(missed)} statement lines of function bodies in src/diffalg "
@@ -164,6 +181,11 @@ def main(argv=None) -> int:
               f"listed")
     for rel, n, text in missed:
         print(f"{rel}:{n}: {text}")
+    if dropped:
+        print(f"{len(dropped)} tests dropped the tracer; the lines they ran "
+              f"after the drop are unknown, not unreached:")
+    for nodeid in dropped:
+        print(f"  {nodeid}")
     return 0
 
 

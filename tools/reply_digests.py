@@ -1,5 +1,6 @@
 """Count and SHA-256 of the CLI replies on the benchmark's documents,
-on forms that divide by a zero divisor and on elliptic-integral towers.
+on forms that divide by a zero divisor, on elliptic-integral towers and
+on degenerate curves.
 
     python3 tools/reply_digests.py
     python3 tools/reply_digests.py --check tools/reply_digests.expected
@@ -19,9 +20,11 @@ on the tower ``ELLINT_TOWER``, which holds an elliptic-integral
 primitive of each kind and a log over their curve, the tower printed,
 parsed and printed again, and ``derive`` on each declaration of
 ``MALFORMED_ELLINT`` added to that tower, all of which must be
-refused, and ``reduce`` on each conjugate pair of curve terms of
-``CURVE_PAIRS``.  A change that claims to keep every reply
-byte-identical shows the same lines as its parent.
+refused, ``reduce`` on each conjugate pair of curve terms of
+``CURVE_PAIRS``, and ``derive`` or ``verify`` on each document of
+``DEGENERATE_CURVES``, whose curve must be refused.  A change that
+claims to keep every reply byte-identical shows the same lines as its
+parent.
 
 With ``--check FILE`` the lines are compared with FILE, and any
 difference is printed and makes the exit status 1.  The checked-in
@@ -116,6 +119,21 @@ CURVE_PAIRS = [
     (_W_TOWER + "const c\n", _pair("w3", "q, a, b, c")),
 ]
 
+# Singular curves, each refused where it enters: the ellfun cubic
+# v^3 - 3v - 2 = (v + 1)^2 (v - 2), the w2 cubic (v - 3)^2 (v + 6), and
+# the Legendre quartic at m = 0 and at m = 1.  Each entry is (tower,
+# form, integrand); an entry without a form is read by derive -e p.
+DEGENERATE_CURVES = [
+    ("var x = d/dx 1\ngen p = ellfun(x, 3, 2)\n", None, None),
+    ("var x = d/dx 1\ngen th = exp(x)\n",
+     "v0 = -2*x*th\nterm 1 * w2(x^2*th^2 - 6, x*th*(x^2*th^2 - 9), 27, -54)\n"
+     "term 1 * log((x*th + 3)/(x*th - 3))\n", "0"),
+    ("var x = d/dx 1\ngen y = sqrt(1 - x^2)\n",
+     "v0 = 0\nterm 1 * l1(x, y, 0)\n", "1/y"),
+    ("var x = d/dx 1\n", "v0 = 0\nterm 1 * l1(x, 1 - x^2, 1)\n",
+     "1/(1 - x^2)"),
+]
+
 
 def reply(argv: list, as_json: bool, workdir: str) -> str:
     """One call's exit code, stdout and stderr, the work directory's path
@@ -205,6 +223,18 @@ def curve_pair_argvs(workdir: str) -> list:
     return argvs
 
 
+def degenerate_curve_argvs(workdir: str) -> list:
+    """derive -e p on each tower of DEGENERATE_CURVES that has no form,
+    and verify on each that has one, written to workdir."""
+    argvs = []
+    for i, (tower, form, integrand) in enumerate(DEGENERATE_CURVES):
+        path = write(workdir, f"degenerate{i}.tower", tower)
+        argvs.append(["derive", path, "-e", "p"] if form is None else
+                     ["verify", path, f"--integrand={integrand}", "--form",
+                      write(workdir, f"degenerate{i}.form", form)])
+    return argvs
+
+
 def ellint_round_trip() -> str:
     """ELLINT_TOWER printed, then parsed and printed again."""
     from diffalg.dsl import parse_tower, print_tower
@@ -257,7 +287,9 @@ def main(argv=None) -> int:
         for name, argvs in (("abel", abel), ("zero_divisor", zd),
                             ("ellint", ellint),
                             ("ellint malformed", malformed),
-                            ("curve_pairs", curve_pair_argvs(workdir))):
+                            ("curve_pairs", curve_pair_argvs(workdir)),
+                            ("degenerate_curves",
+                             degenerate_curve_argvs(workdir))):
             for as_json, label in ((False, "text"), (True, "json")):
                 lines.append(digest(f"{name} {label}", [
                     reply(a, as_json, workdir) for a in argvs]))
