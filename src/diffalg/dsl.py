@@ -22,7 +22,9 @@ Form documents declare v0 and phi terms:
     term 1/2 * log((x-1)/(x+1))
     term m * l2(v, y, m)
 
-The term kinds and the elements each takes are phi.TERM_KINDS.
+The term kinds and the elements each takes are phi.TERM_KINDS.  One call
+reader reads both tables' signatures: an argument named k is an integer
+literal, and bracketed arguments may be left out.
 
 Expressions use +, -, *, /, ^ with non-negative integer exponents; a
 leading minus applies after the power, so -x^2 is -(x^2).
@@ -325,23 +327,22 @@ def _parse_gen(ts: _Stream, t: Tower, env: dict, name: Token) -> Tower:
         raise ParseError(f"unknown extension kind {kind.text!r}",
                          kind.line, kind.col)
     make, takes = GEN_KINDS[kind.text]
-    first = (lambda: _int_value(ts.expect("INT"))) if takes[0] == "k" else None
-    args = _parse_args(ts, env, t, first)
-    least = takes.split("[")[0].count(",") + 1
-    if not least <= len(args) <= takes.count(",") + 1:
+    return make(t, name.text, *_parse_call(ts, env, t, kind, takes))
+
+
+def _parse_call(ts: _Stream, env: dict, t: Tower, kind: Token,
+                takes: str) -> list:
+    """The arguments in parentheses of a GEN_KINDS or TERM_KINDS call, by
+    its signature takes: one named k is an integer literal, every other
+    an expression, and the bracketed ones may be left out."""
+    names = iter(takes.split(", "))
+    args, sep = [], ts.expect("OP", "(")
+    while sep.text != ")":
+        args.append(_int_value(ts.expect("INT")) if next(names, "") == "k"
+                    else _parse_expr(ts, env, t))
+        sep = ts.next() if ts.peek().text == "," else ts.expect("OP", ")")
+    if not takes.split("[")[0].count(",") < len(args) <= takes.count(",") + 1:
         raise ParseError(f"{kind.text} takes {takes}", kind.line, kind.col)
-    return make(t, name.text, *args)
-
-
-def _parse_args(ts: _Stream, env: dict, t: Tower, first=None) -> list:
-    """A parenthesized, comma-separated argument list of expressions; the
-    first item is read by first() instead, if given."""
-    ts.expect("OP", "(")
-    args = [first() if first else _parse_expr(ts, env, t)]
-    while ts.peek().text == ",":
-        ts.next()
-        args.append(_parse_expr(ts, env, t))
-    ts.expect("OP", ")")
     return args
 
 
@@ -389,18 +390,10 @@ def parse_form(text: str, t: Tower, bindings: dict | None = None) -> LiouvilleFo
         ts.expect("NAME", "term")
         coeff = _parse_expr(ts, env, t, stop=True)
         ts.expect("OP", "*")
-        terms.append((coeff, _parse_phikind(ts, env, t)))
+        kind = ts.next()  # the coefficient stopped only before a term kind
+        args = _parse_call(ts, env, t, kind, TERM_KINDS[kind.text])
+        terms.append((coeff, make_term(kind.text, args)))
     return LiouvilleForm(v0, terms)
-
-
-def _parse_phikind(ts: _Stream, env: dict, t: Tower):
-    # the coefficient stopped at its "*" only before a TERM_KINDS name
-    kind = ts.next()
-    takes = TERM_KINDS[kind.text]
-    args = _parse_args(ts, env, t)
-    if len(args) != takes.count(",") + 1:
-        raise ParseError(f"{kind.text} takes {takes}", kind.line, kind.col)
-    return make_term(kind.text, args)
 
 
 def print_form(form: LiouvilleForm) -> str:

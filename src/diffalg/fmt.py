@@ -2,7 +2,8 @@
 
 The grammar printed here is exactly what the expression parser accepts,
 and printing is deterministic: terms come out in descending graded-lex
-order, so parse(print(e)) reproduces e.
+order, so parse(print(e)) reproduces e.  An operand of / is bracketed
+unless it prints as one atom of the grammar, one INT or NAME token.
 """
 
 from __future__ import annotations
@@ -47,23 +48,15 @@ def format_ratfunc(rf: RatFunc, name_of) -> str:
     if rf.den.is_const() and rf.den.const_value() == 1:
         return num
     den = format_poly(rf.den, name_of)
-    nwrap = f"({num})" if _needs_parens(rf.num) else num
-    dwrap = f"({den})" if _needs_parens(rf.den) else den
-    return f"{nwrap}/{dwrap}"
+    return "/".join(text if _is_atom(p) else f"({text})"
+                    for p, text in ((rf.num, num), (rf.den, den)))
 
 
-def _needs_parens(p: MultiPoly) -> bool:
-    if len(p.terms) > 1:
-        return True
-    # Single negative or composite terms still need protection.
-    for m, c in p.terms.items():
-        c = Fraction(c, p.den)
-        if c < 0:
-            return True
-        items = mono_items(m)
-        if items and (c != 1 or len(items) > 1 or items[0][1] > 1):
-            return True
-        if not items and c.denominator != 1:
-            return True
-    return False
-
+def _is_atom(p: MultiPoly) -> bool:
+    """Whether p prints as one atom of the grammar, an INT or a NAME, and
+    so bare as an operand of /: zero, or a single term with denominator
+    1 that is a positive integer or one generator to the first power."""
+    if len(p.terms) != 1 or p.den != 1:
+        return not p.terms
+    (m, c), = p.terms.items()
+    return c > 0 if not m else c == 1 and [e for _, e in mono_items(m)] == [1]

@@ -559,6 +559,32 @@ def test_derive_wrt_bad_spec(tower_file, capsys):
     assert "derivation handle" in capsys.readouterr().err
 
 
+NO_SUCH = ("element does not live in the expected field: "
+           "no generator named 'nosuch'")
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["derive", "-e", "x", "--wrt", "X:x"],
+     "derivation handle not supported here: no commuting derivation for "
+     "generator 'x' of kind BaseVar"),
+    (["derive", "-e", "x", "--wrt", "X:nosuch"], NO_SUCH),
+    (["trnorm", "--gen", "nosuch", "-e", "x"], NO_SUCH),
+    (["derive", "-e=x)"],
+     "syntax error: trailing input ')' (line 1, column 2)"),
+], ids=["X-of-base-var", "X-of-unknown", "trnorm-unknown", "trailing-paren"])
+def test_handle_name_and_trailing_input_refusals(tower_file, capsys, argv,
+                                                 msg):
+    # a commuting derivation X exists only for an extension generator, a
+    # handle or --gen must name a generator, and an expression ends at
+    # its end: each is refused with exit 2, as text and as --json
+    argv = [argv[0], tower_file(X_ONLY), *argv[1:]]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {msg}\n")
+    assert main(argv + ["--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
+
+
 def test_derive_uses_bindings(tower_file, capsys):
     rc = main(["derive", tower_file(X_ONLY + "let u = x^2"), "-e", "u + x"])
     out = capsys.readouterr().out.splitlines()[0]

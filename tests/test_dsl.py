@@ -14,9 +14,10 @@ from diffalg.dsl import (TowerDoc, parse_expr, parse_form, parse_tower,
 from diffalg.errors import (DiffAlgError, FieldMismatch,
                             InvalidDefiningData, NameClash, ParseError,
                             ZeroDenominator)
-from diffalg.fmt import format_ratfunc
+from diffalg.fmt import _is_atom, format_poly, format_ratfunc
 from diffalg.liouville import (LiouvilleForm, LogPhi, LPhi, WPhi,
                                form_derivative, verify_liouville)
+from diffalg.ratfunc import RatFunc
 from diffalg.tower import FULL_D, GEN_KINDS, Tower
 
 X_ONLY = "var x = d/dx 1\n"
@@ -618,3 +619,30 @@ def test_random_expr_round_trips():
         again = parse_expr(printed, t)
         assert (e - again).is_zero(), text
         done += 1
+
+
+# -- brackets -----------------------------------------------------------------
+
+ATOM_TOWER = Tower.base().const("m").var("x")
+ATOM_TOWER = ATOM_TOWER.log_ext("th", ATOM_TOWER["x"])
+ATOM_GIDS = [g.gid for g in ATOM_TOWER.generators]
+monomials = st.lists(st.tuples(st.sampled_from(ATOM_GIDS), st.integers(1, 3)),
+                     max_size=2, unique_by=lambda ge: ge[0]).map(
+                         lambda gs: tuple(sorted(gs)))
+coefficients = st.fractions(min_value=-3, max_value=3,
+                            max_denominator=3).filter(bool)
+
+
+@given(st.dictionaries(monomials, coefficients, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_bracket_rule_is_the_atom_of_the_grammar(terms):
+    # an operand of / prints bare exactly when the tokenizer reads it as
+    # one NAME or INT token: zero, a positive integer or one generator
+    p = poly.MultiPoly.from_dict(terms)
+    text = format_poly(p, ATOM_TOWER.name_of)
+    note(text)
+    toks = tokenize(text)
+    assert _is_atom(p) == (len(toks) == 2 and toks[0].kind in ("NAME", "INT"))
+    over = RatFunc(p, (ATOM_TOWER["x"] + 1).rf.num)
+    assert (format_ratfunc(over, ATOM_TOWER.name_of)
+            == (text if _is_atom(p) else f"({text})") + "/(x + 1)")

@@ -1,6 +1,6 @@
 """Count and SHA-256 of the CLI replies on the benchmark's documents,
-on forms that divide by a zero divisor, on elliptic-integral towers and
-on degenerate curves.
+on forms that divide by a zero divisor, on elliptic-integral towers, on
+degenerate curves and on the declaration tables.
 
     python3 tools/reply_digests.py
     python3 tools/reply_digests.py --check tools/reply_digests.expected
@@ -22,9 +22,14 @@ parsed and printed again, and ``derive`` on each declaration of
 ``MALFORMED_ELLINT`` added to that tower, all of which must be
 refused, ``reduce`` on each conjugate pair of curve terms of
 ``CURVE_PAIRS``, and ``derive`` or ``verify`` on each document of
-``DEGENERATE_CURVES``, whose curve must be refused.  A change that
-claims to keep every reply byte-identical shows the same lines as its
-parent.
+``DEGENERATE_CURVES``, whose curve must be refused.  The
+``declarations`` sets hold ``DECLARED_TOWER``, which declares every
+``gen`` kind of ``tower.GEN_KINDS`` with and without its optional
+argument, and ``DECLARED_FORM``, which holds every ``term`` kind of
+``phi.TERM_KINDS``, each printed, parsed and printed again, and the
+replies to the arity errors of ``ARITY_ERRORS``, two per table.  A
+change that claims to keep every reply byte-identical shows the same
+lines as its parent.
 
 With ``--check FILE`` the lines are compared with FILE, and any
 difference is printed and makes the exit status 1.  The checked-in
@@ -134,6 +139,34 @@ DEGENERATE_CURVES = [
      "1/(1 - x^2)"),
 ]
 
+# Every gen kind, int and ellint with and without their optional last
+# argument, and every term kind; the operands of / print bare or in
+# brackets (negative, fractional, powers, products and sums).
+DECLARED_TOWER = (
+    "const a, b, c\nvar x = d/dx 1\ngen f = int(1/(x^2 + 1))\n"
+    "gen g = int(x^2 - 1/2, 1/3*x^3 - x/2)\ngen L = log((x - 1)/(x + 1))\n"
+    "gen t = exp(-x/(2*x + 3))\ngen w = lambertw(x/3)\n"
+    "gen s = sqrt(2*x/(1 - x^2))\ngen p = ellfun(x, a, b)\n"
+    "gen F = ellint(1, p, p_q)\ngen E = ellint(2, p, p_q)\n"
+    "gen P = ellint(3, p, p_q, c)\nlet u = -3/(x*t)\n"
+    "let z = 5/x^2 + 3/(2*x)\nlet n = a^2/(b*c)\n")
+TERM_TOWER = ("const a, b, c, m, k\nvar x = d/dx 1\ngen p = ellfun(x, a, b)\n"
+              "gen y = sqrt((1 - x^2)*(1 - m*x^2))\n"
+              "gen delta = sqrt((1 - k^2)*(1 - m*k^2))\nlet v = -x\n")
+DECLARED_FORM = (
+    "v0 = x/(x + 1)\nterm 1/2 * log((x - 1)/(x + 1))\n"
+    "term -3 * w1(p, p_q, a, b)\nterm a/b * w2(p, -p_q, a, b)\n"
+    "term 1 * w3(p, p_q, a, b, c)\nterm m * l1(x, y, m)\n"
+    "term -1/m * l2(v, y, m)\nterm 2 * l3(x, y, m, k, delta)\n")
+# A gen line of each table with one argument too many or too few, then
+# a term line; entries as in DEGENERATE_CURVES.
+ARITY_ERRORS = [
+    (DECLARED_TOWER + "gen G = exp(x, x)\n", None, None),
+    (DECLARED_TOWER + "gen G = ellint(1, p)\n", None, None),
+    (TERM_TOWER, "v0 = 0\nterm 1 * log(x, x)\n", "0"),
+    (TERM_TOWER, "v0 = 0\nterm 1 * l1(v, y)\n", "0"),
+]
+
 
 def reply(argv: list, as_json: bool, workdir: str) -> str:
     """One call's exit code, stdout and stderr, the work directory's path
@@ -223,16 +256,29 @@ def curve_pair_argvs(workdir: str) -> list:
     return argvs
 
 
-def degenerate_curve_argvs(workdir: str) -> list:
-    """derive -e p on each tower of DEGENERATE_CURVES that has no form,
-    and verify on each that has one, written to workdir."""
+def document_argvs(docs: list, stem: str, workdir: str) -> list:
+    """derive -e p on each tower of docs, DEGENERATE_CURVES or
+    ARITY_ERRORS, that has no form, and verify on each that has one,
+    written to workdir as stem0.tower, stem0.form and so on."""
     argvs = []
-    for i, (tower, form, integrand) in enumerate(DEGENERATE_CURVES):
-        path = write(workdir, f"degenerate{i}.tower", tower)
+    for i, (tower, form, integrand) in enumerate(docs):
+        path = write(workdir, f"{stem}{i}.tower", tower)
         argvs.append(["derive", path, "-e", "p"] if form is None else
                      ["verify", path, f"--integrand={integrand}", "--form",
-                      write(workdir, f"degenerate{i}.form", form)])
+                      write(workdir, f"{stem}{i}.form", form)])
     return argvs
+
+
+def declarations_round_trip() -> list:
+    """DECLARED_TOWER and DECLARED_FORM, each printed, then parsed and
+    printed again."""
+    from diffalg.dsl import parse_form, parse_tower, print_form, print_tower
+
+    tower = print_tower(parse_tower(DECLARED_TOWER))
+    doc = parse_tower(TERM_TOWER)
+    form = print_form(parse_form(DECLARED_FORM, doc.tower, doc.bindings))
+    return [tower + "\0" + print_tower(parse_tower(tower)),
+            form + "\0" + print_form(parse_form(form, doc.tower))]
 
 
 def ellint_round_trip() -> str:
@@ -275,26 +321,26 @@ def main(argv=None) -> int:
 
     lines = []
     with tempfile.TemporaryDirectory() as workdir:
-        for seed in SEEDS:
-            argvs = cli_argvs(seed, workdir)
-            for as_json, label in ((False, "text"), (True, "json")):
-                lines.append(digest(
-                    f"cli_roundtrip seed {seed} {label}",
-                    [reply(a, as_json, workdir) for a in argvs]))
-        abel = [["abel", "--kind", k] for k in ABEL_KINDS]
-        zd = zero_divisor_argvs(workdir)
-        ellint, malformed = ellint_argvs(workdir)
-        for name, argvs in (("abel", abel), ("zero_divisor", zd),
-                            ("ellint", ellint),
-                            ("ellint malformed", malformed),
-                            ("curve_pairs", curve_pair_argvs(workdir)),
-                            ("degenerate_curves",
-                             degenerate_curve_argvs(workdir))):
+        def both(name: str, argvs: list) -> None:
             for as_json, label in ((False, "text"), (True, "json")):
                 lines.append(digest(f"{name} {label}", [
                     reply(a, as_json, workdir) for a in argvs]))
-    lines.append(digest("l3_pushdown print_form", [l3_form_text()]))
-    lines.append(digest("ellint print_tower", [ellint_round_trip()]))
+
+        for seed in SEEDS:
+            both(f"cli_roundtrip seed {seed}", cli_argvs(seed, workdir))
+        both("abel", [["abel", "--kind", k] for k in ABEL_KINDS])
+        both("zero_divisor", zero_divisor_argvs(workdir))
+        ellint, malformed = ellint_argvs(workdir)
+        both("ellint", ellint)
+        both("ellint malformed", malformed)
+        both("curve_pairs", curve_pair_argvs(workdir))
+        both("degenerate_curves",
+             document_argvs(DEGENERATE_CURVES, "degenerate", workdir))
+        lines.append(digest("l3_pushdown print_form", [l3_form_text()]))
+        lines.append(digest("ellint print_tower", [ellint_round_trip()]))
+        lines.append(digest("declarations print_tower print_form",
+                            declarations_round_trip()))
+        both("declarations", document_argvs(ARITY_ERRORS, "arity", workdir))
     print("\n".join(lines))
     if want is None:
         return 0
