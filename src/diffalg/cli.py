@@ -1,8 +1,10 @@
 """Command line front end.
 
-Every subcommand reads tower and form documents in the text format of
-diffalg.dsl, prints a human report by default or a stable JSON report
-with --json, and exits 0 on PASS, 1 on FAIL, 2 on ERROR.
+Each subcommand is one row of _COMMANDS: its handler, help line and
+arguments (_ARGS).  A handler reads its documents, in the text format of
+diffalg.dsl, through _load and returns (verdict, residues, output); main
+alone builds the report, for ERROR too, and prints it as text or, with
+--json, as stable JSON.  Exit 0 on PASS, 1 on FAIL, 2 on ERROR.
 """
 
 from __future__ import annotations
@@ -46,31 +48,25 @@ ERROR_MESSAGES = {
 }
 
 
-def _report(verdict: str, residues: list, started: float,
-            output: str = "") -> dict:
-    return {
-        "verdict": verdict,
-        "residues": residues,
-        "output": output,
-        "timing_ms": int((time.monotonic() - started) * 1000),
-    }
-
-
-def _emit(rep: dict, as_json: bool) -> int:
-    if as_json:
-        print(json.dumps(rep, sort_keys=True))
-    else:
-        if rep["output"]:
-            print(rep["output"])
-        for line in rep["residues"]:
-            print(line)
-        print(rep["verdict"])
-    return {"PASS": 0, "FAIL": 1}.get(rep["verdict"], 2)
-
-
-def _load_tower(path: str):
+def _read(path: str) -> str:
+    """A document's text; one not in UTF-8 is refused as unreadable."""
     with open(path, encoding="utf-8") as fh:
-        return parse_tower(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from None
+
+
+def _load(args):
+    """(tower, expression, form) of args, parsed in that order; the last
+    two are None where the subcommand takes no such argument."""
+    doc = parse_tower(_read(args.tower))
+    t = doc.tower
+    e = parse_expr(args.expr, t, doc.bindings) if "expr" in args else None
+    form = (parse_form(_read(args.form), t, doc.bindings)
+            if "form" in args else None)
+    return t, e, form
 
 
 def _wrt_handle(t, spec: str):
@@ -84,86 +80,62 @@ def _wrt_handle(t, spec: str):
         f"--wrt must be D, X:NAME or partial:NAME, got {spec!r}")
 
 
-# -- subcommands ------------------------------------------------------------
+# -- subcommands: each returns (verdict, residues, output) --------------------
 
 
-def _cmd_derive(args, started) -> dict:
-    doc = _load_tower(args.tower)
-    t = doc.tower
-    e = parse_expr(args.expr, t, doc.bindings)
-    out = t.derive(_wrt_handle(t, args.wrt), e)
-    return _report("PASS", [], started, output=str(out))
+def _cmd_derive(args):
+    t, e, _ = _load(args)
+    return "PASS", [], str(t.derive(_wrt_handle(t, args.wrt), e))
 
 
-def _cmd_check_lie(args, started) -> dict:
-    doc = _load_tower(args.tower)
-    t = doc.tower
-    residues = []
-    ok = True
-    for g in t.generators:
-        if not isinstance(g.kind, _X_KINDS):
-            continue
-        rep = t.check_lie_closed(g)
-        ok = ok and rep.passed
-        for name, res in rep.residues:
-            residues.append(f"[D, X_{g.name}] {name} = {res}")
-    return _report("PASS" if ok else "FAIL", residues, started)
+def _cmd_check_lie(args):
+    t, _, _ = _load(args)
+    reps = [(g, t.check_lie_closed(g)) for g in t.generators
+            if isinstance(g.kind, _X_KINDS)]
+    residues = [f"[D, X_{g.name}] {name} = {res}"
+                for g, rep in reps for name, res in rep.residues]
+    return ("PASS" if all(rep.passed for _, rep in reps) else "FAIL",
+            residues, "")
 
 
-def _cmd_verify(args, started) -> dict:
-    doc = _load_tower(args.tower)
-    t = doc.tower
-    f = parse_expr(args.integrand, t, doc.bindings)
-    with open(args.form, encoding="utf-8") as fh:
-        form = parse_form(fh.read(), t, doc.bindings)
+def _cmd_verify(args):
+    t, f, form = _load(args)
     residual = -phi_sum(t, FULL_D, form.v0, form.terms, f)
-    ok = residual.is_zero()
-    return _report("PASS" if ok else "FAIL",
-                   [f"f - D(form) = {residual}"], started)
+    return ("PASS" if residual.is_zero() else "FAIL",
+            [f"f - D(form) = {residual}"], "")
 
 
-def _cmd_reduce(args, started) -> dict:
-    doc = _load_tower(args.tower)
-    t = doc.tower
-    f = parse_expr(args.integrand, t, doc.bindings)
-    with open(args.form, encoding="utf-8") as fh:
-        form = parse_form(fh.read(), t, doc.bindings)
+def _cmd_reduce(args):
+    t, f, form = _load(args)
     if not verify_liouville(t, f, form):
-        return _report("FAIL", ["input form does not differentiate to f"],
-                       started)
+        return "FAIL", ["input form does not differentiate to f"], ""
     steps = reduce(t, f, form, max_steps=args.steps)
     # reduce re-verifies every step before returning it and raises
     # SelfCheckFailed otherwise, so each returned step is verified.
-    residues = []
-    chunks = []
+    residues, chunks = [], []
     for i, step in enumerate(steps, 1):
         top = step.tower.generators[-1].name if step.tower.generators else "Q"
         residues.append(f"step {i}: top generator now {top}, verified")
         chunks.append(f"# step {i}\n{print_form(step.form)}")
     if not steps:
         residues.append("nothing above the integrand was reducible")
-    return _report("PASS", residues, started,
-                   output="\n".join(chunks).rstrip("\n"))
+    return "PASS", residues, "\n".join(chunks).rstrip("\n")
 
 
-def _cmd_abel(args, started) -> dict:
+def _cmd_abel(args):
     rep = check_abel_identity(args.kind)
-    residues = [f"{label}: {'0' if zero else 'nonzero'}"
-                for label, zero in rep.residues]
-    return _report("PASS" if rep.passed else "FAIL", residues, started)
+    return ("PASS" if rep.passed else "FAIL",
+            [f"{label}: {'0' if zero else 'nonzero'}"
+             for label, zero in rep.residues], "")
 
 
-def _cmd_trnorm(args, started) -> dict:
-    doc = _load_tower(args.tower)
-    t = doc.tower
-    e = parse_expr(args.expr, t, doc.bindings)
+def _cmd_trnorm(args):
+    t, e, _ = _load(args)
     gen = t.gen_of(args.gen)
-    tr = t.trace(gen, e)
-    nm = t.norm(gen, e)
+    residues = [f"trace = {t.trace(gen, e)}", f"norm = {t.norm(gen, e)}"]
     ok = t.check_lognorm(gen, e)
-    residues = [f"trace = {tr}", f"norm = {nm}",
-                f"lognorm identity: {'holds' if ok else 'fails'}"]
-    return _report("PASS" if ok else "FAIL", residues, started)
+    return ("PASS" if ok else "FAIL",
+            residues + [f"lognorm identity: {'holds' if ok else 'fails'}"], "")
 
 
 def positive_int(text: str) -> int:
@@ -171,6 +143,43 @@ def positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
+
+
+_EXPR_HELP = ("an expression; give one that starts with '-' after '=', "
+              "as in -e=-x or --integrand=-1/x")
+
+# Each argument a subcommand may take: its flags, or its positional
+# name, and its argparse keywords.  -e/--expr and --integrand both
+# store to args.expr, which _load parses.
+_ARGS = {
+    "tower": (("tower",), dict(help="tower document path")),
+    "expr": (("-e", "--expr"), dict(required=True, help=_EXPR_HELP)),
+    "integrand": (("--integrand",), dict(dest="expr", required=True,
+                                         metavar="EXPR", help=_EXPR_HELP)),
+    "form": (("--form",), dict(required=True, metavar="FORMFILE")),
+    "wrt": (("--wrt",), dict(default="D", metavar="D|X:NAME|partial:NAME")),
+    "steps": (("--steps",), dict(type=positive_int, metavar="N")),
+    "kind": (("--kind",), dict(required=True, choices=ABEL_KINDS)),
+    "gen": (("--gen",), dict(required=True, metavar="NAME",
+                             help="square-root generator to conjugate")),
+}
+
+# Each subcommand: its handler, its help line and its _ARGS, in order.
+_COMMANDS = {
+    "derive": (_cmd_derive, "differentiate an expression over a tower",
+               "tower expr wrt"),
+    "check-lie": (_cmd_check_lie, "check [D, X] = 0 for every X-generator",
+                  "tower"),
+    "verify": (_cmd_verify,
+               "check that a form differentiates to the integrand",
+               "tower integrand form"),
+    "reduce": (_cmd_reduce, "push a verified form down the tower",
+               "tower integrand form steps"),
+    "abel": (_cmd_abel,
+             "verify an addition identity for elliptic integrals", "kind"),
+    "trnorm": (_cmd_trnorm, "trace, norm and the log-norm identity",
+               "tower gen expr"),
+}
 
 
 @functools.cache
@@ -181,56 +190,17 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-degree", type=positive_int, default=512,
                         metavar="N",
                         help="abort any polynomial above this total degree")
-    expr_help = ("an expression; give one that starts with '-' after '=', "
-                 "as in -e=-x or --integrand=-1/x")
-
     p = argparse.ArgumentParser(
         prog="diffalg",
         description="exact differential towers, elliptic addition laws, "
                     "and Liouville form reduction")
     sub = p.add_subparsers(dest="command", required=True)
-
-    d = sub.add_parser("derive", parents=[common],
-                       help="differentiate an expression over a tower")
-    d.add_argument("tower", help="tower document path")
-    d.add_argument("-e", "--expr", required=True, help=expr_help)
-    d.add_argument("--wrt", default="D", metavar="D|X:NAME|partial:NAME")
-    d.set_defaults(func=_cmd_derive)
-
-    c = sub.add_parser("check-lie", parents=[common],
-                       help="check [D, X] = 0 for every X-generator")
-    c.add_argument("tower")
-    c.set_defaults(func=_cmd_check_lie)
-
-    v = sub.add_parser("verify", parents=[common],
-                       help="check that a form differentiates to the integrand")
-    v.add_argument("tower")
-    v.add_argument("--integrand", required=True, metavar="EXPR",
-                   help=expr_help)
-    v.add_argument("--form", required=True, metavar="FORMFILE")
-    v.set_defaults(func=_cmd_verify)
-
-    r = sub.add_parser("reduce", parents=[common],
-                       help="push a verified form down the tower")
-    r.add_argument("tower")
-    r.add_argument("--integrand", required=True, metavar="EXPR",
-                   help=expr_help)
-    r.add_argument("--form", required=True, metavar="FORMFILE")
-    r.add_argument("--steps", type=positive_int, default=None, metavar="N")
-    r.set_defaults(func=_cmd_reduce)
-
-    a = sub.add_parser("abel", parents=[common],
-                       help="verify an addition identity for elliptic integrals")
-    a.add_argument("--kind", required=True, choices=ABEL_KINDS)
-    a.set_defaults(func=_cmd_abel)
-
-    n = sub.add_parser("trnorm", parents=[common],
-                       help="trace, norm and the log-norm identity")
-    n.add_argument("tower")
-    n.add_argument("--gen", required=True, metavar="NAME",
-                   help="square-root generator to conjugate")
-    n.add_argument("-e", "--expr", required=True, help=expr_help)
-    n.set_defaults(func=_cmd_trnorm)
+    for name, (func, text, inputs) in _COMMANDS.items():
+        cmd = sub.add_parser(name, parents=[common], help=text)
+        for arg in inputs.split():
+            flags, kwargs = _ARGS[arg]
+            cmd.add_argument(*flags, **kwargs)
+        cmd.set_defaults(func=func)
     return p
 
 
@@ -239,7 +209,7 @@ def main(argv=None) -> int:
     token = poly.set_degree_limit(args.max_degree)
     started = time.monotonic()
     try:
-        rep = args.func(args, started)
+        verdict, residues, output = args.func(args)
     except Exception as exc:
         if isinstance(exc, OSError):
             detail = str(exc)
@@ -247,13 +217,16 @@ def main(argv=None) -> int:
             msg = ERROR_MESSAGES.get(type(exc), "unexpected failure")
             detail = f"{msg}: {exc}"
         print(f"error: {detail}", file=sys.stderr)
-        if args.json:
-            print(json.dumps(_report("ERROR", [detail], started),
-                             sort_keys=True))
-        return 2
+        verdict, residues, output = "ERROR", [detail], ""
     finally:
         poly.reset_degree_limit(token)
-    return _emit(rep, args.json)
+    report = {"verdict": verdict, "residues": residues, "output": output,
+              "timing_ms": int((time.monotonic() - started) * 1000)}
+    if args.json:
+        print(json.dumps(report, sort_keys=True))
+    elif verdict != "ERROR":
+        print(*([output] if output else []), *residues, verdict, sep="\n")
+    return {"PASS": 0, "FAIL": 1}.get(verdict, 2)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """CLI reports, exit codes, and error mapping."""
 
+import argparse
 import inspect
 import json
 import os
@@ -106,6 +107,60 @@ def test_missing_file_exits_2(tmp_path, capsys):
     rc = main(["derive", str(tmp_path / "absent.tower"), "-e", "x"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["tower", "form"])
+def test_document_that_is_not_utf8_names_its_path(tmp_path, tower_file,
+                                                  form_file, capsys, bad):
+    # bad input, not an engine failure: the reply names the file
+    paths = {"tower": tower_file(X_ONLY), "form": form_file("v0 = x")}
+    path = tmp_path / f"bad.{bad}"
+    path.write_bytes(b"v0 = x\n\xff\n")
+    paths[bad] = str(path)
+    argv = ["verify", paths["tower"], "--integrand", "1",
+            "--form", paths["form"]]
+    msg = f"{path}: not UTF-8 text (invalid start byte at byte 7)"
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {msg}\n")
+    assert main(argv + ["--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
+
+
+# -- open wrong verdicts ------------------------------------------------------
+
+DEPENDENT_LOGS = X_ONLY + "gen l1 = log(x)\ngen l2 = log(x^2)\n"
+DEPENDENT_EXPS = X_ONLY + "gen e1 = exp(1)\ngen e2 = exp(2)\n"
+ITEM_10 = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 10: dependent exp and log generators are not refused, "
+    "so l2 - 2*l1 and e2 - e1^2 are taken for nonzero"))
+ITEM_5 = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 5: sqrt(x^2) builds although x^2 is a square, so y - x "
+    "is a zero divisor"))
+
+
+@pytest.mark.parametrize("tower, argv, form", [
+    pytest.param(DEPENDENT_LOGS, ["verify", "--integrand", "x/(l2-2*l1)"],
+                 "v0 = x^2/(2*(l2 - 2*l1))\n", id="verify-dependent-logs",
+                 marks=ITEM_10),
+    pytest.param(DEPENDENT_LOGS, ["derive", "-e", "1/(l2-2*l1)"], None,
+                 id="derive-dependent-logs", marks=ITEM_10),
+    pytest.param(DEPENDENT_EXPS, ["verify", "--integrand", "x/(e2-e1^2)"],
+                 "v0 = x^2/(2*(e2 - e1^2))\n", id="verify-dependent-exps",
+                 marks=ITEM_10),
+    pytest.param(X_ONLY + "gen y = sqrt(x^2)\n", ["derive", "-e", "y-x"],
+                 None, id="derive-sqrt-of-a-square", marks=ITEM_5),
+])
+def test_open_wrong_verdicts_are_errors(tower_file, form_file, capsys, tower,
+                                        argv, form):
+    # each tower is no field: a dependent generator makes a zero read as
+    # nonzero, and a root of a square makes y - x a zero divisor; the
+    # intended reply refuses it, where today's is PASS
+    argv = [argv[0], tower_file(tower), *argv[1:], "--json"]
+    if form is not None:
+        argv += ["--form", form_file(form)]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "ERROR"
 
 
 # -- json reports -------------------------------------------------------------
@@ -888,6 +943,61 @@ def test_abel_kinds(kind, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.rstrip().endswith("PASS")
+
+
+# -- argument surface -----------------------------------------------------------
+
+# Each argument of each subcommand, in the order argparse holds it: its
+# option strings (or its positional name), required flag, default,
+# choices, metavar and type name.  Read by introspection, not from the
+# help text, whose layout differs between Python versions.
+COMMON_ARGS = [
+    (("-h", "--help"), False, argparse.SUPPRESS, None, None, None),
+    (("--json",), False, False, None, None, None),
+    (("--max-degree",), False, 512, None, "N", "positive_int"),
+]
+TOWER_ARG = ("tower", True, None, None, None, None)
+EXPR_ARG = (("-e", "--expr"), True, None, None, None, None)
+INTEGRAND_ARG = (("--integrand",), True, None, None, "EXPR", None)
+FORM_ARG = (("--form",), True, None, None, "FORMFILE", None)
+SURFACE = {
+    "derive": [TOWER_ARG, EXPR_ARG,
+               (("--wrt",), False, "D", None, "D|X:NAME|partial:NAME", None)],
+    "check-lie": [TOWER_ARG],
+    "verify": [TOWER_ARG, INTEGRAND_ARG, FORM_ARG],
+    "reduce": [TOWER_ARG, INTEGRAND_ARG, FORM_ARG,
+               (("--steps",), False, None, None, "N", "positive_int")],
+    "abel": [(("--kind",), True, None, ("f", "e", "pi", "w1", "w2"), None,
+              None)],
+    "trnorm": [TOWER_ARG, (("--gen",), True, None, None, "NAME", None),
+               EXPR_ARG],
+}
+
+
+def _surface(action):
+    choices = None if action.choices is None else tuple(action.choices)
+    return (tuple(action.option_strings) or action.dest, action.required,
+            action.default, choices, action.metavar,
+            getattr(action.type, "__name__", None))
+
+
+def test_argument_surface():
+    parser = cli._build_parser()
+    sub, = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    assert (sub.dest, sub.required) == ("command", True)
+    assert list(sub.choices) == list(SURFACE)
+    for cmd, args in SURFACE.items():
+        got = [_surface(a) for a in sub.choices[cmd]._actions]
+        assert got == COMMON_ARGS + args, cmd
+
+
+@pytest.mark.parametrize("cmd", list(SURFACE))
+def test_subcommand_help_exits_0(cmd, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: diffalg {cmd} ")
 
 
 # -- console entry point --------------------------------------------------------

@@ -50,6 +50,10 @@ def test_tokenize_comment_advances_the_column():
     assert (e.value.line, e.value.column) == (2, 24)
 
 
+def test_parse_error_without_a_position_is_its_message():
+    assert str(ParseError("m")) == "m"
+
+
 def test_tokenize_rejects_stray_characters():
     with pytest.raises(ParseError) as e:
         tokenize("var x = d/dx 1 @")

@@ -1063,3 +1063,11 @@ def test_two_derivation_constants_commute():
     assert t.derive(xv, cu).is_zero()
     assert t.derive(xu, cv).is_zero()
     assert t.derive(FULL_D, cu).is_zero()
+
+
+def test_form_repr_lists_v0_and_each_term():
+    t = Tower.base().var("x")
+    x = t["x"]
+    assert repr(LiouvilleForm(x)) == "LiouvilleForm(v0 = x)"
+    assert (repr(LiouvilleForm(x, [(2, LogPhi(x))]))
+            == "LiouvilleForm(v0 = x; (2) * LogPhi(v=<Element x>))")

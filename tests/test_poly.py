@@ -142,6 +142,7 @@ def test_refusals_of_the_layout():
     with pytest.raises(ValueError, match="negative exponent in a monomial"):
         MultiPoly.from_dict({((0, -1),): 1})
     assert repr(MultiPoly.zero()) == "MultiPoly(0)"
+    assert MultiPoly.zero().const_value() == 0
     with pytest.raises(ZeroDivisionError,
                        match="division by the zero polynomial"):
         poly_divexact(X, MultiPoly.zero())

@@ -466,3 +466,17 @@ def test_cancelled_shared_denominator_matches_cross_multiplying(case):
     assert got == normalized(cross_multiplied, o, a, b, t.rels)
     if planted and o == "/":
         assert got is ZeroDenominator
+
+
+def test_zero_denominator_refusals():
+    # a negative power of zero, a zero denominator, and a denominator
+    # that only the relation y^2 = x makes zero
+    t = Tower.base().var("x")
+    with pytest.raises(ZeroDenominator, match="^negative power of zero$"):
+        t.zero() ** -1
+    with pytest.raises(ZeroDenominator,
+                       match="^denominator reduced to zero$"):
+        normal_form(ONE, MultiPoly.zero(), {})
+    with pytest.raises(ZeroDenominator,
+                       match="^denominator is zero modulo the relations$"):
+        normal_form(ONE, S * S - X, rels_s2(x))

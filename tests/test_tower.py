@@ -15,8 +15,8 @@ from diffalg.errors import (CyclicDefinition, FieldMismatch,
                             InvalidDefiningData, NameClash, NotQuadratic,
                             PsiNotRealizable, UnsupportedHandle,
                             ZeroDenominator, ZeroElement)
-from diffalg.tower import (BelowD, CommutingX, FULL_D, LambertW, PartialD,
-                           PsiRational, PsiSqrtCubic, Tower)
+from diffalg.tower import (BelowD, CommutingX, FULL_D, Generator, LambertW,
+                           PartialD, PsiRational, PsiSqrtCubic, Tower)
 
 
 def exp_inv_square():
@@ -777,3 +777,27 @@ def test_chain_rule_with_root(case):
     # above it; either way D = BelowD + (D g) * partial_g
     t, e, g, _ = case
     assert t.check_chain_rule(g, e)
+
+
+def test_refusals_of_the_element_and_tower_api():
+    # each refusal reached through its public entry, message pinned
+    t = Tower.base().var("x")
+    x = t["x"]
+    assert repr(x) == "<Element x>"
+    with pytest.raises(FieldMismatch,
+                       match="^element is not a rational constant$"):
+        x.const_value()
+    with pytest.raises(TypeError, match="unsupported operand"):
+        x ** Fraction(1, 2)  # Element.__pow__ takes only an int
+    with pytest.raises(FieldMismatch, match="^no generator with id 99$"):
+        t.gen_of(99)
+    with pytest.raises(FieldMismatch,
+                       match="^cannot use 'x' as a tower element$"):
+        t.coerce("x")
+    with pytest.raises(UnsupportedHandle, match="^unknown handle <object"):
+        t.derive(object(), x)
+    # a raw Tower takes any Generator; derivation meets the kind it
+    # does not know
+    raw = Tower((Generator(0, "x", object()),))
+    with pytest.raises(UnsupportedHandle, match="^unknown kind <object"):
+        raw.derive(FULL_D, raw["x"])
