@@ -206,21 +206,28 @@ def _random_polynomial(rng, x, degree=3):
     return e
 
 
-def _random_transcendental_case(rng):
-    t = Tower.base().var("x")
+TRANSCENDENTAL_KINDS = ("log", "exp", "int", "lambertw")
+
+
+def _random_transcendental_case(rng, t=None, name="th",
+                                kinds=TRANSCENDENTAL_KINDS):
+    """A transcendental of one of kinds, named name, over t (x alone by
+    default), and a form over it whose derivative lies in Q(x)."""
+    if t is None:
+        t = Tower.base().var("x")
     x = t["x"]
-    kind = rng.choice(["log", "exp", "int", "lambertw"])
+    kind = rng.choice(kinds)
     if kind == "log":
-        t = t.log_ext("th", rng.choice([x, x + 1, x ** 2 + 1]))
+        t = t.log_ext(name, rng.choice([x, x + 1, x ** 2 + 1]))
     elif kind == "exp":
-        t = t.exp_ext("th", rng.choice([x, x ** 2, 3 * x + 1]))
+        t = t.exp_ext(name, rng.choice([x, x ** 2, 3 * x + 1]))
     elif kind == "int":
         integrand, anti = rng.choice([
             (x, x ** 2 / 2), (x ** 2, x ** 3 / 3), (3 * x ** 2 + 1, x ** 3 + x)])
-        t = t.primitive("th", integrand, antiderivative=anti)
+        t = t.primitive(name, integrand, antiderivative=anti)
     else:
-        t = t.lambertw("th", x)
-    x, th = t["x"], t["th"]
+        t = t.lambertw(name, x)
+    x, th = t["x"], t[name]
     c1 = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
     g = _random_polynomial(rng, x)
     below = [(Fraction(rng.randint(-2, 2)), LogPhi(x ** 2 + rng.randint(1, 4)))]
@@ -233,8 +240,11 @@ def _random_transcendental_case(rng):
     return t, form
 
 
-def _random_sqrt_case(rng):
-    t = Tower.base().var("x")
+def _random_sqrt_case(rng, t=None):
+    """A square root s of a radical in x over t (x alone by default), and
+    a form over it whose derivative lies in Q(x)."""
+    if t is None:
+        t = Tower.base().var("x")
     x = t["x"]
     rad = rng.choice([x ** 2 - 1, (x - 1) / (x + 1), x ** 3 - x, x ** 2 + 1])
     t = t.sqrt_ext("s", rad)
@@ -268,6 +278,46 @@ def test_criterion_8_random_form_round_trips():
         total_steps += len(steps)
     assert total_steps >= 50
     _budget(started, 60.0, "random round trips")
+
+
+def _stacked_case(rng, shape):
+    """A tower with one extension per letter of shape, bottom first: "s"
+    a square root, "t" a transcendental, each of a different kind, so
+    that no two generators depend on each other.  The form is the sum
+    of the layers' forms, so its derivative lies in Q(x)."""
+    t = Tower.base().var("x")
+    v0, terms = t.zero(), []
+    kinds = iter(rng.sample(TRANSCENDENTAL_KINDS, shape.count("t")))
+    for i, layer in enumerate(shape):
+        if layer == "s":
+            t, form = _random_sqrt_case(rng, t)
+        else:
+            t, form = _random_transcendental_case(rng, t, f"th{i}",
+                                                  (next(kinds),))
+        v0 = t.coerce(v0) + form.v0
+        terms += form.terms
+    return t, LiouvilleForm(v0, terms)
+
+
+def test_criterion_8_round_trips_through_stacked_towers():
+    # a transcendental over a root, a root over a transcendental, two
+    # transcendentals, and a root between two transcendentals
+    started = time.monotonic()
+    rng = random.Random(20240817)
+    for i in range(40):
+        shape = ("st", "ts", "tt", "tst")[i % 4]
+        t, form = _stacked_case(rng, shape)
+        f = form_derivative(t, form)
+        assert f.used_gids() <= {t.gen_of("x").gid}
+        steps = reduce(t, f, form)
+        # one step per extension above x, each consuming one generator
+        assert [len(step.tower.generators) for step in steps] == \
+            list(range(len(shape), 0, -1)), f"case {i} ({shape})"
+        assert [g.name for g in steps[-1].tower.generators] == ["x"]
+        for step in steps:
+            ok = verify_liouville(step.tower, step.tower.coerce(f), step.form)
+            assert ok, f"case {i} ({shape}) drifted"
+    _budget(started, 60.0, "stacked round trips")
 
 
 def test_criterion_9_jacobi_numeric_oracle():

@@ -21,7 +21,8 @@ primitive of each kind and a log over their curve, the tower printed,
 parsed and printed again, and ``derive`` on each declaration of
 ``MALFORMED_ELLINT`` added to that tower, all of which must be
 refused, ``reduce`` on each conjugate pair of curve terms of
-``CURVE_PAIRS``, and ``derive`` or ``verify`` on each document of
+``CURVE_PAIRS``, ``reduce`` with and without ``--steps 1`` on each tower
+of ``REDUCE_CHAINS``, which stacks extensions of different kinds, and ``derive`` or ``verify`` on each document of
 ``DEGENERATE_CURVES``, whose curve must be refused.  The
 ``declarations`` sets hold ``DECLARED_TOWER``, which declares every
 ``gen`` kind of ``tower.GEN_KINDS`` with and without its optional
@@ -122,6 +123,22 @@ CURVE_PAIRS = [
      "v0 = 0\nterm 1/2 * l1(x, s, m)\nterm 1/2 * l1(x, -s, m)\n"),
     # the third Weierstrass kind does not push through: refused
     (_W_TOWER + "const c\n", _pair("w3", "q, a, b, c")),
+]
+
+# Towers that stack extensions of different kinds, so that one reduce
+# call takes both kinds of step: a log over a square root, a Lambert W
+# over a square root over an exponential, and a log over a square root
+# over an exponential that the integrand uses, where reduction stops.
+# Each entry is (tower, form); the integrand is the form's derivative.
+REDUCE_CHAINS = [
+    ("var x = d/dx 1\ngen s = sqrt(x^2 - 1)\ngen L = log(x + 2 + s)\n",
+     "v0 = L\nterm -1/2 * log(x + 2 + s)\nterm 1/2 * log(x + 2 - s)\n"),
+    ("var x = d/dx 1\ngen E = exp(x^2)\ngen s = sqrt((x - 1)/(x + 1))\n"
+     "gen W = lambertw(x)\n",
+     "v0 = W + x\nterm 1 * log(W)\nterm 1 * log(s)\nterm 1 * log(E)\n"),
+    ("var x = d/dx 1\ngen E = exp(x)\ngen s = sqrt(x^2 + 1)\n"
+     "gen L = log(x)\n",
+     "v0 = E + 2*L\nterm 1 * log(x + 1 + s)\nterm 1 * log(x + 1 - s)\n"),
 ]
 
 # Singular curves, each refused where it enters: the ellfun cubic
@@ -240,19 +257,21 @@ def ellint_argvs(workdir: str) -> tuple:
     return valid, malformed
 
 
-def curve_pair_argvs(workdir: str) -> list:
-    """reduce on each document of CURVE_PAIRS, written to workdir, the
+def reduce_argvs(docs: list, stem: str, workdir: str, options=([],)) -> list:
+    """reduce on each document of docs, CURVE_PAIRS or REDUCE_CHAINS,
+    written to workdir, once with each entry of options added, the
     integrand computed as ellint_argvs computes it."""
     from diffalg.dsl import parse_form, parse_tower
     from diffalg.liouville import form_derivative
 
     argvs = []
-    for i, (tower, form) in enumerate(CURVE_PAIRS):
+    for i, (tower, form) in enumerate(docs):
         doc = parse_tower(tower)
         f = form_derivative(doc.tower, parse_form(form, doc.tower, doc.bindings))
-        argvs.append(["reduce", write(workdir, f"pair{i}.tower", tower),
-                      f"--integrand={f}", "--form",
-                      write(workdir, f"pair{i}.form", form)])
+        argv = ["reduce", write(workdir, f"{stem}{i}.tower", tower),
+                f"--integrand={f}", "--form",
+                write(workdir, f"{stem}{i}.form", form)]
+        argvs += [argv + extra for extra in options]
     return argvs
 
 
@@ -333,7 +352,7 @@ def main(argv=None) -> int:
         ellint, malformed = ellint_argvs(workdir)
         both("ellint", ellint)
         both("ellint malformed", malformed)
-        both("curve_pairs", curve_pair_argvs(workdir))
+        both("curve_pairs", reduce_argvs(CURVE_PAIRS, "pair", workdir))
         both("degenerate_curves",
              document_argvs(DEGENERATE_CURVES, "degenerate", workdir))
         lines.append(digest("l3_pushdown print_form", [l3_form_text()]))
@@ -341,6 +360,8 @@ def main(argv=None) -> int:
         lines.append(digest("declarations print_tower print_form",
                             declarations_round_trip()))
         both("declarations", document_argvs(ARITY_ERRORS, "arity", workdir))
+        both("reduce_chains", reduce_argvs(REDUCE_CHAINS, "chain", workdir,
+                                           ([], ["--steps", "1"])))
     print("\n".join(lines))
     if want is None:
         return 0
