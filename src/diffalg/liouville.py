@@ -25,8 +25,11 @@ addition theorem, curves.abel_step.  A pair whose conjugate only negates
 y drops, since every curve phi is odd in y; otherwise the point adds to
 its conjugate, the correction w goes into v0, the Legendre third kind's
 log term joins the form, and the Weierstrass third kind is refused.
-Every reduction self-checks by re-verifying the result and fails hard
-rather than return a form whose derivative drifted.
+
+Both steps, reduce_top and reduce_algebraic, take (t, f, form), find the
+extension on top that they consume, and return the reduced form, whose
+tower lacks it; each re-verifies the result and fails hard rather than
+return a form whose derivative drifted.
 """
 
 from __future__ import annotations
@@ -114,13 +117,11 @@ def check_step1(t: Tower, term: PhiTerm, k) -> bool:
 # Reduction of the top transcendental extension.
 
 
-def _reduction_target(t: Tower) -> Generator | None:
-    """Topmost generator that reduction should consume, or None.
-
-    Constant generators (parameters, constant square roots) are skipped;
-    a companion square root routes to its elliptic function.  A base
-    variable is the floor.
-    """
+def _reduction_target(t: Tower) -> tuple[Generator, set] | None:
+    """The topmost generator that reduction consumes with the ids it drops,
+    or None.  Constant generators (parameters, constant square roots) are
+    skipped, a companion square root routes to its elliptic function and
+    drops with it, and a base variable is the floor."""
     for gen in reversed(t.generators):
         if isinstance(gen.kind, ConstParam):
             continue
@@ -129,15 +130,26 @@ def _reduction_target(t: Tower) -> Generator | None:
         if t.element(gen.name).is_constant():
             continue
         if isinstance(gen.kind, AlgebraicSqrt) and gen.kind.companion_of is not None:
-            return t.gen_of(gen.kind.companion_of)
-        return gen
+            gen = t.gen_of(gen.kind.companion_of)
+        if isinstance(gen.kind, EllipticFunction):
+            return gen, {gen.gid, gen.kind.companion}
+        return gen, {gen.gid}
     return None
 
 
-def _top_gids(gen: Generator) -> set:
-    if isinstance(gen.kind, EllipticFunction):
-        return {gen.gid, gen.kind.companion}
-    return {gen.gid}
+def _open_step(t: Tower, f, form: LiouvilleForm, kinds, missing: str):
+    """f, the form, the generator on top and the ids it drops, for a step
+    over t; a top not of kinds, or an integrand using them, is refused."""
+    if form.tower is not t:
+        form = LiouvilleForm(t.coerce(form.v0), form.terms)
+    f = t.coerce(f)
+    target = _reduction_target(t)
+    if target is None or not isinstance(target[0].kind, kinds):
+        raise UnsupportedHandle(missing)
+    gen, ids = target
+    if f.used_gids() & ids:
+        raise FNotBelow(f"integrand involves {gen.name}")
+    return f, form, gen, ids
 
 
 def _rewrite_v0(t: Tower, v0: Element, sgids: set) -> Element:
@@ -187,26 +199,11 @@ def _move_down(new_t: Tower, f: Element, v0: Element, terms) -> LiouvilleForm:
     return moved
 
 
-def _into(t: Tower, f, form: LiouvilleForm):
-    """f and the form as elements of t, for a reduction step over t."""
-    if form.tower is not t:
-        form = LiouvilleForm(t.coerce(form.v0), form.terms)
-    return t.coerce(f), form
-
-
-def reduce_top(t: Tower, f: Element, form: LiouvilleForm):
-    """Push the form below the top transcendental extension.
-
-    Returns (tower, form) over the shrunken tower; the form's derivative
-    is preserved exactly and re-verified before returning.
-    """
-    f, form = _into(t, f, form)
-    target = _reduction_target(t)
-    if target is None or not isinstance(target.kind, _X_KINDS):
-        raise UnsupportedHandle("no reducible transcendental on top")
-    sgids = _top_gids(target)
-    if f.used_gids() & sgids:
-        raise FNotBelow(f"integrand involves {t.name_of(target.gid)}")
+def reduce_top(t: Tower, f: Element, form: LiouvilleForm) -> LiouvilleForm:
+    """Push the form below the top transcendental extension: the form over
+    the shrunken tower, its derivative preserved exactly and re-verified."""
+    f, form, target, sgids = _open_step(t, f, form, _X_KINDS,
+                                        "no reducible transcendental on top")
 
     c = x_constant(t, form, target.gid)
 
@@ -241,8 +238,7 @@ def reduce_top(t: Tower, f: Element, form: LiouvilleForm):
         else:  # LambertW
             new_terms.append((c, LogPhi(kind.v)))
 
-    new_t = t.drop_gens(sgids)
-    return new_t, _move_down(new_t, f, v0, new_terms)
+    return _move_down(t.drop_gens(sgids), f, v0, new_terms)
 
 
 # --------------------------------------------------------------------------
@@ -254,21 +250,13 @@ def log_canonical(e: Element) -> Element:
     return -e if e.rf.num.lead_coeff() < 0 else e
 
 
-def reduce_algebraic(t: Tower, s, f: Element, form: LiouvilleForm) -> LiouvilleForm:
+def reduce_algebraic(t: Tower, f: Element, form: LiouvilleForm) -> LiouvilleForm:
     """Push the form through the top quadratic extension by averaging
     with its conjugate: v0 to trace/2, logs to norms, curve terms to the
     conjugate-point sum with the Abel corrections.  Each conjugate pair
     of terms is pushed once, as half its trace."""
-    f, form = _into(t, f, form)
-    gen = t._sqrt_gen(s)
-    if gen.kind.companion_of is not None:
-        raise UnsupportedHandle(
-            "companion square roots reduce with their elliptic function")
-    if _reduction_target(t) != gen:
-        raise UnsupportedHandle("square root is not the top extension")
-    if gen.gid in f.used_gids():
-        raise FNotBelow(f"integrand involves {gen.name}")
-
+    f, form, s, sgids = _open_step(t, f, form, AlgebraicSqrt,
+                                   "no square root on top")
     half = t.lit(Fraction(1, 2))
     v0 = t.trace(s, form.v0) * half
     new_terms = []
@@ -287,7 +275,7 @@ def reduce_algebraic(t: Tower, s, f: Element, form: LiouvilleForm) -> LiouvilleF
     for term, coeff in orbits.items():
         if coeff.is_zero():
             continue  # the orbit's trace is zero
-        touched = any(gen.gid in e.used_gids() for e in term_args(term)[1])
+        touched = any(e.used_gids() & sgids for e in term_args(term)[1])
         if not touched:
             new_terms.append((coeff, term))
             continue
@@ -311,7 +299,7 @@ def reduce_algebraic(t: Tower, s, f: Element, form: LiouvilleForm) -> LiouvilleF
             new_terms.append((chalf * c, LogPhi(log_canonical(num / den))))
         new_terms.append((chalf, make_term(name, [p3.x, p3.y, *data])))
 
-    return _move_down(t.drop_gens({gen.gid}), f, v0, new_terms)
+    return _move_down(t.drop_gens(sgids), f, v0, new_terms)
 
 
 # --------------------------------------------------------------------------
@@ -336,12 +324,12 @@ def reduce(t: Tower, f: Element, form: LiouvilleForm,
         target = _reduction_target(t)
         if target is None:
             break
-        if t.coerce(f).used_gids() & _top_gids(target):
+        step = (reduce_algebraic if isinstance(target[0].kind, AlgebraicSqrt)
+                else reduce_top)
+        try:
+            form = step(t, f, form)
+        except FNotBelow:
             break  # the integrand lives here: reduction floor
-        if isinstance(target.kind, AlgebraicSqrt):
-            form = reduce_algebraic(t, target.gid, f, form)
-            t = form.tower
-        else:
-            t, form = reduce_top(t, f, form)
+        t = form.tower
         steps.append(ReductionStep(t, form))
     return steps

@@ -119,7 +119,8 @@ def test_a_tag_is_the_phi_term_its_generator_integrates(build):
     assert t.derive(FULL_D, t["g"]) == phi_eval(t, tag, FULL_D)
     if t["g"].is_constant():
         return  # log(2): a reduction passes over constants
-    t2, out = reduce_top(t, t.derive(FULL_D, t["g"]), LiouvilleForm(t["g"]))
+    out = reduce_top(t, t.derive(FULL_D, t["g"]), LiouvilleForm(t["g"]))
+    t2 = out.tower
     assert [gen.gid for gen in t2.generators] == [
         gen.gid for gen in t.generators if gen.gid != g.gid]
     assert out.v0.is_zero() and out.terms == ((1, tag),)
@@ -505,7 +506,8 @@ def test_reduce_log_primitive():
     t = log_tower()
     f = 1 / t["x"]
     form = LiouvilleForm(t["th"])
-    t2, out = reduce_top(t, f, form)
+    out = reduce_top(t, f, form)
+    t2 = out.tower
     assert [g.name for g in t2.generators] == ["x"]
     assert out.v0.is_zero()
     (coeff, term), = out.terms
@@ -519,7 +521,8 @@ def test_reduce_exponential():
     x = t["x"]
     f = x + 1
     form = LiouvilleForm(x ** 2 / 2, [(1, LogPhi(t["th"]))])
-    t2, out = reduce_top(t, f, form)
+    out = reduce_top(t, f, form)
+    t2 = out.tower
     assert not out.terms
     assert (out.v0 - (t2["x"] ** 2 / 2 + t2["x"])).is_zero()
     assert verify_liouville(t2, t2.coerce(f), out)
@@ -532,7 +535,8 @@ def test_reduce_elliptic_function_pair():
     t = t.ellint("E2", 2, t["p"], t["p_q"])
     f = t.derive(FULL_D, t["E2"])
     form = LiouvilleForm(t["E2"])
-    t2, out = reduce_top(t, f, form)  # strips E2 into a W2 term first
+    out = reduce_top(t, f, form)  # strips E2 into a W2 term first
+    t2 = out.tower
     (coeff, term), = out.terms
     assert isinstance(term, WPhi) and term.kind == 2
     assert verify_liouville(t2, t2.coerce(f), out)
@@ -548,7 +552,8 @@ def test_reduce_third_kind_integral():
     t = t.ellint("P", 3, t["p"], t["p_q"], t["c"])
     f = t.derive(FULL_D, t["P"])
     form = LiouvilleForm(t["P"])
-    t2, out = reduce_top(t, f, form)
+    out = reduce_top(t, f, form)
+    t2 = out.tower
     assert out.v0.is_zero()
     (coeff, term), = out.terms
     assert (coeff - 1).is_zero()
@@ -565,7 +570,8 @@ def test_reduce_lambertw_log_identity():
     f = 1 / x
     form = LiouvilleForm(w, [(1, LogPhi(w))])
     assert verify_liouville(t, f, form)
-    t2, out = reduce_top(t, f, form)
+    out = reduce_top(t, f, form)
+    t2 = out.tower
     assert verify_liouville(t2, t2.coerce(f), out)
     (coeff, term), = out.terms
     assert isinstance(term, LogPhi) and (term.v - t2["x"]).is_zero()
@@ -582,7 +588,8 @@ def test_reduce_untagged_primitive():
         reduce_top(tn, tn["x"] ** 2, form)
     # same extension with the antiderivative recorded
     tr = t.primitive("th", x ** 2, antiderivative=x ** 3 / 3)
-    t2, out = reduce_top(tr, tr["x"] ** 2, LiouvilleForm(tr["th"]))
+    out = reduce_top(tr, tr["x"] ** 2, LiouvilleForm(tr["th"]))
+    t2 = out.tower
     assert not out.terms
     assert (out.v0 - t2["x"] ** 3 / 3).is_zero()
     assert verify_liouville(t2, t2["x"] ** 2, out)
@@ -626,7 +633,8 @@ def test_reduce_log_strips_monomial():
     x, th = t["x"], t["th"]
     form = LiouvilleForm(t.zero(), [(1, LogPhi(x * th ** 2))])
     f = form_derivative(t, form)  # Dx/x + 2 Dth/th = 1/x + 2, below
-    t2, out = reduce_top(t, f, form)
+    out = reduce_top(t, f, form)
+    t2 = out.tower
     assert verify_liouville(t2, t2.coerce(f), out)
     assert (out.v0 - 2 * t2["x"]).is_zero()
     (coeff, term), = out.terms
@@ -644,7 +652,7 @@ def test_reduce_algebraic_log_regression():
     f = 1 / (t["x"] ** 2 - 1)
     form = LiouvilleForm(t.zero(), [(1, LogPhi(s))])
     assert verify_liouville(t, f, form)
-    out = reduce_algebraic(t, t.gen_of("s").gid, f, form)
+    out = reduce_algebraic(t, f, form)
     t2 = out.tower
     assert [g.name for g in t2.generators] == ["x"]
     (coeff, term), = out.terms
@@ -662,7 +670,7 @@ def test_reduce_algebraic_all_below_is_identity():
     t = t.sqrt_ext("s", x ** 2 + 1)
     f = 2 * t["x"] + 1 / t["x"]
     form = LiouvilleForm(t["x"] ** 2, [(1, LogPhi(t["x"]))])
-    out = reduce_algebraic(t, t.gen_of("s").gid, f, form)
+    out = reduce_algebraic(t, f, form)
     t2 = out.tower
     assert (out.v0 - t2["x"] ** 2).is_zero()
     (coeff, term), = out.terms
@@ -678,29 +686,52 @@ def test_reduce_algebraic_needs_the_top_root():
     form = LiouvilleForm(t["x"] ** 2, [(1, LogPhi(t["x"]))])
     # a log above the root is the top extension
     above = t.log_ext("th", t["x"])
+    with pytest.raises(UnsupportedHandle, match="^no square root on top$"):
+        reduce_algebraic(above, f, form)
+    # so is an elliptic function, which its companion root goes with
+    e = Tower.base().const("a").const("b").var("x")
+    e = e.elliptic("p", e["x"], e["a"], e["b"])
+    with pytest.raises(UnsupportedHandle, match="^no square root on top$"):
+        reduce_algebraic(e, e.one(), LiouvilleForm(e["x"]))
+    # a root on top is no transcendental
     with pytest.raises(UnsupportedHandle,
-                       match="square root is not the top extension"):
-        reduce_algebraic(above, above.gen_of("s").gid, f, form)
+                       match="^no reducible transcendental on top$"):
+        reduce_top(t, f, form)
     # a constant parameter and a constant root above it are not
     above = t.const("c").sqrt_ext("r", 2)
-    out = reduce_algebraic(above, above.gen_of("s").gid, f, form)
+    out = reduce_algebraic(above, f, form)
     assert [g.name for g in out.tower.generators] == ["x", "c", "r"]
-    # a companion root goes with its elliptic function
+
+
+def test_each_step_returns_the_form_over_the_tower_without_its_generator():
     t = Tower.base().const("a").const("b").var("x")
     t = t.elliptic("p", t["x"], t["a"], t["b"])
-    with pytest.raises(UnsupportedHandle, match="companion square roots"):
-        reduce_algebraic(t, t.gen_of("p_q").gid, t["x"], LiouvilleForm(t["x"]))
+    t = t.sqrt_ext("s", t["x"] ** 2 + 1)
+    t = t.log_ext("L", t["x"])
+    x, s = t["x"], t["s"]
+    form = LiouvilleForm(t["L"] + x ** 2, [(1, LogPhi(x + 1 + s)),
+                                           (1, LogPhi(x + 1 - s))])
+    f = form_derivative(t, form)
+    # the elliptic function goes with its companion root
+    for step, gone in ((reduce_top, {"L"}), (reduce_algebraic, {"s"}),
+                       (reduce_top, {"p", "p_q"})):
+        kept = [g.name for g in t.generators if g.name not in gone]
+        form = step(t, f, form)
+        assert [g.name for g in form.tower.generators] == kept
+        assert form.v0.tower is form.tower
+        assert verify_liouville(form.tower, form.tower.coerce(f), form)
+        t = form.tower
 
 
 def test_reduce_algebraic_refuses_an_integrand_in_the_root():
-    # the driver stops at the integrand's floor before this check, so it
-    # is reached from the library
+    # the driver stops at the integrand's floor on this refusal, so it
+    # is seen from the library
     t = Tower.base().var("x")
     t = t.sqrt_ext("s", t["x"] ** 2 + 1)
     f, form = t["x"] / t["s"], LiouvilleForm(t["s"])
     assert verify_liouville(t, f, form)
     with pytest.raises(FNotBelow, match="^integrand involves s$"):
-        reduce_algebraic(t, t.gen_of("s").gid, f, form)
+        reduce_algebraic(t, f, form)
 
 
 def test_reduce_top_refuses_a_tower_with_no_transcendental():
@@ -752,7 +783,7 @@ def test_reduce_algebraic_l1_merges():
     f = form_derivative(t, form)
     assert (f - f.conj(sgid)).is_zero()
     assert sgid not in f.used_gids()
-    out = reduce_algebraic(t, sgid, f, form)
+    out = reduce_algebraic(t, f, form)
     # both halves land on the same summed point and merge
     (coeff, term), = out.terms
     assert isinstance(term, LPhi) and term.kind == 1
@@ -769,7 +800,7 @@ def test_reduce_algebraic_l2_correction():
                           (Fraction(1, 2), LPhi(2, x - s, y, m))])
     f = form_derivative(t, form)
     assert (f - f.conj(sgid)).is_zero()
-    out = reduce_algebraic(t, sgid, f, form)
+    out = reduce_algebraic(t, f, form)
     assert verify_liouville(out.tower, out.tower.coerce(f), out)
     assert any(isinstance(term, LPhi) and term.kind == 2
                for _, term in out.terms)
@@ -803,7 +834,7 @@ def test_reduce_algebraic_weierstrass(kind):
                           (Fraction(1, 2), WPhi(kind, x - s, q, a, b))])
     f = form_derivative(t, form)
     assert (f - f.conj(sgid)).is_zero()
-    out = reduce_algebraic(t, sgid, f, form)
+    out = reduce_algebraic(t, f, form)
     assert verify_liouville(out.tower, out.tower.coerce(f), out)
     (coeff, term), = out.terms
     assert isinstance(term, WPhi) and term.kind == kind
@@ -819,13 +850,12 @@ def test_reduce_algebraic_weierstrass(kind):
 def test_reduce_algebraic_w3_unsupported():
     t = weierstrass_pushdown_tower().const("c")
     a, b, x, q, s, c = (t["a"], t["b"], t["x"], t["q"], t["s"], t["c"])
-    sgid = t.gen_of("s").gid
     form = LiouvilleForm(t.zero(),
                          [(Fraction(1, 2), WPhi(3, x + s, q, a, b, c)),
                           (Fraction(1, 2), WPhi(3, x - s, q, a, b, c))])
     f = form_derivative(t, form)
     with pytest.raises(UnsupportedTermKind):
-        reduce_algebraic(t, sgid, f, form)
+        reduce_algebraic(t, f, form)
 
 
 def _l3_tower():
@@ -867,7 +897,7 @@ def test_reduce_algebraic_l3_log_correction(monkeypatch):
     f = form_derivative(t, form)
     assert (f - f.conj(sgid)).is_zero()
     calls = _count_abel_calls(monkeypatch)
-    out = reduce_algebraic(t, sgid, f, form)
+    out = reduce_algebraic(t, f, form)
     # the two terms are one conjugate pair, pushed once
     assert calls == {"legendre_add": 1, "abel_step": 1}
     assert verify_liouville(out.tower, out.tower.coerce(f), out)
@@ -915,7 +945,7 @@ def test_reduce_algebraic_pushes_each_orbit_once_in_order(monkeypatch):
     f = form_derivative(t, form)
     assert (f - f.conj(sgid)).is_zero()
     calls = _count_abel_calls(monkeypatch)
-    out = reduce_algebraic(t, sgid, f, form)
+    out = reduce_algebraic(t, f, form)
     assert calls == {"legendre_add": 1, "abel_step": 1}
     assert verify_liouville(out.tower, out.tower.coerce(f), out)
     down = out.tower.coerce
@@ -942,13 +972,12 @@ def test_reduce_algebraic_weierstrass_cancellation():
     a, b, x = t["a"], t["b"], t["x"]
     t = t.sqrt_ext("s", x ** 3 - a * x - b)
     a, b, x, s = t["a"], t["b"], t["x"], t["s"]
-    sgid = t.gen_of("s").gid
     form = LiouvilleForm(t.zero(),
                          [(Fraction(1, 2), WPhi(1, x, s, a, b)),
                           (Fraction(1, 2), WPhi(1, x, -s, a, b))])
     f = form_derivative(t, form)
     assert f.is_zero()
-    out = reduce_algebraic(t, sgid, f, form)
+    out = reduce_algebraic(t, f, form)
     assert not out.terms
     assert out.v0.is_zero()
 
@@ -960,12 +989,11 @@ def test_reduce_algebraic_legendre_cancellation():
     m, x = t["m"], t["x"]
     t = t.sqrt_ext("s", (1 - x ** 2) * (1 - m * x ** 2))
     m, x, s = t["m"], t["x"], t["s"]
-    sgid = t.gen_of("s").gid
     form = LiouvilleForm(t.zero(), [(Fraction(1, 2), LPhi(1, x, s, m)),
                                     (Fraction(1, 2), LPhi(1, x, -s, m))])
     f = form_derivative(t, form)
     assert f.is_zero()
-    out = reduce_algebraic(t, sgid, f, form)
+    out = reduce_algebraic(t, f, form)
     assert not out.terms
     assert out.v0.is_zero()
 
@@ -978,12 +1006,11 @@ def test_reduce_algebraic_legendre_identity_point():
     t = t.sqrt_ext("s", x)
     m, x, y, s = t["m"], t["x"], t["y"], t["s"]
     assert (y ** 2 - (1 - s ** 2) * (1 - m * s ** 2)).is_zero()
-    sgid = t.gen_of("s").gid
     form = LiouvilleForm(t.zero(), [(Fraction(1, 2), LPhi(1, s, y, m)),
                                     (Fraction(1, 2), LPhi(1, -s, y, m))])
     f = form_derivative(t, form)
     assert f.is_zero()
-    out = reduce_algebraic(t, sgid, f, form)
+    out = reduce_algebraic(t, f, form)
     assert verify_liouville(out.tower, out.tower.zero(), out)
     for _, term in out.terms:
         assert phi_eval(out.tower, term, FULL_D).is_zero()
