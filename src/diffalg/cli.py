@@ -49,8 +49,9 @@ ERROR_MESSAGES = {
 
 
 def _read(path: str) -> str:
-    """A document's text; one not in UTF-8 is refused as unreadable."""
-    with open(path, encoding="utf-8") as fh:
+    """A document's text, without a leading byte-order mark; one not in
+    UTF-8 is refused as unreadable."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:

@@ -204,7 +204,9 @@ class Element:
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
-            return NotImplemented
+            # refused here: Fraction.__rpow__ would retry with a float
+            raise TypeError("unsupported operand type(s) for ** or pow(): "
+                            f"'Element' and '{type(k).__name__}'")
         return self._wrap(*quotient("^", self.rf, k))
 
     def __eq__(self, other):

@@ -127,6 +127,26 @@ def test_document_that_is_not_utf8_names_its_path(tmp_path, tower_file,
     assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
 
 
+def test_document_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # some editors start UTF-8 text with the mark EF BB BF
+    replies = []
+    for stem, bom in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        tower, form = tmp_path / f"{stem}.tower", tmp_path / f"{stem}.form"
+        tower.write_bytes(bom + LOG_TOWER.encode())
+        form.write_bytes(bom + b"v0 = th\n")
+        argv = ["reduce", str(tower), "--integrand", "1/x", "--form",
+                str(form)]
+        assert main(argv) == 0
+        text = capsys.readouterr()
+        assert main(argv + ["--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        rep.pop("timing_ms")
+        replies.append((text, rep))
+    plain, marked = replies
+    assert plain == marked
+    assert plain[1]["verdict"] == "PASS"
+
+
 # -- open wrong verdicts ------------------------------------------------------
 
 DEPENDENT_LOGS = X_ONLY + "gen l1 = log(x)\ngen l2 = log(x^2)\n"
