@@ -114,7 +114,7 @@ def check_step1(t: Tower, term: PhiTerm, k) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Reduction of the top transcendental extension.
+# Reduction steps: the target on top, and the top transcendental.
 
 
 def _reduction_target(t: Tower) -> tuple[Generator, set] | None:
@@ -139,7 +139,7 @@ def _reduction_target(t: Tower) -> tuple[Generator, set] | None:
 
 def _open_step(t: Tower, f, form: LiouvilleForm, kinds, missing: str):
     """f, the form, the generator on top and the ids it drops, for a step
-    over t; a top not of kinds, or an integrand using them, is refused."""
+    over t; a top not of kinds is refused, as is an f that uses the ids."""
     if form.tower is not t:
         form = LiouvilleForm(t.coerce(form.v0), form.terms)
     f = t.coerce(f)

@@ -22,8 +22,9 @@ parsed and printed again, and ``derive`` on each declaration of
 ``MALFORMED_ELLINT`` added to that tower, all of which must be
 refused, ``reduce`` on each conjugate pair of curve terms of
 ``CURVE_PAIRS``, ``reduce`` with and without ``--steps 1`` on each tower
-of ``REDUCE_CHAINS``, which stacks extensions of different kinds, and ``derive`` or ``verify`` on each document of
-``DEGENERATE_CURVES``, whose curve must be refused.  The
+of ``REDUCE_CHAINS``, which stacks extensions of different kinds, and
+``derive`` or ``verify`` on each document of ``DEGENERATE_CURVES``,
+whose curve must be refused.  The
 ``declarations`` sets hold ``DECLARED_TOWER``, which declares every
 ``gen`` kind of ``tower.GEN_KINDS`` with and without its optional
 argument, and ``DECLARED_FORM``, which holds every ``term`` kind of
