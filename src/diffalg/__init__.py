@@ -11,16 +11,15 @@ from .liouville import (LiouvilleForm, LogPhi, LPhi, ReductionStep, WPhi,
                         form_derivative, reduce, verify_liouville, x_constant)
 from .poly import MultiPoly, poly_gcd, set_degree_limit
 from .ratfunc import RatFunc, normal_form, ratfunc_normalize
-from .tower import (BelowD, CommutingX, Element, FullD, FULL_D, PartialD,
-                    PsiRational, PsiSqrtCubic, Tower)
+from .tower import CommutingX, Element, FullD, FULL_D, PartialD, Tower
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BelowD", "CommutingX", "CurvePoint", "DiffAlgError", "Element", "FullD",
-    "FULL_D", "LegendreCurve", "LiouvilleForm", "LogPhi", "LPhi", "MultiPoly",
-    "PartialD", "PsiRational", "PsiSqrtCubic", "RatFunc", "ReductionStep",
-    "ThirdKindParam", "Tower", "TowerDoc", "WPhi",
+    "CommutingX", "CurvePoint", "DiffAlgError", "Element", "FullD", "FULL_D",
+    "LegendreCurve", "LiouvilleForm", "LogPhi", "LPhi", "MultiPoly",
+    "PartialD", "RatFunc", "ReductionStep", "ThirdKindParam", "Tower",
+    "TowerDoc", "WPhi",
     "WeierstrassCurve", "check_abel_identity", "form_derivative",
     "legendre_add", "normal_form", "parse_expr", "parse_form", "parse_tower",
     "poly_gcd", "print_form", "print_tower", "ratfunc_normalize", "reduce",

@@ -34,7 +34,6 @@ ERROR_MESSAGES = {
     errors.NotQuadratic: "generator is not a square root",
     errors.ZeroElement: "operation undefined for the zero element",
     errors.FieldMismatch: "element does not live in the expected field",
-    errors.PsiNotRealizable: "psi shape cannot be realized in this tower",
     errors.DegenerateDenominator: "addition law denominator vanishes",
     errors.DegenerateChord: "chord slope is undefined for these points",
     errors.NonConstantCoefficient: "form coefficient is not a constant",

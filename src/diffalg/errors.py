@@ -47,10 +47,6 @@ class FieldMismatch(DiffAlgError):
     """An element does not live in the subfield the operation requires."""
 
 
-class PsiNotRealizable(DiffAlgError):
-    """The requested weight function cannot be expressed inside the tower."""
-
-
 class DegenerateDenominator(DiffAlgError):
     """A curve addition hit a vanishing denominator."""
 

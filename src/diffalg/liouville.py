@@ -7,11 +7,11 @@ once, as the terms of phi.py, and re-exported here.  The engine can
 verify a form against an integrand, and reduce it down a tower one
 extension at a time.  Verification is the lazy zero test
 curves.phi_sum_is_zero, the same one the Abel identities use.  The
-canonical values form_derivative, phi_eval and x_constant are that same
-cleared sum, put in normal form once by curves.phi_sum.
+canonical values form_derivative and x_constant are that same cleared
+sum, put in normal form once by curves.phi_sum.
 
 Reduction rests on one identity: if theta is the top extension with
-commuting derivation X, then D = BelowD + w*X on everything in sight,
+commuting derivation X, then D = D_below + w*X on everything in sight,
 where w is Dtheta/(X theta) reduced to the field below (for a primitive
 w is the integrand, for an exponential D of the argument, and so on).
 Every phi is linear in its first slot, so applying the decomposition to
@@ -83,12 +83,6 @@ class LiouvilleForm:
         return "LiouvilleForm(" + "; ".join(bits) + ")"
 
 
-def phi_eval(t: Tower, term: PhiTerm, h) -> Element:
-    """phi with the handle's derivative in the first slot: phi(hv, v),
-    as a canonical element."""
-    return phi_sum(t, h, t.zero(), [(1, term)])
-
-
 def form_derivative(t: Tower, form: LiouvilleForm) -> Element:
     return phi_sum(t, FULL_D, form.v0, form.terms)
 
@@ -104,13 +98,6 @@ def x_constant(t: Tower, form: LiouvilleForm, k) -> Element:
     if not c.is_constant():
         raise NotConstant(f"X-image of the form is not constant: {c}")
     return c
-
-
-def check_step1(t: Tower, term: PhiTerm, k) -> bool:
-    """X phi(Dv, v) = D phi(Xv, v) for the commuting derivation at k."""
-    handle = CommutingX(t.gen_of(k).gid)
-    lhs = t.derive(handle, phi_eval(t, term, FULL_D))
-    return lhs == t.derive(FULL_D, phi_eval(t, term, handle))
 
 
 # --------------------------------------------------------------------------
@@ -153,12 +140,12 @@ def _open_step(t: Tower, f, form: LiouvilleForm, kinds, missing: str):
 
 
 def _rewrite_v0(t: Tower, v0: Element, sgids: set) -> Element:
-    """Keep the part of v0 with zero BelowD-loss: the monomial-free slice.
+    """Keep the part of v0 with zero D_below-loss: the monomial-free slice.
 
     The top-generator monomials are dropped.  reduce_top refuses a curve
     term that touches theta, and where only log terms do, the constant
     X-image that x_constant found makes each coefficient constant, so
-    BelowD kills the monomial.
+    D_below kills the monomial.
     """
     nums, dens = v0.slices(sgids)
     if list(dens) != [MONO_ONE]:
@@ -167,7 +154,7 @@ def _rewrite_v0(t: Tower, v0: Element, sgids: set) -> Element:
 
 
 def _rewrite_log(v: Element, sgids: set) -> Element | None:
-    """Realize phi(BelowD v, v) as a log term below; None drops the term."""
+    """Realize phi(D_below v, v) as a log term below; None drops the term."""
     nums, dens = v.slices(sgids)
     if len(nums) != 1 or len(dens) != 1:
         raise PartNotBelow(

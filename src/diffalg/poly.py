@@ -339,6 +339,14 @@ def _make(terms: dict, den: int = 1, deg: int | None = None) -> "MultiPoly":
     return MultiPoly(terms, den, deg)
 
 
+def _exact(q):
+    """q, if it is an int or a Fraction: no float enters a coefficient."""
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"a coefficient must be an int or a Fraction, not "
+                        f"'{type(q).__name__}'")
+    return q
+
+
 class MultiPoly:
     """Sparse polynomial over the rationals, integer terms over one shared
     denominator; never changed in place, so one() is one shared unit."""
@@ -359,7 +367,7 @@ class MultiPoly:
         packed: dict = {}
         for mono, c in terms.items():
             m = _pack(mono)
-            packed[m] = packed.get(m, 0) + Fraction(c)
+            packed[m] = packed.get(m, 0) + Fraction(_exact(c))
         den = lcm(*(c.denominator for c in packed.values()))
         return _make({m: c.numerator * (den // c.denominator)
                       for m, c in packed.items() if c}, den)
@@ -370,8 +378,7 @@ class MultiPoly:
 
     @staticmethod
     def const(q) -> "MultiPoly":
-        q = q if isinstance(q, (int, Fraction)) else Fraction(q)
-        if not q:
+        if not _exact(q):
             return MultiPoly.zero()
         return MultiPoly({0: q.numerator}, q.denominator, 0)
 
@@ -478,7 +485,7 @@ class MultiPoly:
         return result
 
     def scale(self, q) -> "MultiPoly":
-        if not q or not self.terms:
+        if not _exact(q) or not self.terms:
             return MultiPoly.zero()
         return self._times(q.numerator, q.denominator)
 

@@ -6,19 +6,19 @@ elliptic-integral ones tagged with the phi term they integrate),
 exponentials, elliptic-function pairs, Lambert-style solutions of
 w*e^w = v, and square roots.  A generator's derivative may mention only
 earlier ones, so each derivation is defined generator by generator.
-Every constructor ends in Tower._adjoin, which refuses a taken name.
+Every constructor ends in Tower._adjoin, which refuses a taken name and
+a Lambert W or elliptic function declared twice.
 
 Besides the full derivation D the tower offers, per generator where it
-makes sense, the commuting derivation X that kills the field below, the
-formal partial, and the below-the-cut derivation that annihilates a
-chosen generator and its companions.  Each handle reads one memoized
-table of generator derivatives, filled bottom-up by one rule: a square
-root s of r gets h(s) = h(r)/(2s) under every handle h, and any other
-generator takes the handle's image.  On an X-kind generator theta,
-D = D_below + w X, so D theta = w * X theta reads X's image.  A table
-serves one degree limit and keeps each failed entry's error.  Each
-derivative is built as one raw quotient and put in normal form once,
-modulo the square roots.
+makes sense, the commuting derivation X that kills the field below and
+the formal partial.  Each handle reads one memoized table of generator
+derivatives, filled bottom-up by one rule: a square root s of r gets
+h(s) = h(r)/(2s) under every handle h, and any other generator takes the
+handle's image.  On an X-kind generator theta, D = D_below + w X, where
+D_below is D on the field below theta and kills theta, so D theta =
+w * X theta reads X's image.  A table serves one degree limit and keeps
+each failed entry's error.  Each derivative is built as one raw quotient
+and put in normal form once, modulo the square roots.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from math import isqrt, prod
 from . import fmt
 from .errors import (CyclicDefinition, DiffAlgError, FieldMismatch,
                      InvalidDefiningData, NameClash, NotQuadratic,
-                     PsiNotRealizable, UnsupportedHandle, ZeroDenominator,
-                     ZeroElement)
+                     UnsupportedHandle, ZeroElement)
 from .phi import LogPhi, WeierstrassCurve, WPhi, check_term, phi_shape
 from .poly import MONO_ONE, MultiPoly, get_degree_limit
 from .ratfunc import RatFunc, normal_form, quotient, reduce_powers
@@ -109,11 +108,6 @@ class CommutingX:
 
 @dataclass(frozen=True)
 class PartialD:
-    gid: int
-
-
-@dataclass(frozen=True)
-class BelowD:
     gid: int
 
 
@@ -363,9 +357,17 @@ class Tower:
 
     def _adjoin(self, name: str, kind) -> "Tower":
         """This tower with one more generator, under the next id.  Every
-        constructor ends here, so this is where a taken name is refused."""
+        constructor ends here, so this is where a taken name is refused,
+        and a Lambert W or elliptic function that repeats an earlier one's
+        data: the two would differ by a zero read as nonzero."""
         if name in self._by_name:
             raise NameClash(f"generator {name!r} already declared")
+        if isinstance(kind, (LambertW, EllipticFunction)):
+            data = _data(kind)[:4]  # without an elliptic function's companion
+            for g in self.generators:
+                if _data(g.kind)[:4] == data:
+                    raise InvalidDefiningData(
+                        f"{name!r} repeats the defining data of {g.name!r}")
         return Tower(self.generators
                      + (Generator(self._next_gid(), name, kind),))
 
@@ -525,21 +527,6 @@ class Tower:
             else:
                 at_k = _x_image(k, kgen.kind)
             return lambda gid, kind, get: at_k if gid == k else _RF_ZERO
-        if isinstance(handle, BelowD):
-            # D below theta_j, 0 at theta_j and on constants, undefined
-            # on the generators above theta_j.
-            j = handle.gid
-            self.gen_of(j)
-
-            def below(gid: int, kind, get) -> RatFunc:
-                if gid < j:
-                    return self._full_image(gid, kind, get)
-                if gid == j or isinstance(kind, ConstParam):
-                    return _RF_ZERO
-                raise UnsupportedHandle(
-                    f"derivation undefined on generator "
-                    f"{self.name_of(gid)!r}")
-            return below
         raise UnsupportedHandle(f"unknown handle {handle!r}")
 
     def _full_image(self, gid: int, kind, get) -> RatFunc:
@@ -571,18 +558,6 @@ class Tower:
 
     # -- verification helpers -------------------------------------------
 
-    def check_chain_rule(self, j, e: Element) -> bool:
-        """D e = D_below e + (D theta_j) * (partial_j e)."""
-        gen = self.gen_of(j)
-        if isinstance(gen.kind, (AlgebraicSqrt, ConstParam)):
-            raise UnsupportedHandle(
-                "chain-rule cut must be at a transcendental generator")
-        lhs = self.derive(FULL_D, e)
-        below = self.derive(BelowD(gen.gid), e)
-        dtheta = self.derive(FULL_D, self.element(gen.name))
-        partial = self.derive(PartialD(gen.gid), e)
-        return lhs == below + dtheta * partial
-
     def check_lie_closed(self, k) -> "CommutationReport":
         """Residues of (D X - X D) on every generator of the tower."""
         gen = self.gen_of(k)
@@ -595,16 +570,6 @@ class Tower:
             rows.append((g.name, res))
         return CommutationReport(tuple(rows),
                                  all(res.is_zero() for _, res in rows))
-
-    def check_der_comm(self, xh, yh, p: Element, psi) -> bool:
-        """X((Yp) psi(p)) - Y((Xp) psi(p)) = ([X,Y]p) psi(p)."""
-        psi_p = psi.realize(self, p)
-        xp = self.derive(xh, p)
-        yp = self.derive(yh, p)
-        xy = self.derive(xh, yp * psi_p)
-        yx = self.derive(yh, xp * psi_p)
-        bracket = self.derive(xh, yp) - self.derive(yh, xp)
-        return xy == yx + bracket * psi_p
 
     # -- trace and norm ---------------------------------------------------
 
@@ -691,49 +656,6 @@ def gen_args(kind) -> tuple | None:
 class CommutationReport:
     residues: tuple  # (generator name, Element)
     passed: bool
-
-
-# --------------------------------------------------------------------------
-# Weight functions for the commuting-derivation lemma.
-
-
-@dataclass(frozen=True)
-class PsiRational:
-    """psi(u) = (sum n_i u^i) / (sum d_i u^i) with constant coefficients."""
-
-    num: tuple
-    den: tuple
-
-    def realize(self, tower: Tower, p: Element) -> Element:
-        num = _eval_poly1(tower, self.num, p)
-        den = _eval_poly1(tower, self.den, p)
-        if den.is_zero():
-            raise ZeroDenominator("weight denominator vanishes at p")
-        return num / den
-
-
-@dataclass(frozen=True)
-class PsiSqrtCubic:
-    """psi(u) = 1/sqrt(u^3 - a*u - b), realized through a tower element."""
-
-    a: object
-    b: object
-    q: Element
-
-    def realize(self, tower: Tower, p: Element) -> Element:
-        if self.q * self.q != p ** 3 - p * self.a - self.b:
-            raise PsiNotRealizable(
-                "q^2 = p^3 - a*p - b does not hold in the tower")
-        return tower.one() / self.q
-
-
-def _eval_poly1(tower: Tower, coeffs, p: Element) -> Element:
-    total = tower.zero()
-    for c in reversed(tuple(coeffs)):
-        if isinstance(c, Element) and not c.is_constant():
-            raise InvalidDefiningData("weight coefficients must be constant")
-        total = total * p + c
-    return total
 
 
 # --------------------------------------------------------------------------

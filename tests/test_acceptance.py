@@ -13,8 +13,8 @@ from diffalg.curves import (CurvePoint, LegendreCurve, WeierstrassCurve,
                             _weierstrass_tower)
 from diffalg.liouville import (LiouvilleForm, LogPhi, WPhi, form_derivative,
                                reduce, reduce_top, verify_liouville)
-from diffalg.tower import (FULL_D, CommutingX, PsiRational, PsiSqrtCubic,
-                           Tower)
+from diffalg.tower import FULL_D, CommutingX, Tower
+from lemmas import der_comm
 
 FOUR_KIND_TOWER = """\
 const a, b
@@ -111,9 +111,8 @@ def test_criterion_5_der_comm_grid():
     t = t.elliptic("p", t["x"], t["a"], t["b"])
     x, u, te, p, q = t["x"], t["u"], t["t"], t["p"], t["p_q"]
     handles = [CommutingX(t.gen_of(n).gid) for n in ("u", "t", "p")]
-    psi_square = PsiRational((0, 0, 1), (1,))
-    psi_inv = PsiRational((1,), (0, 1))
-    psi_sqrt = PsiSqrtCubic(t["a"], t["b"], q)
+    # the weights psi(u) = u^2 and 1/u, and 1/sqrt(u^3 - a u - b) at p
+    assert q ** 2 == p ** 3 - t["a"] * p - t["b"]
     pool = [u, te, p, x + u, u * te, te + 1, x * u + 2, u ** 2 + te]
 
     rng = random.Random(20240817)
@@ -122,11 +121,11 @@ def test_criterion_5_der_comm_grid():
         xh, yh = rng.choice(handles), rng.choice(handles)
         which = rng.randrange(3)
         if which == 2:
-            psi, elem = psi_sqrt, p  # the sqrt weight needs the curve point
+            elem, psi = p, 1 / q  # the sqrt weight needs the curve point
         else:
-            psi = (psi_square, psi_inv)[which]
             elem = rng.choice(pool)
-        assert t.check_der_comm(xh, yh, elem, psi)
+            psi = elem ** 2 if which == 0 else 1 / elem
+        assert der_comm(t, xh, yh, elem, psi)
         checked += 1
     _budget(started, 30.0, "der-comm grid")
 

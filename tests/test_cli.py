@@ -103,6 +103,25 @@ def test_gen_reusing_a_name_exits_2(tower_file, capsys, gen, msg):
     assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
 
 
+@pytest.mark.parametrize("tower, expr, msg", [
+    (X_ONLY + "gen a = lambertw(x)\ngen b = lambertw(x)\n", "1/(a - b)",
+     "'b' repeats the defining data of 'a'"),
+    ("const a0, b0\n" + X_ONLY + "gen p = ellfun(x, a0, b0)\n"
+     "gen r = ellfun(x, a0, b0)\n", "1/(p - r)",
+     "'r' repeats the defining data of 'p'"),
+], ids=["lambertw", "ellfun"])
+def test_a_repeated_solution_is_refused(tower_file, capsys, tower, expr, msg):
+    # two solutions of one equation are one function: their difference is
+    # a zero that would read as nonzero, so dividing by it answered a value
+    msg = f"invalid defining data: {msg}"
+    argv = ["derive", tower_file(tower), "-e", expr]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {msg}\n")
+    assert main(argv + ["--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     rc = main(["derive", str(tmp_path / "absent.tower"), "-e", "x"])
     assert rc == 2

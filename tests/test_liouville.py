@@ -12,14 +12,14 @@ from diffalg.errors import (FieldMismatch, FNotBelow, IntegrandNotReducible,
                             InvalidDefiningData, NonConstantCoefficient,
                             NotConstant, PartNotBelow, UnsupportedHandle,
                             UnsupportedTermKind, ZeroDenominator)
-from diffalg.liouville import (LiouvilleForm, LogPhi, LPhi, WPhi, check_step1,
-                               form_derivative, log_canonical, phi_eval,
-                               reduce,
+from diffalg.liouville import (LiouvilleForm, LogPhi, LPhi, WPhi,
+                               form_derivative, log_canonical, reduce,
                                reduce_algebraic, reduce_top, verify_liouville,
                                x_constant)
 from diffalg.poly import MultiPoly
 from diffalg.ratfunc import normal_form
 from diffalg.tower import FULL_D, CommutingX, Element, Tower
+from lemmas import phi_value, step1
 
 
 def log_tower():
@@ -67,14 +67,14 @@ def test_pole_data_belongs_to_the_third_kind_only():
 
 def test_phi_eval_log():
     t = Tower.base().var("x")
-    got = phi_eval(t, LogPhi(t["x"]), FULL_D)
+    got = phi_value(t, LogPhi(t["x"]), FULL_D)
     assert (got - 1 / t["x"]).is_zero()
 
 
 def test_phi_eval_log_under_x():
     t = exp_tower()
     h = CommutingX(t.gen_of("th").gid)
-    got = phi_eval(t, LogPhi(t["th"]), h)
+    got = phi_value(t, LogPhi(t["th"]), h)
     assert (got - 1).is_zero()
 
 
@@ -83,7 +83,7 @@ def test_phi_eval_w1_matches_generator_integrand():
     t = t.elliptic("p", t["x"], t["a"], t["b"])
     t = t.ellint("F", 1, t["p"], t["p_q"])
     term = WPhi(1, t["p"], t["p_q"], t["a"], t["b"])
-    got = phi_eval(t, term, FULL_D)
+    got = phi_value(t, term, FULL_D)
     assert (got - t.derive(FULL_D, t["F"])).is_zero()
 
 
@@ -116,7 +116,7 @@ def test_a_tag_is_the_phi_term_its_generator_integrates(build):
     t = build()
     g = t.gen_of("g")
     tag = g.kind.tag
-    assert t.derive(FULL_D, t["g"]) == phi_eval(t, tag, FULL_D)
+    assert t.derive(FULL_D, t["g"]) == phi_value(t, tag, FULL_D)
     if t["g"].is_constant():
         return  # log(2): a reduction passes over constants
     out = reduce_top(t, t.derive(FULL_D, t["g"]), LiouvilleForm(t["g"]))
@@ -280,7 +280,7 @@ def _canonical_part(t, part):
 
 
 def _canonical_phi(t, term, h):
-    """phi(hv, v) as one canonical element, the reference for phi_eval:
+    """phi(hv, v) as one canonical element, the reference for phi_value:
     a log term has no lazy part of its own, so it is D_h(v)/v."""
     if isinstance(term, LogPhi):
         return t.derive(h, term.v) / term.v
@@ -298,7 +298,7 @@ def _term_by_term(t, h, form):
 @given(mixed_forms())
 @settings(max_examples=25, deadline=None)
 def test_canonical_values_match_term_by_term_sums(form):
-    # form_derivative, phi_eval and x_constant normalize one cleared sum;
+    # form_derivative, phi_value and x_constant normalize one cleared sum;
     # each must equal the canonical sum built one term at a time
     t = _MIXED
     assert form_derivative(t, form) == _term_by_term(t, FULL_D, form)
@@ -306,7 +306,7 @@ def test_canonical_values_match_term_by_term_sums(form):
         h = CommutingX(t.gen_of(name).gid)
         for handle in (FULL_D, h):
             for _, term in form.terms:
-                assert phi_eval(t, term, handle) == _canonical_phi(
+                assert phi_value(t, term, handle) == _canonical_phi(
                     t, term, handle)
         want = _term_by_term(t, h, form)
         if want.is_constant():
@@ -491,12 +491,12 @@ def test_step1_grid(xkind):
     t = _x_towers()[xkind]
     k = t.gen_of("th")
     for label, term, tv in _phi_terms(t):
-        assert check_step1(tv, term, k), f"step 1 fails for {label}/{xkind}"
+        assert step1(tv, term, k), f"step 1 fails for {label}/{xkind}"
 
 
 def test_step1_below_is_trivially_true():
     t = log_tower()
-    assert check_step1(t, LogPhi(t["x"] + 1), t.gen_of("th"))
+    assert step1(t, LogPhi(t["x"] + 1), t.gen_of("th"))
 
 
 # -- reduce_top regressions -------------------------------------------------------
@@ -1013,7 +1013,7 @@ def test_reduce_algebraic_legendre_identity_point():
     out = reduce_algebraic(t, f, form)
     assert verify_liouville(out.tower, out.tower.zero(), out)
     for _, term in out.terms:
-        assert phi_eval(out.tower, term, FULL_D).is_zero()
+        assert phi_value(out.tower, term, FULL_D).is_zero()
 
 
 # -- driver ---------------------------------------------------------------------

@@ -148,6 +148,19 @@ def test_refusals_of_the_layout():
         poly_divexact(X, MultiPoly.zero())
 
 
+@pytest.mark.parametrize("make", [
+    lambda: MultiPoly.const(0.1),
+    lambda: MultiPoly.from_dict({(): 0.1}),
+    lambda: MultiPoly.const(1).scale(0.1),
+], ids=["const", "from_dict", "scale"])
+def test_a_float_coefficient_is_refused(make):
+    # only an int or a Fraction enters a coefficient; 0.1 would keep its
+    # binary fraction, and scale failed with an AttributeError
+    with pytest.raises(TypeError, match="^a coefficient must be an int or a "
+                                        "Fraction, not 'float'$"):
+        make()
+
+
 def test_degree_limit_guard():
     set_degree_limit(4)
     try:

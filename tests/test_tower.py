@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from diffalg.cli import main
 from diffalg.dsl import parse_expr, parse_tower
-from diffalg.errors import (CyclicDefinition, FieldMismatch,
+from diffalg.errors import (CyclicDefinition, DegreeOverflow, FieldMismatch,
                             InvalidDefiningData, NameClash, NotQuadratic,
-                            PsiNotRealizable, UnsupportedHandle,
-                            ZeroDenominator, ZeroElement)
-from diffalg.tower import (BelowD, CommutingX, FULL_D, Generator, LambertW,
-                           PartialD, PsiRational, PsiSqrtCubic, Tower)
+                            UnsupportedHandle, ZeroDenominator, ZeroElement)
+from diffalg.poly import set_degree_limit
+from diffalg.tower import (CommutingX, FULL_D, Generator, LambertW, PartialD,
+                           Tower)
+from lemmas import chain_rule, d_below, der_comm
 
 
 def exp_inv_square():
@@ -129,34 +130,45 @@ def test_partial_and_below():
     gid = t.gen_of("t").gid
     e = x * th
     assert (t.derive(PartialD(gid), e) - x).is_zero()
-    # BelowD differentiates the coefficients only
-    assert (t.derive(BelowD(gid), e) - th).is_zero()
-    assert t.derive(BelowD(gid), th).is_zero()
+    # D_below differentiates the coefficients only
+    assert (d_below(t, "t", e) - th).is_zero()
+    assert d_below(t, "t", th).is_zero()
 
 
-def test_below_fill_raises_only_on_read():
-    # BelowD(t) is undefined on the exponential u above t and on the root
-    # r of u; filling the table up to s passes both without raising
+def exp_chain():
+    """x, t1 = exp(x) and t_k = exp(t_(k-1)) up to t12: D t_k is the
+    product t1 ... t_k, so D t9 overflows a degree limit of 8."""
     t = Tower.base().var("x")
-    t = t.exp_ext("t", t["x"]).exp_ext("u", t["x"])
-    t = t.sqrt_ext("r", t["u"])
+    t = t.exp_ext("t1", t["x"])
+    for k in range(2, 13):
+        t = t.exp_ext(f"t{k}", t[f"t{k - 1}"])
+    return t
+
+
+def test_fill_failure_raises_only_on_read():
+    # under a degree limit of 8, D t9 to D t12 overflow and so does the
+    # root r of t12; filling the table up to s passes them without raising
+    t = exp_chain()
+    t = t.sqrt_ext("r", t["t12"])
     t = t.sqrt_ext("s", t["x"])
-    h = BelowD(t.gen_of("t").gid)
-    assert (t.derive(h, t["s"]) - 1 / (2 * t["s"])).is_zero()
-    for name in ("u", "r"):
-        with pytest.raises(UnsupportedHandle):
-            t.derive(h, t[name])
+    set_degree_limit(8)
+    try:
+        assert (t.derive(FULL_D, t["s"]) - 1 / (2 * t["s"])).is_zero()
+        for name in ("t12", "r"):
+            with pytest.raises(DegreeOverflow):
+                t.derive(FULL_D, t[name])
+    finally:
+        set_degree_limit(None)
 
 
-def test_below_fill_computes_failed_entries_once(monkeypatch):
-    # BelowD(t) is undefined on the exponential u, so each root r_k of
+def test_fill_computes_failed_entries_once(monkeypatch):
+    # under a degree limit of 8, D t12 overflows, so each root r_k of
     # r_(k-1) fails through the one below it.  Every entry is computed
     # once per fill, not once per reader; the guard stops the
     # exponential recount that retrying failed entries would take
     from diffalg import tower as tower_mod
-    t = Tower.base().var("x")
-    t = t.exp_ext("t", t["x"]).exp_ext("u", t["x"])
-    prev = "u"
+    t = exp_chain()
+    prev = "t12"
     for k in range(1, 31):
         t = t.sqrt_ext(f"r{k}", t[prev])
         prev = f"r{k}"
@@ -169,20 +181,20 @@ def test_below_fill_computes_failed_entries_once(monkeypatch):
             raise RuntimeError("derivative table recomputed")
         return real(rf, get)
     monkeypatch.setattr(tower_mod, "_diff_rf", counted)
-    with pytest.raises(UnsupportedHandle):
-        t.derive(BelowD(t.gen_of("t").gid), t["r30"])
-    assert len(calls) <= 32  # one per root, one for D r30 itself
+    set_degree_limit(8)
+    try:
+        with pytest.raises(DegreeOverflow):
+            t.derive(FULL_D, t["r30"])
+    finally:
+        set_degree_limit(None)
+    # one per exponential and root, one for D r30 itself
+    assert len(calls) <= 12 + 30 + 1
 
 
 def test_fill_failure_is_not_kept_past_the_fill():
     # D t9 overflows a degree limit of 8; once the limit is lifted, the
     # same tower derives, so a failure is kept only under its own limit
-    from diffalg.errors import DegreeOverflow
-    from diffalg.poly import set_degree_limit
-    t = Tower.base().var("x")
-    t = t.exp_ext("t1", t["x"])
-    for k in range(2, 13):
-        t = t.exp_ext(f"t{k}", t[f"t{k - 1}"])
+    t = exp_chain()
     set_degree_limit(8)
     try:
         with pytest.raises(DegreeOverflow):
@@ -198,14 +210,9 @@ def test_fill_failure_is_not_kept_past_the_fill():
 def test_chain_rule():
     t = exp_inv_square()
     x, th = t["x"], t["t"]
-    gen = t.gen_of("t")
-    assert t.check_chain_rule(gen, x * th)
-    assert t.check_chain_rule(gen, x ** 2 / (x + 1))  # e below theta
-    assert t.check_chain_rule(gen, th)
-    with pytest.raises(UnsupportedHandle):
-        t2 = Tower.base().var("x")
-        t2 = t2.sqrt_ext("s", t2["x"])
-        t2.check_chain_rule(t2.gen_of("s"), t2["s"])
+    assert chain_rule(t, "t", x * th)
+    assert chain_rule(t, "t", x ** 2 / (x + 1))  # e below theta
+    assert chain_rule(t, "t", th)
 
 
 def lie_towers():
@@ -230,10 +237,7 @@ def test_lie_closed_all_kinds(t):
             assert all(res.is_zero() for _, res in rep.residues)
 
 
-# -- der-comm weights ---------------------------------------------------------
-
-PSI_SQUARE = PsiRational(num=(0, 0, 1), den=(1,))
-PSI_INV = PsiRational(num=(1,), den=(0, 1))
+# -- der-comm weights: psi(p) = p^2, 1/p, or 1/q on q^2 = p^3 - a p - b ------
 
 
 def two_primitive_tower():
@@ -247,7 +251,7 @@ def test_der_comm_same_handle():
     t = two_primitive_tower()
     h = CommutingX(t.gen_of("u").gid)
     p = t["u"] * t["x"]
-    assert t.check_der_comm(h, h, p, PSI_SQUARE)
+    assert der_comm(t, h, h, p, p ** 2)
 
 
 def test_der_comm_two_primitives():
@@ -255,30 +259,19 @@ def test_der_comm_two_primitives():
     xu = CommutingX(t.gen_of("u").gid)
     xv = CommutingX(t.gen_of("v").gid)
     p = t["u"] + t["v"] ** 2
-    assert t.check_der_comm(xu, xv, p, PSI_INV)
-    assert t.check_der_comm(xu, xv, p, PSI_SQUARE)
+    assert der_comm(t, xu, xv, p, 1 / p)
+    assert der_comm(t, xu, xv, p, p ** 2)
 
 
 def test_der_comm_sqrt_cubic_weight():
     t = Tower.base().const("a").const("b").var("x")
     t = t.elliptic("p", t["x"], t["a"], t["b"])
     t = t.primitive("u", 1 / t["x"])
-    psi = PsiSqrtCubic(t["a"], t["b"], t["p_q"])
+    p, q = t["p"], t["p_q"]
+    assert q ** 2 == p ** 3 - t["a"] * p - t["b"]
     xp = CommutingX(t.gen_of("p").gid)
     xu = CommutingX(t.gen_of("u").gid)
-    assert t.check_der_comm(xp, xu, t["p"], psi)
-    with pytest.raises(PsiNotRealizable):
-        psi.realize(t, t["x"])  # x is not the curve coordinate
-
-
-def test_rational_weight_refuses_a_pole_at_p_and_a_varying_coefficient():
-    t = Tower.base().var("x")
-    with pytest.raises(ZeroDenominator,
-                       match="^weight denominator vanishes at p$"):
-        PsiRational(num=(1,), den=(-1, 1)).realize(t, t.one())  # 1/(u - 1)
-    with pytest.raises(InvalidDefiningData,
-                       match="^weight coefficients must be constant$"):
-        PsiRational(num=(t["x"],), den=(1,)).realize(t, t["x"])
+    assert der_comm(t, xp, xu, p, 1 / q)
 
 
 # -- trace, norm, log-derivative ----------------------------------------------
@@ -364,6 +357,14 @@ def test_reflected_operators_refuse_floats(op):
         op(1.5, t["x"])
 
 
+def test_a_float_literal_is_refused():
+    # t.lit(0.1) * 10 == 1 was False: the binary fraction of 0.1 entered
+    t = Tower.base().var("x")
+    with pytest.raises(TypeError, match="not 'float'$"):
+        t.lit(0.1)
+    assert t.lit(Fraction(1, 10)) * 10 == 1
+
+
 def elliptic_base():
     """a, b, x and the elliptic pair p, p_q = ellfun(x, a, b)."""
     t = Tower.base().const("a").const("b").var("x")
@@ -379,7 +380,8 @@ def elliptic_base():
     (lambda t: t.lambertw("x", t["x"]), "x"),
     (lambda t: t.sqrt_ext("x", t["x"]), "x"),
     (lambda t: t.elliptic("x", t["x"], t["a"], t["b"]), "x"),
-    (lambda t: t.const("u_q").elliptic("u", t["x"], t["a"], t["b"]), "u_q"),
+    (lambda t: t.const("u_q").elliptic("u", t["x"] + 1, t["a"], t["b"]),
+     "u_q"),
     (lambda t: t.ellint("x", 1, t["p"], t["p_q"]), "x"),
 ], ids=["const", "var", "primitive", "log_ext", "exp_ext", "lambertw",
         "sqrt_ext", "elliptic", "elliptic_q", "ellint"])
@@ -670,12 +672,15 @@ coeffs = st.integers(min_value=-2, max_value=2)
 
 @st.composite
 def exp_log_towers(draw, root=False):
-    """x with one or two generators exp(p) or log(q) on top, and an
-    element of the tower; each generator's sympy image rides along.
+    """x with one or two generators exp(p), log(q), int(g) or int(g, G) on
+    top, and an element of the tower; each generator's sympy image rides
+    along, a primitive's as the unevaluated sympy.Integral(g, x).
 
-    p and q are small polynomials in x and the earlier generators.  An
-    exp argument never holds a log generator, so sympy's exp(log u) = u
-    cannot fold two generators into one.  With root, the one generator g
+    p, q, g and G are small polynomials in x and the earlier generators,
+    and g = D G where G is given.  An exp argument never holds a log
+    generator, so sympy's exp(log u) = u cannot fold two generators into
+    one, nor does a tower hold two primitives of one integrand, which
+    sympy would read as one.  With root, the one generator g
     has s = sqrt(k*a + r) just below or just above it, for an atom a that
     r does not hold, so the radicand is never a square.
 
@@ -707,7 +712,8 @@ def exp_log_towers(draw, root=False):
         else:
             images[1][gid] = sympy.Symbol(name)
         fn = {"exp_ext": sympy.exp, "log_ext": sympy.log,
-              "sqrt_ext": sympy.sqrt}[what]
+              "sqrt_ext": sympy.sqrt,
+              "primitive": lambda g: sympy.Integral(g, SX)}[what]
         images[0][gid] = fn(to_sympy(args[0]))
         return t[name]
 
@@ -728,11 +734,22 @@ def exp_log_towers(draw, root=False):
         if k == n:
             break
         name = f"g{k}"
-        if draw(st.booleans()):
+        what = draw(st.sampled_from(["exp_ext", "log_ext", "primitive"]))
+        if what == "exp_ext":
             arg = poly(exp_atoms)
             # the tower refuses exp(0), as test_exp_of_0_and_log_of_1 pins
             assume(not arg.is_zero())
             g = adjoin(name, "exp_ext", arg)
+            exp_atoms.append(g)
+        elif what == "primitive":
+            p = poly(atoms)
+            # int(p), or int(D p, p) with p as its antiderivative
+            args = (t.derive(FULL_D, p), p) if draw(st.booleans()) else (p,)
+            # sympy differentiates Integral(0, x)**2 to nan
+            assume(not args[0].is_zero())
+            assume(sympy.Integral(to_sympy(args[0]), SX)
+                   not in images[0].values())
+            g = adjoin(name, "primitive", *args)
             exp_atoms.append(g)
         else:
             arg = poly(atoms)
@@ -747,7 +764,11 @@ def exp_log_towers(draw, root=False):
 
 def is_zero_expr(expr) -> bool:
     """expr == 0 by expanding the numerator of its one-fraction form: exact
-    like sympy.cancel, and much cheaper on these towers' expressions."""
+    like sympy.cancel, and much cheaper on these towers' expressions.  Each
+    primitive's Integral is one atom on both sides, so it becomes a symbol
+    first; expanding inside nested integrands could take minutes."""
+    expr = expr.xreplace({i: sympy.Dummy()
+                          for i in expr.atoms(sympy.Integral)})
     return sympy.expand(sympy.numer(sympy.together(expr))) == 0
 
 
@@ -773,10 +794,10 @@ def test_partial_with_root_matches_sympy(case):
 @given(exp_log_towers(root=True))
 @settings(max_examples=25, deadline=None)
 def test_chain_rule_with_root(case):
-    # BelowD(g) is D on a root below g and takes h(s) = h(r)/(2s) on one
-    # above it; either way D = BelowD + (D g) * partial_g
+    # D_below g is D on a root below g and takes h(s) = h(r)/(2s) on one
+    # above it; either way D = D_below + (D g) * partial_g
     t, e, g, _ = case
-    assert t.check_chain_rule(g, e)
+    assert chain_rule(t, g, e)
 
 
 def test_refusals_of_the_element_and_tower_api():
