@@ -14,19 +14,21 @@ liouville.reduce_algebraic applies it to a point and its conjugate.
 
 The phi terms of phi.py become lazy parts here: a numerator over a bag
 of denominator factors read off phi_shape; a log term enters as one
-part c Dp/p per polynomial factor p of its argument.  phi_sum_is_zero,
-the zero test that the Abel identities and liouville.verify_liouville
-share, clears D_h(v0) + sum c_i phi(h v_i, v_i) - f once over the least
-common multiple of its denominators, power-reduces the single big
-numerator and tests it for zero.  The parts join a running sum, lightest
-denominator first, and each join lifts the sum and the part only by the
-factors the other holds, so where partial sums cancel, each full-size
-product is formed once.  The lcm is taken over a pairwise coprime basis
-of the denominator factors, so gcds run only between those small
-factors, never on the big numerator.  That is orders of magnitude
-cheaper than canonical arithmetic and just as conclusive.  phi_sum turns
-the same cleared sum into a canonical value with one normal_form.  Both
-take terms that passed phi.check_term.
+part c Dp/p per polynomial factor p of its argument, but a factor and
+its conjugate under a square root share one part over their norm.
+phi_sum_is_zero, the zero test that the Abel identities and
+liouville.verify_liouville share, clears D_h(v0) + sum c_i phi(h v_i,
+v_i) - f once over the least common multiple of its denominators,
+power-reduces the single big numerator and tests it for zero.  The
+parts join a running sum, lightest denominator first, and each join
+lifts the sum and the part only by the factors the other holds, so
+where partial sums cancel, each full-size product is formed once.  The
+lcm is taken over a pairwise coprime basis of the denominator factors,
+so gcds run only between those small factors, never on the big
+numerator.  That is orders of magnitude cheaper than canonical
+arithmetic and just as conclusive.  phi_sum turns the same cleared sum
+into a canonical value with one normal_form.  Both take terms that
+passed phi.check_term.
 """
 
 from __future__ import annotations
@@ -279,9 +281,30 @@ def _product(bag: Counter) -> MultiPoly:
 
 
 def _phi_parts(t: Tower, h, v0: Element, terms, f) -> list:
-    """The lazy parts of D_h(v0) + sum c * phi(h v, v) - f.  A log term
-    c log(n/d) adds c to factor n and -c to d; each factor p whose sum c is
-    not 0 gives one part c Dp/p, Dp raw."""
+    """The lazy parts of D_h(v0) + sum c * phi(h v, v) - f.
+
+    A log term c log(n/d) adds c to factor n and -c to d; each factor p
+    whose sum c is not 0 gives one part c Dp/p, Dp raw, but a conjugate
+    pair.  Where p holds a relation generator g and its conjugate pb
+    (g -> -g) is a factor too, with sum cb, the two share one part
+
+        (c Dp pb + cb Dpb p) / (p pb) = F (c Dp pb + cb Dpb p) / N,
+
+    where reduce_powers folds p pb to N/F, free of g.  A norm is often
+    the product of factors the sum holds anyway, as in the third-kind
+    Abel identity and the integrands of square-root logs, so the lcm is
+    smaller than with p and pb apart (Trager 1984 takes a log and its
+    conjugate over their norm too).  A factor without its conjugate keeps
+    its own part: multiplying it through by the conjugate was slower.
+
+    The pair is sound: the shared part is an identity in the polynomial
+    ring, and p pb = N/F modulo the relations.  Clearing multiplies
+    through by N, so N must be no zero divisor.  Canonical denominators
+    hold no relation generator, so only log-argument numerators pair;
+    phi.check_term has refused a numerator that is a zero divisor, and
+    conjugation is an automorphism, so p, pb and p pb are none.  The
+    towers of the Abel identities hold no zero divisor by construction.
+    """
     get = t._dget(h)
     parts, logs = [], {}  # logs: p -> ([signed coefficients], raw Dp)
     for c, term in terms:
@@ -296,10 +319,27 @@ def _phi_parts(t: Tower, h, v0: Element, terms, f) -> list:
                 logs[p] = ([], _diff_poly(p, get))
         logs[n][0].append(c)
         logs[d][0].append(-c)
+    live = {}  # p -> (summed c, raw Dp), for each p whose part is not 0
     for p, (cs, (dn, dd)) in logs.items():
         c = sum(cs[1:], cs[0])
         if not (dn.is_zero() or c.is_zero()):
+            live[p] = (c, dn, dd)
+    for p in list(live):
+        if p not in live:
+            continue  # taken by its conjugate
+        c, dn, dd = live.pop(p)
+        gens = sorted(p.gens() & t.rels.keys())
+        bar = next((q for q in map(p.conj_gen, gens) if q in live), None)
+        if bar is None:
             parts.append(_Part(c.rf.num * dn, Counter((p, c.rf.den, dd))))
+            continue
+        cb, bn, bd = live.pop(bar)
+        mine, its = Counter((c.rf.den, dd)), Counter((cb.rf.den, bd))
+        bag = mine | its
+        norm, fold_den = reduce_powers(p * bar, MultiPoly.one(), t.rels)
+        num = (c.rf.num * dn * bar * _product(bag - mine)
+               + cb.rf.num * bn * p * _product(bag - its))
+        parts.append(_Part(num * fold_den, bag + Counter([norm])))
     dn, dd = _diff_rf(t.coerce(v0).rf, get)
     fn, fd = t.coerce(f).rf
     return parts + [_Part(dn, Counter([dd])), _Part(-fn, Counter([fd]))]

@@ -104,11 +104,18 @@ def x_constant(t: Tower, form: LiouvilleForm, k) -> Element:
 # Reduction steps: the target on top, and the top transcendental.
 
 
-def _reduction_target(t: Tower) -> tuple[Generator, set] | None:
+def _reduction_target(t: Tower) -> tuple[Generator, frozenset] | None:
     """The topmost generator that reduction consumes with the ids it drops,
     or None.  Constant generators (parameters, constant square roots) are
     skipped, a companion square root routes to its elliptic function and
-    drops with it, and a base variable is the floor."""
+    drops with it, and a base variable is the floor.  Towers are
+    immutable, so each tower finds its target once and keeps it."""
+    if not t._target:
+        t._target = (_find_target(t),)
+    return t._target[0]
+
+
+def _find_target(t: Tower) -> tuple[Generator, frozenset] | None:
     for gen in reversed(t.generators):
         if isinstance(gen.kind, ConstParam):
             continue
@@ -119,8 +126,8 @@ def _reduction_target(t: Tower) -> tuple[Generator, set] | None:
         if isinstance(gen.kind, AlgebraicSqrt) and gen.kind.companion_of is not None:
             gen = t.gen_of(gen.kind.companion_of)
         if isinstance(gen.kind, EllipticFunction):
-            return gen, {gen.gid, gen.kind.companion}
-        return gen, {gen.gid}
+            return gen, frozenset((gen.gid, gen.kind.companion))
+        return gen, frozenset((gen.gid,))
     return None
 
 

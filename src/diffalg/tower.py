@@ -249,7 +249,8 @@ class Element:
 class Tower:
     """Immutable tower of differential extensions over Q."""
 
-    __slots__ = ("generators", "rels", "_by_name", "_by_gid", "_dtables")
+    __slots__ = ("generators", "rels", "_by_name", "_by_gid", "_dtables",
+                 "_target")
 
     def __init__(self, generators: tuple = ()):
         self.generators = generators
@@ -259,6 +260,7 @@ class Tower:
         self._by_name = {g.name: g for g in generators}
         self._by_gid = {g.gid: g for g in generators}
         self._dtables: dict = {}
+        self._target = ()  # (liouville._reduction_target's answer,) once asked
 
     # -- structure ----------------------------------------------------
 

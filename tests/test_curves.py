@@ -19,14 +19,15 @@ from diffalg import curves, poly
 from diffalg.curves import (ABEL_KINDS, CurvePoint, LegendreCurve, LogPhi,
                             LPhi, ThirdKindParam, WeierstrassCurve, WPhi,
                             abel_step, check_abel_identity, legendre_add,
-                            phi_sum_is_zero, weierstrass_add, _clear,
+                            phi_sum, phi_sum_is_zero, weierstrass_add, _clear,
                             _coprime_basis, _legendre_tower, _Part,
                             _product, _weierstrass_tower)
 from diffalg.errors import (DegenerateChord, DegenerateDenominator,
                             InvalidDefiningData)
+from diffalg.liouville import LiouvilleForm
 from diffalg.poly import MONO_ONE, MultiPoly, poly_gcd
 from diffalg.ratfunc import normal_form
-from diffalg.tower import Element, PartialD, Tower
+from diffalg.tower import FULL_D, Element, PartialD, Tower
 
 
 def legendre_setup():
@@ -696,16 +697,81 @@ def test_clear_is_order_independent(cancel, data):
     assert all(common == commons[0] for common in commons)
 
 
+def _pair_tower(radicands):
+    """Over const k and x, a square root of each radicand in turn: s,
+    then u, each radicand a function of the tower so far."""
+    t = Tower.base().const("k").var("x")
+    for name, radicand in zip("su", radicands):
+        t = t.sqrt_ext(name, radicand(t))
+    return t
+
+
+# name -> (the tower's radicands, [log factors]): first a factor p, then
+# one whose conjugate is not a term, then the conjugates of p, which are
+PAIR_TOWERS = {
+    "polynomial": ([lambda t: t["x"] ** 2 + 1],
+                   lambda t: [t["x"] + 2 + t["s"], t["x"] + t["s"],
+                              t["x"] + 2 - t["s"]]),
+    "denominator": ([lambda t: (t["x"] - 1) / (t["x"] + 1)],
+                    lambda t: [1 + t["x"] * t["s"], t["x"] + t["s"],
+                               1 - t["x"] * t["s"]]),
+    "nested": ([lambda t: t["x"], lambda t: 1 + t["s"]],
+               lambda t: [t["x"] * t["s"] + t["u"], t["s"] + t["u"],
+                          t["x"] * t["s"] - t["u"]]),
+    "two roots": ([lambda t: t["x"], lambda t: t["x"] + 1],
+                  lambda t: [t["s"] + t["u"] + 1, t["s"] + 2,
+                             t["s"] - t["u"] + 1]),
+    # (x + s)(x - s) = -1: the pair's norm is a constant
+    "unit norm": ([lambda t: t["x"] ** 2 + 1],
+                  lambda t: [t["x"] + t["s"], t["x"] + 2 + t["s"],
+                             t["x"] - t["s"]]),
+    # p's conjugates under s and under u are both terms: one pairs
+    "both conjugates": ([lambda t: t["x"], lambda t: t["x"] + 1],
+                        lambda t: [t["s"] + t["u"] + 1, t["s"] + 2,
+                                   t["s"] - t["u"] + 1, -t["s"] + t["u"] + 1]),
+}
+# the coefficients of p and of its conjugates
+PAIR_COEFFS = {"c, c": lambda k: [k, k, k], "c, -c": lambda k: [k, -k, k],
+               "c, c'": lambda k: [k, 1 / (k + 1), Fraction(-2, 3)]}
+
+
+@pytest.mark.parametrize("coeffs", PAIR_COEFFS.values(), ids=PAIR_COEFFS)
+@pytest.mark.parametrize("tower", PAIR_TOWERS.values(), ids=PAIR_TOWERS)
+def test_a_conjugate_pair_of_log_factors_shares_one_part(tower, coeffs):
+    # each factor is one part but a conjugate pair, which shares one
+    # part over its norm; the lazy sums agree with the sum of canonical
+    # D(v)/v, and the zero test tells it from a perturbed integrand
+    radicands, factors = tower
+    t = _pair_tower(radicands)
+    p, other, *bars = factors(t)
+    k = t["k"]
+    cs = coeffs(k)
+    form = LiouvilleForm(t["x"] * t["s"], [(cs[0], LogPhi(p)),
+                                           (2, LogPhi(other))]
+                         + [(c, LogPhi(v)) for c, v in zip(cs[1:], bars)])
+    want = t.derive(FULL_D, form.v0) + sum(
+        (c * t.derive(FULL_D, term.v) / term.v for c, term in form.terms),
+        t.zero())
+    assert phi_sum(t, FULL_D, form.v0, form.terms) == want
+    assert phi_sum_is_zero(t, FULL_D, form.v0, form.terms, want)
+    assert not phi_sum_is_zero(t, FULL_D, form.v0, form.terms,
+                               want + 1 / (t["x"] + 3))
+    # v0 and f are a part each, the pair one and each other factor one
+    parts = curves._phi_parts(t, FULL_D, form.v0, form.terms, want)
+    assert len(parts) == 2 + 1 + len(form.terms) - 2
+
+
 @pytest.mark.parametrize("kind, most", [("f", 334), ("e", 1680),
                                         ("w1", 445), ("w2", 1616),
-                                        ("pi", 49_708)],
+                                        ("pi", 5_147)],
                          ids=["f", "e", "w1", "w2", "pi"])
 def test_abel_clearing_work_is_pinned(kind, most, monkeypatch):
     # term pairs over every polynomial product of the identity; pi took
     # 329,179 when each part was lifted to the full lcm on its own,
     # 119,107 while each log term entered as D(v)/v over d^2, 106,201
-    # while every lazy sum rationalized its terms' divisors again, and
-    # 99,067 while the d/dx2 row took its own zero test
+    # while every lazy sum rationalized its terms' divisors again, 99,067
+    # while the d/dx2 row took its own zero test, and 49,708 while its
+    # two conjugate log factors were cleared apart, not over their norm
     pairs = []
     mul = poly._dict_mul
 

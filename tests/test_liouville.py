@@ -929,6 +929,30 @@ def test_l3_reduction_work_is_pinned(monkeypatch):
     assert sum(pairs) <= 35_500
 
 
+def test_each_tower_finds_its_reduction_target_once(monkeypatch):
+    # the driver picks each step by the target and the step opens on it
+    # again, so the l3 reduction asks four times: on t, and on the tower
+    # below, where the step refuses at the integrand's floor.  It visits
+    # two towers, and each finds its target once
+    t, prm = _l3_tower()
+    m, x, y, s = t["m"], t["x"], t["y"], t["s"]
+    form = LiouvilleForm(t.zero(),
+                         [(Fraction(1, 2), LPhi(3, x + s, y, m, prm)),
+                          (Fraction(1, 2), LPhi(3, x - s, y, m, prm))])
+    f = form_derivative(t, form)
+    found, asked = [], []
+    find, target = liouville._find_target, liouville._reduction_target
+    monkeypatch.setattr(liouville, "_find_target",
+                        lambda u: found.append(u) or find(u))
+    monkeypatch.setattr(liouville, "_reduction_target",
+                        lambda u: asked.append(u) or target(u))
+    steps = reduce(t, f, form)
+    assert found == [t, steps[0].tower]
+    assert len(asked) == 4  # driver and step on t, driver and step below
+    top = t.gen_of("s")
+    assert liouville._reduction_target(t) == (top, {top.gid})
+
+
 def test_reduce_algebraic_pushes_each_orbit_once_in_order(monkeypatch):
     # a conjugate log pair (conjugate first), a conjugate third-kind pair
     # and an s-free log, interleaved: each pair is pushed once at the

@@ -24,7 +24,9 @@ refused, ``reduce`` on each conjugate pair of curve terms of
 ``CURVE_PAIRS``, ``reduce`` with and without ``--steps 1`` on each tower
 of ``REDUCE_CHAINS``, which stacks extensions of different kinds, and
 ``derive`` or ``verify`` on each document of ``DEGENERATE_CURVES``,
-whose curve must be refused.  The
+whose curve must be refused, and ``verify``, a perturbed ``verify`` and
+``reduce`` on each form of ``LOG_PAIRS``, whose log terms come in
+conjugate pairs.  The
 ``declarations`` sets hold ``DECLARED_TOWER``, which declares every
 ``gen`` kind of ``tower.GEN_KINDS`` with and without its optional
 argument, and ``DECLARED_FORM``, which holds every ``term`` kind of
@@ -140,6 +142,44 @@ REDUCE_CHAINS = [
     ("var x = d/dx 1\ngen E = exp(x)\ngen s = sqrt(x^2 + 1)\n"
      "gen L = log(x)\n",
      "v0 = E + 2*L\nterm 1 * log(x + 1 + s)\nterm 1 * log(x + 1 - s)\n"),
+]
+
+# Log terms in conjugate pairs log(w + z*s), log(w - z*s) with the
+# coefficients (c, c), (c, -c) and (c, c'), beside one factor whose
+# conjugate is not a term: over a polynomial radicand, a radicand with a
+# denominator, a root nested in another, and two roots with a factor that
+# holds both.  Each entry is (tower, form); the integrand is the form's
+# derivative.
+_POLY_ROOT = "const k\nvar x = d/dx 1\ngen s = sqrt(x^2 + 1)\n"
+_FRAC_ROOT = "var x = d/dx 1\ngen s = sqrt((x - 1)/(x + 1))\n"
+_NESTED = "var x = d/dx 1\ngen s = sqrt(x)\ngen u = sqrt(1 + s)\n"
+_TWO_ROOTS = "var x = d/dx 1\ngen s = sqrt(x)\ngen u = sqrt(x + 1)\n"
+LOG_PAIRS = [
+    (_POLY_ROOT, "v0 = x\nterm 1 * log(x + 2 + s)\nterm 1 * log(x + 2 - s)\n"
+     "term 1 * log(x + 3)\n"),
+    (_POLY_ROOT, "v0 = 0\nterm 1/2 * log(x + 2 + s)\n"
+     "term -1/2 * log(x + 2 - s)\nterm 1 * log(x + s)\n"),
+    (_POLY_ROOT, "v0 = x*s\nterm k * log(x + 2 + s)\n"
+     "term -1/(3*k) * log(x + 2 - s)\nterm 2 * log((x + s)/(x + 3))\n"),
+    (_FRAC_ROOT, "v0 = 0\nterm 1 * log(1 + x*s)\nterm 1 * log(1 - x*s)\n"
+     "term 1 * log(x + 2)\n"),
+    (_FRAC_ROOT, "v0 = s\nterm 3 * log(1 + x*s)\nterm -3 * log(1 - x*s)\n"
+     "term 1/2 * log(x)\n"),
+    (_FRAC_ROOT, "v0 = 0\nterm 2 * log(x + 1 + s)\n"
+     "term -1 * log(x + 1 - s)\nterm 1 * log(s + 2)\n"),
+    (_NESTED, "v0 = 0\nterm 1 * log(x + u)\nterm 1 * log(x - u)\n"
+     "term 1 * log(s + 2)\n"),
+    (_NESTED, "v0 = u\nterm 1 * log(u + s)\nterm -1 * log(u - s)\n"
+     "term 1 * log(x + u)\n"),
+    (_NESTED, "v0 = 0\nterm 2 * log(x*s + u)\nterm 1/3 * log(x*s - u)\n"
+     "term 1 * log(x + 1)\n"),
+    (_TWO_ROOTS, "v0 = 0\nterm 1 * log(s + u + 1)\nterm 1 * log(s - u + 1)\n"
+     "term 1 * log(x + s)\n"),
+    (_TWO_ROOTS, "v0 = s*u\nterm 1 * log(s + u + 1)\n"
+     "term -1 * log(-s + u + 1)\nterm 1 * log(s + 3)\n"),
+    (_TWO_ROOTS, "v0 = 0\nterm 2 * log(s + u + 1)\n"
+     "term -1/2 * log(s - u + 1)\nterm 1 * log(-s + u + 1)\n"
+     "term 1 * log(u + 2)\n"),
 ]
 
 # Singular curves, each refused where it enters: the ellfun cubic
@@ -259,9 +299,9 @@ def ellint_argvs(workdir: str) -> tuple:
 
 
 def reduce_argvs(docs: list, stem: str, workdir: str, options=([],)) -> list:
-    """reduce on each document of docs, CURVE_PAIRS or REDUCE_CHAINS,
-    written to workdir, once with each entry of options added, the
-    integrand computed as ellint_argvs computes it."""
+    """reduce on each document of docs, CURVE_PAIRS, REDUCE_CHAINS or
+    LOG_PAIRS, written to workdir, once with each entry of options added,
+    the integrand computed as ellint_argvs computes it."""
     from diffalg.dsl import parse_form, parse_tower
     from diffalg.liouville import form_derivative
 
@@ -273,6 +313,17 @@ def reduce_argvs(docs: list, stem: str, workdir: str, options=([],)) -> list:
                 f"--integrand={f}", "--form",
                 write(workdir, f"{stem}{i}.form", form)]
         argvs += [argv + extra for extra in options]
+    return argvs
+
+
+def log_pair_argvs(workdir: str) -> list:
+    """verify, verify with 1 added to the integrand, and reduce on each
+    document of LOG_PAIRS, from the argv that reduce_argvs writes."""
+    argvs = []
+    for argv in reduce_argvs(LOG_PAIRS, "logs", workdir):
+        _, tower, integrand, *form = argv
+        argvs += [["verify", tower, integrand, *form],
+                  ["verify", tower, integrand + " + 1", *form], argv]
     return argvs
 
 
@@ -363,6 +414,7 @@ def main(argv=None) -> int:
         both("declarations", document_argvs(ARITY_ERRORS, "arity", workdir))
         both("reduce_chains", reduce_argvs(REDUCE_CHAINS, "chain", workdir,
                                            ([], ["--steps", "1"])))
+        both("log_pairs", log_pair_argvs(workdir))
     print("\n".join(lines))
     if want is None:
         return 0
