@@ -43,6 +43,7 @@ ERROR_MESSAGES = {
     errors.PartNotBelow: "form part does not reduce below the extension",
     errors.UnsupportedTermKind: "term kind not supported by this reduction",
     errors.SelfCheckFailed: "reduced form failed re-verification",
+    errors.CoefficientTooLong: "value too long to print",
     errors.ParseError: "syntax error",
 }
 

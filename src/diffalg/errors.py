@@ -83,6 +83,10 @@ class SelfCheckFailed(DiffAlgError):
     """A reduction step failed its own round-trip verification."""
 
 
+class CoefficientTooLong(DiffAlgError):
+    """A coefficient has more digits than an integer literal may hold."""
+
+
 class ParseError(DiffAlgError):
     """Syntax error in a tower or form document."""
 

@@ -8,16 +8,25 @@ unless it prints as one atom of the grammar, one INT or NAME token.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
+from .errors import CoefficientTooLong
 from .poly import MultiPoly, mono_items, mono_key
 from .ratfunc import RatFunc
 
 
 def _format_coeff(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        # str(int) refuses past the interpreter's digit limit, and so does
+        # the parser's int(): such a literal could not be read back
+        raise CoefficientTooLong(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} "
+            "digits") from None
 
 
 def format_poly(p: MultiPoly, name_of) -> str:

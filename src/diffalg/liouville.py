@@ -43,7 +43,7 @@ from .errors import (FNotBelow, IntegrandNotReducible, NonConstantCoefficient,
                      UnsupportedHandle, UnsupportedTermKind)
 from .phi import (LogPhi, LPhi, PhiTerm, WPhi, check_term, make_term,
                   term_args)
-from .poly import MONO_ONE
+from .poly import MultiPoly
 from .tower import (_X_KINDS, FULL_D, AlgebraicSqrt, BaseVar, CommutingX,
                     ConstParam, Element, EllipticFunction, Exponential,
                     Generator, Primitive, Tower)
@@ -154,10 +154,11 @@ def _rewrite_v0(t: Tower, v0: Element, sgids: set) -> Element:
     X-image that x_constant found makes each coefficient constant, so
     D_below kills the monomial.
     """
+    one = MultiPoly.one()
     nums, dens = v0.slices(sgids)
-    if list(dens) != [MONO_ONE]:
+    if list(dens) != [one]:
         raise PartNotBelow("v0 denominator involves the top extension")
-    return nums.get(MONO_ONE, t.zero()) / dens[MONO_ONE]
+    return nums.get(one, t.zero()) / dens[one]
 
 
 def _rewrite_log(v: Element, sgids: set) -> Element | None:

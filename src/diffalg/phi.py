@@ -55,9 +55,6 @@ class LegendreCurve:
             return False
         return p.y * p.y == self.rhs(p.x)
 
-    def identity(self, tower: Tower) -> CurvePoint:
-        return CurvePoint(tower.zero(), tower.one())
-
 
 class WeierstrassCurve:
     """y^2 = x^3 - a*x - b for constants a, b with 4a^3 - 27b^2 != 0;

@@ -30,9 +30,8 @@ into the next field.
 
 This module owns the layout: every scan over monomials is written once,
 as a function on the term dict, and the MultiPoly methods are views over
-them.  Outside this module only the printer (fmt.py) reads monomials.
-The public views from_dict, leading and split_by speak tuple monomials,
-((gid, exp), ...) sorted by gid, with MONO_ONE = () the unit.
+them.  Outside this module only the printer (fmt.py) reads monomials;
+split_by hands out its monomials as MultiPolys.
 
 Square-root relations g^2 = r fold in the layout too (fold_squares, the
 one reduction under ratfunc.reduce_powers).  One OR over the monomials
@@ -72,7 +71,7 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import gcd as int_gcd
-from math import isqrt, lcm
+from math import isqrt
 from operator import or_
 
 from .errors import DegreeOverflow, ExponentOverflow
@@ -80,8 +79,6 @@ from .errors import DegreeOverflow, ExponentOverflow
 W = 16
 _FIELD = (1 << W) - 1
 DEG_MAX = (1 << (W - 1)) - 1
-
-MONO_ONE = ()  # the unit of the tuple monomials the public views speak
 
 # Optional abort guard: when set, any product whose total degree would
 # exceed the limit raises DegreeOverflow.  The CLI sets it for one call
@@ -129,19 +126,6 @@ def mono_items(m: int) -> list:
         out.append((shift // W, e))
         m -= e << shift
     return out
-
-
-def _pack(mono) -> int:
-    m = 0
-    deg = 0
-    for g, e in mono:
-        if e < 0:
-            raise ValueError("negative exponent in a monomial")
-        m += e << (g * W)
-        deg += e
-    if deg > DEG_MAX:
-        _refuse(deg)
-    return m
 
 
 def _guards(nbits: int) -> int:
@@ -362,17 +346,6 @@ class MultiPoly:
         self._hash = None
 
     @staticmethod
-    def from_dict(terms: dict) -> "MultiPoly":
-        """From {tuple monomial: int or Fraction coefficient}."""
-        packed: dict = {}
-        for mono, c in terms.items():
-            m = _pack(mono)
-            packed[m] = packed.get(m, 0) + Fraction(_exact(c))
-        den = lcm(*(c.denominator for c in packed.values()))
-        return _make({m: c.numerator * (den // c.denominator)
-                      for m, c in packed.items() if c}, den)
-
-    @staticmethod
     def zero() -> "MultiPoly":
         return MultiPoly({}, 1, -1)
 
@@ -387,10 +360,8 @@ class MultiPoly:
         return _ONE
 
     @staticmethod
-    def var(gid: int, exp: int = 1) -> "MultiPoly":
-        if exp == 0:
-            return MultiPoly.one()
-        return MultiPoly({_pack(((gid, exp),)): 1}, 1, exp)
+    def var(gid: int) -> "MultiPoly":
+        return MultiPoly({1 << gid * W: 1}, 1, 1)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -414,11 +385,6 @@ class MultiPoly:
 
     def gens(self) -> set:
         return _gens_of(self.terms)
-
-    def leading(self):
-        """(monomial, coefficient) of the leading term under graded-lex."""
-        m = _lead(self.terms)
-        return tuple(mono_items(m)), Fraction(self.terms[m], self.den)
 
     def lead_coeff(self) -> Fraction:
         """The coefficient of the leading term, without its monomial."""
@@ -535,8 +501,9 @@ class MultiPoly:
         return MultiPoly(out, self.den, self._deg)
 
     def split_by(self, gids) -> dict:
-        """Map each monomial in gids -> polynomial coefficient (gids removed)."""
-        return {tuple(mono_items(k)): _make(d, self.den)
+        """Map each monomial in gids, as a MultiPoly, to its polynomial
+        coefficient (gids removed)."""
+        return {MultiPoly({k: 1}, 1, k % _FIELD): _make(d, self.den)
                 for k, d in _split_by(self.terms, gids).items()}
 
     def fold_squares(self, rels: dict):
@@ -572,16 +539,6 @@ class MultiPoly:
             if not (rnum.gens() | rden.gens()).isdisjoint(rels):
                 todo = _union(num.terms) & squares
         return num, den
-
-    def evaluate(self, values: dict):
-        """Evaluate at values[gid]; works for Fractions, floats, complex."""
-        total = None
-        for m, c in self.terms.items():
-            v = Fraction(c, self.den)
-            for g, e in mono_items(m):
-                v = v * values[g] ** e
-            total = v if total is None else total + v
-        return 0 if total is None else total
 
 
 _ONE = MultiPoly({0: 1}, 1, 0)

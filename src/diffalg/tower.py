@@ -32,7 +32,7 @@ from .errors import (CyclicDefinition, DiffAlgError, FieldMismatch,
                      InvalidDefiningData, NameClash, NotQuadratic,
                      UnsupportedHandle, ZeroElement)
 from .phi import LogPhi, WeierstrassCurve, WPhi, check_term, phi_shape
-from .poly import MONO_ONE, MultiPoly, get_degree_limit
+from .poly import MultiPoly, get_degree_limit
 from .ratfunc import RatFunc, normal_form, quotient, reduce_powers
 
 # --------------------------------------------------------------------------
@@ -214,8 +214,8 @@ class Element:
 
     def slices(self, gids) -> tuple:
         """Numerator and denominator split by their monomials in gids: two
-        dicts, monomial -> coefficient, each coefficient the polynomial in
-        the other generators as an element of this tower."""
+        dicts, monomial (a MultiPoly) -> coefficient, each coefficient the
+        polynomial in the other generators as an element of this tower."""
         return tuple({m: Element(self.tower, RatFunc(c, MultiPoly.one()))
                       for m, c in p.split_by(gids).items()} for p in self.rf)
 
@@ -456,13 +456,12 @@ class Tower:
         if pgid is None:
             raise InvalidDefiningData(
                 "cannot recover curve constants: argument is not a generator")
-        lin = ((pgid, 1),)  # the monomial p
+        lin, one = MultiPoly.var(pgid), MultiPoly.one()  # monomials p, 1
         nums, dens = (p ** 3 - q ** 2).slices((pgid,))  # should be a*p + b
-        if list(dens) != [MONO_ONE] or not nums.keys() <= {lin, MONO_ONE}:
+        if list(dens) != [one] or not nums.keys() <= {lin, one}:
             raise InvalidDefiningData("coordinates do not satisfy a monic "
                                       "depressed cubic relation")
-        return tuple(nums.get(m, self.zero()) / dens[MONO_ONE]
-                     for m in (lin, MONO_ONE))
+        return tuple(nums.get(m, self.zero()) / dens[one] for m in (lin, one))
 
     # -- derivations ----------------------------------------------------
 

@@ -170,9 +170,15 @@ def test_document_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
 
 DEPENDENT_LOGS = X_ONLY + "gen l1 = log(x)\ngen l2 = log(x^2)\n"
 DEPENDENT_EXPS = X_ONLY + "gen e1 = exp(1)\ngen e2 = exp(2)\n"
+# the Weierstrass function is even, lambertw(x*exp(x)) is x, and
+# log(x/lambertw(x)) is lambertw(x)
+EVEN_ELLFUN = ("const a0, b0\n" + X_ONLY + "gen p = ellfun(x, a0, b0)\n"
+               "gen r = ellfun(-x, a0, b0)\n")
+LAMBERTW_OF_X_EXP = X_ONLY + "gen t = exp(x)\ngen w = lambertw(x*t)\n"
+LOG_OF_LAMBERTW = X_ONLY + "gen w = lambertw(x)\ngen l = log(x/w)\n"
 ITEM_10 = pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 10: dependent exp and log generators are not refused, "
-    "so l2 - 2*l1 and e2 - e1^2 are taken for nonzero"))
+    "ROADMAP item 10: dependent generators are not refused, so zeros such "
+    "as l2 - 2*l1, e2 - e1^2 and p - r are taken for nonzero"))
 ITEM_5 = pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 5: sqrt(x^2) builds although x^2 is a square, so y - x "
     "is a zero divisor"))
@@ -187,6 +193,12 @@ ITEM_5 = pytest.mark.xfail(strict=True, reason=(
     pytest.param(DEPENDENT_EXPS, ["verify", "--integrand", "x/(e2-e1^2)"],
                  "v0 = x^2/(2*(e2 - e1^2))\n", id="verify-dependent-exps",
                  marks=ITEM_10),
+    pytest.param(EVEN_ELLFUN, ["derive", "-e", "1/(p - r)"], None,
+                 id="derive-even-ellfun", marks=ITEM_10),
+    pytest.param(LAMBERTW_OF_X_EXP, ["derive", "-e", "1/(w - x)"], None,
+                 id="derive-lambertw-of-x-exp", marks=ITEM_10),
+    pytest.param(LOG_OF_LAMBERTW, ["derive", "-e", "1/(l - w)"], None,
+                 id="derive-log-of-lambertw", marks=ITEM_10),
     pytest.param(X_ONLY + "gen y = sqrt(x^2)\n", ["derive", "-e", "y-x"],
                  None, id="derive-sqrt-of-a-square", marks=ITEM_5),
 ])
@@ -194,7 +206,7 @@ def test_open_wrong_verdicts_are_errors(tower_file, form_file, capsys, tower,
                                         argv, form):
     # each tower is no field: a dependent generator makes a zero read as
     # nonzero, and a root of a square makes y - x a zero divisor; the
-    # intended reply refuses it, where today's is PASS
+    # intended reply refuses it, where today's is PASS with a value
     argv = [argv[0], tower_file(tower), *argv[1:], "--json"]
     if form is not None:
         argv += ["--form", form_file(form)]
@@ -610,6 +622,29 @@ def test_overlong_integer_maps_to_error(tower_file, capsys, expr, column):
     assert rc == 2
     assert rep["verdict"] == "ERROR"
     assert rep["residues"] == [f"{msg} (line 1, column {column})"]
+
+
+def test_overlong_coefficient_maps_to_error(tower_file, form_file, capsys):
+    # str() refuses an int of more digits than int() reads back; the printer
+    # names that, and verify, whose verdict would be FAIL, cannot print its
+    # residue either
+    detail = (f"a coefficient has more than {sys.get_int_max_str_digits()} "
+              "digits")
+    msg = f"value too long to print: {detail}"
+    path = tower_file(X_ONLY)
+    for argv in (["derive", path, "-e", "x*2^20000"],
+                 ["verify", path, "--integrand", "2^20000",
+                  "--form", form_file("v0 = 0\n")]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {msg}\n")
+        assert main(argv + ["--json"]) == 2
+        rep = json.loads(capsys.readouterr().out)
+        assert (rep["verdict"], rep["residues"], rep["output"]) == (
+            "ERROR", [msg], "")
+    x = diffalg.Tower.base().var("x")["x"]
+    for value in (x * 2 ** 20000, x / 3 ** 20000):
+        with pytest.raises(errors.CoefficientTooLong, match=f"^{detail}$"):
+            str(value)
 
 
 def test_not_quadratic_mapped(tower_file, capsys):

@@ -19,6 +19,7 @@ from diffalg.liouville import (LiouvilleForm, LogPhi, LPhi, WPhi,
                                form_derivative, verify_liouville)
 from diffalg.ratfunc import RatFunc
 from diffalg.tower import FULL_D, GEN_KINDS, Tower
+from polys import from_dict
 
 X_ONLY = "var x = d/dx 1\n"
 
@@ -642,7 +643,7 @@ coefficients = st.fractions(min_value=-3, max_value=3,
 def test_bracket_rule_is_the_atom_of_the_grammar(terms):
     # an operand of / prints bare exactly when the tokenizer reads it as
     # one NAME or INT token: zero, a positive integer or one generator
-    p = poly.MultiPoly.from_dict(terms)
+    p = from_dict(terms)
     text = format_poly(p, ATOM_TOWER.name_of)
     note(text)
     toks = tokenize(text)

@@ -12,6 +12,7 @@ from diffalg.poly import DEG_MAX, MultiPoly, get_degree_limit
 from diffalg.ratfunc import (RatFunc, normal_form, quotient,
                              ratfunc_normalize, reduce_powers)
 from diffalg.tower import Tower
+from polys import evaluate, from_dict, monomial
 
 X = MultiPoly.var(0)
 S = MultiPoly.var(1)
@@ -174,7 +175,7 @@ def polys_over(draw, nvars, max_terms=4):
         mono = tuple((g, e) for g in range(nvars)
                      if (e := draw(st.integers(0, 2))))
         terms[mono] = terms.get(mono, 0) + draw(fractions)
-    return MultiPoly.from_dict({m: c for m, c in terms.items() if c})
+    return from_dict({m: c for m, c in terms.items() if c})
 
 
 @st.composite
@@ -192,7 +193,7 @@ def raw_quotients(draw):
 
 def norm_sympy(p: MultiPoly, nvars: int) -> sympy.Poly:
     gens = NORM_GENS[:nvars][::-1]
-    return sympy.Poly(p.evaluate(dict(enumerate(NORM_GENS))), *gens,
+    return sympy.Poly(evaluate(p, dict(enumerate(NORM_GENS))), *gens,
                       domain="QQ")
 
 
@@ -232,7 +233,8 @@ def point_images(rels: dict) -> list:
         image = {0: sympy.Float(point, 60)}
         for g in sorted(rels):
             rnum, rden = rels[g]
-            image[g] = sympy.sqrt(rnum.evaluate(image) / rden.evaluate(image))
+            image[g] = sympy.sqrt(evaluate(rnum, image)
+                                  / evaluate(rden, image))
         images.append(image)
     return images
 
@@ -244,7 +246,7 @@ def agree(a, b, images) -> bool:
     divides by nothing."""
     (na, da), (nb, db) = a, b
     for image in images:
-        va, vb = (p.evaluate(image) * q.evaluate(image)
+        va, vb = (evaluate(p, image) * evaluate(q, image)
                   for p, q in ((na, db), (nb, da)))
         if abs(va - vb) > 1e-40 * (1 + abs(va)):
             return False
@@ -282,7 +284,7 @@ def tower_poly(draw, t: Tower, max_terms: int,
     for _ in range(draw(st.integers(1, max_terms))):
         mono = tuple((g, draw(st.integers(0, root_top if g in t.rels
                                           else 2))) for g in gids)
-        p = p + MultiPoly.from_dict({mono: draw(ints.filter(bool))})
+        p = p + monomial(mono).scale(draw(ints.filter(bool)))
     return p
 
 
@@ -314,7 +316,7 @@ def test_reduction_matches_sympy(case):
     try:
         nf = normal_form(num, den, t.rels)
     except ZeroDenominator:  # den is 0 as an element
-        assert all(abs(den.evaluate(image)) < 1e-40 for image in images)
+        assert all(abs(evaluate(den, image)) < 1e-40 for image in images)
         return
     for g in t.rels:
         assert nf.num.deg_in(g) <= 1 and nf.den.deg_in(g) == 0

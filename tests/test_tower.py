@@ -18,6 +18,7 @@ from diffalg.poly import set_degree_limit
 from diffalg.tower import (CommutingX, FULL_D, Generator, LambertW, PartialD,
                            Tower)
 from lemmas import chain_rule, d_below, der_comm
+from polys import evaluate
 
 
 def exp_inv_square():
@@ -701,7 +702,7 @@ def exp_log_towers(draw, root=False):
 
     def to_sympy(e, frozen=False):
         image = images[frozen]
-        return e.rf.num.evaluate(image) / e.rf.den.evaluate(image)
+        return evaluate(e.rf.num, image) / evaluate(e.rf.den, image)
 
     def adjoin(name, what, *args):
         nonlocal t

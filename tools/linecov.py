@@ -2,6 +2,8 @@
 
     PYTHONPATH=src:tools python -m pytest -q -p linecov
     python3 tools/linecov.py --report
+    python3 tools/linecov.py --traffic
+    python3 tools/linecov.py --report traffic.json
 
 As a plugin, it installs a ``sys.settrace`` line tracer on the modules
 of ``src/diffalg`` at each test's setup, call and teardown, since
@@ -14,6 +16,14 @@ function that raises, as it does at a ``RecursionError`` raised inside
 it, so the lines such a test ran after the drop are not recorded.
 Frames of any other file are not traced.  The traced suite runs several
 times slower than the plain one.
+
+``--traffic [FILE]`` runs the same tracer, outside pytest, over every
+reply of ``tools/reply_digests.py`` and one seed-1 pass of each workload
+of ``perfbench/workloads.py``, which is only read, and writes FILE
+(``traffic.json`` by default) in the same format, the label of each run
+that dropped the tracer under ``tracer_dropped``.  ``--report
+traffic.json`` then lists the lines that no product reply or workload
+runs.
 
 ``--report [FILE]`` reads that file (``linecov.json`` by default) and
 prints the statement lines of function bodies, docstrings excluded,
@@ -32,17 +42,21 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import glob
 import hashlib
+import io
 import json
 import os
 import sys
+import tempfile
 
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "diffalg")
 OUT = "linecov.json"
+TRAFFIC = "traffic.json"
 DROPPED = "tracer_dropped"
 
 
@@ -109,11 +123,46 @@ def pytest_runtest_teardown(item):
 
 def pytest_sessionfinish(session):
     sys.settrace(None)
-    with open(OUT, "w") as f:
+    _write(OUT)
+
+
+def _write(path: str) -> None:
+    with open(path, "w") as f:
         json.dump({**{rel: {"sha256": digest,
                             "lines": sorted(_seen.get(rel, ()))}
                       for rel, digest in _digests.items()},
                    DROPPED: _dropped}, f)
+
+
+# -- traffic ------------------------------------------------------------------
+
+
+def traffic(path: str) -> None:
+    """Trace every reply of tools/reply_digests.py and one seed-1 pass of
+    each workload, then write path as the plugin writes linecov.json."""
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    import reply_digests
+    import workloads
+
+    _digests.update({rel: _digest(real) for real, rel in _MODULES.items()})
+    with tempfile.TemporaryDirectory() as workdir:
+        def one_pass(name):
+            for op in workloads.build(name, 1, workdir).ops:
+                op.run()
+
+        runs = [("tools/reply_digests.py", lambda: reply_digests.main([]))]
+        runs += [(f"workload {name}", lambda name=name: one_pass(name))
+                 for name in workloads.NAMES]
+        for label, run in runs:
+            sys.settrace(_trace)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    run()
+            finally:
+                if sys.gettrace() is not _trace:
+                    _dropped.append(label)
+                sys.settrace(None)
+    _write(path)
 
 
 # -- report -------------------------------------------------------------------
@@ -164,10 +213,16 @@ def report(executed: dict) -> tuple:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="List the lines of src/diffalg "
                                  "that a traced test run did not execute.")
-    ap.add_argument("--report", nargs="?", const=OUT, required=True,
-                    metavar="FILE",
-                    help=f"read FILE (default {OUT}) and list the lines")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--report", nargs="?", const=OUT, metavar="FILE",
+                      help=f"read FILE (default {OUT}) and list the lines")
+    mode.add_argument("--traffic", nargs="?", const=TRAFFIC, metavar="FILE",
+                      help="trace the replies of tools/reply_digests.py and "
+                      f"a pass of each workload into FILE (default {TRAFFIC})")
     args = ap.parse_args(argv)
+    if args.traffic is not None:
+        traffic(args.traffic)
+        return 0
     with open(args.report) as f:
         executed = json.load(f)
     missed, changed = report(executed)
@@ -175,15 +230,15 @@ def main(argv=None) -> int:
     skipped = (f"; {len(changed)} modules changed since the traced run are "
                f"not counted" if changed else "")
     print(f"{len(missed)} statement lines of function bodies in src/diffalg "
-          f"ran in no test{skipped}")
+          f"ran in no traced run of {args.report}{skipped}")
     for rel in changed:
         print(f"{rel}: changed since the traced run; its lines are not "
               f"listed")
     for rel, n, text in missed:
         print(f"{rel}:{n}: {text}")
     if dropped:
-        print(f"{len(dropped)} tests dropped the tracer; the lines they ran "
-              f"after the drop are unknown, not unreached:")
+        print(f"{len(dropped)} traced runs dropped the tracer; the lines "
+              f"they ran after the drop are unknown, not unreached:")
     for nodeid in dropped:
         print(f"  {nodeid}")
     return 0
