@@ -46,20 +46,25 @@ does all of it; a max-heap of the remainder's monomials on the graded-lex
 key hands it each step's leading term, so no step rescans the remainder
 (Monagan & Pearce 2007, CASC).
 
-GCDs run on the integer term dicts (the denominator is a unit over Q).
-A modular certificate (_certify_coprime) first proves most coprime
-pairs coprime from their univariate images mod a prime, read off the
-packed monomials through power tables.  It stops at the first
-generators C whose coprime images leave p or q a nonzero coefficient
-over C free of the other shared generators: the gcd, free of C, divides
-that coefficient, so it is an integer.  Most pairs need one image per
-operand.  The heuristic gcd GCDHEU then evaluates at large integers,
-takes integer gcds, reads the candidate back from xi-adic digits, and
-accepts it only when it divides both inputs exactly.  When GCDHEU gives
-up (a few evaluation points, or a fixed bit budget on the evaluated
-coefficients), recursive content/primitive-part elimination by
-pseudo-remainders over the last variable gives the exact answer.  Every
-recursive content gcd takes the same route.
+GCDs run on the integer term dicts (the denominator is a unit over Q),
+and _igcd decides each by the first of these steps that settles it.
+(1) Operands that share no generator have an integer gcd.  (2) The stop
+rule of the modular certificate (_certify_coprime): once the generators
+C leave p or q a nonzero coefficient over C free of the other shared
+generators, the gcd, free of C, divides that coefficient, so it is an
+integer.  C starts as the generators only one operand has, so most
+coprime pairs need no image.  (3) Certificate images: C grows by each
+shared generator whose univariate images mod a prime, read off the
+packed monomials through power tables, are coprime.  (4) Trial
+division: the primitive part of the operand with fewer terms, times the
+integer gcd of the contents, when it divides the other exactly; this
+forms no products.  (5) The heuristic gcd GCDHEU evaluates at large
+integers, takes integer gcds, reads the candidate back from xi-adic
+digits, and accepts it only when it divides both inputs exactly.  (6)
+When GCDHEU gives up (a few evaluation points, or a fixed bit budget on
+the evaluated coefficients), recursive content/primitive-part
+elimination by pseudo-remainders (PRS) over the last variable gives the
+exact answer.  Every recursive content gcd takes the same route.
 """
 
 from __future__ import annotations
@@ -167,10 +172,9 @@ def _dict_neg(a: dict) -> dict:
 
 
 def _dict_mul(a: dict, b: dict, deg: int) -> dict:
-    """a * b, whose total degree is deg = deg a + deg b: the one multiply
-    kernel, and the one place that checks the degree guard."""
-    if not a or not b:
-        return {}
+    """a * b for nonzero a and b, whose total degree is deg = deg a +
+    deg b: the one multiply kernel, and the one place that checks the
+    degree guard."""
     if deg > _degree_guard.get()[1]:
         _refuse(deg)
     if len(a) < len(b):
@@ -465,13 +469,8 @@ class MultiPoly:
         return self._hash
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "MultiPoly(0)"
-        bits = []
-        for m in sorted(self.terms, key=mono_key, reverse=True):
-            c = Fraction(self.terms[m], self.den)
-            bits.append(f"{c}*{tuple(mono_items(m))}")
-        return "MultiPoly(" + " + ".join(bits) + ")"
+        from .fmt import poly_repr  # fmt imports this module
+        return poly_repr(self)
 
     def partial(self, gid: int) -> "MultiPoly":
         """Formal partial derivative with respect to one generator."""
@@ -584,35 +583,15 @@ def _idivexact(p: dict, q: dict) -> dict:
     return quot
 
 
-def _fold_gcd(polys: list) -> dict:
-    """GCD of a list of integer-coefficient polys, smallest first."""
-    polys = sorted(polys, key=len)
-    cont = polys[0]
-    for i, coeff in enumerate(polys[1:], start=1):
-        if len(cont) == 1 and 0 in cont:
-            # Constant running gcd: only integer content can still shrink.
-            g = abs(cont[0])
-            for rest in polys[i:]:
-                g = int_gcd(g, _int_content(rest))
-                if g == 1:
-                    break
-            return {0: g}
-        cont = _igcd(cont, coeff)
-    return cont
-
-
-def _uni_content(u: dict) -> dict:
-    """GCD of the polynomial coefficients of a univariate view."""
-    if not u:
-        return {}
-    return _fold_gcd(list(u.values()))
+def _fold_gcd(polys) -> dict:
+    """GCD of integer-coefficient polys, smallest first; once it is a
+    constant, _igcd takes only integer contents."""
+    return reduce(_igcd, sorted(polys, key=len))
 
 
 def _content_over(p: dict, vars_out: set) -> dict:
     """GCD of p's coefficients w.r.t. the monomials in vars_out."""
-    if not vars_out:
-        return p
-    return _pos_lc(_fold_gcd(list(_split_by(p, vars_out).values())))
+    return _pos_lc(_fold_gcd(_split_by(p, vars_out).values()))
 
 
 # Coprimality certificate, in front of GCDHEU: set every generator but v
@@ -625,9 +604,11 @@ def _content_over(p: dict, vars_out: set) -> dict:
 # coefficient over C that holds no uncertified shared generator, the gcd
 # is an integer and GCDHEU is skipped.  The gcd lives in the shared
 # generators outside C and divides that coefficient, whose generators
-# are disjoint from its own, so it is a constant.  A generator that
-# settles it on its own is certified first, alone; over one shared
-# generator no stop test runs.  A failure is never trusted.  The images
+# are disjoint from its own, so it is a constant.  C starts as the
+# generators only one operand has, which the gcd is free of, so the
+# rule is tested once before any image.  A generator that settles it
+# on its own is certified first, alone; over one shared generator no
+# further stop test runs.  A failure is never trusted.  The images
 # are read off the packed monomials: each term indexes one power table
 # per generator with its shifted field, and both operands share the
 # tables, each as long as its generator's field in their OR.
@@ -711,26 +692,30 @@ def _settles(p: dict, q: dict, cmask: int, rmask: int) -> bool:
     generators of cmask that holds none of rmask's, that is, a monomial in
     cmask that only terms free of rmask carry."""
     for r in (p, q):
-        tied = {m & cmask for m in r if m & rmask}
-        if any(m & cmask not in tied for m in r if not m & rmask):
+        free = {m & cmask for m in r if not m & rmask}
+        if free and not free <= {m & cmask for m in r if m & rmask}:
             return True
     return False
 
 
 def _certify_coprime(p: dict, q: dict, shared: set) -> bool:
-    """True only when coprime images prove gcd(p, q) an integer: fixed
-    points, three tries per generator, in turn until the stop rule holds
-    or every shared generator is certified."""
+    """True only when the stop rule or coprime images prove gcd(p, q) an
+    integer: the one-sided generators first, then fixed points, three
+    tries per generator, in turn until the stop rule holds or every
+    shared generator is certified."""
     up, uq = _union(p), _union(q)
     gp, gq = ({g for g, _ in mono_items(u)} for u in (up, uq))  # as _gens_of
     gens = shared | gp | gq
+    one = sum(_FIELD << g * W for g in gp ^ gq)  # the gcd is free of these
+    if one and _settles(p, q, one, sum(_FIELD << g * W for g in gp & gq)):
+        return True
     points = _cert_points()
-    order, cmask, rest = shared, 0, 0
+    order, cmask, rest = shared, one, 0
     if len(shared) > 1:
         masks = {g: _FIELD << g * W for g in shared}
         every = sum(masks.values())
-        alone = next((g for g in shared
-                      if _settles(p, q, masks[g], every - masks[g])), None)
+        alone = next((g for g in shared if _settles(
+            p, q, one | masks[g], every - masks[g])), None)
         if alone is None:
             rest = every  # no generator settles alone: test from two on
         else:
@@ -754,7 +739,8 @@ def _certify_coprime(p: dict, q: dict, shared: set) -> bool:
             return False  # the leading coefficient dropped three times
         if rest:
             cmask, rest = cmask | masks[v], rest - masks[v]
-            if rest and cmask != masks[v] and _settles(p, q, cmask, rest):
+            if (rest and cmask != one | masks[v]
+                    and _settles(p, q, cmask, rest)):
                 return True
     return True
 
@@ -868,9 +854,20 @@ def _igcd(p: dict, q: dict) -> dict:
         return _pos_lc(p)
     # The gcd divides both, so it lives in the shared variables; a
     # constant has none.
-    shared = _gens_of(p) & _gens_of(q)
+    gp, gq = _gens_of(p), _gens_of(q)
+    shared = gp & gq
+    cp, cq = _int_content(p), _int_content(q)
     if not shared or _certify_coprime(p, q, shared):
-        return {0: int_gcd(_int_content(p), _int_content(q))}
+        return {0: int_gcd(cp, cq)}
+    # The gcd is the primitive part h of the smaller operand b times the
+    # integer gcd of the contents when h divides the larger, a: tried when
+    # b has no generator a lacks.  A b of higher degree in some generator
+    # fails in _divexact, mostly at its first step.
+    a, b, cb, gb = (p, q, cq, gq) if len(p) >= len(q) else (q, p, cp, gp)
+    if gb == shared:
+        h = _primitive(b, cb)
+        if _divexact(a, h) is not None:
+            return _pos_lc({m: c * int_gcd(cp, cq) for m, c in h.items()})
     g = _heu_gcd(p, q)
     return _prs_gcd(p, q) if g is None else _pos_lc(g)
 
@@ -892,8 +889,8 @@ def _prs_gcd(p: dict, q: dict) -> dict:
     v = max(shared)
     up = _to_uni(p, v)
     uq = _to_uni(q, v)
-    cp = _uni_content(up)
-    cq = _uni_content(uq)
+    cp = _fold_gcd(up.values())
+    cq = _fold_gcd(uq.values())
     cont = _igcd(cp, cq)
     a = {k: _idivexact(c, cp) for k, c in up.items()}
     b = {k: _idivexact(c, cq) for k, c in uq.items()}
@@ -907,7 +904,7 @@ def _prs_gcd(p: dict, q: dict) -> dict:
             # Nonzero v-free remainder: primitive parts are coprime in v.
             b = {0: {0: 1}}
             break
-        rc = _uni_content(r)
+        rc = _fold_gcd(r.values())
         r = {k: _idivexact(c, rc) for k, c in r.items()}
         a, b = b, r
     g = _from_uni({k: _imul(c, cont) for k, c in b.items()}, v)
@@ -930,12 +927,8 @@ def _monic(p: dict) -> MultiPoly:
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Greatest common divisor, normalized to leading coefficient 1."""
-    if p.is_zero() and q.is_zero():
-        return MultiPoly.zero()
-    if p.is_zero():
-        return _monic(q.terms)
-    if q.is_zero():
-        return _monic(p.terms)
-    if p.is_const() or q.is_const():
+    if not (p.terms or q.terms):
+        return p
+    if p.terms and q.terms and (p.is_const() or q.is_const()):
         return MultiPoly.one()
     return _monic(_igcd(p.terms, q.terms))

@@ -243,7 +243,9 @@ class Element:
         return fmt.format_ratfunc(self.rf, self.tower.name_of)
 
     def __repr__(self) -> str:
-        return f"<Element {self}>"
+        text = fmt.format_ratfunc(self.rf, self.tower.name_of,
+                                  abbreviate=True)
+        return f"<Element {text}>"
 
 
 class Tower:

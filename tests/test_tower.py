@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from diffalg.cli import main
 from diffalg.dsl import parse_expr, parse_tower
-from diffalg.errors import (CyclicDefinition, DegreeOverflow, FieldMismatch,
-                            InvalidDefiningData, NameClash, NotQuadratic,
-                            UnsupportedHandle, ZeroDenominator, ZeroElement)
+from diffalg.errors import (CoefficientTooLong, CyclicDefinition,
+                            DegreeOverflow, FieldMismatch, InvalidDefiningData,
+                            NameClash, NotQuadratic, UnsupportedHandle,
+                            ZeroDenominator, ZeroElement)
 from diffalg.poly import set_degree_limit
 from diffalg.tower import (CommutingX, FULL_D, Generator, LambertW, PartialD,
                            Tower)
@@ -799,6 +800,18 @@ def test_chain_rule_with_root(case):
     # above it; either way D = D_below + (D g) * partial_g
     t, e, g, _ = case
     assert chain_rule(t, g, e)
+
+
+def test_repr_shows_a_coefficient_past_the_digit_limit_by_its_bits():
+    # repr must show any value, for a debugger or an assertion report;
+    # str, which prints the grammar, still refuses such a literal
+    x = Tower.base().var("x")["x"]
+    big = x * 2 ** 20000
+    assert repr(big) == "<Element <20001-bit integer>*x>"
+    assert repr(x / 2 ** 20000) == "<Element 1/<20001-bit integer>*x>"
+    assert repr(big.rf.num) == "MultiPoly(<20001-bit integer>*((0, 1),))"
+    with pytest.raises(CoefficientTooLong):
+        str(big)
 
 
 def test_refusals_of_the_element_and_tower_api():
