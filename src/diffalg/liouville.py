@@ -25,6 +25,10 @@ addition theorem, curves.abel_step.  A pair whose conjugate only negates
 y drops, since every curve phi is odd in y; otherwise the point adds to
 its conjugate, the correction w goes into v0, the Legendre third kind's
 log term joins the form, and the Weierstrass third kind is refused.
+That log term c log(num/den) joins as one canonical log, but the step's
+self-check reads it as the two logs c log(num) - c log(den): the same
+derivative, Dnum/num - Dden/den, whose conjugate factors the zero test
+clears as one pair over their norm.
 
 Both steps, reduce_top and reduce_algebraic, take (t, f, form), find the
 extension on top that they consume, and return the reduced form, whose
@@ -180,16 +184,26 @@ def _merge_terms(terms):
     return [(c, term) for term, c in acc.items() if not c.is_zero()]
 
 
-def _move_down(new_t: Tower, f: Element, v0: Element, terms) -> LiouvilleForm:
+def _move_down(new_t: Tower, f: Element, v0: Element, terms,
+               check_terms=None) -> LiouvilleForm:
     """Rebuild the reduced form over the shrunken tower and self-check it.
 
     new_t is the tower without the consumed generators, and it keeps the
     constants above them, so it need not be a prefix.  LiouvilleForm moves
     every element down by new_t.coerce, which refuses one that still uses
     a dropped generator; no element is normalized again.
+
+    The self-check reads check_terms, where given, in place of terms:
+    reduce_algebraic passes each third-kind correction c log(num/den) as
+    c log(num) - c log(den), of the same derivative Dnum/num - Dden/den.
+    num and den are conjugate under delta, so the zero test clears them
+    as one pair over their norm, where the canonical argument's
+    rationalized numerator would have no conjugate to pair with.
     """
     moved = LiouvilleForm(new_t.coerce(v0), _merge_terms(terms))
-    if not verify_liouville(new_t, new_t.coerce(f), moved):
+    checked = (moved if check_terms is None
+               else LiouvilleForm(moved.v0, _merge_terms(check_terms)))
+    if not verify_liouville(new_t, new_t.coerce(f), checked):
         raise SelfCheckFailed("reduced form derivative drifted")
     return moved
 
@@ -255,6 +269,7 @@ def reduce_algebraic(t: Tower, f: Element, form: LiouvilleForm) -> LiouvilleForm
     half = t.lit(Fraction(1, 2))
     v0 = t.trace(s, form.v0) * half
     new_terms = []
+    split = {}  # index in new_terms of each Abel correction: its two logs
 
     # A term and its conjugate have the same trace, so each orbit
     # {T, conj T} is pushed once, with its coefficients summed, at the
@@ -291,10 +306,14 @@ def reduce_algebraic(t: Tower, f: Element, form: LiouvilleForm) -> LiouvilleForm
         v0 = v0 + chalf * w
         if log is not None:
             c, num, den = log
+            split[len(new_terms)] = [(chalf * c, LogPhi(num)),
+                                     (-chalf * c, LogPhi(den))]
             new_terms.append((chalf * c, LogPhi(log_canonical(num / den))))
         new_terms.append((chalf, make_term(name, [p3.x, p3.y, *data])))
 
-    return _move_down(t.drop_gens(sgids), f, v0, new_terms)
+    check_terms = [pair for i, term in enumerate(new_terms)
+                   for pair in split.get(i, [term])] if split else None
+    return _move_down(t.drop_gens(sgids), f, v0, new_terms, check_terms)
 
 
 # --------------------------------------------------------------------------

@@ -918,11 +918,9 @@ def _pos_lc(p: dict) -> dict:
 
 
 def _monic(p: dict) -> MultiPoly:
-    """p over its leading coefficient."""
-    lc = p[_lead(p)]
-    if lc < 0:
-        p, lc = _dict_neg(p), -lc
-    return _make(p, lc)
+    """p over its leading coefficient, which is positive: every _igcd
+    result comes through _pos_lc or is a positive integer gcd."""
+    return _make(p, p[_lead(p)])
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:

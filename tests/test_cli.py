@@ -15,6 +15,8 @@ import pytest
 import diffalg
 from diffalg import cli, errors, liouville, poly
 from diffalg.cli import ERROR_MESSAGES, main
+from diffalg.dsl import parse_form, parse_tower
+from diffalg.liouville import form_derivative
 
 X_ONLY = "var x = d/dx 1\n"
 LOG_TOWER = X_ONLY + "gen th = log(x)\n"
@@ -798,6 +800,40 @@ def test_reduce_refuses_a_step_that_drifts(tower_file, form_file, capsys,
                         lambda t, v0, sgids: rewrite(t, v0, sgids) + t["x"])
     argv = ["reduce", tower_file(LOG_TOWER), "--integrand", "1/x",
             "--form", form_file("v0 = th")]
+    msg = ("reduced form failed re-verification: "
+           "reduced form derivative drifted")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {msg}\n")
+    assert main(argv + ["--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
+
+
+# the conjugate pair of third-kind terms at x + s and x - s on the
+# Legendre quartic, whose reduction adds an Abel log correction
+L3_TOWER = ("const m, pa\nvar x = d/dx 1\nlet e = (1 + m)/(2*m)\n"
+            "let r = e - x^2\ngen y = sqrt((1 - e)*(1 - m*e) + 4*m*x^2*r)\n"
+            "gen delta = sqrt((1 - pa^2)*(1 - m*pa^2))\ngen s = sqrt(r)\n")
+L3_PAIR = ("v0 = 0\nterm 1/2 * l3(x + s, y, m, pa, delta)\n"
+           "term 1/2 * l3(x - s, y, m, pa, delta)\n")
+
+
+def test_reduce_refuses_a_wrong_third_kind_correction(tower_file, form_file,
+                                                      capsys, monkeypatch):
+    # a doubled log coefficient changes the reduced form's derivative, so
+    # the self-check, which reads the correction as its two logs, refuses it
+    doc = parse_tower(L3_TOWER)
+    f = form_derivative(doc.tower, parse_form(L3_PAIR, doc.tower,
+                                              doc.bindings))
+    step = liouville.abel_step
+
+    def doubled(*args):
+        p3, w, (c, num, den) = step(*args)
+        return p3, w, (2 * c, num, den)
+
+    monkeypatch.setattr(liouville, "abel_step", doubled)
+    argv = ["reduce", tower_file(L3_TOWER), f"--integrand={f}",
+            "--form", form_file(L3_PAIR)]
     msg = ("reduced form failed re-verification: "
            "reduced form derivative drifted")
     assert main(argv) == 2

@@ -10,8 +10,9 @@ from diffalg import curves, liouville, poly
 from diffalg.curves import ThirdKindParam, phi_part, phi_sum
 from diffalg.errors import (FieldMismatch, FNotBelow, IntegrandNotReducible,
                             InvalidDefiningData, NonConstantCoefficient,
-                            NotConstant, PartNotBelow, UnsupportedHandle,
-                            UnsupportedTermKind, ZeroDenominator)
+                            NotConstant, PartNotBelow, SelfCheckFailed,
+                            UnsupportedHandle, UnsupportedTermKind,
+                            ZeroDenominator)
 from diffalg.liouville import (LiouvilleForm, LogPhi, LPhi, WPhi,
                                form_derivative, log_canonical, reduce,
                                reduce_algebraic, reduce_top, verify_liouville,
@@ -872,6 +873,14 @@ def _l3_tower():
     return t, prm
 
 
+def _l3_pair(t: Tower, prm: ThirdKindParam) -> list:
+    """The conjugate pair of third-kind terms at x + s and x - s on the
+    tower of _l3_tower: the form that the l3_pushdown benchmark reduces."""
+    m, x, y, s = t["m"], t["x"], t["y"], t["s"]
+    return [(Fraction(1, 2), LPhi(3, x + s, y, m, prm)),
+            (Fraction(1, 2), LPhi(3, x - s, y, m, prm))]
+
+
 def _count_abel_calls(monkeypatch) -> dict:
     """Count curves.legendre_add, which abel_step calls, and abel_step at
     its liouville binding, which reduce_algebraic calls."""
@@ -889,11 +898,8 @@ def _count_abel_calls(monkeypatch) -> dict:
 
 def test_reduce_algebraic_l3_log_correction(monkeypatch):
     t, prm = _l3_tower()
-    m, x, y, s = t["m"], t["x"], t["y"], t["s"]
     sgid = t.gen_of("s").gid
-    form = LiouvilleForm(t.zero(),
-                         [(Fraction(1, 2), LPhi(3, x + s, y, m, prm)),
-                          (Fraction(1, 2), LPhi(3, x - s, y, m, prm))])
+    form = LiouvilleForm(t.zero(), _l3_pair(t, prm))
     f = form_derivative(t, form)
     assert (f - f.conj(sgid)).is_zero()
     calls = _count_abel_calls(monkeypatch)
@@ -909,12 +915,11 @@ def test_reduce_algebraic_l3_log_correction(monkeypatch):
 def test_l3_reduction_work_is_pinned(monkeypatch):
     # term pairs over every polynomial product of the reduction that the
     # l3_pushdown benchmark times, its self-check included; it took 70,228
-    # when each log term entered as the quotient rule's D(v)/v over d^2
+    # when each log term entered as the quotient rule's D(v)/v over d^2,
+    # and 35,405 when the self-check read the Abel correction as its one
+    # canonical log instead of the conjugate pair log(num) - log(den)
     t, prm = _l3_tower()
-    m, x, y, s = t["m"], t["x"], t["y"], t["s"]
-    form = LiouvilleForm(t.zero(),
-                         [(Fraction(1, 2), LPhi(3, x + s, y, m, prm)),
-                          (Fraction(1, 2), LPhi(3, x - s, y, m, prm))])
+    form = LiouvilleForm(t.zero(), _l3_pair(t, prm))
     f = form_derivative(t, form)
     pairs = []
     mul = poly._dict_mul
@@ -926,7 +931,44 @@ def test_l3_reduction_work_is_pinned(monkeypatch):
     monkeypatch.setattr(poly, "_dict_mul", counted)
     steps = reduce(t, f, form)
     assert len(steps) == 1
-    assert sum(pairs) <= 35_500
+    assert sum(pairs) <= 10_400
+
+
+def test_self_check_catches_a_wrong_third_kind_correction(monkeypatch):
+    # the self-check reads the correction as its two logs; a doubled
+    # coefficient c changes the derivative, and the step refuses it
+    t, prm = _l3_tower()
+    form = LiouvilleForm(t.zero(), _l3_pair(t, prm))
+    f = form_derivative(t, form)
+    step = liouville.abel_step
+
+    def doubled(*args):
+        p3, w, (c, num, den) = step(*args)
+        return p3, w, (2 * c, num, den)
+
+    monkeypatch.setattr(liouville, "abel_step", doubled)
+    with pytest.raises(SelfCheckFailed):
+        reduce(t, f, form)
+
+
+@pytest.mark.parametrize("same", [False, True], ids=["k=3", "k=-c"])
+def test_correction_merges_with_a_log_of_its_argument(same):
+    # an s-free log k*log(v) in the input, v the correction's canonical
+    # argument: the returned form holds one log of v with coefficient
+    # c + k, or none when k = -c, and the self-check passes either way
+    t, prm = _l3_tower()
+    pair = _l3_pair(t, prm)
+    bare = LiouvilleForm(t.zero(), pair)
+    first = reduce_algebraic(t, form_derivative(t, bare), bare)
+    (c, log), = [(c, term) for c, term in first.terms
+                 if isinstance(term, LogPhi)]
+    k = -t.coerce(c) if same else t.lit(3)
+    form = LiouvilleForm(t.zero(), pair + [(k, LogPhi(t.coerce(log.v)))])
+    f = form_derivative(t, form)
+    out = reduce_algebraic(t, f, form)
+    logs = [(d, term) for d, term in out.terms if isinstance(term, LogPhi)]
+    assert logs == ([] if same else [(c + 3, log)])
+    assert verify_liouville(out.tower, out.tower.coerce(f), out)
 
 
 def test_each_tower_finds_its_reduction_target_once(monkeypatch):
@@ -935,10 +977,7 @@ def test_each_tower_finds_its_reduction_target_once(monkeypatch):
     # below, where the step refuses at the integrand's floor.  It visits
     # two towers, and each finds its target once
     t, prm = _l3_tower()
-    m, x, y, s = t["m"], t["x"], t["y"], t["s"]
-    form = LiouvilleForm(t.zero(),
-                         [(Fraction(1, 2), LPhi(3, x + s, y, m, prm)),
-                          (Fraction(1, 2), LPhi(3, x - s, y, m, prm))])
+    form = LiouvilleForm(t.zero(), _l3_pair(t, prm))
     f = form_derivative(t, form)
     found, asked = [], []
     find, target = liouville._find_target, liouville._reduction_target
