@@ -26,7 +26,9 @@ of ``REDUCE_CHAINS``, which stacks extensions of different kinds, and
 ``derive`` or ``verify`` on each document of ``DEGENERATE_CURVES``,
 whose curve must be refused, and ``verify``, a perturbed ``verify`` and
 ``reduce`` on each form of ``LOG_PAIRS``, whose log terms come in
-conjugate pairs.  The
+conjugate pairs, and ``derive -e`` on each entry of ``POWERS``, which
+raises expressions to integer powers, some under a low
+``--max-degree``.  The
 ``declarations`` sets hold ``DECLARED_TOWER``, which declares every
 ``gen`` kind of ``tower.GEN_KINDS`` with and without its optional
 argument, and ``DECLARED_FORM``, which holds every ``term`` kind of
@@ -197,6 +199,21 @@ DEGENERATE_CURVES = [
      "1/(1 - x^2)"),
 ]
 
+# Powers over square roots: (x + y + 1)^n over the quartic root, powers
+# whose raw and folded degrees fall on either side of --max-degree 4, and
+# the square of a zero divisor.  Each entry is (tower, expression, extra
+# arguments of derive).
+_QUARTIC = "var x = d/dx 1\ngen y = sqrt((1 - x^2)*(1 - x^2/9))\n"
+_CUBIC = "var x = d/dx 1\ngen s = sqrt(x^3 - x)\n"
+_LOW = ["--max-degree", "4"]
+POWERS = [(_QUARTIC, f"(x+y+1)^{n}", []) for n in (0, 1, 2, 3, 7, 20, 60, 100)]
+POWERS += [
+    (_CUBIC, "(s^4)^0", _LOW),
+    (_CUBIC, "s*s*s*s*0", _LOW),
+    ("var x = d/dx 1\n", "(x^3/x^2)^3", _LOW),
+    ("var x = d/dx 1\ngen y = sqrt(x^2)\n", "(y - x)^2", []),
+]
+
 # Every gen kind, int and ellint with and without their optional last
 # argument, and every term kind; the operands of / print bare or in
 # brackets (negative, fractional, powers, products and sums).
@@ -340,6 +357,12 @@ def document_argvs(docs: list, stem: str, workdir: str) -> list:
     return argvs
 
 
+def power_argvs(workdir: str) -> list:
+    """derive -e on each entry of POWERS, its tower written to workdir."""
+    return [["derive", write(workdir, f"power{i}.tower", tower), "-e", expr,
+             *extra] for i, (tower, expr, extra) in enumerate(POWERS)]
+
+
 def declarations_round_trip() -> list:
     """DECLARED_TOWER and DECLARED_FORM, each printed, then parsed and
     printed again."""
@@ -415,6 +438,7 @@ def main(argv=None) -> int:
         both("reduce_chains", reduce_argvs(REDUCE_CHAINS, "chain", workdir,
                                            ([], ["--steps", "1"])))
         both("log_pairs", log_pair_argvs(workdir))
+        both("powers", power_argvs(workdir))
     print("\n".join(lines))
     if want is None:
         return 0
