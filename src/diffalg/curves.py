@@ -277,6 +277,7 @@ def phi_part(t: Tower, term: WPhi | LPhi, h) -> _Part:
 
 
 def _product(bag: Counter) -> MultiPoly:
+    """Raw: a bag of denominators holds no relation generator to fold."""
     return prod((f ** k for f, k in bag.items()), start=MultiPoly.one())
 
 

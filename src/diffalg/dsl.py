@@ -28,11 +28,11 @@ literal, and bracketed arguments may be left out.
 
 Expressions use +, -, *, /, ^ with non-negative integer exponents; a
 leading minus applies after the power, so -x^2 is -(x^2).
-Each is folded as one raw quotient by ratfunc.quotient and normalized
-once, at its end; only square-root powers are reduced on the way, and a
-division by an expression in a square root (a possible zero divisor) is
-normalized at once.  If the fold raises anything, as a raw product past
---max-degree may, the expression is replayed with a normal form after
+Each is folded as one raw quotient by ratfunc.quotient and ratfunc.power
+and normalized once, at its end, reducing only square-root powers after
+each product and power; a division by an expression in a square root (a
+possible zero divisor) is normalized at once.  If the fold raises, as a
+product past --max-degree may, it is replayed with a normal form after
 every operator, so values and errors are those of Element arithmetic.
 Everything prints back through the canonical formatter, so parsing the
 printed text reproduces the same tower, bindings, and form.
@@ -46,7 +46,7 @@ from typing import NamedTuple
 from .errors import DiffAlgError, NameClash, ParseError
 from .liouville import LiouvilleForm
 from .phi import TERM_KINDS, make_term, term_args
-from .ratfunc import RatFunc, normal_form, quotient, reduce_powers
+from .ratfunc import RatFunc, normal_form, power, quotient, reduce_powers
 from .tower import GEN_KINDS, BaseVar, ConstParam, Element, Tower, gen_args
 
 _OPS = "+-*/^(),=;"
@@ -189,9 +189,9 @@ def _parse_binary(ts: _Stream, env: dict, t: Tower, step: bool,
                        tok.text == "*")
 
 
-def _settle(v, t: Tower, full: bool, product: bool = True):
+def _settle(v, t: Tower, full: bool, product: bool = False):
     """Normal form if full, else square-root powers reduced after a
-    product, where Element's normal form would (sums keep them reduced)."""
+    product, as Element's normal form would; sums and powers keep them."""
     if isinstance(v, RatFunc):  # an atom, already normal
         return v
     if full:
@@ -224,7 +224,7 @@ def _parse_operand(ts: _Stream, env: dict, t: Tower, step: bool):
         ts.expect("OP", ")")
     if toks[ts.pos].text == "^":
         ts.pos += 1
-        v = _settle(quotient("^", v, _int_value(ts.expect("INT"))), t, step)
+        v = _settle(power(v, _int_value(ts.expect("INT")), t.rels), t, step)
     if negate:
         num, den = v
         v = RatFunc(-num, den) if isinstance(v, RatFunc) else (-num, den)

@@ -61,11 +61,11 @@ def _map_term(term: PhiTerm, move) -> PhiTerm:
 
 class LiouvilleForm:
     """v0 plus constant-coefficient phi terms over one tower.  Each term
-    is checked once, here, by phi.check_term."""
+    is checked once, here, by phi.check_term, unless it is in known."""
 
     __slots__ = ("tower", "v0", "terms")
 
-    def __init__(self, v0: Element, terms=()):
+    def __init__(self, v0: Element, terms=(), known=()):
         t = v0.tower
         self.tower = t
         self.v0 = v0
@@ -76,7 +76,8 @@ class LiouvilleForm:
                 raise NonConstantCoefficient(
                     f"term coefficient {coeff} is not a constant")
             term = _map_term(term, t.coerce)
-            check_term(term, t.rels)
+            if term not in known:
+                check_term(term, t.rels)
             checked.append((coeff, term))
         self.terms = tuple(checked)
 
@@ -201,8 +202,8 @@ def _move_down(new_t: Tower, f: Element, v0: Element, terms,
     rationalized numerator would have no conjugate to pair with.
     """
     moved = LiouvilleForm(new_t.coerce(v0), _merge_terms(terms))
-    checked = (moved if check_terms is None
-               else LiouvilleForm(moved.v0, _merge_terms(check_terms)))
+    checked = (moved if check_terms is None else LiouvilleForm(
+        moved.v0, _merge_terms(check_terms), {u for _, u in moved.terms}))
     if not verify_liouville(new_t, new_t.coerce(f), checked):
         raise SelfCheckFailed("reduced form derivative drifted")
     return moved

@@ -443,16 +443,8 @@ class MultiPoly:
                      self.den * d, self._deg)
 
     def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
-            raise ValueError("negative power on a polynomial")
-        result, base = _ONE, self
-        while k:
-            if k & 1:
-                result = base if result is _ONE else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        """The raw power; ratfunc.power folds the relations, by one loop."""
+        return square_multiply(self, k, MultiPoly.__mul__, _ONE)
 
     def scale(self, q) -> "MultiPoly":
         if not _exact(q) or not self.terms:
@@ -515,7 +507,9 @@ class MultiPoly:
         with p = sum_h p_h * g^(2h) and H the largest h, p becomes
         sum_h p_h * rnum^h * rden^(H-h) over rden^H.  A fold leaves the
         exponents of earlier generators alone unless the radicand holds a
-        relation generator, and only then is the OR taken again.
+        relation generator, and only then is the OR taken again; that OR
+        folds rnum ** h, a raw power, as h is small: the engine folds only
+        products of a few factors, each multilinear by ratfunc.power.
         """
         squares = sum((_FIELD - 1) << (g * W) for g in rels)
         todo = _union(self.terms) & squares if squares else 0
@@ -529,11 +523,8 @@ class MultiPoly:
             top = max(groups)
             if not top:  # the squares cancelled since the last OR
                 continue
-            acc = MultiPoly.zero()
-            for h, group in groups.items():
-                acc = acc + _make(group, num.den) * (rnum ** h
-                                                     * rden ** (top - h))
-            num = acc
+            num = sum((_make(group, num.den) * (rnum ** h * rden ** (top - h))
+                       for h, group in groups.items()), MultiPoly.zero())
             den = den * rden ** top
             if not (rnum.gens() | rden.gens()).isdisjoint(rels):
                 todo = _union(num.terms) & squares
@@ -541,6 +532,19 @@ class MultiPoly:
 
 
 _ONE = MultiPoly({0: 1}, 1, 0)
+
+
+def square_multiply(base, k: int, mul, one):
+    """base ** k, k >= 0, under mul with unit one: the one power loop."""
+    if k < 0:
+        raise ValueError("negative power on a polynomial")
+    result = one
+    while k:
+        if k & 1:
+            result = base if result is one else mul(result, base)
+        if k := k >> 1:
+            base = mul(base, base)
+    return result
 
 
 def _int_content(p: dict) -> int:

@@ -1,15 +1,15 @@
 """Reduced rational functions and normal forms modulo square-root relations.
 
 A RatFunc is a pair of polynomials with gcd 1 and a monic denominator,
-and has no arithmetic: Element and the parser apply quotient, the one
-copy of the quotient rules on raw (num, den) pairs, which cancels a
-shared denominator before it multiplies.  The quadratic
-relations g^2 = r of the algebraic generators are a plain dict rels,
-generator id -> radicand r.  Each radicand is a normal form over the
-strictly earlier part of the tower, so rewriting a later generator can
-only surface earlier ones.  normal_form rewrites an element
-so that every such g appears with exponent at most one in the numerator
-and not at all in the denominator (conjugate rationalization).
+and has no arithmetic: on raw (num, den) pairs, Element and the parser
+apply quotient, the one copy of the rules + - * /, which cancels a shared
+denominator before it multiplies, and power, the one power rule.  The
+quadratic relations g^2 = r of the algebraic generators are a plain dict
+rels, generator id -> radicand r.  Each radicand is a normal form over
+the strictly earlier part of the tower, so rewriting a later generator
+can only surface earlier ones.  normal_form rewrites an element so that
+every such g appears with exponent at most one in the numerator and not
+at all in the denominator (conjugate rationalization).
 
 Two normal forms n1/d1 and n2/d2 are compared structurally.  That rests
 on unique factorization in the polynomial ring alone: their difference
@@ -20,9 +20,9 @@ n1 = n2 and d1 = d2.  That distinct normal forms are distinct values
 needs more: the declared-nonsquare convention, under which the products
 of distinct relation generators are independent over the field below.
 
-reduce_powers, the power reduction of every caller (normal_form, the lazy
-clearing of curves and the parser), folds g^2 -> r through the polynomial
-view MultiPoly.fold_squares; this module reads no monomials.
+reduce_powers, the power reduction of every caller (normal_form, power
+after each product, the lazy clearing of curves and the parser), folds
+g^2 -> r through MultiPoly.fold_squares; this module reads no monomials.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ZeroDenominator
-from .poly import MultiPoly, poly_divexact, poly_gcd
+from .poly import MultiPoly, poly_divexact, poly_gcd, square_multiply
 
 
 class RatFunc(NamedTuple):
@@ -63,18 +63,13 @@ class RatFunc(NamedTuple):
 
 
 def quotient(op: str, a, b):
-    """a op b as a raw (num, den) pair, b a pair or for ^ an integer: the
-    quotient rules of Element and the parser, written once.  Equal
+    """a op b for op in + - * / and raw (num, den) pairs a and b, as a raw
+    pair: the quotient rules of Element and the parser, written once.  Equal
     denominators of + - / cancel first, found by ==, not a gcd (Henrici;
     Knuth, TAOCP vol. 2, 4.5.1).  That is exact: every denominator that
     reaches here is free of relation generators, so it is no zero
     divisor, and normal forms are unique."""
-    an, ad = a
-    if op == "^":
-        if b < 0 and an.is_zero():
-            raise ZeroDenominator("negative power of zero")
-        return (an ** b, ad ** b) if b >= 0 else (ad ** -b, an ** -b)
-    bn, bd = b
+    (an, ad), (bn, bd) = a, b
     if op == "*":
         return an * bn, ad * bd
     if op == "/":
@@ -108,14 +103,23 @@ def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
 
 def reduce_powers(num: MultiPoly, den: MultiPoly, rels: dict):
     """Power-reduce numerator and denominator; returns a raw (num, den),
-    the operands themselves when nothing folds."""
+    the operands themselves when nothing folds (d1 and d2 are the unit)."""
     if not rels:
         return num, den
     n1, d1 = num.fold_squares(rels)
     n2, d2 = den.fold_squares(rels)
-    if n1 is num and n2 is den:  # nothing folded: d1 and d2 are the unit
-        return num, den
     return n1 * d2, n2 * d1
+
+
+def power(a, k: int, rels: dict):
+    """a ** k for a raw pair a: the one power rule, whose product folds by
+    reduce_powers; a lone factor is left as it is, and k < 0 swaps a."""
+    if k < 0:
+        if a[0].is_zero():
+            raise ZeroDenominator("negative power of zero")
+        a, k = a[::-1], -k
+    return square_multiply(a, k, lambda p, q: reduce_powers(
+        p[0] * q[0], p[1] * q[1], rels), RatFunc.const(1))
 
 
 def rationalize(num: MultiPoly, den: MultiPoly, rels: dict):

@@ -33,7 +33,7 @@ from .errors import (CyclicDefinition, DiffAlgError, FieldMismatch,
                      UnsupportedHandle, ZeroElement)
 from .phi import LogPhi, WeierstrassCurve, WPhi, check_term, phi_shape
 from .poly import MultiPoly, get_degree_limit
-from .ratfunc import RatFunc, normal_form, quotient, reduce_powers
+from .ratfunc import RatFunc, normal_form, power, quotient, reduce_powers
 
 # --------------------------------------------------------------------------
 # Extension kinds.  A payload is the Element that Tower.coerce made of
@@ -201,7 +201,7 @@ class Element:
             # refused here: Fraction.__rpow__ would retry with a float
             raise TypeError("unsupported operand type(s) for ** or pow(): "
                             f"'Element' and '{type(k).__name__}'")
-        return self._wrap(*quotient("^", self.rf, k))
+        return self._wrap(*power(self.rf, k, self.tower.rels))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Element)):

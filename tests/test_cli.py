@@ -1,6 +1,7 @@
 """CLI reports, exit codes, and error mapping."""
 
 import argparse
+import hashlib
 import inspect
 import json
 import os
@@ -8,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -321,6 +323,46 @@ ZD_TOWER = X_ONLY + "gen y = sqrt(x^2)\n"  # (y - x)(y + x) = 0
 OVERFLOW = "intermediate degree exceeded --max-degree: product degree "
 ZERO_DIVISOR = ("division by a zero denominator: "
                 "denominator is a zero divisor modulo the relations")
+
+
+# (x + y + 1)^n over a quartic root: a power folds y^2 -> r after each
+# product, so y never passes degree one.  Raised raw and folded once at
+# the end, n = 250 took about 20 s and n = 300 reached the degree ERROR
+# after about a minute (2-core Xeon).  The digest is of the 243,818-byte
+# reply at n = 250.
+QUARTIC_TOWER = X_ONLY + "gen y = sqrt((1 - x^2)*(1 - x^2/9))\n"
+POWER_250_SHA256 = ("d0e4ab2dffd39a2225e613aef10c76e675adcda22ab5b3d90d011a70"
+                    "679ce2d4")
+
+
+def _timed_main(argv):
+    started = time.monotonic()
+    rc = main(argv)
+    elapsed = time.monotonic() - started
+    assert elapsed < 5.0, f"{argv[-1]} took {elapsed:.1f}s"
+    return rc
+
+
+def test_a_high_power_over_a_root_answers_at_once(tower_file, capsys):
+    argv = ["derive", tower_file(QUARTIC_TOWER), "-e", "(x+y+1)^250"]
+    assert _timed_main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("\nPASS\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == POWER_250_SHA256
+    assert _timed_main(argv + ["--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["residues"]) == ("PASS", [])
+    assert f"{rep['output']}\nPASS\n" == out
+
+
+def test_a_power_past_the_degree_limit_answers_at_once(tower_file, capsys):
+    argv = ["derive", tower_file(QUARTIC_TOWER), "-e", "(x+y+1)^300"]
+    msg = OVERFLOW + "exceeds limit 512"
+    assert _timed_main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {msg}\n")
+    assert _timed_main(argv + ["--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["residues"]) == ("ERROR", [msg])
 
 
 @pytest.mark.parametrize("tower, expr, limit, msg", [

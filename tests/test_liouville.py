@@ -934,6 +934,24 @@ def test_l3_reduction_work_is_pinned(monkeypatch):
     assert sum(pairs) <= 10_400
 
 
+def test_reduction_checks_each_term_once(monkeypatch):
+    # the returned form checks its log and its l3 term; the self-check
+    # reuses them and checks only the correction's two split logs
+    t, prm = _l3_tower()
+    form = LiouvilleForm(t.zero(), _l3_pair(t, prm))
+    f = form_derivative(t, form)
+    checked = []
+    check = liouville.check_term
+
+    def counted(term, rels):
+        checked.append(type(term).__name__)
+        return check(term, rels)
+
+    monkeypatch.setattr(liouville, "check_term", counted)
+    reduce(t, f, form)
+    assert checked == ["LogPhi", "LPhi", "LogPhi", "LogPhi"]
+
+
 def test_self_check_catches_a_wrong_third_kind_correction(monkeypatch):
     # the self-check reads the correction as its two logs; a doubled
     # coefficient c changes the derivative, and the step refuses it

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from diffalg.errors import DegreeOverflow, ZeroDenominator
 from diffalg.poly import DEG_MAX, MultiPoly, get_degree_limit
-from diffalg.ratfunc import (RatFunc, normal_form, quotient,
+from diffalg.ratfunc import (RatFunc, normal_form, power, quotient,
                              ratfunc_normalize, reduce_powers)
 from diffalg.tower import Tower
 from polys import evaluate, from_dict, monomial
@@ -23,9 +23,11 @@ s = RatFunc.var(1)
 
 
 def op(o: str, a, b) -> RatFunc:
-    """a o b in reduced form: the quotient rules, then one normalization.
-    RatFunc has no arithmetic of its own."""
-    return ratfunc_normalize(*quotient(o, a, b))
+    """a o b in reduced form: the quotient rules, or for ^ the power rule
+    with no relation, then one normalization.  RatFunc has no arithmetic
+    of its own."""
+    return ratfunc_normalize(*(power(a, b, {}) if o == "^"
+                               else quotient(o, a, b)))
 
 def test_normalize_monomial_cancel():
     got = ratfunc_normalize(X * X.scale(2), X.scale(4))

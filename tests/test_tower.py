@@ -596,6 +596,23 @@ def test_derivation_additive(te):
     assert (lhs - rhs).is_zero()
 
 
+@given(tower_elements(), st.integers(0, 7))
+@settings(max_examples=40, deadline=None)
+def test_power_is_the_repeated_product(te, k):
+    # the oracle multiplies one operator at a time, with a normal form
+    # after each product, and never calls the power rule
+    t, e, _ = te
+    product = t.lit(1)
+    for _ in range(k):
+        product = product * e
+    assert e ** k == product
+    if not e.is_zero():
+        assert e ** -k == 1 / product
+    for bad in (Fraction(k), float(k)):
+        with pytest.raises(TypeError):
+            e ** bad
+
+
 # -- equality of normal forms is structural ------------------------------------
 
 # y2 = sqrt(4x) is +-2 y1, so y2 - 2*y1 and y2 + 2*y1 are nonzero elements
