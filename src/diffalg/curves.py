@@ -18,34 +18,31 @@ part c Dp/p per polynomial factor p of its argument, but a factor and
 its conjugate under a square root share one part over their norm.
 phi_sum_is_zero, the zero test that the Abel identities and
 liouville.verify_liouville share, clears D_h(v0) + sum c_i phi(h v_i,
-v_i) - f once over the least common multiple of its denominators,
+v_i) - f once over a common multiple of its denominators (ratfunc._clear),
 power-reduces the single big numerator and tests it for zero.  The
 parts join a running sum, lightest denominator first, and each join
 lifts the sum and the part only by the factors the other holds, so
 where partial sums cancel, each full-size product is formed once.  The
-lcm is taken over a pairwise coprime basis of the denominator factors,
-so gcds run only between those small factors, never on the big
-numerator.  That is orders of magnitude cheaper than canonical
-arithmetic and just as conclusive.  phi_sum turns the same cleared sum
-into a canonical value with one normal_form.  Both take terms that
-passed phi.check_term.
+multiple is the top powers over a division basis of the denominator
+factors, which splits two only where one divides the other exactly, so
+the clearing runs no gcd.  That is orders of magnitude cheaper than
+canonical arithmetic and just as conclusive.  phi_sum turns the same
+cleared sum into a canonical value with one normal_form.  Both take
+terms that passed phi.check_term.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from math import prod
-from typing import NamedTuple
 
 from .errors import (DegenerateChord, DegenerateDenominator,
                      InvalidDefiningData)
-from .poly import MultiPoly, poly_divexact, poly_gcd
+from .poly import MultiPoly
 from .phi import (TERM_KINDS, CurvePoint, LegendreCurve, LogPhi, LPhi,
                   ThirdKindParam, WeierstrassCurve, WPhi, make_term,
                   phi_shape, term_args)
-from .ratfunc import normal_form, reduce_powers
+from .ratfunc import _clear, _Part, _product, normal_form, reduce_powers
 from .tower import (AlgebraicSqrt, ConstParam, Element, PartialD, Tower,
                     _diff_poly, _diff_rf)
 
@@ -139,19 +136,6 @@ def abel_step(name: str, data, p1: CurvePoint, p2: CurvePoint):
     return p3, w, (-a / (2 * delta), num, den)
 
 
-# --------------------------------------------------------------------------
-# Lazy sums of quotients: each part is a numerator polynomial over a bag
-# of denominator factor polynomials, with no normal form of its own.  Zero
-# testing clears the least common multiple of the parts' denominators,
-# factored over a coprime basis, as a running sum that takes the lightest
-# denominator first, then power-reduces once.
-
-
-class _Part(NamedTuple):
-    num: MultiPoly  # numerator polynomial
-    dens: Counter   # Counter of MultiPoly factors
-
-
 def _part(nums, *dens: Element) -> _Part:
     """product(nums) / product(dens), denominators kept factored: the
     nums' numerators multiply raw and their denominators join the bag."""
@@ -160,109 +144,8 @@ def _part(nums, *dens: Element) -> _Part:
         num = num * e.rf.num
     for d in dens:
         bag[d.rf.num] += 1
-        if not (d.rf.den.is_const() and d.rf.den.const_value() == 1):
-            num = num * d.rf.den
+        num = num * d.rf.den  # a unit denominator multiplies by nothing
     return _Part(num, bag)
-
-
-def _split(a: MultiPoly, g: MultiPoly) -> list:
-    """[g, a/g] for monic a and g with g a proper divisor of a."""
-    q = poly_divexact(a, g)
-    if q is None:
-        raise RuntimeError("coprime basis: a gcd does not divide its "
-                           "argument")
-    return [g, q]
-
-
-def _coprime_basis(factors) -> dict:
-    """Each nonzero factor f as (u, e): f = u * prod(b^k for b, k in e),
-    with u rational and the b of all factors monic and pairwise coprime.
-
-    Naive factor refinement (Bach, Driscoll & Shallit 1993): a factor
-    that shares a gcd g with a basis element b replaces both by g and the
-    cofactors.  Each split is recorded, so every factor rewrites by
-    expansion, with no trial division.  Factors with no generator in
-    common are coprime and skip the gcd."""
-    units, monics = {}, {}
-    for f in factors:
-        if f in units:
-            continue
-        u = units[f] = f.lead_coeff()
-        if not f.is_const():
-            monics[f] = f if u == 1 else f.scale(1 / u)
-    basis: dict = {}  # b -> its generators
-    splits: dict = {}  # a -> [g, a/g], whose product is a
-    work = list(monics.values())
-    while work:
-        a = work.pop()
-        if a in basis or a in splits:
-            continue
-        gens = a.gens()
-        for b, bgens in basis.items():
-            if gens.isdisjoint(bgens):
-                continue
-            g = poly_gcd(a, b)
-            if g.is_const():
-                continue
-            if g != b:
-                del basis[b]
-                splits[b] = _split(b, g)
-                work += splits[b]
-            if g != a:  # else a = g is among the pieces of b
-                splits[a] = _split(a, g)
-                work += splits[a]
-            break
-        else:
-            basis[a] = gens
-
-    def expand(a: MultiPoly) -> Counter:
-        if a in basis:
-            return Counter({a: 1})
-        return sum((expand(c) for c in splits[a]), Counter())
-
-    return {f: (u, expand(monics[f]) if f in monics else Counter())
-            for f, u in units.items()}
-
-
-def _clear(parts, rels):
-    """The sum of the parts as (num, den, common): it equals num over
-    den times the product of b^k over common, with num power-reduced.
-    common is the least common multiple of the parts' denominators over
-    a coprime basis, so a factor shared by parts is cleared once.  The
-    parts join a running sum, lightest denominator first (terms times
-    exponent over the basis factors; ties keep their order): the sum is
-    lifted only by the factors a part brings, and the part only by those
-    it lacks, so where partial sums cancel no full-size product repeats."""
-    parts = [p for p in parts if not p.num.is_zero()]
-    over = _coprime_basis(f for p in parts for f in p.dens)
-    scaled = []
-    for p in parts:
-        unit, exps = Fraction(1), Counter()
-        for f, k in p.dens.items():
-            u, e = over[f]
-            unit *= u ** k
-            for b, j in e.items():
-                exps[b] += j * k
-        scaled.append((p.num if unit == 1 else p.num.scale(1 / unit), exps))
-    scaled.sort(key=lambda s: sum(len(b.terms) * k for b, k in s[1].items()))
-    one = MultiPoly.one()
-    total_num, total_den, common = MultiPoly.zero(), one, Counter()
-    for piece, exps in scaled:
-        for b in (exps - common).elements():
-            total_num, d = reduce_powers(total_num * b, one, rels)
-            total_den = total_den * d
-        pden = one
-        for b in (common - exps).elements():
-            piece, d = reduce_powers(piece * b, one, rels)
-            pden = pden * d
-        common |= exps  # the largest power of each basis element
-        # piece/pden joins total_num/total_den
-        total_num = total_num * pden + piece * total_den
-        total_den = total_den * pden
-    # a piece that needed no factor joined unreduced, and a coefficient's
-    # numerator may hold relation generators
-    total_num, d = reduce_powers(total_num, one, rels)
-    return total_num, total_den * d, common
 
 
 def _sum_reduces_to_zero(parts, rels) -> bool:
@@ -274,11 +157,6 @@ def phi_part(t: Tower, term: WPhi | LPhi, h) -> _Part:
     first slot, the shape's divisors kept apart."""
     factors, divisors = phi_shape(term)
     return _part([*factors, t.derive(h, term.v)], *divisors)
-
-
-def _product(bag: Counter) -> MultiPoly:
-    """Raw: a bag of denominators holds no relation generator to fold."""
-    return prod((f ** k for f, k in bag.items()), start=MultiPoly.one())
 
 
 def _phi_parts(t: Tower, h, v0: Element, terms, f) -> list:
@@ -293,8 +171,8 @@ def _phi_parts(t: Tower, h, v0: Element, terms, f) -> list:
 
     where reduce_powers folds p pb to N/F, free of g.  A norm is often
     the product of factors the sum holds anyway, as in the third-kind
-    Abel identity and the integrands of square-root logs, so the lcm is
-    smaller than with p and pb apart (Trager 1984 takes a log and its
+    Abel identity and the integrands of square-root logs, so less is
+    cleared than with p and pb apart (Trager 1984 takes a log and its
     conjugate over their norm too).  A factor without its conjugate keeps
     its own part: multiplying it through by the conjugate was slower.
 
@@ -350,9 +228,9 @@ def phi_sum_is_zero(t: Tower, h, v0: Element, terms, f=0) -> bool:
     """Whether D_h(v0) + sum c * phi(h v, v) - f is zero in t.
 
     terms holds (c, phi term) pairs.  Every summand stays a lazy part,
-    the log terms merged per factor, so the test builds no canonical sum;
-    its gcds run only between denominator factors, never on the big
-    numerator.  Clearing multiplies through by every divisor, so the
+    the log terms merged per factor, so the test builds no canonical sum,
+    and it runs no gcd: denominator factors split by exact division
+    alone.  Clearing multiplies through by every divisor, so the
     terms must have passed phi.check_term, as a LiouvilleForm's have.
     """
     return _sum_reduces_to_zero(_phi_parts(t, h, v0, terms, f), t.rels)

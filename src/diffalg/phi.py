@@ -16,11 +16,31 @@ form's terms and the tags alike.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvalidDefiningData, ZeroDenominator
 from .poly import MultiPoly
-from .ratfunc import rationalize
+from .ratfunc import (RatFunc, _clear, _Part, power, quotient,
+                      rationalize)
+
+
+def _in_one_tower(*es) -> list:
+    """The elements in the tower of most generators, as Element pairs."""
+    t = max((e.tower for e in es if not isinstance(e, int)),
+            key=lambda u: len(u.generators))
+    return [t.coerce(e) for e in es]
+
+
+def _on_curve(p: "CurvePoint", terms) -> bool:
+    """Whether y^2 = sum(c x^k for c, k in terms) at p, by ratfunc._clear
+    on the lazy parts y^2 and -c x^k: no gcd and no normal form."""
+    y, x, *cs = _in_one_tower(p.y, p.x, *(c for c, _ in terms))
+    (n, d), (yn, yd) = x.rf, y.rf
+    parts = [_Part(-c.rf.num * n ** k, Counter({d: k}) + Counter([c.rf.den]))
+             for c, (_, k) in zip(cs, terms)]
+    return _clear([_Part(yn * yn, Counter({yd: 2}))] + parts,
+                  y.tower.rels)[0].is_zero()
 
 
 @dataclass(frozen=True)
@@ -51,9 +71,8 @@ class LegendreCurve:
         return (1 - x ** 2) * (1 - self.m * x ** 2)
 
     def contains(self, p: CurvePoint) -> bool:
-        if p.at_infinity:
-            return False
-        return p.y * p.y == self.rhs(p.x)
+        return not p.at_infinity and _on_curve(
+            p, [(1, 0), (-1, 2), (-self.m, 2), (self.m, 4)])
 
 
 class WeierstrassCurve:
@@ -76,9 +95,8 @@ class WeierstrassCurve:
         return x ** 3 - self.a * x - self.b
 
     def contains(self, p: CurvePoint) -> bool:
-        if p.at_infinity:
-            return True
-        return p.y * p.y == self.rhs(p.x)
+        return p.at_infinity or _on_curve(
+            p, [(-self.b, 0), (-self.a, 1), (1, 3)])
 
 
 @dataclass(frozen=True)
@@ -199,7 +217,8 @@ def make_term(name: str, elements) -> PhiTerm:
 
 def phi_shape(term: PhiTerm) -> tuple:
     """(factors, divisors) with phi(w, v) = w * prod(factors) /
-    prod(divisors): the one list of what each shape divides by."""
+    prod(divisors): the one list of what each shape divides by.  Each
+    value formed here is one raw quotient, put in normal form once."""
     if isinstance(term, LogPhi):
         return [], [term.v]
     if isinstance(term, WPhi):
@@ -207,9 +226,17 @@ def phi_shape(term: PhiTerm) -> tuple:
             return [], [term.v - term.c, term.q]
         return [term.v] * (term.kind - 1), [term.q]
     if term.kind == 3:
-        a = term.prm.a
-        return [], [1 - term.v ** 2 / (a * a), term.y]
-    return ([1 - term.m * term.v ** 2] if term.kind == 2 else []), [term.y]
+        return [], [_one_less(term.v, "/", term.prm.a, 2), term.y]
+    l2 = [_one_less(term.v, "*", term.m, 1)] if term.kind == 2 else []
+    return l2, [term.y]
+
+
+def _one_less(v, op: str, c, k: int):
+    """1 - (v^2 op c^k), formed as one raw quotient and normalized once."""
+    v, c = _in_one_tower(v, c)
+    rels = v.tower.rels
+    q = quotient(op, power(v.rf, 2, rels), power(c.rf, k, rels))
+    return v._wrap(*quotient("-", RatFunc.const(1), q))
 
 
 def check_term(term: PhiTerm, rels: dict) -> None:

@@ -56,13 +56,13 @@ integer.  C starts as the generators only one operand has, so most
 coprime pairs need no image.  (3) Certificate images: C grows by each
 shared generator whose univariate images mod a prime, read off the
 packed monomials through power tables, are coprime.  (4) Trial
-division: the primitive part of the operand with fewer terms, times the
-integer gcd of the contents, when it divides the other exactly; this
-forms no products.  (5) The heuristic gcd GCDHEU evaluates at large
-integers, takes integer gcds, reads the candidate back from xi-adic
-digits, and accepts it only when it divides both inputs exactly.  (6)
-When GCDHEU gives up (a few evaluation points, or a fixed bit budget on
-the evaluated coefficients), recursive content/primitive-part
+division: the primitive part of the operand of lower total degree
+(fewer terms on a tie), times the integer gcd of the contents, when it
+divides the other exactly; this forms no products.  (5) The heuristic
+gcd GCDHEU evaluates at large integers, takes integer gcds, reads the
+candidate back from xi-adic digits, and accepts it only when it divides
+both inputs.  (6) When GCDHEU gives up (after a few points, or at a bit
+budget on the evaluated coefficients), recursive content/primitive-part
 elimination by pseudo-remainders (PRS) over the last variable gives the
 exact answer.  Every recursive content gcd takes the same route.
 """
@@ -863,11 +863,12 @@ def _igcd(p: dict, q: dict) -> dict:
     cp, cq = _int_content(p), _int_content(q)
     if not shared or _certify_coprime(p, q, shared):
         return {0: int_gcd(cp, cq)}
-    # The gcd is the primitive part h of the smaller operand b times the
-    # integer gcd of the contents when h divides the larger, a: tried when
-    # b has no generator a lacks.  A b of higher degree in some generator
-    # fails in _divexact, mostly at its first step.
-    a, b, cb, gb = (p, q, cq, gq) if len(p) >= len(q) else (q, p, cp, gp)
+    # The gcd is the primitive part h of the smaller operand b (total
+    # degree, then terms) times the integer gcd of the contents when h
+    # divides the larger, a, and b has no generator a lacks.  A b of higher
+    # degree in some generator fails in _divexact, mostly at its first step.
+    a, b, cb, gb = ((p, q, cq, gq) if (_deg(p), len(p)) >= (_deg(q), len(q))
+                    else (q, p, cp, gp))
     if gb == shared:
         h = _primitive(b, cb)
         if _divexact(a, h) is not None:

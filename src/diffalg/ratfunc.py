@@ -21,13 +21,18 @@ needs more: the declared-nonsquare convention, under which the products
 of distinct relation generators are independent over the field below.
 
 reduce_powers, the power reduction of every caller (normal_form, power
-after each product, the lazy clearing of curves and the parser), folds
+after each product, the lazy clearing _clear and the parser), folds
 g^2 -> r through MultiPoly.fold_squares; this module reads no monomials.
+A lazy sum keeps each part's denominator as a bag of factors; _clear
+adds the parts over a common multiple of the bags, which a division
+basis of the factors gives with no gcd, and power-reduces the numerator.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import prod
 from typing import NamedTuple
 
 from .errors import ZeroDenominator
@@ -113,11 +118,14 @@ def reduce_powers(num: MultiPoly, den: MultiPoly, rels: dict):
 
 def power(a, k: int, rels: dict):
     """a ** k for a raw pair a: the one power rule, whose product folds by
-    reduce_powers; a lone factor is left as it is, and k < 0 swaps a."""
+    reduce_powers, raw when a holds no relation generator; a lone factor
+    is left as it is, and k < 0 swaps a."""
     if k < 0:
         if a[0].is_zero():
             raise ZeroDenominator("negative power of zero")
         a, k = a[::-1], -k
+    if rels.keys().isdisjoint(a[0].gens() | a[1].gens()):
+        rels = {}
     return square_multiply(a, k, lambda p, q: reduce_powers(
         p[0] * q[0], p[1] * q[1], rels), RatFunc.const(1))
 
@@ -146,3 +154,99 @@ def normal_form(num: MultiPoly, den: MultiPoly, rels: dict) -> RatFunc:
     """Unique representative: numerator multilinear in relation
     generators, denominator free of them, then gcd-reduced and monic."""
     return ratfunc_normalize(*rationalize(num, den, rels))
+
+
+class _Part(NamedTuple):
+    """A summand of a lazy sum: a numerator polynomial over a bag of
+    denominator factors, with no normal form of its own."""
+    num: MultiPoly
+    dens: Counter  # MultiPoly factor -> exponent
+
+
+def _division_basis(factors) -> dict:
+    """Each nonzero factor f as (u, e): f = u * prod(b^k for b, k in e),
+    with u rational and the b of all factors monic, none dividing another.
+    A pair splits only where one divides the other exactly, into the
+    divisor and the quotient of that division, so no gcd runs; two that
+    share a factor neither divides stay apart."""
+    units, monics = {}, {}
+    for f in factors:
+        if f in units:
+            continue
+        u = units[f] = f.lead_coeff()
+        if not f.is_const():
+            monics[f] = f if u == 1 else f.scale(1 / u)
+    basis, splits = {}, {}  # b -> its generators; a -> [b, a/b]
+    work = list(monics.values())
+    while work:
+        a = work.pop()
+        if a in basis or a in splits:
+            continue
+        gens = a.gens()
+        for b, bgens in basis.items():
+            if bgens <= gens and (q := poly_divexact(a, b)) is not None:
+                splits[a] = [b, q]
+                work.append(q)
+                break
+            if gens <= bgens and (q := poly_divexact(b, a)) is not None:
+                del basis[b]
+                splits[b] = [a, q]
+                work += splits[b]
+                break
+        else:
+            basis[a] = gens
+
+    def expand(a: MultiPoly) -> Counter:
+        if a in basis:
+            return Counter({a: 1})
+        return sum((expand(c) for c in splits[a]), Counter())
+
+    return {f: (u, expand(monics[f]) if f in monics else Counter())
+            for f, u in units.items()}
+
+
+def _clear(parts, rels):
+    """The sum of the parts as (num, den, common): it equals num over
+    den times the product of b^k over common, with num power-reduced.
+    common, the top powers over the division basis of the parts'
+    denominators, is a common multiple of them that holds a factor shared
+    by parts once.  The parts join a running sum, lightest denominator
+    first (terms times exponent over the basis factors; ties keep their
+    order): the sum is lifted only by the factors a part brings, and the
+    part only by those it lacks, so where partial sums cancel no
+    full-size product repeats."""
+    parts = [p for p in parts if not p.num.is_zero()]
+    over = _division_basis(f for p in parts for f in p.dens)
+    scaled = []
+    for p in parts:
+        unit, exps = Fraction(1), Counter()
+        for f, k in p.dens.items():
+            u, e = over[f]
+            unit *= u ** k
+            for b, j in e.items():
+                exps[b] += j * k
+        scaled.append((p.num if unit == 1 else p.num.scale(1 / unit), exps))
+    scaled.sort(key=lambda s: sum(len(b.terms) * k for b, k in s[1].items()))
+    one = MultiPoly.one()
+    total_num, total_den, common = MultiPoly.zero(), one, Counter()
+    for piece, exps in scaled:
+        for b in (exps - common).elements():
+            total_num, d = reduce_powers(total_num * b, one, rels)
+            total_den = total_den * d
+        pden = one
+        for b in (common - exps).elements():
+            piece, d = reduce_powers(piece * b, one, rels)
+            pden = pden * d
+        common |= exps  # the largest power of each basis element
+        # piece/pden joins total_num/total_den
+        total_num = total_num * pden + piece * total_den
+        total_den = total_den * pden
+    # a piece that needed no factor joined unreduced, and a coefficient's
+    # numerator may hold relation generators
+    total_num, d = reduce_powers(total_num, one, rels)
+    return total_num, total_den * d, common
+
+
+def _product(bag: Counter) -> MultiPoly:
+    """Raw: a bag of denominators holds no relation generator to fold."""
+    return prod((f ** k for f, k in bag.items()), start=MultiPoly.one())

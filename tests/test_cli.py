@@ -65,6 +65,28 @@ def test_verify_fail_residue_one(tower_file, form_file, capsys):
     assert "FAIL" in out
 
 
+# the log factors (x + 1)(x + 2) and (x + 1)(x + 3) share x + 1 and neither
+# divides the other, so the clearing's division basis keeps both, and the
+# common multiple it clears over is above the lcm
+SHARED_FORM = ("v0 = 1/((x+1)*(x+2)) + 1/((x+1)*(x+3))\n"
+               "term 1 * log((x+1)*(x+2))\nterm 1 * log((x+1)*(x+3))\n")
+SHARED_F = ("(4*x^5 + 41*x^4 + 159*x^3 + 286*x^2 + 229*x + 59)"
+            "/((x + 1)^2*(x + 2)^2*(x + 3)^2)")
+
+
+@pytest.mark.parametrize("integrand, rc, residue",
+                         [(SHARED_F, 0, "0"),
+                          (SHARED_F + " + 1/(x+1)", 1, "1/(x + 1)")],
+                         ids=["pass", "fail"])
+def test_verify_denominators_sharing_a_factor_neither_divides(
+        tower_file, form_file, capsys, integrand, rc, residue):
+    assert main(["verify", tower_file(X_ONLY), "--integrand", integrand,
+                 "--form", form_file(SHARED_FORM)]) == rc
+    out = capsys.readouterr().out
+    assert f"f - D(form) = {residue}\n" in out
+    assert ("PASS" if rc == 0 else "FAIL") in out
+
+
 def test_parse_error_exits_2(tower_file, capsys):
     rc = main(["derive", tower_file("flub x = d/dx 1"), "-e", "x"])
     err = capsys.readouterr().err

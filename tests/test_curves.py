@@ -20,13 +20,13 @@ from diffalg.curves import (ABEL_KINDS, CurvePoint, LegendreCurve, LogPhi,
                             LPhi, ThirdKindParam, WeierstrassCurve, WPhi,
                             abel_step, check_abel_identity, legendre_add,
                             phi_sum, phi_sum_is_zero, weierstrass_add, _clear,
-                            _coprime_basis, _legendre_tower, _Part,
-                            _product, _weierstrass_tower)
+                            _legendre_tower, _Part, _product,
+                            _weierstrass_tower)
 from diffalg.errors import (DegenerateChord, DegenerateDenominator,
                             InvalidDefiningData)
 from diffalg.liouville import LiouvilleForm
-from diffalg.poly import MultiPoly, poly_gcd
-from diffalg.ratfunc import normal_form
+from diffalg.poly import MultiPoly
+from diffalg.ratfunc import _division_basis, normal_form
 from diffalg.tower import FULL_D, Element, PartialD, Tower
 from polys import evaluate, from_dict
 
@@ -566,7 +566,7 @@ def test_abel_step_matches_the_weierstrass_functions(name):
         assert abs(rhs - lhs) < 1e-30, (name, u1s, u1, u2)
 
 
-# -- clearing over a coprime basis -------------------------------------------
+# -- clearing over a division basis ------------------------------------------
 
 GENS = sympy.symbols("x0:3")
 
@@ -619,18 +619,40 @@ def bag_products(draw):
 @given(bag_products())
 @settings(max_examples=60, deadline=None)
 def test_coprime_basis_matches_sympy_lcm(products):
-    over = _coprime_basis(products)
-    basis = {b for _, exps in over.values() for b in exps}
-    for b, c in combinations(basis, 2):
-        assert poly_gcd(b, c) == MultiPoly.one()
+    # every factor rebuilds exactly from its unit and basis powers, and the
+    # top powers are a common multiple of the factors: sympy's lcm when the
+    # basis came out pairwise coprime.  Above it only where two basis
+    # elements share a factor that neither divides: x^3(x + 1), x(x + 1)
+    # and x^3(x + 1)^3, taken in that order, give x^2 and (x(x + 1))^3
+    over = _division_basis(products)
     for f in products:
         u, exps = over[f]
         assert f == _rebuild(u, exps)
     top: Counter = Counter()
     for _, exps in over.values():
         top |= exps
-    want = reduce(sympy.lcm, [to_sympy(f) for f in products])
-    assert to_sympy(_rebuild(1, top)).monic() == want.monic()
+    want = reduce(sympy.lcm, [to_sympy(f) for f in products]).monic()
+    got = to_sympy(_rebuild(1, top))
+    assert got.rem(want).is_zero
+    basis = [to_sympy(b) for b in top]
+    if all(sympy.gcd(b, c).is_ground for b, c in combinations(basis, 2)):
+        assert got.monic() == want
+
+
+def test_clearing_the_pi_identity_runs_no_gcd(monkeypatch):
+    # the division basis splits a factor only by an exact division, so
+    # clearing the lazy parts of the third-kind identity takes no gcd
+    seen = []
+    monkeypatch.setattr(curves, "_clear", lambda parts, rels: seen.append(
+        (parts, rels)) or _clear(parts, rels))
+    assert check_abel_identity("pi").passed
+    gcds = []
+    igcd = poly._igcd
+    monkeypatch.setattr(poly, "_igcd", lambda *args: gcds.append(args)
+                        or igcd(*args))
+    for parts, rels in seen:
+        assert _clear(parts, rels)[0].is_zero()
+    assert seen and not gcds
 
 
 def test_clear_holds_each_shared_factor_once():
@@ -684,8 +706,8 @@ def lazy_parts(draw, t, cancel):
 @settings(max_examples=40, deadline=None)
 def test_clear_is_order_independent(cancel, data):
     # the running sum joins the parts in an order of its own; whatever
-    # order they come in, it clears the same lcm to the value that the
-    # canonical term-by-term sum gives
+    # order they come in, it clears the same lcm (the pool's factors are
+    # coprime) to the value that the canonical term-by-term sum gives
     t = TWO_ROOTS
     parts = data.draw(lazy_parts(t, cancel))
     want = sum((Element(t, normal_form(p.num, _product(p.dens), t.rels))
@@ -784,10 +806,3 @@ def test_abel_clearing_work_is_pinned(kind, most, monkeypatch):
     monkeypatch.setattr(poly, "_dict_mul", counted)
     assert check_abel_identity(kind).passed
     assert sum(pairs) <= most
-
-
-def test_basis_split_that_does_not_divide_raises(monkeypatch):
-    x = MultiPoly.var(0)
-    monkeypatch.setattr(curves, "poly_divexact", lambda p, q: None)
-    with pytest.raises(RuntimeError):
-        _coprime_basis([x * (x + MultiPoly.one()), x])

@@ -680,22 +680,37 @@ def test_a_failed_trial_falls_through_to_gcdheu(monkeypatch):
     assert to_sympy(h) == sympy.gcd(to_sympy(p), to_sympy(q))
 
 
+def test_trial_division_tries_the_operand_of_lower_degree(monkeypatch):
+    # x0^2 + 2 and x0^3 + 2 x0 have two terms each: by term count alone the
+    # cubic was tried as the divisor, failed, and GCDHEU ran; by total
+    # degree first the quadratic is tried and divides the cubic
+    p, q = X * X + MultiPoly.const(2), X * X * X + MultiPoly.const(2) * X
+    heu = []
+    gcdheu = poly._heu_gcd
+    monkeypatch.setattr(poly, "_heu_gcd", lambda *args: heu.append(args)
+                        or gcdheu(*args))
+    for a, b in ((p, q), (q, p)):
+        assert poly_gcd(a, b) == p
+    assert not heu
+
+
 @pytest.mark.parametrize("kinds, hits, misses, images",
-                         [(("f", "e", "w1"), 28, 3, 36),
-                          (("pi",), 49, 4, 48)],
+                         [(("f", "e", "w1"), 16, 2, 20),
+                          (("pi",), 14, 1, 24)],
                          ids=["f-e-w1", "pi"])
 def test_certificate_decisions_on_the_abel_identities(monkeypatch, kinds,
                                                      hits, misses, images):
     # pins every hit and miss, so a change to the image kernel, the seed or
     # the draw order shows here before it shows in the benchmark counts,
     # and the images they took, so a stop rule that stops later shows too.
-    # pi's two log arguments share their denominator, whose coefficients
-    # cancel when the log terms merge per factor, so it never reaches a gcd;
-    # their numerators are conjugate and share one part over their norm,
-    # whose gcds with the basis factors it holds are the two extra misses
-    # (49, 2, 124 while the numerators were cleared apart).  The stop rule
-    # starts from the generators only one operand has, so 14 of the
-    # f-e-w1 hits and 31 of pi's take no image (64 and 118 images before)
+    # The clearing splits its denominator factors by exact division and
+    # takes no gcd, so every gcd left is a normal form's: of the group
+    # laws, the sum point's phi shapes and abel_step (f-e-w1 28, 3, 36 and
+    # pi 49, 4, 48 while a coprime basis took a gcd of each pair of factors
+    # that shared a generator; pi 49, 2, 124 before its conjugate log
+    # numerators shared one part over their norm).  The stop rule starts
+    # from the generators only one operand has, so 9 of the f-e-w1 hits
+    # and 5 of pi's take no image
     seen = []
     certify = poly._certify_coprime
     monkeypatch.setattr(poly, "_certify_coprime",

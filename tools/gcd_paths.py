@@ -24,7 +24,13 @@ certificate images (``_eval_uni_mod`` calls) they took in all, nested
 gcds included.  ``GCDHEU calls`` counts every call of ``_heu_gcd``, its
 recursion on the evaluated images and nested gcds included, and
 ``kernel pairs`` the term pairs of every product of the multiply kernel
-``_dict_mul``, the gcd code's included.  Every count is deterministic.
+``_dict_mul``, the gcd code's included.  The lazy zero test clears its
+parts over a division basis of their denominator factors
+(``diffalg.ratfunc._division_basis``), which runs no gcd: it splits two
+factors only where one divides the other exactly.  ``basis divisions``
+counts its exact-division tries (``poly_divexact`` calls made inside it)
+and ``basis splits`` the tries that divided.  Every count is
+deterministic.
 The table is Markdown, so it can go to a CI step summary as it is.
 """
 
@@ -55,15 +61,18 @@ def _rebind(orig, wrapper, undo: list) -> None:
 
 def count_paths(run) -> dict:
     """Call run() with the gcd code wrapped; return PATHS -> [gcds,
-    images], "GCDHEU calls" and "kernel pairs"."""
-    from diffalg import poly
+    images], "GCDHEU calls", "kernel pairs", "basis divisions" and
+    "basis splits"."""
+    from diffalg import poly, ratfunc
 
     tally = {path: [0, 0] for path in PATHS}
-    extra = Counter()
-    state = {"depth": 0, "heu_depth": 0, "images": 0}
+    extra = Counter(dict.fromkeys(("GCDHEU calls", "kernel pairs",
+                                  "basis divisions", "basis splits"), 0))
+    state = {"depth": 0, "heu_depth": 0, "images": 0, "basis": 0}
     orig = {name: getattr(poly, name) for name in (
         "poly_gcd", "_igcd", "_certify_coprime", "_eval_uni_mod",
-        "_heu_gcd", "_dict_mul")}
+        "_heu_gcd", "_dict_mul", "poly_divexact")}
+    orig["_division_basis"] = ratfunc._division_basis
 
     def gcd(p, q):
         state.update(cert=_UNSET, heu=_UNSET, images=0)
@@ -114,8 +123,23 @@ def count_paths(run) -> dict:
         extra["kernel pairs"] += len(a) * len(b)
         return orig["_dict_mul"](a, b, deg)
 
+    def basis(factors):
+        state["basis"] += 1
+        try:
+            return orig["_division_basis"](factors)
+        finally:
+            state["basis"] -= 1
+
+    def divexact(p, q):
+        quot = orig["poly_divexact"](p, q)
+        if state["basis"]:
+            extra["basis divisions"] += 1
+            extra["basis splits"] += quot is not None
+        return quot
+
     wrappers = {"poly_gcd": gcd, "_igcd": igcd, "_certify_coprime": certify,
-                "_eval_uni_mod": image, "_heu_gcd": heu, "_dict_mul": mul}
+                "_eval_uni_mod": image, "_heu_gcd": heu, "_dict_mul": mul,
+                "_division_basis": basis, "poly_divexact": divexact}
     undo: list = []
     try:
         for name, wrapper in wrappers.items():
@@ -132,7 +156,7 @@ def main() -> int:
     import workloads
 
     head = ["workload", "gcds", *PATHS, "images", "GCDHEU calls",
-            "kernel pairs"]
+            "kernel pairs", "basis divisions", "basis splits"]
     print("| " + " | ".join(head) + " |")
     print("|" + " --- |" * len(head))
     with tempfile.TemporaryDirectory() as workdir:
@@ -148,7 +172,8 @@ def main() -> int:
             print(f"| {name} | {sum(got[p][0] for p in PATHS)} | "
                   + " | ".join(cells)
                   + f" | {sum(got[p][1] for p in PATHS)}"
-                  f" | {got['GCDHEU calls']} | {got['kernel pairs']} |")
+                  f" | {got['GCDHEU calls']} | {got['kernel pairs']}"
+                  f" | {got['basis divisions']} | {got['basis splits']} |")
     return 0
 
 
