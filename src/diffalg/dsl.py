@@ -183,8 +183,7 @@ def _parse_binary(ts: _Stream, env: dict, t: Tower, step: bool,
         ts.pos += 1
         right = _parse_binary(ts, env, t, step, prec + 1, stop)
         divisor, _ = right  # one in a square root may be a zero divisor
-        full = step or tok.text == "/" and bool(
-            divisor.gens() & t.rels.keys())
+        full = step or tok.text == "/" and divisor.holds(t.rels)
         left = _settle(quotient(tok.text, left, right), t, full,
                        tok.text == "*")
 

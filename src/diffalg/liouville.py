@@ -199,11 +199,19 @@ def _move_down(new_t: Tower, f: Element, v0: Element, terms,
     c log(num) - c log(den), of the same derivative Dnum/num - Dden/den.
     num and den are conjugate under delta, so the zero test clears them
     as one pair over their norm, where the canonical argument's
-    rationalized numerator would have no conjugate to pair with.
+    rationalized numerator would have no conjugate to pair with.  The
+    check_terms are checked first, and then every term is known: each is
+    one of them or such a canonical log, whose numerator divides num times
+    conjugates of den, so it is no zero divisor when log(num) and log(den)
+    passed.
     """
-    moved = LiouvilleForm(new_t.coerce(v0), _merge_terms(terms))
-    checked = (moved if check_terms is None else LiouvilleForm(
-        moved.v0, _merge_terms(check_terms), {u for _, u in moved.terms}))
+    v0, terms = new_t.coerce(v0), _merge_terms(terms)
+    if check_terms is None:
+        moved = checked = LiouvilleForm(v0, terms)
+    else:
+        checked = LiouvilleForm(v0, _merge_terms(check_terms))
+        moved = LiouvilleForm(v0, terms, {_map_term(u, new_t.coerce)
+                                          for _, u in terms})
     if not verify_liouville(new_t, new_t.coerce(f), checked):
         raise SelfCheckFailed("reduced form derivative drifted")
     return moved

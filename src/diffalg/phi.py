@@ -248,5 +248,5 @@ def check_term(term: PhiTerm, rels: dict) -> None:
     for d in phi_shape(term)[1]:
         if d.rf.num.is_zero():
             raise ZeroDenominator("division by zero element")
-        if not d.rf.num.gens().isdisjoint(rels):
+        if d.rf.num.holds(rels):
             rationalize(MultiPoly.one(), d.rf.num, rels)

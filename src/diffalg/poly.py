@@ -36,7 +36,8 @@ split_by hands out its monomials as MultiPolys.
 Square-root relations g^2 = r fold in the layout too (fold_squares, the
 one reduction under ratfunc.reduce_powers).  One OR over the monomials
 (_union) finds every relation generator of exponent 2 or more, since a
-field of the OR has a bit above its lowest set exactly then.  Each such
+field of the OR has a bit above its lowest set exactly then; the same OR
+tells whether any occurs (MultiPoly.holds).  Each such
 generator is folded in one pass (_halve) that groups the terms by
 h = e // 2 and takes g^(2h) out of the packed monomial; the products by
 powers of r run in the multiply kernel, under the degree guard.
@@ -44,7 +45,8 @@ powers of r run in the multiply kernel, under the degree guard.
 Exact division runs in heap order.  One long-division loop, _divexact,
 does all of it; a max-heap of the remainder's monomials on the graded-lex
 key hands it each step's leading term, so no step rescans the remainder
-(Monagan & Pearce 2007, CASC).
+(Monagan & Pearce 2007, CASC).  poly_divexact first refuses a divisor of
+higher total degree than the dividend, before any of that.
 
 GCDs run on the integer term dicts (the denominator is a unit over Q),
 and _igcd decides each by the first of these steps that settles it.
@@ -72,7 +74,7 @@ from __future__ import annotations
 import random
 from contextvars import ContextVar, Token
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import gcd as int_gcd
@@ -211,6 +213,13 @@ def _gens_of(p: dict) -> set:
     return {g for g, _ in mono_items(_union(p))}
 
 
+@lru_cache(maxsize=256)
+def _fields(gids: tuple) -> int:
+    """The W-bit fields of the generators gids as one mask; cached, as the
+    engine asks again and again for those of the same few relation sets."""
+    return sum(_FIELD << (g * W) for g in gids)
+
+
 def _to_uni(p: dict, gid: int) -> dict:
     """View p as univariate in gid: degree -> coefficient dict."""
     shift = gid * W
@@ -230,7 +239,7 @@ def _from_uni(u: dict, gid: int) -> dict:
 def _split_by(p: dict, gids) -> dict:
     """Group p by its monomials in gids: each such monomial maps to the
     dict of the remaining terms that carry it, with it divided out."""
-    mask = sum(_FIELD << (g * W) for g in gids)
+    mask = _fields(tuple(gids))
     groups: dict = {}
     for m, c in p.items():
         inside = m & mask
@@ -390,6 +399,11 @@ class MultiPoly:
     def gens(self) -> set:
         return _gens_of(self.terms)
 
+    def holds(self, gids) -> bool:
+        """Whether a generator of gids occurs: one OR of the monomials
+        against their fields, no monomial decoded."""
+        return bool(_union(self.terms) & _fields(tuple(gids)))
+
     def lead_coeff(self) -> Fraction:
         """The coefficient of the leading term, without its monomial."""
         return Fraction(self.terms[_lead(self.terms)], self.den)
@@ -511,7 +525,8 @@ class MultiPoly:
         folds rnum ** h, a raw power, as h is small: the engine folds only
         products of a few factors, each multilinear by ratfunc.power.
         """
-        squares = sum((_FIELD - 1) << (g * W) for g in rels)
+        fields = _fields(tuple(rels))
+        squares = fields - fields // _FIELD  # each field above its low bit
         todo = _union(self.terms) & squares if squares else 0
         num, den = self, _ONE
         while todo:
@@ -526,7 +541,7 @@ class MultiPoly:
             num = sum((_make(group, num.den) * (rnum ** h * rden ** (top - h))
                        for h, group in groups.items()), MultiPoly.zero())
             den = den * rden ** top
-            if not (rnum.gens() | rden.gens()).isdisjoint(rels):
+            if rnum.holds(rels) or rden.holds(rels):
                 todo = _union(num.terms) & squares
         return num, den
 
@@ -565,6 +580,14 @@ def poly_divexact(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
     """p / q when the division is exact, else None."""
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    if not p.terms:
+        return p
+    # q's leading monomial must divide p's, so its total degree is no
+    # larger: a failed try that ends here takes no content, no primitive
+    # part and no heap.  An exact quotient keeps the difference.
+    deg = p.degree() - q.degree()
+    if deg < 0:
+        return None
     # By Gauss's lemma q divides p over Q exactly when q's primitive part
     # divides p's integer terms over Z.
     cont = _int_content(q.terms)
@@ -573,7 +596,7 @@ def poly_divexact(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
         return None
     if q.den != 1:
         quot = {m: c * q.den for m, c in quot.items()}
-    return _make(quot, p.den * cont)
+    return _make(quot, p.den * cont, deg)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ rels, generator id -> radicand r.  Each radicand is a normal form over
 the strictly earlier part of the tower, so rewriting a later generator
 can only surface earlier ones.  normal_form rewrites an element so that
 every such g appears with exponent at most one in the numerator and not
-at all in the denominator (conjugate rationalization).
+at all in the denominator (conjugate rationalization), then divides out
+the gcd.  No divisor of that denominator holds a g either, so the gcd is
+folded from the numerator's coefficients over the g (_gcd_over), and no
+gcd of a normal form sees a relation generator.
 
 Two normal forms n1/d1 and n2/d2 are compared structurally.  That rests
 on unique factorization in the polynomial ring alone: their difference
@@ -88,14 +91,16 @@ def quotient(op: str, a, b):
     return an * bd - bn * ad, ad * bd
 
 
-def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
-    """Canonical reduced form; rejects zero denominators."""
+def ratfunc_normalize(num: MultiPoly, den: MultiPoly, gids=()) -> RatFunc:
+    """Canonical reduced form; rejects zero denominators.  den must hold
+    none of the generators gids (normal_form passes the relation
+    generators), and the gcd is taken over num's coefficients in them."""
     if den.is_zero():
         raise ZeroDenominator("denominator reduced to zero")
     if num.is_zero():
         return RatFunc(MultiPoly.zero(), MultiPoly.one())
     if not den.is_const():
-        g = poly_gcd(num, den)
+        g = _gcd_over(num, den, gids)
         if not g.is_const():
             num = poly_divexact(num, g)
             den = poly_divexact(den, g)
@@ -104,6 +109,22 @@ def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
         num = num.scale(1 / lc)
         den = den.scale(1 / lc)
     return RatFunc(num, den)
+
+
+def _gcd_over(num: MultiPoly, den: MultiPoly, gids) -> MultiPoly:
+    """gcd(num, den) for a den free of the generators gids.  A divisor of
+    den is free of them too, and such a g divides num exactly when it
+    divides each coefficient of num over the monomials in gids; so the gcd
+    is den's with those coefficients, folded in smallest first until it
+    is a constant.  A num free of gids is its own one coefficient."""
+    if not num.holds(gids):
+        return poly_gcd(num, den)
+    g = den
+    for c in sorted(num.split_by(gids).values(), key=lambda c: len(c.terms)):
+        g = poly_gcd(g, c)
+        if g.is_const():
+            break
+    return g
 
 
 def reduce_powers(num: MultiPoly, den: MultiPoly, rels: dict):
@@ -124,7 +145,7 @@ def power(a, k: int, rels: dict):
         if a[0].is_zero():
             raise ZeroDenominator("negative power of zero")
         a, k = a[::-1], -k
-    if rels.keys().isdisjoint(a[0].gens() | a[1].gens()):
+    if not (a[0].holds(rels) or a[1].holds(rels)):
         rels = {}
     return square_multiply(a, k, lambda p, q: reduce_powers(
         p[0] * q[0], p[1] * q[1], rels), RatFunc.const(1))
@@ -140,7 +161,7 @@ def rationalize(num: MultiPoly, den: MultiPoly, rels: dict):
     if den.is_zero():
         raise ZeroDenominator("denominator is zero modulo the relations")
     for gid in sorted(rels, reverse=True):
-        if den.deg_in(gid) == 0:
+        if not den.holds((gid,)):
             continue
         conj = den.conj_gen(gid)
         num, den = reduce_powers(num * conj, den * conj, rels)
@@ -153,7 +174,7 @@ def rationalize(num: MultiPoly, den: MultiPoly, rels: dict):
 def normal_form(num: MultiPoly, den: MultiPoly, rels: dict) -> RatFunc:
     """Unique representative: numerator multilinear in relation
     generators, denominator free of them, then gcd-reduced and monic."""
-    return ratfunc_normalize(*rationalize(num, den, rels))
+    return ratfunc_normalize(*rationalize(num, den, rels), rels)
 
 
 class _Part(NamedTuple):

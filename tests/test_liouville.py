@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffalg import curves, liouville, poly
+from diffalg import curves, liouville, poly, ratfunc
 from diffalg.curves import ThirdKindParam, phi_part, phi_sum
 from diffalg.errors import (FieldMismatch, FNotBelow, IntegrandNotReducible,
                             InvalidDefiningData, NonConstantCoefficient,
@@ -859,8 +859,12 @@ def test_reduce_algebraic_w3_unsupported():
         reduce_algebraic(t, f, form)
 
 
-def _l3_tower():
+def _l3_tower(*roots):
+    """The third-kind Legendre tower of the l3_pushdown benchmark, with
+    the roots (name, radicand) adjoined after x."""
     t = Tower.base().const("m").const("pa").var("x")
+    for name, radicand in roots:
+        t = t.sqrt_ext(name, radicand)
     m, pa, x = t["m"], t["pa"], t["x"]
     big_e = (1 + m) / (2 * m)
     r = big_e - x ** 2
@@ -935,8 +939,10 @@ def test_l3_reduction_work_is_pinned(monkeypatch):
 
 
 def test_reduction_checks_each_term_once(monkeypatch):
-    # the returned form checks its log and its l3 term; the self-check
-    # reuses them and checks only the correction's two split logs
+    # the self-check form checks the correction's two split logs and the
+    # l3 term; the returned form reuses them, and its canonical log needs
+    # no check: its numerator divides the split numerator times the
+    # conjugates of the split denominator
     t, prm = _l3_tower()
     form = LiouvilleForm(t.zero(), _l3_pair(t, prm))
     f = form_derivative(t, form)
@@ -949,7 +955,49 @@ def test_reduction_checks_each_term_once(monkeypatch):
 
     monkeypatch.setattr(liouville, "check_term", counted)
     reduce(t, f, form)
-    assert checked == ["LogPhi", "LPhi", "LogPhi", "LogPhi"]
+    assert checked == ["LogPhi", "LogPhi", "LPhi"]
+
+
+@pytest.mark.parametrize("side", ["num", "den"])
+def test_a_zero_divisor_correction_is_refused(monkeypatch, side):
+    # z = 2 ya - yb with ya^2 = 2, yb^2 = 8 is a nonzero zero divisor; an
+    # Abel correction log(num/den) with z times num or den is refused,
+    # though the canonical log of the returned form is not checked
+    t, prm = _l3_tower(("ya", 2), ("yb", 8))
+    form = LiouvilleForm(t.zero(), _l3_pair(t, prm))
+    f = form_derivative(t, form)
+    assert reduce_algebraic(t, f, form).terms
+    z = 2 * t["ya"] - t["yb"]
+    step = liouville.abel_step
+
+    def spoiled(*args):
+        p3, w, (c, num, den) = step(*args)
+        return p3, w, ((c, num * z, den) if side == "num"
+                       else (c, num, den * z))
+
+    monkeypatch.setattr(liouville, "abel_step", spoiled)
+    with pytest.raises(ZeroDenominator, match=ZERO_DIVISOR):
+        reduce_algebraic(t, f, form)
+
+
+def test_no_normal_form_gcd_takes_a_relation_generator(monkeypatch):
+    # a normal form's denominator holds no relation generator, so its gcd
+    # is folded from the numerator's coefficients over them: over the l3
+    # reduction, no gcd that a normal form takes sees a root
+    t, prm = _l3_tower()
+    form = LiouvilleForm(t.zero(), _l3_pair(t, prm))
+    f = form_derivative(t, form)
+    operands = []
+    gcd = ratfunc.poly_gcd
+
+    def seen(p, q):
+        operands.extend((p, q))
+        return gcd(p, q)
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", seen)
+    assert len(reduce(t, f, form)) == 1
+    assert operands
+    assert all(p.gens().isdisjoint(t.rels) for p in operands)
 
 
 def test_self_check_catches_a_wrong_third_kind_correction(monkeypatch):

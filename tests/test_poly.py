@@ -90,6 +90,23 @@ def test_divexact():
     assert not _divexact_matches_sympy(p + b ** 3, q, (0, 300))
 
 
+@pytest.mark.parametrize("p, q", [
+    (X, X * X),
+    (X * Y + ONE, X * X * Y),
+    (Y ** 3 - X, (X + Y) ** 2 * X * Y),
+], ids=["monomials", "one-term-more", "larger-divisor"])
+def test_divexact_refuses_a_divisor_of_higher_degree_at_once(monkeypatch,
+                                                              p, q):
+    # q's leading monomial cannot divide p's, and the total degrees show
+    # it before any content, primitive part or long division
+    long_division = []
+    monkeypatch.setattr(poly, "_divexact",
+                        lambda *args: long_division.append(args))
+    assert poly_divexact(p, q) is None
+    assert not long_division
+    assert not _divexact_matches_sympy(p, q, (0, 1))
+
+
 def test_partial_and_evaluate():
     p = X * X * Y + X.scale(3)  # x^2 y + 3x
     assert p.partial(0) == X * Y * MultiPoly.const(2) + MultiPoly.const(3)
@@ -695,8 +712,8 @@ def test_trial_division_tries_the_operand_of_lower_degree(monkeypatch):
 
 
 @pytest.mark.parametrize("kinds, hits, misses, images",
-                         [(("f", "e", "w1"), 16, 2, 20),
-                          (("pi",), 14, 1, 24)],
+                         [(("f", "e", "w1"), 12, 4, 24),
+                          (("pi",), 14, 2, 12)],
                          ids=["f-e-w1", "pi"])
 def test_certificate_decisions_on_the_abel_identities(monkeypatch, kinds,
                                                      hits, misses, images):
@@ -708,9 +725,14 @@ def test_certificate_decisions_on_the_abel_identities(monkeypatch, kinds,
     # laws, the sum point's phi shapes and abel_step (f-e-w1 28, 3, 36 and
     # pi 49, 4, 48 while a coprime basis took a gcd of each pair of factors
     # that shared a generator; pi 49, 2, 124 before its conjugate log
-    # numerators shared one part over their norm).  The stop rule starts
-    # from the generators only one operand has, so 9 of the f-e-w1 hits
-    # and 5 of pi's take no image
+    # numerators shared one part over their norm).  A normal form folds
+    # its denominator with the numerator's coefficients over the relation
+    # generators (f-e-w1 16, 2, 20 and pi 14, 1, 24 with one gcd of the
+    # whole pair): each of the three nontrivial gcds misses once per
+    # coefficient it folds, two each, and four w1 coefficients share no
+    # generator with the denominator, so they need no certificate.  The
+    # stop rule starts from the generators only one operand has, so 5 of
+    # the f-e-w1 hits and 10 of pi's take no image (9 and 5 before)
     seen = []
     certify = poly._certify_coprime
     monkeypatch.setattr(poly, "_certify_coprime",

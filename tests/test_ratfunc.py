@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from diffalg.errors import DegreeOverflow, ZeroDenominator
 from diffalg.poly import DEG_MAX, MultiPoly, get_degree_limit
 from diffalg.ratfunc import (RatFunc, normal_form, power, quotient,
-                             ratfunc_normalize, reduce_powers)
+                             ratfunc_normalize, rationalize, reduce_powers)
 from diffalg.tower import Tower
 from polys import evaluate, from_dict, monomial
 
@@ -324,6 +324,50 @@ def test_reduction_matches_sympy(case):
         assert nf.num.deg_in(g) <= 1 and nf.den.deg_in(g) == 0
     assert agree((n, d), (num, den), images)
     assert agree(nf, (num, den), images)
+
+
+# -- the normal form's gcd over the numerator's coefficients -----------------
+#
+# After rationalize the denominator holds no root, so normal_form folds it
+# with the numerator's coefficients over the roots.  The reduced pair must
+# be the one gcd of the whole pair gives, and sympy's, with the roots read
+# as independent symbols.  Half of the pairs get a planted common factor
+# in x, so the gcd is nontrivial.
+
+SPLIT_TOWERS = [
+    [("y", lambda t: t["x"])],
+    [("y", lambda t: (t["x"] - 1) / (t["x"] + 1))],
+    *ROOT_TOWERS[:2],
+]
+
+
+@st.composite
+def split_cases(draw):
+    """A one- or two-root tower and a raw num/den pair over it."""
+    t = root_tower(draw(st.sampled_from(SPLIT_TOWERS)))
+    num, den = tower_poly(draw, t, 4, 2), tower_poly(draw, t, 2, 1)
+    if draw(st.booleans()):
+        h = draw(polys_over(1, max_terms=3).filter(lambda h: not h.is_const()))
+        num, den = num * h, den * h
+    return t, num, den
+
+
+@given(split_cases())
+@settings(max_examples=60, deadline=None)
+def test_normal_form_gcd_is_the_whole_pairs(case):
+    t, num, den = case
+    try:
+        rnum, rden = rationalize(num, den, t.rels)
+    except ZeroDenominator:  # den is 0 or a zero divisor as an element
+        return
+    got = normal_form(num, den, t.rels)
+    assert got == ratfunc_normalize(rnum, rden)
+    nvars = 1 + len(t.rels)
+    want_num, want_den = norm_sympy(rnum, nvars).cancel(
+        norm_sympy(rden, nvars), include=True)
+    lc = want_den.LC(order="grlex")
+    assert norm_sympy(got.den, nvars) * lc == want_den
+    assert norm_sympy(got.num, nvars) * lc == want_num
 
 
 @st.composite

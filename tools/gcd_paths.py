@@ -29,8 +29,11 @@ parts over a division basis of their denominator factors
 (``diffalg.ratfunc._division_basis``), which runs no gcd: it splits two
 factors only where one divides the other exactly.  ``basis divisions``
 counts its exact-division tries (``poly_divexact`` calls made inside it)
-and ``basis splits`` the tries that divided.  Every count is
-deterministic.
+and ``basis splits`` the tries that divided.  A normal form whose
+numerator holds a relation generator takes its gcd over the numerator's
+coefficients in those generators (``diffalg.ratfunc._gcd_over``), one
+top-level gcd per coefficient folded in; ``split normal forms`` counts
+those normal forms.  Every count is deterministic.
 The table is Markdown, so it can go to a CI step summary as it is.
 """
 
@@ -61,18 +64,20 @@ def _rebind(orig, wrapper, undo: list) -> None:
 
 def count_paths(run) -> dict:
     """Call run() with the gcd code wrapped; return PATHS -> [gcds,
-    images], "GCDHEU calls", "kernel pairs", "basis divisions" and
-    "basis splits"."""
+    images], "GCDHEU calls", "kernel pairs", "basis divisions",
+    "basis splits" and "split normal forms"."""
     from diffalg import poly, ratfunc
 
     tally = {path: [0, 0] for path in PATHS}
     extra = Counter(dict.fromkeys(("GCDHEU calls", "kernel pairs",
-                                  "basis divisions", "basis splits"), 0))
+                                  "basis divisions", "basis splits",
+                                  "split normal forms"), 0))
     state = {"depth": 0, "heu_depth": 0, "images": 0, "basis": 0}
     orig = {name: getattr(poly, name) for name in (
         "poly_gcd", "_igcd", "_certify_coprime", "_eval_uni_mod",
         "_heu_gcd", "_dict_mul", "poly_divexact")}
     orig["_division_basis"] = ratfunc._division_basis
+    orig["_gcd_over"] = ratfunc._gcd_over
 
     def gcd(p, q):
         state.update(cert=_UNSET, heu=_UNSET, images=0)
@@ -137,9 +142,14 @@ def count_paths(run) -> dict:
             extra["basis splits"] += quot is not None
         return quot
 
+    def gcd_over(num, den, gids):
+        extra["split normal forms"] += num.holds(gids)
+        return orig["_gcd_over"](num, den, gids)
+
     wrappers = {"poly_gcd": gcd, "_igcd": igcd, "_certify_coprime": certify,
                 "_eval_uni_mod": image, "_heu_gcd": heu, "_dict_mul": mul,
-                "_division_basis": basis, "poly_divexact": divexact}
+                "_division_basis": basis, "poly_divexact": divexact,
+                "_gcd_over": gcd_over}
     undo: list = []
     try:
         for name, wrapper in wrappers.items():
@@ -156,7 +166,8 @@ def main() -> int:
     import workloads
 
     head = ["workload", "gcds", *PATHS, "images", "GCDHEU calls",
-            "kernel pairs", "basis divisions", "basis splits"]
+            "kernel pairs", "basis divisions", "basis splits",
+            "split normal forms"]
     print("| " + " | ".join(head) + " |")
     print("|" + " --- |" * len(head))
     with tempfile.TemporaryDirectory() as workdir:
@@ -173,7 +184,8 @@ def main() -> int:
                   + " | ".join(cells)
                   + f" | {sum(got[p][1] for p in PATHS)}"
                   f" | {got['GCDHEU calls']} | {got['kernel pairs']}"
-                  f" | {got['basis divisions']} | {got['basis splits']} |")
+                  f" | {got['basis divisions']} | {got['basis splits']}"
+                  f" | {got['split normal forms']} |")
     return 0
 
 
