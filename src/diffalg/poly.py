@@ -43,30 +43,36 @@ h = e // 2 and takes g^(2h) out of the packed monomial; the products by
 powers of r run in the multiply kernel, under the degree guard.
 
 Exact division runs in heap order.  One long-division loop, _divexact,
-does all of it; a max-heap of the remainder's monomials on the graded-lex
-key hands it each step's leading term, so no step rescans the remainder
-(Monagan & Pearce 2007, CASC).  poly_divexact first refuses a divisor of
+does it; a max-heap of the remainder's monomials on the graded-lex key
+hands it each step's leading term, so no step rescans the remainder
+(Monagan & Pearce 2007, CASC).  A one-term divisor needs no heap: each
+term's quotient is one monomial difference, tested by the guard bits,
+and one integer division.  poly_divexact first refuses a divisor of
 higher total degree than the dividend, before any of that.
 
 GCDs run on the integer term dicts (the denominator is a unit over Q),
 and _igcd decides each by the first of these steps that settles it.
-(1) Operands that share no generator have an integer gcd.  (2) The stop
-rule of the modular certificate (_certify_coprime): once the generators
-C leave p or q a nonzero coefficient over C free of the other shared
-generators, the gcd, free of C, divides that coefficient, so it is an
-integer.  C starts as the generators only one operand has, so most
-coprime pairs need no image.  (3) Certificate images: C grows by each
-shared generator whose univariate images mod a prime, read off the
-packed monomials through power tables, are coprime.  (4) Trial
-division: the primitive part of the operand of lower total degree
-(fewer terms on a tie), times the integer gcd of the contents, when it
-divides the other exactly; this forms no products.  (5) The heuristic
-gcd GCDHEU evaluates at large integers, takes integer gcds, reads the
-candidate back from xi-adic digits, and accepts it only when it divides
-both inputs.  (6) When GCDHEU gives up (after a few points, or at a bit
-budget on the evaluated coefficients), recursive content/primitive-part
-elimination by pseudo-remainders (PRS) over the last variable gives the
-exact answer.  Every recursive content gcd takes the same route.
+(1) A one-term operand, a constant included: a divisor of a monomial is
+a monomial, so the gcd is the monomial of least exponents times the
+integer gcd of the contents, from one scan; GCDHEU hands its one-term
+images to this step.  (2) Operands that share no generator have an
+integer gcd.  (3) The stop rule of the modular certificate
+(_certify_coprime): once the generators C leave p or q a nonzero
+coefficient over C free of the other shared generators, the gcd, free of
+C, divides that coefficient, so it is an integer.  C starts as the
+generators only one operand has, so most coprime pairs need no image.
+(4) Certificate images: C grows by each shared generator whose
+univariate images mod a prime, read off the packed monomials through
+power tables, are coprime.  (5) Trial division: the primitive part of
+the operand of lower total degree (fewer terms on a tie), times the
+integer gcd of the contents, when it divides the other exactly; this
+forms no products.  (6) The heuristic gcd GCDHEU evaluates at large
+integers, takes integer gcds, reads the candidate back from xi-adic
+digits, and accepts it only when it divides both inputs.  (7) When
+GCDHEU gives up (after a few points, or at a bit budget on the evaluated
+coefficients), recursive content/primitive-part elimination by
+pseudo-remainders (PRS) over the last variable gives the exact answer.
+Every recursive content gcd takes the same route.
 """
 
 from __future__ import annotations
@@ -271,20 +277,24 @@ def _divexact(p: dict, q: dict) -> dict | None:
     with an integer quotient."""
     if not p:
         return {}
-    if len(q) == 1 and 0 in q:
-        qc = q[0]
-        quot = {}
-        for m, c in p.items():
-            f, r = divmod(c, qc)
-            if r:
-                return None
-            quot[m] = f
-        return quot
     qm = _lead(q)
     qc = q[qm]
-    rest = [(m2, c2) for m2, c2 in q.items() if m2 != qm]
     nbits = max(max(p).bit_length(), max(q).bit_length())
     guards = _guards(nbits)
+    if len(q) == 1:
+        # one term: each quotient term is one monomial difference and one
+        # integer division, so no heap is needed
+        quot = {}
+        for m, c in p.items():
+            fm = m - qm
+            if fm < 0 or fm & guards:
+                return None
+            fc, r = divmod(c, qc)
+            if r:
+                return None
+            quot[fm] = fc
+        return quot
+    rest = [(m2, c2) for m2, c2 in q.items() if m2 != qm]
     top = (nbits // W + 1) * W  # every monomial below is under 1 << top
     low = (1 << top) - 1
     # The remainder's monomials wait in a min-heap on -key, where the key
@@ -843,12 +853,10 @@ def _xi_adic(gamma: dict, v: int, xi: int, top: int) -> dict | None:
 
 def _heu_gcd(f: dict, g: dict) -> dict | None:
     """gcd(f, g) up to sign by GCDHEU, or None when it gives up."""
-    if not f or not g:
-        return f or g
+    if min(len(f), len(g)) < 2:  # a zero or one-term operand
+        return _igcd(f, g)
     cf, cg = _int_content(f), _int_content(g)
     cont = int_gcd(cf, cg)
-    if (len(f) == 1 and 0 in f) or (len(g) == 1 and 0 in g):
-        return {0: cont}
     f, g = _primitive(f, cf), _primitive(g, cg)
     v = (max(max(f), max(g)).bit_length() - 1) // W
     df, dg = _deg_in(f, v), _deg_in(g, v)
@@ -875,10 +883,25 @@ def _heu_gcd(f: dict, g: dict) -> dict | None:
 
 def _igcd(p: dict, q: dict) -> dict:
     """GCD of integer-coefficient polynomial dicts (sign-normalized)."""
-    if not p:
-        return _pos_lc(q)
-    if not q:
-        return _pos_lc(p)
+    if not p or not q:
+        return _pos_lc(p or q)
+    if len(p) == 1 or len(q) == 1:
+        # A divisor of c * x^a is d * x^b with d | c and b <= a field-wise,
+        # so the gcd is the monomial of least exponents times the integer
+        # gcd of the contents: one scan of the other operand, until the
+        # monomial is 1.  A field of a's in (a | guards) - b keeps its guard
+        # bit exactly where a's exponent is at least b's, since a borrow
+        # runs only upwards; there b's is the min, and above a's fields
+        # the min is 0.
+        if len(p) != 1:
+            p, q = q, p
+        (a, c), = p.items()
+        guards = _guards(a.bit_length())
+        for b in q:
+            if not a:
+                break
+            a ^= (a ^ b) & (((a | guards) - b & guards) >> W - 1) * _FIELD
+        return {a: int_gcd(c, *q.values())}
     # The gcd divides both, so it lives in the shared variables; a
     # constant has none.
     gp, gq = _gens_of(p), _gens_of(q)
@@ -955,6 +978,4 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Greatest common divisor, normalized to leading coefficient 1."""
     if not (p.terms or q.terms):
         return p
-    if p.terms and q.terms and (p.is_const() or q.is_const()):
-        return MultiPoly.one()
     return _monic(_igcd(p.terms, q.terms))

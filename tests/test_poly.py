@@ -711,9 +711,125 @@ def test_trial_division_tries_the_operand_of_lower_degree(monkeypatch):
     assert not heu
 
 
+# -- one-term operands: one scan for the gcd and the exact division ----------
+
+# sympy's sparse rings over the generators of SPARSE_GIDS: its dense Poly
+# would take minutes on exponents near DEG_MAX
+RING_Z = sympy.ring([f"g{g}" for g in SPARSE_GIDS], sympy.ZZ)
+RING_Q = sympy.ring([f"g{g}" for g in SPARSE_GIDS], sympy.QQ)
+
+
+def in_ring(p: MultiPoly, ring):
+    r, *gens = ring
+    return r(evaluate(p, dict(zip(SPARSE_GIDS, gens))))
+
+
+@st.composite
+def wide_monomials(draw):
+    """A tuple monomial over up to three of SPARSE_GIDS, 400 among them
+    often, whose exponents reach near DEG_MAX over their count."""
+    gids = draw(st.sets(st.sampled_from(SPARSE_GIDS), max_size=3))
+    cap = poly.DEG_MAX // max(len(gids), 1)
+    return tuple((g, e) for g in sorted(gids) if (e := draw(
+        st.one_of(st.integers(0, 3), st.integers(cap - 3, cap)))))
+
+
+int_coeffs = st.integers(-36, 36)
+
+
+@st.composite
+def one_term_and_other(draw):
+    """A one-term polynomial, a constant at times, with a nonzero integer
+    coefficient, and up to four terms that may share its monomials or be
+    none at all."""
+    p = from_dict({draw(wide_monomials()): draw(int_coeffs.filter(bool))})
+    monos = st.one_of(wide_monomials(), st.just(lead_mono(p)))
+    q = from_dict(draw(st.dictionaries(monos, int_coeffs, max_size=4)))
+    return p, q
+
+
+@given(one_term_and_other())
+@settings(max_examples=120, deadline=None)
+def test_one_term_gcd_matches_sympy(pair):
+    p, q = pair
+    # over Z the gcd keeps the integer content, with a positive coefficient
+    want = in_ring(p, RING_Z).gcd(in_ring(q, RING_Z))
+    for a, b in ((p, q), (q, p)):
+        got = poly._igcd(a.terms, b.terms)
+        assert len(got) == 1 and next(iter(got.values())) > 0
+        assert in_ring(MultiPoly(got), RING_Z) in (want, -want)
+        assert in_ring(poly_gcd(a, b), RING_Q) == want.set_ring(
+            RING_Q[0]).monic()
+
+
+@given(one_term_and_other())
+@settings(max_examples=120, deadline=None)
+def test_one_term_division_matches_sympy(pair):
+    p, q = pair
+    quot, rem = in_ring(q, RING_Q).div(in_ring(p, RING_Q))
+    got = poly_divexact(q, p)
+    assert (got is None) == bool(rem)
+    assert got is None or in_ring(got, RING_Q) == quot
+    # over Z, a coefficient that p's does not divide refuses the division
+    quot, rem = in_ring(q, RING_Z).div(in_ring(p, RING_Z))
+    got = poly._divexact(q.terms, p.terms)
+    assert (got is None) == bool(rem)
+    assert got is None or in_ring(MultiPoly(got), RING_Z) == quot
+    if not q.is_zero() and p.degree() + q.degree() <= poly.DEG_MAX:
+        assert poly_divexact(p * q, p) == q
+        assert poly._divexact((p * q).terms, p.terms) == q.terms
+
+
+@pytest.mark.parametrize("p, q", [
+    (MultiPoly.var(1), X),  # x1 - x0 borrows across a field
+    (X * Y, Y * Y),  # so does x0 x1 - x1^2, though the degrees are equal
+    (X ** 5 * Y, X ** 6),
+    (X * X, MultiPoly.var(400)),  # the divisor's field is above p's
+    (X * MultiPoly.var(400), MultiPoly.var(5)),  # and inside p's range
+    (X.scale(Fraction(3)) + Y.scale(Fraction(4)), X.scale(Fraction(2))),
+], ids=["borrow", "borrow-equal-degree", "borrow-into-x1", "higher-field",
+        "missing-field", "one-term-misses"])
+def test_one_term_division_is_refused(p, q):
+    assert poly._divexact(p.terms, q.terms) is None
+    assert not _divexact_matches_sympy(p, q, sorted(
+        poly._gens_of(p.terms) | poly._gens_of(q.terms)))
+
+
+def test_one_term_gcd_keeps_the_integer_content():
+    p = (X * X).scale(Fraction(6)).terms
+    for q, want in ((X.scale(Fraction(4)) + (X * Y).scale(Fraction(10)),
+                     X.scale(Fraction(2))),
+                    (X.scale(Fraction(4)) + Y.scale(Fraction(10)),
+                     MultiPoly.const(2)),
+                    (X.scale(Fraction(-4)), X.scale(Fraction(2))),
+                    (MultiPoly.zero(), (X * X).scale(Fraction(6)))):
+        assert poly._igcd(p, q.terms) == want.terms
+        assert poly._igcd(q.terms, p) == want.terms
+
+
+def test_one_term_operands_take_no_certificate_gcdheu_or_heap(monkeypatch):
+    # pairs that share generators, which the certificate and GCDHEU would
+    # take on, and divisions that an exact quotient or a refusal ends
+    def refuse(*args):
+        raise AssertionError("a one-term operand reached the general path")
+
+    for name in ("_certify_coprime", "_heu_gcd", "heapify", "heappush"):
+        monkeypatch.setattr(poly, name, refuse)
+    m = (X * X * Y).scale(Fraction(-6))
+    other = (X * X + X * Y + ONE) * X * Y.scale(Fraction(4))
+    assert poly_gcd(m, other) == X * Y and poly_gcd(other, m) == X * Y
+    assert poly_gcd(m, MultiPoly.const(3)) == ONE
+    assert poly_gcd(m, m * X) == X * X * Y
+    assert poly_divexact(other, X * Y) == (X * X + X * Y + ONE).scale(
+        Fraction(4))
+    assert poly_divexact(other, X * X) is None
+    assert poly_divexact(other, MultiPoly.const(8)) == other.scale(
+        Fraction(1, 8))
+
+
 @pytest.mark.parametrize("kinds, hits, misses, images",
-                         [(("f", "e", "w1"), 12, 4, 24),
-                          (("pi",), 14, 2, 12)],
+                         [(("f", "e", "w1"), 9, 4, 22),
+                          (("pi",), 3, 2, 10)],
                          ids=["f-e-w1", "pi"])
 def test_certificate_decisions_on_the_abel_identities(monkeypatch, kinds,
                                                      hits, misses, images):
@@ -732,7 +848,10 @@ def test_certificate_decisions_on_the_abel_identities(monkeypatch, kinds,
     # coefficient it folds, two each, and four w1 coefficients share no
     # generator with the denominator, so they need no certificate.  The
     # stop rule starts from the generators only one operand has, so 5 of
-    # the f-e-w1 hits and 10 of pi's take no image (9 and 5 before)
+    # the f-e-w1 hits and 10 of pi's took no image (9 and 5 before).  A
+    # gcd with a one-term operand is the monomial of least exponents and
+    # takes no certificate (f-e-w1 12, 4, 24 and pi 14, 2, 12 before), so
+    # 3 of the f-e-w1 hits and none of pi's are left without an image
     seen = []
     certify = poly._certify_coprime
     monkeypatch.setattr(poly, "_certify_coprime",

@@ -9,8 +9,11 @@ Each pass runs with a few functions of ``diffalg.poly`` wrapped, and a
 top-level gcd (one call of ``poly_gcd``, from any module) is put on the
 first path that decided it, as its outermost ``_igcd`` saw it:
 
+* one-term operand: neither operand is zero and one has one term, a
+  constant included, so ``_igcd`` took the gcd as the monomial of least
+  exponents times the integer gcd of the contents, in one scan;
 * no shared generator: ``_igcd`` never ran the certificate, because an
-  operand is zero or constant or the two share no generator;
+  operand is zero or the two share no generator;
 * one-sided stop rule: the certificate proved the gcd an integer before
   it took any image;
 * certificate images: the certificate proved it from modular images;
@@ -45,8 +48,8 @@ import tempfile
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PATHS = ("no shared generator", "one-sided stop rule", "certificate images",
-         "trial division", "GCDHEU", "PRS")
+PATHS = ("one-term operand", "no shared generator", "one-sided stop rule",
+         "certificate images", "trial division", "GCDHEU", "PRS")
 _UNSET = object()
 
 
@@ -80,9 +83,11 @@ def count_paths(run) -> dict:
     orig["_gcd_over"] = ratfunc._gcd_over
 
     def gcd(p, q):
-        state.update(cert=_UNSET, heu=_UNSET, images=0)
+        state.update(one_term=False, cert=_UNSET, heu=_UNSET, images=0)
         result = orig["poly_gcd"](p, q)
-        if state["cert"] is _UNSET:
+        if state["one_term"]:
+            path = "one-term operand"
+        elif state["cert"] is _UNSET:
             path = "no shared generator"
         elif state["cert"]:
             path = ("certificate images" if state["cert_images"]
@@ -96,6 +101,8 @@ def count_paths(run) -> dict:
         return result
 
     def igcd(p, q):
+        if not state["depth"]:
+            state["one_term"] = min(len(p), len(q)) == 1
         state["depth"] += 1
         try:
             return orig["_igcd"](p, q)
