@@ -241,7 +241,8 @@ def phi_sum(t: Tower, h, v0: Element, terms, f=0) -> Element:
     same cleared sum as phi_sum_is_zero, put in normal form once, with
     the same precondition on the terms."""
     num, den, common = _clear(_phi_parts(t, h, v0, terms, f), t.rels)
-    return Element(t, normal_form(num, den * _product(common), t.rels))
+    return Element(t, normal_form(num, den * _product(common), t.rels,
+                                 t.factors))
 
 
 # --------------------------------------------------------------------------

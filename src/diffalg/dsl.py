@@ -194,7 +194,7 @@ def _settle(v, t: Tower, full: bool, product: bool = False):
     if isinstance(v, RatFunc):  # an atom, already normal
         return v
     if full:
-        return normal_form(*v, t.rels)
+        return normal_form(*v, t.rels, t.factors)
     return reduce_powers(*v, t.rels) if product and t.rels else v
 
 

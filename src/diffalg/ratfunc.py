@@ -12,7 +12,11 @@ every such g appears with exponent at most one in the numerator and not
 at all in the denominator (conjugate rationalization), then divides out
 the gcd.  No divisor of that denominator holds a g either, so the gcd is
 folded from the numerator's coefficients over the g (_gcd_over), and no
-gcd of a normal form sees a relation generator.
+gcd of a normal form sees a relation generator.  Rationalizing carries a
+radicand's numerator into the denominator, and a radicand's denominator
+comes up from each fold, so before the gcd, normal_form divides these
+radicand factors (radicand_factors, one table per tower) out of both,
+as often as each divides both; the gcd runs on what is left.
 
 Two normal forms n1/d1 and n2/d2 are compared structurally.  That rests
 on unique factorization in the polynomial ring alone: their difference
@@ -39,7 +43,8 @@ from math import prod
 from typing import NamedTuple
 
 from .errors import ZeroDenominator
-from .poly import MultiPoly, poly_divexact, poly_gcd, square_multiply
+from .poly import (MultiPoly, divide_out, factor_table, poly_divexact, poly_gcd,
+                   square_multiply)
 
 
 class RatFunc(NamedTuple):
@@ -171,10 +176,29 @@ def rationalize(num: MultiPoly, den: MultiPoly, rels: dict):
     return num, den
 
 
-def normal_form(num: MultiPoly, den: MultiPoly, rels: dict) -> RatFunc:
+def radicand_factors(rels: dict) -> tuple:
+    """The divisor table of normal_form's pre-step over rels: each
+    nonconstant numerator or denominator of a radicand, taken primitive.
+    One that holds a relation generator divides no rationalized
+    denominator, so it is left out."""
+    return factor_table((p for r in rels.values() for p in r), rels)
+
+
+def normal_form(num: MultiPoly, den: MultiPoly, rels: dict,
+                factors=None) -> RatFunc:
     """Unique representative: numerator multilinear in relation
-    generators, denominator free of them, then gcd-reduced and monic."""
-    return ratfunc_normalize(*rationalize(num, den, rels), rels)
+    generators, denominator free of them, then gcd-reduced and monic.
+    factors, when given, is a function of no arguments that returns
+    radicand_factors(rels) (Tower.factors keeps one table per tower); it
+    is called only for a den of two or more terms and a nonzero num, and
+    the factors are divided out of both, where they divide both, before
+    the gcd runs on what is left."""
+    num, den = rationalize(num, den, rels)
+    if factors is not None and len(den.terms) > 1 and num.terms:
+        table = factors()
+        if table:
+            num, den = divide_out(num, den, table, rels)
+    return ratfunc_normalize(num, den, rels)
 
 
 class _Part(NamedTuple):

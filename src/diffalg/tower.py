@@ -33,7 +33,8 @@ from .errors import (CyclicDefinition, DiffAlgError, FieldMismatch,
                      UnsupportedHandle, ZeroElement)
 from .phi import LogPhi, WeierstrassCurve, WPhi, check_term, phi_shape
 from .poly import MultiPoly, get_degree_limit
-from .ratfunc import RatFunc, normal_form, power, quotient, reduce_powers
+from .ratfunc import (RatFunc, normal_form, power, quotient, radicand_factors,
+                      reduce_powers)
 
 # --------------------------------------------------------------------------
 # Extension kinds.  A payload is the Element that Tower.coerce made of
@@ -162,7 +163,8 @@ class Element:
         return self, NotImplemented
 
     def _wrap(self, num: MultiPoly, den: MultiPoly) -> "Element":
-        return Element(self.tower, normal_form(num, den, self.tower.rels))
+        t = self.tower
+        return Element(t, normal_form(num, den, t.rels, t.factors))
 
     def _apply(self, op: str, other):
         a, b = self._pair(other)
@@ -251,18 +253,27 @@ class Element:
 class Tower:
     """Immutable tower of differential extensions over Q."""
 
-    __slots__ = ("generators", "rels", "_by_name", "_by_gid", "_dtables",
-                 "_target")
+    __slots__ = ("generators", "rels", "_factors", "_by_name", "_by_gid",
+                 "_dtables", "_target")
 
     def __init__(self, generators: tuple = ()):
         self.generators = generators
         # gid -> radicand of every square root, the relations of ratfunc
         self.rels = {g.gid: g.kind.radicand.rf for g in generators
                      if isinstance(g.kind, AlgebraicSqrt)}
+        self._factors = None  # radicand_factors(rels), once a normal form asks
         self._by_name = {g.name: g for g in generators}
         self._by_gid = {g.gid: g for g in generators}
         self._dtables: dict = {}
         self._target = ()  # (liouville._reduction_target's answer,) once asked
+
+    def factors(self) -> tuple:
+        """The radicand factors of rels, which normal forms divide out
+        before their gcd; built when the first normal form needs them, and
+        freed with the tower."""
+        if self._factors is None:
+            self._factors = radicand_factors(self.rels)
+        return self._factors
 
     # -- structure ----------------------------------------------------
 
@@ -552,7 +563,7 @@ class Tower:
         return self._nf(num * x.num, den * x.den)
 
     def _nf(self, num: MultiPoly, den: MultiPoly) -> RatFunc:
-        return normal_form(num, den, self.rels)
+        return normal_form(num, den, self.rels, self.factors)
 
     def derive(self, handle, e: Element) -> Element:
         """Apply a derivation handle to an element of this tower."""

@@ -938,6 +938,25 @@ def test_l3_reduction_work_is_pinned(monkeypatch):
     assert sum(pairs) <= 10_400
 
 
+def test_l3_reduction_takes_few_heuristic_gcds(monkeypatch):
+    # every GCDHEU call of the reduction, its recursion on the evaluated
+    # images included: 33 when each normal form's gcd found the tower's
+    # radicand factors itself, before normal forms divided them out first
+    t, prm = _l3_tower()
+    form = LiouvilleForm(t.zero(), _l3_pair(t, prm))
+    f = form_derivative(t, form)
+    calls = []
+    heu = poly._heu_gcd
+
+    def counted(p, q):
+        calls.append(1)
+        return heu(p, q)
+
+    monkeypatch.setattr(poly, "_heu_gcd", counted)
+    assert len(reduce(t, f, form)) == 1
+    assert len(calls) <= 8
+
+
 def test_reduction_checks_each_term_once(monkeypatch):
     # the self-check form checks the correction's two split logs and the
     # l3 term; the returned form reuses them, and its canonical log needs

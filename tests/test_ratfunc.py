@@ -7,10 +7,13 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diffalg import poly
 from diffalg.errors import DegreeOverflow, ZeroDenominator
-from diffalg.poly import DEG_MAX, MultiPoly, get_degree_limit
+from diffalg.poly import (DEG_MAX, MultiPoly, _value, divide_out,
+                          factor_table, get_degree_limit)
 from diffalg.ratfunc import (RatFunc, normal_form, power, quotient,
-                             ratfunc_normalize, rationalize, reduce_powers)
+                             radicand_factors, ratfunc_normalize, rationalize,
+                             reduce_powers)
 from diffalg.tower import Tower
 from polys import evaluate, from_dict, monomial
 
@@ -368,6 +371,157 @@ def test_normal_form_gcd_is_the_whole_pairs(case):
     lc = want_den.LC(order="grlex")
     assert norm_sympy(got.den, nvars) * lc == want_den
     assert norm_sympy(got.num, nvars) * lc == want_num
+
+
+# -- the radicand factors that normal_form divides out before its gcd -------
+#
+# Rationalizing carries a radicand's numerator into the denominator, so a
+# tower's radicand numerators and denominators are the likely common
+# factors; normal_form divides them out of both before the gcd.  The
+# roots here are independent (no radicand holds a root), over a constant
+# m and x, so a factor may hold two generators.  A factor of the tower is
+# planted, to the power 1 or 2, in both num and den; the normal form must
+# be the one the plain gcd of the whole rationalized pair gives, and
+# sympy's, with the roots read as symbols.
+
+def _m_x_tower(shape: list) -> Tower:
+    t = Tower.base().const("m").var("x")
+    for name, radicand in shape:
+        t = t.sqrt_ext(name, radicand(t["m"], t["x"]))
+    return t
+
+
+FACTOR_TOWERS = [
+    [("y", lambda m, x: (2 * m * x ** 2 - m - 1) / m)],
+    [("y", lambda m, x: (x ** 2 + m) / (x - 1))],
+    [("y", lambda m, x: (2 * m * x ** 2 - m - 1) / m),
+     ("z", lambda m, x: (x + 1) / (m * x - 1))],
+    [("y", lambda m, x: x * (x + m)), ("z", lambda m, x: 3 / (m + x ** 2))],
+]
+FACTOR_GENS = sympy.symbols("x0:4")
+
+
+@st.composite
+def planted_factor_cases(draw):
+    """A tower of FACTOR_TOWERS and a raw num/den pair over it, both
+    times one of the tower's radicand numerators or denominators to the
+    power 1 or 2."""
+    t = _m_x_tower(draw(st.sampled_from(FACTOR_TOWERS)))
+    num, den = tower_poly(draw, t, 3, 2), tower_poly(draw, t, 2, 1)
+    f = draw(st.sampled_from([p for r in t.rels.values() for p in r
+                              if not p.is_const()]))
+    k = draw(st.integers(1, 2))
+    return t, num * f ** k, den * f ** k
+
+
+def factor_sympy(p: MultiPoly) -> sympy.Poly:
+    return sympy.Poly(evaluate(p, dict(enumerate(FACTOR_GENS))),
+                      *FACTOR_GENS[::-1], domain="QQ")
+
+
+@given(planted_factor_cases())
+@settings(max_examples=60, deadline=None)
+def test_normal_form_with_radicand_factors_is_the_plain_gcds(case):
+    t, num, den = case
+    try:
+        rnum, rden = rationalize(num, den, t.rels)
+    except ZeroDenominator:  # den is 0 or a zero divisor as an element
+        return
+    got = normal_form(num, den, t.rels, t.factors)
+    assert got == ratfunc_normalize(rnum, rden)
+    assert got == normal_form(num, den, t.rels)
+    want_num, want_den = factor_sympy(rnum).cancel(factor_sympy(rden),
+                                                   include=True)
+    lc = want_den.LC(order="grlex")
+    assert factor_sympy(got.den) * lc == want_den
+    assert factor_sympy(got.num) * lc == want_num
+
+
+def _factor_terms(rels: dict) -> list:
+    return [entry[-1] for entry in radicand_factors(rels)]
+
+
+def test_constant_radicand_parts_give_no_factor():
+    # y^2 = 2/(x + 1): the constant numerator 2 is no factor; y^2 = 3 has
+    # none, and y^2 = x its numerator x over the constant 1
+    t = Tower.base().var("x")
+    xg = t["x"]
+    assert _factor_terms(t.sqrt_ext("y", 2 / (xg + 1)).rels) == [
+        (X + ONE).terms]
+    assert _factor_terms(t.sqrt_ext("y", 3).rels) == []
+    assert _factor_terms(t.sqrt_ext("y", xg).rels) == [X.terms]
+    # a radicand part that holds an earlier root divides no rationalized
+    # denominator, so it is left out, and one that repeats another's
+    # primitive part is kept once
+    t = t.sqrt_ext("y", xg)
+    t = t.sqrt_ext("z", 2 * t["x"] / (t["x"] + 1))
+    t = t.sqrt_ext("w", 1 + t["y"])
+    assert _factor_terms(t.rels) == [X.terms, (X + ONE).terms]
+
+
+def _table(*polys) -> tuple:
+    return factor_table(polys, ())
+
+
+def test_a_factor_that_divides_den_alone_leaves_the_pair():
+    # x + 18 at x = 16 is 34, a multiple of 17, the value of x + 1 there,
+    # so only the exact division can refuse x + 1 as a factor of num
+    f = X + ONE
+    num, den = X + ONE.scale(18), f * (X + ONE.scale(2))
+    assert _value(num.terms) % _value(f.terms) == 0
+    got = divide_out(num, den, _table(f), ())
+    assert got[0] is num and got[1] is den
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_factor_dividing_both_k_times_comes_out_k_times(k, monkeypatch):
+    f, g = X + ONE, X * X + ONE.scale(3)
+    num, den = f ** (k + 1) * (X + ONE.scale(5)), f ** k * g
+    divisions = []
+    both = poly._divide_both
+
+    def counted(*args):
+        quots = both(*args)
+        divisions.append(quots is not None)
+        return quots
+
+    monkeypatch.setattr(poly, "_divide_both", counted)
+    got = divide_out(num, den, _table(f, g), ())
+    assert got == (f * (X + ONE.scale(5)), g)
+    # x^2 + 3 divides den alone, and its value at x = 16, 259, does not
+    # divide num's, so no division is tried for it
+    assert divisions == [True] * k
+
+
+def test_a_factor_whose_value_is_zero_comes_out_too():
+    # x - 16 is 0 at the point of _value, so its value filters nothing:
+    # after each division the values are formed again
+    f = X - ONE.scale(16)
+    assert _value(f.terms) == 0
+    num, den = f ** 2 * (X + ONE), f ** 2 * (X + ONE.scale(2))
+    assert divide_out(num, den, _table(f), ()) == (X + ONE,
+                                                    X + ONE.scale(2))
+
+
+def test_the_pre_step_skips_a_zero_num_and_a_one_term_den():
+    # the factors are asked for only when there is something to divide
+    t = _m_x_tower(FACTOR_TOWERS[2])
+    asked = []
+
+    def factors():
+        asked.append(1)
+        return t.factors()
+
+    xv = MultiPoly.var(t.gen_of("x").gid)
+    f = next(p for r in t.rels.values() for p in r if len(p.terms) > 1)
+    assert normal_form(MultiPoly.zero(), f * f, t.rels, factors) == (
+        MultiPoly.zero(), ONE)
+    assert normal_form(f, xv * xv, t.rels, factors) == normal_form(
+        f, xv * xv, t.rels)
+    assert asked == []
+    assert normal_form(f * xv, f * f, t.rels, factors) == normal_form(
+        xv, f, t.rels)
+    assert asked == [1]
 
 
 @st.composite

@@ -36,7 +36,11 @@ and ``basis splits`` the tries that divided.  A normal form whose
 numerator holds a relation generator takes its gcd over the numerator's
 coefficients in those generators (``diffalg.ratfunc._gcd_over``), one
 top-level gcd per coefficient folded in; ``split normal forms`` counts
-those normal forms.  Every count is deterministic.
+those normal forms.  Before its gcd, a normal form divides the tower's
+radicand factors out of its numerator and denominator
+(``diffalg.poly.divide_out``); ``radicand factors`` counts the factor
+divisions that took a factor out of both (``_divide_both`` calls that
+divided), one per power taken out.  Every count is deterministic.
 The table is Markdown, so it can go to a CI step summary as it is.
 """
 
@@ -68,17 +72,18 @@ def _rebind(orig, wrapper, undo: list) -> None:
 def count_paths(run) -> dict:
     """Call run() with the gcd code wrapped; return PATHS -> [gcds,
     images], "GCDHEU calls", "kernel pairs", "basis divisions",
-    "basis splits" and "split normal forms"."""
+    "basis splits", "split normal forms" and "radicand factors"."""
     from diffalg import poly, ratfunc
 
     tally = {path: [0, 0] for path in PATHS}
     extra = Counter(dict.fromkeys(("GCDHEU calls", "kernel pairs",
                                   "basis divisions", "basis splits",
-                                  "split normal forms"), 0))
+                                  "split normal forms", "radicand factors"),
+                                 0))
     state = {"depth": 0, "heu_depth": 0, "images": 0, "basis": 0}
     orig = {name: getattr(poly, name) for name in (
         "poly_gcd", "_igcd", "_certify_coprime", "_eval_uni_mod",
-        "_heu_gcd", "_dict_mul", "poly_divexact")}
+        "_heu_gcd", "_dict_mul", "poly_divexact", "_divide_both")}
     orig["_division_basis"] = ratfunc._division_basis
     orig["_gcd_over"] = ratfunc._gcd_over
 
@@ -153,10 +158,15 @@ def count_paths(run) -> dict:
         extra["split normal forms"] += num.holds(gids)
         return orig["_gcd_over"](num, den, gids)
 
+    def divide_both(*args):
+        quots = orig["_divide_both"](*args)
+        extra["radicand factors"] += quots is not None
+        return quots
+
     wrappers = {"poly_gcd": gcd, "_igcd": igcd, "_certify_coprime": certify,
                 "_eval_uni_mod": image, "_heu_gcd": heu, "_dict_mul": mul,
                 "_division_basis": basis, "poly_divexact": divexact,
-                "_gcd_over": gcd_over}
+                "_gcd_over": gcd_over, "_divide_both": divide_both}
     undo: list = []
     try:
         for name, wrapper in wrappers.items():
@@ -174,7 +184,7 @@ def main() -> int:
 
     head = ["workload", "gcds", *PATHS, "images", "GCDHEU calls",
             "kernel pairs", "basis divisions", "basis splits",
-            "split normal forms"]
+            "split normal forms", "radicand factors"]
     print("| " + " | ".join(head) + " |")
     print("|" + " --- |" * len(head))
     with tempfile.TemporaryDirectory() as workdir:
@@ -192,7 +202,8 @@ def main() -> int:
                   + f" | {sum(got[p][1] for p in PATHS)}"
                   f" | {got['GCDHEU calls']} | {got['kernel pairs']}"
                   f" | {got['basis divisions']} | {got['basis splits']}"
-                  f" | {got['split normal forms']} |")
+                  f" | {got['split normal forms']}"
+                  f" | {got['radicand factors']} |")
     return 0
 
 
