@@ -42,7 +42,7 @@ from .poly import MultiPoly
 from .phi import (TERM_KINDS, CurvePoint, LegendreCurve, LogPhi, LPhi,
                   ThirdKindParam, WeierstrassCurve, WPhi, make_term,
                   phi_shape, term_args)
-from .ratfunc import _clear, _Part, _product, normal_form, reduce_powers
+from .ratfunc import _clear, _Part, _product, reduce_powers
 from .tower import (AlgebraicSqrt, ConstParam, Element, PartialD, Tower,
                     _diff_poly, _diff_rf)
 
@@ -241,8 +241,7 @@ def phi_sum(t: Tower, h, v0: Element, terms, f=0) -> Element:
     same cleared sum as phi_sum_is_zero, put in normal form once, with
     the same precondition on the terms."""
     num, den, common = _clear(_phi_parts(t, h, v0, terms, f), t.rels)
-    return Element(t, normal_form(num, den * _product(common), t.rels,
-                                 t.factors))
+    return Element(t, t._nf(num, den * _product(common)))
 
 
 # --------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from typing import NamedTuple
 from .errors import DiffAlgError, NameClash, ParseError
 from .liouville import LiouvilleForm
 from .phi import TERM_KINDS, make_term, term_args
-from .ratfunc import RatFunc, normal_form, power, quotient, reduce_powers
+from .ratfunc import RatFunc, power, quotient, reduce_powers
 from .tower import GEN_KINDS, BaseVar, ConstParam, Element, Tower, gen_args
 
 _OPS = "+-*/^(),=;"
@@ -194,7 +194,7 @@ def _settle(v, t: Tower, full: bool, product: bool = False):
     if isinstance(v, RatFunc):  # an atom, already normal
         return v
     if full:
-        return normal_form(*v, t.rels, t.factors)
+        return t._nf(*v)
     return reduce_powers(*v, t.rels) if product and t.rels else v
 
 

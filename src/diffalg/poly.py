@@ -30,8 +30,9 @@ into the next field.
 
 This module owns the layout: every scan over monomials is written once,
 as a function on the term dict, and the MultiPoly methods are views over
-them.  Outside this module only the printer (fmt.py) reads monomials;
-split_by hands out its monomials as MultiPolys.
+them.  Outside this module only the printer (fmt.py) and the two
+signatures of ratfunc's radicand-factor step (_gen_guards, _value) read
+monomials; split_by hands out its monomials as MultiPolys.
 
 Square-root relations g^2 = r fold in the layout too (fold_squares, the
 one reduction under ratfunc.reduce_powers).  One OR over the monomials
@@ -49,15 +50,6 @@ hands it each step's leading term, so no step rescans the remainder
 term's quotient is one monomial difference, tested by the guard bits,
 and one integer division.  poly_divexact first refuses a divisor of
 higher total degree than the dividend, before any of that.
-
-Known factors come out before a gcd.  ratfunc.normal_form hands
-divide_out the primitive radicand numerators and denominators of its
-tower (factor_table), and each is divided out of num and den as often as
-it divides both, den first, then num's coefficients over the relation
-generators, smallest first.  A factor is tried only when den's total
-degree and monomial OR admit it and its value at one integer point
-(_value, a ring map read off the packed monomials) divides those of den
-and num, so most factors that divide neither cost no division.
 
 GCDs run on the integer term dicts (the denominator is a unit over Q),
 and _igcd decides each by the first of these steps that settles it.
@@ -616,108 +608,6 @@ def poly_divexact(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
     if q.den != 1:
         quot = {m: c * q.den for m, c in quot.items()}
     return _make(quot, p.den * cont, deg)
-
-
-# the fields of the odd generator ids below 64, for _value; a generator
-# past them counts as even there
-_ODD = sum(_FIELD << g * W for g in range(1, 64, 2))
-
-
-def _value(p: dict) -> int:
-    """p at the point where each generator of even id is 16 and each of odd
-    id is 256, a ring map to the integers that needs no monomial decoded: a
-    monomial is 2^(4d) for d its total degree plus that over the odd ids.
-    (With one value for all, x - y would be 0; at 2, x - 1 would be 1.)"""
-    return sum(c << 4 * (m % _FIELD + (m & _ODD) % _FIELD)
-               for m, c in p.items())
-
-
-def _misses(value: int, fvalue: int) -> int:
-    """Nonzero when fvalue cannot divide value: under a ring map a factor's
-    image divides the image of each multiple of it, and 0 divides only 0."""
-    return value % fvalue if fvalue else value
-
-
-def factor_table(polys, gids) -> tuple:
-    """The divisor table of divide_out: one (total degree, low, guards,
-    _value, primitive integer terms) entry per distinct nonconstant poly of
-    polys that holds none of the generators gids, since no such poly
-    divides one free of them.  guards holds the guard bit of each
-    field of the poly's generators, and low the bits below them, so a
-    monomial OR u holds all of those generators exactly when
-    (u + low) & guards == guards: a field of at most DEG_MAX carries into
-    its guard bit exactly when it is nonzero, and never further."""
-    mask = _fields(tuple(gids))
-    table = {}
-    for p in polys:
-        u = _union(p.terms)
-        if not u or u & mask:
-            continue
-        terms = _primitive(p.terms, _int_content(p.terms))
-        every = _guards(u.bit_length())
-        guards = (u + every - (every >> W - 1)) & every
-        table.setdefault(frozenset(terms.items()), (
-            p.degree(), guards - (guards >> W - 1), guards, _value(terms),
-            terms))
-    return tuple(table.values())
-
-
-def divide_out(num: MultiPoly, den: MultiPoly, table: tuple, gids):
-    """num/den as a raw pair with each factor of table divided out of both
-    as often as it divides both, for a den of two or more terms that holds
-    none of the generators gids.  No division is tried for a factor of
-    higher total degree than den, with a generator that den lacks, or
-    whose _value does not divide those of num and den.  The factors are
-    primitive, so by Gauss's lemma each quotient keeps its operand's
-    integer content and denominator."""
-    dterms, ddeg = den.terms, den.degree()
-    held = _union(dterms)
-    dval = nval = pieces = None
-    for fdeg, low, guards, fval, f in table:
-        while fdeg <= ddeg and (held + low) & guards == guards:
-            if dval is None:
-                dval = _value(dterms)
-            if _misses(dval, fval):
-                break
-            if nval is None:
-                nval = _value(num.terms)
-            if _misses(nval, fval):
-                break
-            if pieces is None:
-                pieces = sorted(_split_by(num.terms, gids).items(),
-                                key=lambda piece: len(piece[1]))
-            quots = _divide_both(dterms, pieces, f)
-            if quots is None:
-                break
-            dterms, pieces = quots
-            ddeg -= fdeg
-            if fval:
-                dval, nval = dval // fval, nval // fval
-            else:  # both were 0, which tells nothing of the quotients
-                dval = nval = None
-    if dterms is den.terms:
-        return num, den
-    return (MultiPoly({m + inside: c for inside, quot in pieces
-                       for m, c in quot.items()}, num.den),
-            MultiPoly(dterms, den.den, ddeg))
-
-
-def _divide_both(dterms: dict, pieces: list, f: dict):
-    """(dterms / f, the pieces / f) when f divides den and every piece of
-    num, else None.  den is tried first, then num's pieces, its
-    coefficients over the relation generators, smallest first, as
-    ratfunc's gcd orders them, so a try that fails on num mostly fails on
-    a small operand."""
-    dquot = _divexact(dterms, f)
-    if dquot is None:
-        return None
-    quots = []
-    for inside, c in pieces:
-        quot = _divexact(c, f)
-        if quot is None:
-            return None
-        quots.append((inside, quot))
-    return dquot, quots
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@ gcd of a normal form sees a relation generator.  Rationalizing carries a
 radicand's numerator into the denominator, and a radicand's denominator
 comes up from each fold, so before the gcd, normal_form divides these
 radicand factors (radicand_factors, one table per tower) out of both,
-as often as each divides both; the gcd runs on what is left.
+as often as each divides both; the gcd runs on what is left.  A factor
+is tried only when den's total degree, its generators (_gen_guards) and
+the values of den and num at one integer point (_value) admit it, so
+most factors that divide neither cost no division.
 
 Two normal forms n1/d1 and n2/d2 are compared structurally.  That rests
 on unique factorization in the polynomial ring alone: their difference
@@ -39,12 +42,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from typing import NamedTuple
 
 from .errors import ZeroDenominator
-from .poly import (MultiPoly, divide_out, factor_table, poly_divexact, poly_gcd,
-                   square_multiply)
+from .poly import (_FIELD, W, MultiPoly, _guards, _union, poly_divexact,
+                   poly_gcd, square_multiply)
 
 
 class RatFunc(NamedTuple):
@@ -165,6 +168,8 @@ def rationalize(num: MultiPoly, den: MultiPoly, rels: dict):
     num, den = reduce_powers(num, den, rels)
     if den.is_zero():
         raise ZeroDenominator("denominator is zero modulo the relations")
+    if not (rels and den.holds(rels)):  # most dens: one OR, no loop
+        return num, den
     for gid in sorted(rels, reverse=True):
         if not den.holds((gid,)):
             continue
@@ -176,12 +181,99 @@ def rationalize(num: MultiPoly, den: MultiPoly, rels: dict):
     return num, den
 
 
+# The two signatures of the radicand-factor step read the packed
+# monomials of poly.py.  They live here, not there, because poly.py's
+# compile sets the peak RSS of a process that imports the engine: one
+# more four-line function in poly.py raised it by 0.13 MB.
+
+# the fields of the odd generator ids below 64, for _value; a generator
+# past them counts as even there
+_ODD = sum(_FIELD << g * W for g in range(1, 64, 2))
+
+
+def _value(p: dict) -> int:
+    """p at the point where each generator of even id is 16 and each of odd
+    id is 256, a ring map to the integers that needs no monomial decoded: a
+    monomial is 2^(4d) for d its total degree plus that over the odd ids,
+    the sum of the fields of m + (m & _ODD), where an odd field doubled
+    still fits its W bits.  (With one value for all, x - y would be 0.)"""
+    return sum(c << 4 * ((m + (m & _ODD)) % _FIELD) for m, c in p.items())
+
+
+def _gen_guards(p: dict) -> int:
+    """The guard bit of the field of each generator that occurs in p, from
+    the OR of its monomials: a field of at most DEG_MAX carries into its
+    guard bit exactly when it is nonzero, and never further.  So the
+    generators of q are among those of p exactly when the guards of q are
+    among those of p."""
+    u = _union(p)
+    every = _guards(u.bit_length())
+    return (u + every - (every >> W - 1)) & every
+
+
 def radicand_factors(rels: dict) -> tuple:
-    """The divisor table of normal_form's pre-step over rels: each
-    nonconstant numerator or denominator of a radicand, taken primitive.
-    One that holds a relation generator divides no rationalized
-    denominator, so it is left out."""
-    return factor_table((p for r in rels.values() for p in r), rels)
+    """The divisor table of normal_form's pre-step over rels: one (total
+    degree, generator guards, _value, factor) entry per nonconstant
+    numerator or denominator of a radicand, taken primitive (its integer
+    terms over their content)."""
+    table = []
+    for r in rels.values():
+        for p in r:
+            if not p.is_const():
+                c = gcd(*p.terms.values())
+                f = MultiPoly({m: v // c for m, v in p.terms.items()}
+                              if c > 1 else p.terms, 1, p.degree())
+                table.append((f.degree(), _gen_guards(f.terms),
+                              _value(f.terms), f))
+    return tuple(table)
+
+
+def _divide_both(num: MultiPoly, den: MultiPoly, f: MultiPoly):
+    """(num / f, den / f) when f divides both, den tried first, else
+    None."""
+    dquot = poly_divexact(den, f)
+    if dquot is None:
+        return None
+    nquot = poly_divexact(num, f)
+    return None if nquot is None else (nquot, dquot)
+
+
+def divide_out(num: MultiPoly, den: MultiPoly, table: tuple):
+    """num/den as a raw pair with each factor of table divided out of both
+    as often as it divides both.  No division is tried for a factor of
+    higher total degree than den, with a generator that den lacks (one
+    that holds a relation generator among them), or whose value does not
+    divide those of den and num: a ring map sends a factor's multiples to
+    multiples of its image.  A factor is primitive, so by Gauss's lemma
+    each quotient keeps its operand's integer content and denominator,
+    and its value is the operand's over the factor's.  den's generators
+    are read once; a quotient's are among them."""
+    ddeg = den.degree()
+    held = dval = nval = None
+    for fdeg, guards, fval, f in table:
+        while fdeg <= ddeg:
+            if held is None:
+                held = _gen_guards(den.terms)
+            if guards & held != guards:
+                break
+            if dval is None:
+                dval = _value(den.terms)
+            if fval and dval % fval:
+                break
+            if nval is None:
+                nval = _value(num.terms)
+            if fval and nval % fval:
+                break
+            quots = _divide_both(num, den, f)
+            if quots is None:
+                break
+            num, den = quots
+            ddeg -= fdeg
+            if fval:
+                dval, nval = dval // fval, nval // fval
+            else:  # a value of 0 tells nothing of the quotients
+                dval = nval = None
+    return num, den
 
 
 def normal_form(num: MultiPoly, den: MultiPoly, rels: dict,
@@ -189,15 +281,14 @@ def normal_form(num: MultiPoly, den: MultiPoly, rels: dict,
     """Unique representative: numerator multilinear in relation
     generators, denominator free of them, then gcd-reduced and monic.
     factors, when given, is a function of no arguments that returns
-    radicand_factors(rels) (Tower.factors keeps one table per tower); it
-    is called only for a den of two or more terms and a nonzero num, and
-    the factors are divided out of both, where they divide both, before
-    the gcd runs on what is left."""
+    radicand_factors(rels), as Tower._nf passes it; it is called only for
+    a den of two or more terms and a nonzero num, and its factors are
+    divided out of both before the gcd runs on what is left."""
     num, den = rationalize(num, den, rels)
     if factors is not None and len(den.terms) > 1 and num.terms:
         table = factors()
         if table:
-            num, den = divide_out(num, den, table, rels)
+            num, den = divide_out(num, den, table)
     return ratfunc_normalize(num, den, rels)
 
 

@@ -163,8 +163,7 @@ class Element:
         return self, NotImplemented
 
     def _wrap(self, num: MultiPoly, den: MultiPoly) -> "Element":
-        t = self.tower
-        return Element(t, normal_form(num, den, t.rels, t.factors))
+        return Element(self.tower, self.tower._nf(num, den))
 
     def _apply(self, op: str, other):
         a, b = self._pair(other)
@@ -563,6 +562,8 @@ class Tower:
         return self._nf(num * x.num, den * x.den)
 
     def _nf(self, num: MultiPoly, den: MultiPoly) -> RatFunc:
+        """The normal form of num/den over this tower, the one that
+        divides the tower's radicand factors out before its gcd."""
         return normal_form(num, den, self.rels, self.factors)
 
     def derive(self, handle, e: Element) -> Element:

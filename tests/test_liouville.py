@@ -921,40 +921,30 @@ def test_l3_reduction_work_is_pinned(monkeypatch):
     # l3_pushdown benchmark times, its self-check included; it took 70,228
     # when each log term entered as the quotient rule's D(v)/v over d^2,
     # and 35,405 when the self-check read the Abel correction as its one
-    # canonical log instead of the conjugate pair log(num) - log(den)
+    # canonical log instead of the conjugate pair log(num) - log(den).
+    # Every GCDHEU call too, its recursion on the evaluated images
+    # included: 33 when each normal form's gcd found the tower's radicand
+    # factors itself, before normal forms divided them out first
     t, prm = _l3_tower()
     form = LiouvilleForm(t.zero(), _l3_pair(t, prm))
     f = form_derivative(t, form)
-    pairs = []
-    mul = poly._dict_mul
+    pairs, heu_calls = [], []
+    mul, heu = poly._dict_mul, poly._heu_gcd
 
     def counted(a, b, deg):
         pairs.append(len(a) * len(b))
         return mul(a, b, deg)
 
+    def counted_heu(p, q):
+        heu_calls.append(1)
+        return heu(p, q)
+
     monkeypatch.setattr(poly, "_dict_mul", counted)
+    monkeypatch.setattr(poly, "_heu_gcd", counted_heu)
     steps = reduce(t, f, form)
     assert len(steps) == 1
     assert sum(pairs) <= 10_400
-
-
-def test_l3_reduction_takes_few_heuristic_gcds(monkeypatch):
-    # every GCDHEU call of the reduction, its recursion on the evaluated
-    # images included: 33 when each normal form's gcd found the tower's
-    # radicand factors itself, before normal forms divided them out first
-    t, prm = _l3_tower()
-    form = LiouvilleForm(t.zero(), _l3_pair(t, prm))
-    f = form_derivative(t, form)
-    calls = []
-    heu = poly._heu_gcd
-
-    def counted(p, q):
-        calls.append(1)
-        return heu(p, q)
-
-    monkeypatch.setattr(poly, "_heu_gcd", counted)
-    assert len(reduce(t, f, form)) == 1
-    assert len(calls) <= 8
+    assert len(heu_calls) <= 8
 
 
 def test_reduction_checks_each_term_once(monkeypatch):

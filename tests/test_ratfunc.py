@@ -7,13 +7,12 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diffalg import poly
+from diffalg import ratfunc
 from diffalg.errors import DegreeOverflow, ZeroDenominator
-from diffalg.poly import (DEG_MAX, MultiPoly, _value, divide_out,
-                          factor_table, get_degree_limit)
-from diffalg.ratfunc import (RatFunc, normal_form, power, quotient,
-                             radicand_factors, ratfunc_normalize, rationalize,
-                             reduce_powers)
+from diffalg.poly import DEG_MAX, MultiPoly, get_degree_limit
+from diffalg.ratfunc import (RatFunc, _value, divide_out, normal_form, power,
+                             quotient, radicand_factors, ratfunc_normalize,
+                             rationalize, reduce_powers)
 from diffalg.tower import Tower
 from polys import evaluate, from_dict, monomial
 
@@ -427,7 +426,7 @@ def test_normal_form_with_radicand_factors_is_the_plain_gcds(case):
         rnum, rden = rationalize(num, den, t.rels)
     except ZeroDenominator:  # den is 0 or a zero divisor as an element
         return
-    got = normal_form(num, den, t.rels, t.factors)
+    got = t._nf(num, den)
     assert got == ratfunc_normalize(rnum, rden)
     assert got == normal_form(num, den, t.rels)
     want_num, want_den = factor_sympy(rnum).cancel(factor_sympy(rden),
@@ -437,7 +436,7 @@ def test_normal_form_with_radicand_factors_is_the_plain_gcds(case):
     assert factor_sympy(got.num) * lc == want_num
 
 
-def _factor_terms(rels: dict) -> list:
+def _factors(rels: dict) -> list:
     return [entry[-1] for entry in radicand_factors(rels)]
 
 
@@ -446,21 +445,25 @@ def test_constant_radicand_parts_give_no_factor():
     # none, and y^2 = x its numerator x over the constant 1
     t = Tower.base().var("x")
     xg = t["x"]
-    assert _factor_terms(t.sqrt_ext("y", 2 / (xg + 1)).rels) == [
-        (X + ONE).terms]
-    assert _factor_terms(t.sqrt_ext("y", 3).rels) == []
-    assert _factor_terms(t.sqrt_ext("y", xg).rels) == [X.terms]
-    # a radicand part that holds an earlier root divides no rationalized
-    # denominator, so it is left out, and one that repeats another's
-    # primitive part is kept once
+    assert _factors(t.sqrt_ext("y", 2 / (xg + 1)).rels) == [X + ONE]
+    assert _factors(t.sqrt_ext("y", 3).rels) == []
+    assert _factors(t.sqrt_ext("y", xg).rels) == [X]
+    # each nonconstant part is one entry, taken primitive, so 2x gives x
+    # again; 1 + y, which holds a root, never passes the generator test
+    # against a rationalized den
     t = t.sqrt_ext("y", xg)
     t = t.sqrt_ext("z", 2 * t["x"] / (t["x"] + 1))
     t = t.sqrt_ext("w", 1 + t["y"])
-    assert _factor_terms(t.rels) == [X.terms, (X + ONE).terms]
+    assert _factors(t.rels) == [X, X, X + ONE, S + ONE]
 
 
-def _table(*polys) -> tuple:
-    return factor_table(polys, ())
+def _x_tower(*radicands) -> tuple:
+    """The radicand factors of a tower over x with one root per radicand,
+    a function of x."""
+    t = Tower.base().var("x")
+    for i, radicand in enumerate(radicands):
+        t = t.sqrt_ext(f"y{i}", radicand(t["x"]))
+    return t.factors()
 
 
 def test_a_factor_that_divides_den_alone_leaves_the_pair():
@@ -469,7 +472,7 @@ def test_a_factor_that_divides_den_alone_leaves_the_pair():
     f = X + ONE
     num, den = X + ONE.scale(18), f * (X + ONE.scale(2))
     assert _value(num.terms) % _value(f.terms) == 0
-    got = divide_out(num, den, _table(f), ())
+    got = divide_out(num, den, _x_tower(lambda x: x + 1))
     assert got[0] is num and got[1] is den
 
 
@@ -477,16 +480,17 @@ def test_a_factor_that_divides_den_alone_leaves_the_pair():
 def test_a_factor_dividing_both_k_times_comes_out_k_times(k, monkeypatch):
     f, g = X + ONE, X * X + ONE.scale(3)
     num, den = f ** (k + 1) * (X + ONE.scale(5)), f ** k * g
+    table = _x_tower(lambda x: x + 1, lambda x: x * x + 3)
     divisions = []
-    both = poly._divide_both
+    both = ratfunc._divide_both
 
     def counted(*args):
         quots = both(*args)
         divisions.append(quots is not None)
         return quots
 
-    monkeypatch.setattr(poly, "_divide_both", counted)
-    got = divide_out(num, den, _table(f, g), ())
+    monkeypatch.setattr(ratfunc, "_divide_both", counted)
+    got = divide_out(num, den, table)
     assert got == (f * (X + ONE.scale(5)), g)
     # x^2 + 3 divides den alone, and its value at x = 16, 259, does not
     # divide num's, so no division is tried for it
@@ -499,8 +503,8 @@ def test_a_factor_whose_value_is_zero_comes_out_too():
     f = X - ONE.scale(16)
     assert _value(f.terms) == 0
     num, den = f ** 2 * (X + ONE), f ** 2 * (X + ONE.scale(2))
-    assert divide_out(num, den, _table(f), ()) == (X + ONE,
-                                                    X + ONE.scale(2))
+    assert divide_out(num, den, _x_tower(lambda x: x - 16)) == (
+        X + ONE, X + ONE.scale(2))
 
 
 def test_the_pre_step_skips_a_zero_num_and_a_one_term_den():

@@ -38,7 +38,7 @@ coefficients in those generators (``diffalg.ratfunc._gcd_over``), one
 top-level gcd per coefficient folded in; ``split normal forms`` counts
 those normal forms.  Before its gcd, a normal form divides the tower's
 radicand factors out of its numerator and denominator
-(``diffalg.poly.divide_out``); ``radicand factors`` counts the factor
+(``diffalg.ratfunc.divide_out``); ``radicand factors`` counts the factor
 divisions that took a factor out of both (``_divide_both`` calls that
 divided), one per power taken out.  Every count is deterministic.
 The table is Markdown, so it can go to a CI step summary as it is.
@@ -83,9 +83,10 @@ def count_paths(run) -> dict:
     state = {"depth": 0, "heu_depth": 0, "images": 0, "basis": 0}
     orig = {name: getattr(poly, name) for name in (
         "poly_gcd", "_igcd", "_certify_coprime", "_eval_uni_mod",
-        "_heu_gcd", "_dict_mul", "poly_divexact", "_divide_both")}
+        "_heu_gcd", "_dict_mul", "poly_divexact")}
     orig["_division_basis"] = ratfunc._division_basis
     orig["_gcd_over"] = ratfunc._gcd_over
+    orig["_divide_both"] = ratfunc._divide_both
 
     def gcd(p, q):
         state.update(one_term=False, cert=_UNSET, heu=_UNSET, images=0)
