@@ -49,6 +49,8 @@ from .errors import ZeroDenominator
 from .poly import (_FIELD, W, MultiPoly, _guards, _union, poly_divexact,
                    poly_gcd, square_multiply)
 
+_ONE = MultiPoly.one()
+
 
 class RatFunc(NamedTuple):
     """num/den, gcd-reduced, denominator monic; unpacks as the pair.  The
@@ -142,6 +144,8 @@ def reduce_powers(num: MultiPoly, den: MultiPoly, rels: dict):
         return num, den
     n1, d1 = num.fold_squares(rels)
     n2, d2 = den.fold_squares(rels)
+    if d1 is _ONE and d2 is _ONE:  # the common case, with no product call
+        return n1, n2
     return n1 * d2, n2 * d1
 
 
@@ -163,10 +167,10 @@ def rationalize(num: MultiPoly, den: MultiPoly, rels: dict):
     """Power-reduce num/den and clear the relation generators out of den,
     latest first so squares surfacing in earlier ones get picked up; a
     raw pair.  Raises ZeroDenominator if den is 0 or a zero divisor."""
-    if den.is_zero():
+    if not den.terms:
         raise ZeroDenominator("denominator reduced to zero")
     num, den = reduce_powers(num, den, rels)
-    if den.is_zero():
+    if not den.terms:
         raise ZeroDenominator("denominator is zero modulo the relations")
     if not (rels and den.holds(rels)):  # most dens: one OR, no loop
         return num, den
@@ -175,7 +179,7 @@ def rationalize(num: MultiPoly, den: MultiPoly, rels: dict):
             continue
         conj = den.conj_gen(gid)
         num, den = reduce_powers(num * conj, den * conj, rels)
-        if den.is_zero():
+        if not den.terms:
             raise ZeroDenominator(
                 "denominator is a zero divisor modulo the relations")
     return num, den
@@ -252,13 +256,13 @@ def divide_out(num: MultiPoly, den: MultiPoly, table: tuple):
     held = dval = nval = None
     for fdeg, guards, fval, f in table:
         while fdeg <= ddeg:
-            if held is None:
-                held = _gen_guards(den.terms)
-            if guards & held != guards:
-                break
             if dval is None:
                 dval = _value(den.terms)
             if fval and dval % fval:
+                break
+            if held is None:
+                held = _gen_guards(den.terms)
+            if guards & held != guards:
                 break
             if nval is None:
                 nval = _value(num.terms)
@@ -285,7 +289,7 @@ def normal_form(num: MultiPoly, den: MultiPoly, rels: dict,
     a den of two or more terms and a nonzero num, and its factors are
     divided out of both before the gcd runs on what is left."""
     num, den = rationalize(num, den, rels)
-    if factors is not None and len(den.terms) > 1 and num.terms:
+    if len(den.terms) > 1 and num.terms and factors is not None:
         table = factors()
         if table:
             num, den = divide_out(num, den, table)
