@@ -188,7 +188,9 @@ def rationalize(num: MultiPoly, den: MultiPoly, rels: dict):
 # The two signatures of the radicand-factor step read the packed
 # monomials of poly.py.  They live here, not there, because poly.py's
 # compile sets the peak RSS of a process that imports the engine: one
-# more four-line function in poly.py raised it by 0.13 MB.
+# more four-line function in poly.py raised ru_maxrss after its import
+# by 0.13 MB (Python 3.11, no cached bytecode); comments and docstrings
+# there did not.
 
 # the fields of the odd generator ids below 64, for _value; a generator
 # past them counts as even there
