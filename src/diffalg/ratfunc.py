@@ -247,13 +247,15 @@ def _divide_both(num: MultiPoly, den: MultiPoly, f: MultiPoly):
 def divide_out(num: MultiPoly, den: MultiPoly, table: tuple):
     """num/den as a raw pair with each factor of table divided out of both
     as often as it divides both.  No division is tried for a factor of
-    higher total degree than den, with a generator that den lacks (one
-    that holds a relation generator among them), or whose value does not
-    divide those of den and num: a ring map sends a factor's multiples to
-    multiples of its image.  A factor is primitive, so by Gauss's lemma
-    each quotient keeps its operand's integer content and denominator,
-    and its value is the operand's over the factor's.  den's generators
-    are read once; a quotient's are among them."""
+    higher total degree than den, whose value does not divide den's, with
+    a generator that den lacks (as each factor that holds a relation
+    generator has), or whose value does not divide num's: a ring map
+    sends a factor's multiples to multiples of its image.  Each of those
+    reads is made once, and only when a factor's degree admits it.  A
+    factor is primitive, so by Gauss's lemma each quotient keeps its
+    operand's integer content and denominator, and its value is the
+    operand's over the factor's; a quotient's generators are among its
+    operand's, so den's are not read again."""
     ddeg = den.degree()
     held = dval = nval = None
     for fdeg, guards, fval, f in table:
