@@ -107,8 +107,8 @@ class ThirdKindParam:
     a: Element
     delta: Element
 
-    def validate(self, m: Element) -> None:
-        if not LegendreCurve(m).contains(CurvePoint(self.a, self.delta)):
+    def validate(self, curve: LegendreCurve) -> None:
+        if not curve.contains(CurvePoint(self.a, self.delta)):
             raise InvalidDefiningData(
                 "delta^2 = (1-a^2)(1-m a^2) fails in the tower")
 
@@ -167,14 +167,15 @@ class LPhi:
     def validate(self) -> None:
         if self.kind not in (1, 2, 3):
             raise InvalidDefiningData(f"L-kind {self.kind} out of range")
-        if not LegendreCurve(self.m).contains(CurvePoint(self.v, self.y)):
+        curve = LegendreCurve(self.m)
+        if not curve.contains(CurvePoint(self.v, self.y)):
             raise InvalidDefiningData("y^2 = (1-v^2)(1-m v^2) fails")
         if self.kind == 3:
             if self.prm is None:
                 raise InvalidDefiningData("third kind needs pole data")
             if not self.prm.a.is_constant():
                 raise InvalidDefiningData("pole a not constant")
-            self.prm.validate(self.m)
+            self.prm.validate(curve)
         elif self.prm is not None:
             raise InvalidDefiningData("pole data only belongs to the third kind")
 

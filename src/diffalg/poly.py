@@ -30,9 +30,8 @@ into the next field.
 
 This module owns the layout: every scan over monomials is written once,
 as a function on the term dict, and the MultiPoly methods are views over
-them.  Outside this module only the printer (fmt.py) and the two
-signatures of ratfunc's radicand-factor step (_gen_guards, _value) read
-monomials; split_by hands out its monomials as MultiPolys.
+them.  Outside this module only the printer (fmt.py) reads monomials;
+split_by hands out its monomials as MultiPolys.
 
 Square-root relations g^2 = r fold in the layout too (fold_squares, the
 one reduction under ratfunc.reduce_powers).  One OR over the monomials
@@ -214,6 +213,11 @@ def _union(p: dict) -> int:
     occurs in p, and has a bit above its lowest set when some exponent
     of it is 2 or more."""
     return reduce(or_, p, 0)
+
+
+# the fields of the odd generator ids below 64, for MultiPoly.value; a
+# generator past them counts as even there
+_ODD = sum(_FIELD << g * W for g in range(1, 64, 2))
 
 
 def _gens_of(p: dict) -> set:
@@ -404,9 +408,6 @@ class MultiPoly:
             self._deg = _deg(self.terms)
         return self._deg
 
-    def deg_in(self, gid: int) -> int:
-        return _deg_in(self.terms, gid)
-
     def gens(self) -> set:
         return _gens_of(self.terms)
 
@@ -414,6 +415,16 @@ class MultiPoly:
         """Whether a generator of gids occurs: one OR of the monomials
         against their fields, no monomial decoded."""
         return bool(_union(self.terms) & _fields(tuple(gids)))
+
+    def value(self) -> int:
+        """The integer terms at the point where each generator of even id
+        is 16 and each of odd id 256, a ring map to the integers that
+        decodes no monomial: a monomial is 2^(4d) for d its total degree
+        plus that over the odd ids, the sum of the fields of m + (m & _ODD),
+        where an odd field doubled still fits its W bits.  (With one value
+        for all, x - y would be 0.)"""
+        return sum(c << 4 * ((m + (m & _ODD)) % _FIELD)
+                   for m, c in self.terms.items())
 
     def lead_coeff(self) -> Fraction:
         """The coefficient of the leading term, without its monomial."""

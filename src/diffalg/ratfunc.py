@@ -16,10 +16,12 @@ gcd of a normal form sees a relation generator.  Rationalizing carries a
 radicand's numerator into the denominator, and a radicand's denominator
 comes up from each fold, so before the gcd, normal_form divides these
 radicand factors (radicand_factors, one table per tower) out of both,
-as often as each divides both; the gcd runs on what is left.  A factor
-is tried only when den's total degree, its generators (_gen_guards) and
-the values of den and num at one integer point (_value) admit it, so
-most factors that divide neither cost no division.
+as often as each divides both; the gcd runs on what is left.  The table
+leaves out each radicand part that holds a relation generator, as no
+such part divides a rationalized den, and a factor is tried only when
+den's total degree and the values of den and num at one integer point
+(MultiPoly.value) admit it, so most factors that divide neither cost no
+division.
 
 Two normal forms n1/d1 and n2/d2 are compared structurally.  That rests
 on unique factorization in the polynomial ring alone: their difference
@@ -46,8 +48,7 @@ from math import gcd, prod
 from typing import NamedTuple
 
 from .errors import ZeroDenominator
-from .poly import (_FIELD, W, MultiPoly, _guards, _union, poly_divexact,
-                   poly_gcd, square_multiply)
+from .poly import MultiPoly, poly_divexact, poly_gcd, square_multiply
 
 _ONE = MultiPoly.one()
 
@@ -185,52 +186,20 @@ def rationalize(num: MultiPoly, den: MultiPoly, rels: dict):
     return num, den
 
 
-# The two signatures of the radicand-factor step read the packed
-# monomials of poly.py.  They live here, not there, because poly.py's
-# compile sets the peak RSS of a process that imports the engine: one
-# more four-line function in poly.py raised ru_maxrss after its import
-# by 0.13 MB (Python 3.11, no cached bytecode); comments and docstrings
-# there did not.
-
-# the fields of the odd generator ids below 64, for _value; a generator
-# past them counts as even there
-_ODD = sum(_FIELD << g * W for g in range(1, 64, 2))
-
-
-def _value(p: dict) -> int:
-    """p at the point where each generator of even id is 16 and each of odd
-    id is 256, a ring map to the integers that needs no monomial decoded: a
-    monomial is 2^(4d) for d its total degree plus that over the odd ids,
-    the sum of the fields of m + (m & _ODD), where an odd field doubled
-    still fits its W bits.  (With one value for all, x - y would be 0.)"""
-    return sum(c << 4 * ((m + (m & _ODD)) % _FIELD) for m, c in p.items())
-
-
-def _gen_guards(p: dict) -> int:
-    """The guard bit of the field of each generator that occurs in p, from
-    the OR of its monomials: a field of at most DEG_MAX carries into its
-    guard bit exactly when it is nonzero, and never further.  So the
-    generators of q are among those of p exactly when the guards of q are
-    among those of p."""
-    u = _union(p)
-    every = _guards(u.bit_length())
-    return (u + every - (every >> W - 1)) & every
-
-
 def radicand_factors(rels: dict) -> tuple:
     """The divisor table of normal_form's pre-step over rels: one (total
-    degree, generator guards, _value, factor) entry per nonconstant
-    numerator or denominator of a radicand, taken primitive (its integer
-    terms over their content)."""
+    degree, value, factor) entry per nonconstant numerator or denominator
+    of a radicand that holds no relation generator, taken primitive (its
+    integer terms over their content).  A part that holds a relation
+    generator divides no rationalized den, which holds none."""
     table = []
     for r in rels.values():
         for p in r:
-            if not p.is_const():
+            if not (p.is_const() or p.holds(rels)):
                 c = gcd(*p.terms.values())
                 f = MultiPoly({m: v // c for m, v in p.terms.items()}
                               if c > 1 else p.terms, 1, p.degree())
-                table.append((f.degree(), _gen_guards(f.terms),
-                              _value(f.terms), f))
+                table.append((f.degree(), f.value(), f))
     return tuple(table)
 
 
@@ -246,30 +215,24 @@ def _divide_both(num: MultiPoly, den: MultiPoly, f: MultiPoly):
 
 def divide_out(num: MultiPoly, den: MultiPoly, table: tuple):
     """num/den as a raw pair with each factor of table divided out of both
-    as often as it divides both.  No division is tried for a factor of
-    higher total degree than den, whose value does not divide den's, with
-    a generator that den lacks (as each factor that holds a relation
-    generator has), or whose value does not divide num's: a ring map
-    sends a factor's multiples to multiples of its image.  Each of those
-    reads is made once, and only when a factor's degree admits it.  A
-    factor is primitive, so by Gauss's lemma each quotient keeps its
-    operand's integer content and denominator, and its value is the
-    operand's over the factor's; a quotient's generators are among its
-    operand's, so den's are not read again."""
+    as often as it divides both.  The table holds no factor with a
+    relation generator (radicand_factors leaves them out), and no
+    division is tried for a factor of higher total degree than den, whose
+    value does not divide den's, or whose value does not divide num's: a
+    ring map sends a factor's multiples to multiples of its image.  Each value is formed once, and
+    only when a factor's degree admits it.  A factor is primitive, so by
+    Gauss's lemma each quotient keeps its operand's integer content and
+    denominator, and its value is the operand's over the factor's."""
     ddeg = den.degree()
-    held = dval = nval = None
-    for fdeg, guards, fval, f in table:
+    dval = nval = None
+    for fdeg, fval, f in table:
         while fdeg <= ddeg:
             if dval is None:
-                dval = _value(den.terms)
+                dval = den.value()
             if fval and dval % fval:
                 break
-            if held is None:
-                held = _gen_guards(den.terms)
-            if guards & held != guards:
-                break
             if nval is None:
-                nval = _value(num.terms)
+                nval = num.value()
             if fval and nval % fval:
                 break
             quots = _divide_both(num, den, f)

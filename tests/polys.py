@@ -3,8 +3,8 @@
 A test states a polynomial as a dict {tuple monomial: coefficient}, each
 monomial ((gid, exp), ...) sorted by gid and () the unit, and a
 coefficient an int or a Fraction.  from_dict builds it through var, **,
-scale and +; evaluate and lead_mono read a MultiPoly back through
-poly.mono_items, so only poly.py packs a monomial.
+scale and +; evaluate, lead_mono and deg_in read a MultiPoly back
+through poly.mono_items, so only poly.py packs a monomial.
 """
 
 from fractions import Fraction
@@ -44,3 +44,9 @@ def evaluate(p: MultiPoly, values: dict):
 def lead_mono(p: MultiPoly) -> tuple:
     """The tuple monomial of p's leading term under poly.mono_key."""
     return tuple(mono_items(max(p.terms, key=mono_key)))
+
+
+def deg_in(p: MultiPoly, gid: int) -> int:
+    """p's degree in the generator gid; 0 for the zero polynomial."""
+    return max((e for m in p.terms for g, e in mono_items(m) if g == gid),
+               default=0)

@@ -86,8 +86,10 @@ def test_terms_and_generators_refuse_what_their_curve_refuses(model, data):
         for kind in (1, 2):
             with pytest.raises(InvalidDefiningData, match=match):
                 LPhi(kind, x, u["y"], m).validate()
+        # the pole data is validated against a built curve, so its
+        # refusal is the curve's
         with pytest.raises(InvalidDefiningData, match=match):
-            ThirdKindParam(t.lit(2), t.lit(3)).validate(m)
+            ThirdKindParam(t.lit(2), t.lit(3)).validate(LegendreCurve(m))
 
 
 def test_legendre_identity_point():
@@ -380,7 +382,7 @@ def l3_step(t, p1, p2, delta=None):
 
 def test_abel_f_properties():
     t = _legendre_tower(with_pole=True)
-    ThirdKindParam(t["a"], t["delta"]).validate(t["m"])
+    ThirdKindParam(t["a"], t["delta"]).validate(LegendreCurve(t["m"]))
     p1 = CurvePoint(t["x1"], t["y1"])
     p2 = CurvePoint(t["x2"], t["y2"])
     p3, c, num, den = l3_step(t, p1, p2)
@@ -410,9 +412,9 @@ def test_abel_f_trivial_at_origin():
 
 def test_third_kind_param_validation():
     t = _legendre_tower(with_pole=True)
-    ThirdKindParam(t["a"], t["delta"]).validate(t["m"])
+    ThirdKindParam(t["a"], t["delta"]).validate(LegendreCurve(t["m"]))
     with pytest.raises(InvalidDefiningData):
-        ThirdKindParam(t["a"], t["a"]).validate(t["m"])
+        ThirdKindParam(t["a"], t["a"]).validate(LegendreCurve(t["m"]))
 
 
 # -- numeric oracle ------------------------------------------------------------

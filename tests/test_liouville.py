@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffalg import curves, liouville, poly, ratfunc
-from diffalg.curves import ThirdKindParam, phi_part, phi_sum
+from diffalg.curves import LegendreCurve, ThirdKindParam, phi_part, phi_sum
 from diffalg.errors import (FieldMismatch, FNotBelow, IntegrandNotReducible,
                             InvalidDefiningData, NonConstantCoefficient,
                             NotConstant, PartNotBelow, SelfCheckFailed,
@@ -873,7 +873,7 @@ def _l3_tower(*roots):
     t = t.sqrt_ext("delta", (1 - pa ** 2) * (1 - m * pa ** 2))
     t = t.sqrt_ext("s", r)
     prm = ThirdKindParam(t["pa"], t["delta"])
-    prm.validate(t["m"])
+    prm.validate(LegendreCurve(t["m"]))
     return t, prm
 
 

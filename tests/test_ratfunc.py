@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from diffalg import ratfunc
 from diffalg.errors import DegreeOverflow, ZeroDenominator
 from diffalg.poly import DEG_MAX, MultiPoly, get_degree_limit
-from diffalg.ratfunc import (RatFunc, _value, divide_out, normal_form, power,
+from diffalg.ratfunc import (RatFunc, divide_out, normal_form, power,
                              quotient, radicand_factors, ratfunc_normalize,
                              rationalize, reduce_powers)
 from diffalg.tower import Tower
-from polys import evaluate, from_dict, monomial
+from polys import deg_in, evaluate, from_dict, monomial
 
 X = MultiPoly.var(0)
 S = MultiPoly.var(1)
@@ -120,8 +120,8 @@ def test_normal_form_idempotent():
 def test_normal_form_degree_one_in_s():
     rels = rels_s2(op("-", op("^", x, 2), RatFunc.const(1)))
     e = normal_form(S ** 4 + S ** 3 + S + ONE, S ** 2 + S, rels)
-    assert e.num.deg_in(1) <= 1
-    assert e.den.deg_in(1) == 0  # denominator rationalized s-free
+    assert deg_in(e.num, 1) <= 1
+    assert deg_in(e.den, 1) == 0  # denominator rationalized s-free
 
 
 # -- field axioms on random elements ----------------------------------------
@@ -316,14 +316,14 @@ def test_reduction_matches_sympy(case):
     images = point_images(t.rels)
     n, d = reduce_powers(num, den, t.rels)
     for g in t.rels:
-        assert n.deg_in(g) <= 1 and d.deg_in(g) <= 1
+        assert deg_in(n, g) <= 1 and deg_in(d, g) <= 1
     try:
         nf = normal_form(num, den, t.rels)
     except ZeroDenominator:  # den is 0 as an element
         assert all(abs(evaluate(den, image)) < 1e-40 for image in images)
         return
     for g in t.rels:
-        assert nf.num.deg_in(g) <= 1 and nf.den.deg_in(g) == 0
+        assert deg_in(nf.num, g) <= 1 and deg_in(nf.den, g) == 0
     assert agree((n, d), (num, den), images)
     assert agree(nf, (num, den), images)
 
@@ -449,12 +449,36 @@ def test_constant_radicand_parts_give_no_factor():
     assert _factors(t.sqrt_ext("y", 3).rels) == []
     assert _factors(t.sqrt_ext("y", xg).rels) == [X]
     # each nonconstant part is one entry, taken primitive, so 2x gives x
-    # again; 1 + y, which holds a root, never passes the generator test
-    # against a rationalized den
+    # again; 1 + y holds a root, so it divides no rationalized den and
+    # the table leaves it out
     t = t.sqrt_ext("y", xg)
     t = t.sqrt_ext("z", 2 * t["x"] / (t["x"] + 1))
     t = t.sqrt_ext("w", 1 + t["y"])
-    assert _factors(t.rels) == [X, X, X + ONE, S + ONE]
+    assert _factors(t.rels) == [X, X, X + ONE]
+
+
+@pytest.mark.parametrize("planted", ["x", "x - 1"])
+def test_a_part_that_holds_a_root_is_never_tried(planted, monkeypatch):
+    # y^2 = x and w^2 = 1 + y: the part 1 + y holds y.  Its value, 257 at
+    # y = 256, divides the values of den and num below, so only the table
+    # keeps a division from being tried for it
+    t = Tower.base().var("x")
+    t = t.sqrt_ext("y", t["x"])
+    t = t.sqrt_ext("w", 1 + t["y"])
+    y, w = (MultiPoly.var(t.gen_of(n).gid) for n in "yw")
+    assert (ONE + y).value() == 257
+    f = X if planted == "x" else X - ONE
+    num, den = f * (ONE + y) * w, f * (X + ONE.scale(241))
+    tried = []
+    both = ratfunc._divide_both
+
+    def recorded(num, den, f):
+        tried.append(f)
+        return both(num, den, f)
+
+    monkeypatch.setattr(ratfunc, "_divide_both", recorded)
+    assert t._nf(num, den) == normal_form(num, den, t.rels)
+    assert tried == ([X] if planted == "x" else [])
 
 
 def _x_tower(*radicands) -> tuple:
@@ -471,7 +495,7 @@ def test_a_factor_that_divides_den_alone_leaves_the_pair():
     # so only the exact division can refuse x + 1 as a factor of num
     f = X + ONE
     num, den = X + ONE.scale(18), f * (X + ONE.scale(2))
-    assert _value(num.terms) % _value(f.terms) == 0
+    assert num.value() % f.value() == 0
     got = divide_out(num, den, _x_tower(lambda x: x + 1))
     assert got[0] is num and got[1] is den
 
@@ -498,10 +522,10 @@ def test_a_factor_dividing_both_k_times_comes_out_k_times(k, monkeypatch):
 
 
 def test_a_factor_whose_value_is_zero_comes_out_too():
-    # x - 16 is 0 at the point of _value, so its value filters nothing:
+    # x - 16 is 0 at the point of MultiPoly.value, so its value filters nothing:
     # after each division the values are formed again
     f = X - ONE.scale(16)
-    assert _value(f.terms) == 0
+    assert f.value() == 0
     num, den = f ** 2 * (X + ONE), f ** 2 * (X + ONE.scale(2))
     assert divide_out(num, den, _x_tower(lambda x: x - 16)) == (
         X + ONE, X + ONE.scale(2))
@@ -582,7 +606,7 @@ def test_nested_radicand_folds_again():
 def fold_is_exact(p: MultiPoly, rels: dict) -> bool:
     """p's fold has every relation exponent at most one and p's value."""
     num, den = p.fold_squares(rels)
-    return (all(num.deg_in(g) <= 1 and den.deg_in(g) == 0 for g in rels)
+    return (all(deg_in(num, g) <= 1 and deg_in(den, g) == 0 for g in rels)
             and agree((num, den), (p, ONE), point_images(rels)))
 
 
